@@ -3,8 +3,9 @@
 
 The A_k drive the series for (s-1)*zeta(s); the b_k are the companion
 sequence built from 1/zeta(2j+2).  Both come out of alternating binomial
-sums that cancel ~2^k of leading bits, so the builder escalates its working
-precision with k and stamps every entry with an error-bound exponent.
+sums that cancel ~2^k of leading bits, so the builder takes exact integer
+differences of a zeta row scaled by 2^W, W growing with k_max, and stamps
+every entry with an error-bound exponent.
 """
 
 import os

@@ -20,8 +20,8 @@ from maslanka.analysis import decay_fit, rh_diagnostic
 
 K_MAX = 400
 
-print(f"building kind=b table to k={K_MAX} (precision escalates to "
-      f"~{96 + K_MAX + 41} bits at the top end)...")
+print(f"building kind=b table to k={K_MAX} (exact integer differences of a "
+      f"~{96 + K_MAX + 41}-bit fixed-point row)...")
 table = build_table("b", K_MAX, PrecisionContext(96))
 
 rows = rh_diagnostic(table, 1, K_MAX)

@@ -20,7 +20,6 @@ from .coefficients import (
     TableFormatError,
     a_k,
     a_k_alt,
-    a_k_exact_pi,
     b_k,
     build_table,
     load_table,
@@ -72,7 +71,6 @@ __all__ = [
     "TableFormatError",
     "a_k",
     "a_k_alt",
-    "a_k_exact_pi",
     "b_k",
     "bernoulli_number",
     "bernoulli_rep_partial",

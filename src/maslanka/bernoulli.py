@@ -1,9 +1,9 @@
 """Exact Bernoulli machinery: numbers, even-argument zeta, periodified polynomials.
 
 This module is the "oracle layer" of the package: everything here is exact
-rational arithmetic until a final rounding, so the coefficient sums built on
-top of it have a single error source (the alternating-sum rounding, handled by
-precision escalation in :mod:`maslanka.mpnum`).
+rational arithmetic until a final rounding.  The coefficient row of
+:mod:`maslanka.coefficients` takes zeta(m) from here for small m, and
+a_k_alt for every m.
 
 Conventions: B_1 = -1/2 (the defining recurrence's value), and for even m >= 2
 

@@ -7,9 +7,8 @@ fit data), cache-info (table file inspection).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
 failure (tolerance unmet or quadrature failure).  Data goes to --out or
-stdout; diagnostics and progress go to stderr.  Identical argv and input
-files produce byte-identical data output (nothing timestamped is emitted).
-The environment variable MASLANKA_THREADS caps table-build parallelism.
+stdout; diagnostics go to stderr.  Identical argv and input files produce
+byte-identical data output (nothing timestamped is emitted).
 """
 
 from __future__ import annotations
@@ -73,19 +72,6 @@ def _format_for_print(x, digits: int) -> str:
     return format_real(re, digits)
 
 
-def _progress(total: int):
-    if total <= 0:
-        return None
-    marks = {round(total * p / 10): p for p in range(1, 11)}
-
-    def cb(k: int) -> None:
-        pct = marks.get(k + 1)
-        if pct is not None:
-            print(f"  ... {pct * 10}% ({k + 1}/{total})", file=sys.stderr)
-
-    return cb
-
-
 def _write_rows(args, header: list[str], rows: list[list[str]], extra: dict | None = None):
     if args.format == "json":
         doc = {"columns": header, "rows": rows}
@@ -113,8 +99,7 @@ def _write_rows(args, header: list[str], rows: list[list[str]], extra: dict | No
 
 def _cmd_coeff(args) -> int:
     ctx = PrecisionContext(args.bits)
-    method = {"direct-sum": "direct_sum", "exact-pi": "exact_pi_oracle"}[args.method]
-    table = build_table(args.kind, args.kmax, ctx, method=method, progress=_progress(args.kmax + 1))
+    table = build_table(args.kind, args.kmax, ctx)
     save_table(table, args.out)
     print(f"wrote kind={table.kind} kmax={table.k_max} target_bits={table.target_bits} -> {args.out}",
           file=sys.stderr)
@@ -128,7 +113,7 @@ def _cmd_bk(args) -> int:
             raise ValueError(f"{args.table} holds kind={table.kind}, need kind=b")
     else:
         ctx = PrecisionContext(args.bits)
-        table = build_table("b", args.kmax, ctx, progress=_progress(args.kmax + 1))
+        table = build_table("b", args.kmax, ctx)
     k_min = max(1, args.kmin)
     k_max = min(args.kmax, table.k_max)
     digits = mantissa_digits(table.target_bits)
@@ -250,7 +235,7 @@ def _cmd_verify(args) -> int:
         else:
             kmax = max(args.nmax - 1, 400 if "global-agreement" in suites else 0)
             print(f"building kind=A table to k={kmax} at {args.bits} bits", file=sys.stderr)
-            table = build_table("A", kmax, ctx, progress=_progress(kmax + 1))
+            table = build_table("A", kmax, ctx)
     ok = True
     for suite in suites:
         if suite == "truncation":
@@ -336,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="maslanka",
         description="Maslanka representation of (s-1)*zeta(s): coefficient tables, "
                     "series evaluation, identity verification, decay diagnostics.",
-        epilog="MASLANKA_THREADS caps table-build worker processes (default: core count).",
+        epilog="Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 numeric failure.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -347,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kind", choices=["A", "b"], required=True)
     sp.add_argument("--kmax", type=int, required=True)
     add_bits(sp)
-    sp.add_argument("--method", choices=["direct-sum", "exact-pi"], default="direct-sum")
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_coeff)
 

@@ -3,42 +3,48 @@
     A_k = sum_{j=0}^{k} (-1)^j C(k,j) (2j+1) zeta(2j+2)
     b_k = sum_{j=0}^{k} (-1)^j C(k,j) / zeta(2j+2)
 
-Both sums cancel catastrophically: terms grow like C(k, k/2) ~ 2^k while the
-result shrinks faster than any power of k.  Each index is therefore evaluated
-independently at the escalated precision from required_bits_for_alternating_sum
-and rounded back to the context's target, so the precision cost is linear in k
-and no cross-k state exists (table builds parallelize trivially).
+Both are k-th finite differences of a row w_j ((2j+1) zeta(2j+2) for A,
+1/zeta(2j+2) for b), and both cancel catastrophically: terms grow like
+C(k, k/2) ~ 2^k while the result shrinks faster than any power of k.  A table
+is therefore one transform in exact integer arithmetic:
 
-zeta(2j+2) always comes from the exact Bernoulli formula (zeta_rational_part),
-never from summing a Dirichlet series: the rational part of every term is
-exact, leaving the alternating accumulation as the sole error source.  The
-stored error bound 2^(-working_bits) * (2k+1) * zeta(2) * C(k, k//2) reflects
-that; consumers compare it against |value| to detect precision exhaustion.
+1. Fixed-point row.  W = required_bits_for_alternating_sum(k_max, target_bits)
+   is fixed once per table and r_j = round(w_j * 2^W) is built as Python ints
+   (_fixed_row), each within 1/2 + 2^-32 of w_j * 2^W.
+2. Transform.  k_max rounds of the difference d_j <- d_j - d_{j+1} over that
+   one row.  After round k the head d_0 is exactly sum_j (-1)^j C(k,j) r_j, so
+   its only error is the row rounding, below 2^k * (1/2 + 2^-32) units of
+   2^-W.  Each head is rounded once, to target_bits.
+
+a_k and b_k form the same head for one index from the row built at W(k), by
+an exact integer dot product against C(k, j), and return it unrounded.
+a_k_alt (exact Bernoulli numbers in mpf arithmetic) and
+phik.em_remainder_a_k are the independent routes the tests compare against.
+
+The stored error bound 2^(-W(k)) * (2k+1) * zeta(2) * C(k, k//2), with W(k)
+the precision for index k alone, dominates that row-rounding error for every
+k <= k_max; consumers compare it against |value| to detect precision
+exhaustion.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
 
 from mpmath import mp, mpf
-from mpmath.libmp import to_str
+from mpmath.libmp import from_man_exp, round_nearest, to_str
 
 from .bernoulli import zeta_rational_part
-from .mpnum import PrecisionContext, Real, required_bits_for_alternating_sum
+from .mpnum import GUARD_BITS, PrecisionContext, Real, required_bits_for_alternating_sum
 
 __all__ = [
     "CoefficientTable",
     "TableFormatError",
     "a_k",
     "a_k_alt",
-    "a_k_exact_pi",
     "b_k",
     "build_table",
     "format_real",
@@ -51,7 +57,7 @@ __all__ = [
 FORMAT_MAGIC = "MASLANKA-COEFF v1"
 
 KINDS = ("A", "b")
-PROVENANCES = ("direct_sum", "exact_pi_oracle", "em_remainder")
+PROVENANCES = ("direct_sum", "em_remainder")
 
 
 class TableFormatError(ValueError):
@@ -91,51 +97,100 @@ class CoefficientTable:
         return mpf(2) ** self.error_bound_exponents[k]
 
 
-def _alternating_zeta_sum(k: int, working_bits: int, reciprocal: bool) -> Real:
-    """sum_j (-1)^j C(k,j) w_j at the given precision, where w_j = (2j+1) zeta(2j+2)
-    for the A-side and w_j = 1/zeta(2j+2) for the b-side.
+# -- fixed-point zeta row ------------------------------------------------------
 
-    Binomials are carried exactly (integer recurrence), zeta values come from
-    the exact rational q(2j+2) times a ladder of powers of pi^2.
+
+def _row_prec(w: int) -> int:
+    """Bits of the intermediate fixed-point zeta values for a row at scale 2^w.
+
+    Every zeta(m) of the row (m = 2j+2 <= 2w) comes out within m units of
+    2^-prec and every w_j within m^2 < 2^(2 * bitlength(2w)) units, so the
+    extra bits leave less than 2^-GUARD_BITS of a unit at scale 2^w before
+    the final rounding.
     """
-    with mp.workprec(working_bits):
-        pi2 = mp.pi ** 2
-        if reciprocal:
-            pi2 = 1 / pi2
-        ppow = pi2
-        acc = mp.zero
-        c = 1  # C(k, j), exact
-        for j in range(k + 1):
-            q = zeta_rational_part(2 * j + 2)
-            if reciprocal:
-                term = mpf(c * q.denominator) / mpf(q.numerator) * ppow
-            else:
-                term = mpf(c * (2 * j + 1) * q.numerator) / mpf(q.denominator) * ppow
-            acc = acc + term if j % 2 == 0 else acc - term
-            c = c * (k - j) // (j + 1)
-            ppow = ppow * pi2
-        return +acc
+    return w + GUARD_BITS + 2 * (2 * w).bit_length()
+
+
+def _zeta_fixed_bernoulli(m: int, prec: int) -> int:
+    """zeta(m) * 2^prec rounded to an integer, from the exact q(m) pi^m.
+
+    The m + 5 roundings of the mpf evaluation (m of them from pi inside pi^m)
+    stay below 2^-6 units at the precision used, so the result is within
+    1/2 + 2^-6 units, and exact where zeta(m) * 2^prec is within 2^-7 of an
+    integer.  That keeps it equal to the Dirichlet route at m = W + 1 for an
+    odd row scale W, where w_j * 2^W is a rounding tie up to about 3^-m 2^W.
+    """
+    q = zeta_rational_part(m)
+    with mp.workprec(prec + m.bit_length() + 8):
+        x = mpf(q.numerator) * mp.pi ** m / q.denominator
+        return int(mp.nint(mp.ldexp(x, prec)))
+
+
+def _zeta_fixed(m: int, prec: int) -> int:
+    """zeta(m) * 2^prec as an integer, within m units.
+
+    Large m: the Dirichlet sum sum_{n<=N} floor(2^prec / n^m), with N the least
+    n >= 2 such that N^(1-m) / (m-1) < 2^-prec.  Since sum_{n>N} n^-m <=
+    int_N^inf x^-m dx = N^(1-m) / (m-1), the tail is below one unit and the
+    N - 1 floors lose less than N - 1 more.  N falls like 2^(prec/(m-1)), from
+    astronomically many terms at m = 2 to two at m ~ prec; the sum is used
+    from the switch point where N <= m, i.e. m^(m-1) (m-1) > 2^prec, on.
+    Small m: the exact Bernoulli route, whose rational parts are cheap there.
+    """
+    one = 1 << prec
+    if m ** (m - 1) * (m - 1) <= one:
+        return _zeta_fixed_bernoulli(m, prec)
+    total, n = one, 1
+    while True:
+        n += 1
+        p = n ** (m - 1)
+        total += one // (p * n)
+        if p * (m - 1) > one:
+            return total
+
+
+def _row_entry(kind: str, j: int, zeta: int, prec: int, w: int) -> int:
+    """r_j = round(w_j * 2^w) from zeta ~ zeta(2j+2) * 2^prec (1/zeta by integer division)."""
+    v = (2 * j + 1) * zeta if kind == "A" else (1 << 2 * prec) // zeta
+    shift = prec - w
+    return (v + (1 << (shift - 1))) >> shift
+
+
+def _fixed_row(kind: str, n: int, w: int) -> list[int]:
+    """r_0..r_{n-1}, each within 1/2 + 2^-GUARD_BITS of w_j * 2^w (needs n <= w)."""
+    prec = _row_prec(w)
+    return [_row_entry(kind, j, _zeta_fixed(2 * j + 2, prec), prec, w) for j in range(n)]
+
+
+def _fixed_to_real(head: int, w: int, bits: int = 0) -> Real:
+    """head * 2^-w, exact for bits=0, else rounded to nearest at `bits` bits."""
+    return mp.make_mpf(from_man_exp(head, -w, bits, round_nearest))
+
+
+# -- coefficients ----------------------------------------------------------------
+
+
+def _single_index(kind: str, k: int, ctx: PrecisionContext) -> Real:
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    w = required_bits_for_alternating_sum(k, ctx.target_bits)
+    row = _fixed_row(kind, k + 1, w)
+    head = sum((-1) ** j * math.comb(k, j) * r for j, r in enumerate(row))
+    return _fixed_to_real(head, w)
 
 
 def a_k(k: int, ctx: PrecisionContext) -> Real:
-    """A_k by the defining alternating sum, precision escalated for index k.
+    """A_k by the defining alternating sum, exact over the row built at W(k).
 
-    The result is accurate to about 2^(-target_bits) relative; in absolute
-    terms accuracy is capped by the stored error bound once |A_k| falls under
-    2^(-target_bits) times the largest intermediate term.
+    The result is unrounded; its error is the row rounding, below
+    2^(k - W(k) - 1) * (1 + 2^-31), inside the bound a table stores for k.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    w = required_bits_for_alternating_sum(k, ctx.target_bits)
-    return _alternating_zeta_sum(k, w, reciprocal=False)
+    return _single_index("A", k, ctx)
 
 
 def b_k(k: int, ctx: PrecisionContext) -> Real:
-    """b_k = sum_j (-1)^j C(k,j)/zeta(2j+2), same escalation policy as a_k."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    w = required_bits_for_alternating_sum(k, ctx.target_bits)
-    return _alternating_zeta_sum(k, w, reciprocal=True)
+    """b_k = sum_j (-1)^j C(k,j)/zeta(2j+2), same row model as a_k."""
+    return _single_index("b", k, ctx)
 
 
 def a_k_alt(k: int, ctx: PrecisionContext) -> Real:
@@ -143,7 +198,9 @@ def a_k_alt(k: int, ctx: PrecisionContext) -> Real:
 
         sum_{j=0}^{k-1} (-1)^j C(k-1,j) (zeta(2j+2) - (2k+1) zeta(2j+4))
 
-    Must agree with a_k(k); exercised as Identity A in the tests.
+    Summed in mpf arithmetic with every zeta from the exact Bernoulli formula,
+    so it shares no rounding with a_k.  Must agree with a_k(k); exercised as
+    Identity A in the tests.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -165,28 +222,6 @@ def a_k_alt(k: int, ctx: PrecisionContext) -> Real:
         return +acc
 
 
-def a_k_exact_pi(k: int, ctx: PrecisionContext) -> Real:
-    """A_k via exact rational pi^2-polynomial coefficients (oracle path).
-
-    A_k = sum_j r_j (pi^2)^(j+1) with r_j = (-1)^j C(k,j) (2j+1) q(2j+2) held
-    as exact Fractions; a single Horner pass in pi^2 does all the rounding.
-    Used as the oracle of record for small k.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    coeffs: list[Fraction] = []
-    for j in range(k + 1):
-        r = Fraction((-1) ** j * math.comb(k, j) * (2 * j + 1)) * zeta_rational_part(2 * j + 2)
-        coeffs.append(r)
-    w = required_bits_for_alternating_sum(k, ctx.target_bits)
-    with mp.workprec(w):
-        x = mp.pi ** 2
-        acc = mp.zero
-        for r in reversed(coeffs):
-            acc = acc * x + mpf(r.numerator) / mpf(r.denominator)
-        return +(acc * x)
-
-
 def error_bound_exponent(k: int, target_bits: int) -> int:
     """Integer e with 2^e >= 2^(-working_bits) * (2k+1) * zeta(2) * C(k, k//2)."""
     w = required_bits_for_alternating_sum(k, target_bits)
@@ -194,90 +229,30 @@ def error_bound_exponent(k: int, target_bits: int) -> int:
     return bound_num.bit_length() - w
 
 
-def _round_to_bits(x: Real, bits: int) -> Real:
-    with mp.workprec(bits):
-        return +x
-
-
-def _entry_func(kind: str, method: str) -> Callable[[int, PrecisionContext], Real]:
-    if kind == "b":
-        if method != "direct_sum":
-            raise ValueError("kind=b supports only method='direct_sum'")
-        return b_k
-    if method == "direct_sum":
-        return a_k
-    if method == "exact_pi_oracle":
-        return a_k_exact_pi
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _table_entry(args: tuple[str, str, int, int]) -> tuple[int, tuple]:
-    """Worker for parallel builds: returns (k, mpf payload tuple)."""
-    kind, method, k, target_bits = args
-    ctx = PrecisionContext(target_bits)
-    v = _entry_func(kind, method)(k, ctx)
-    return k, _round_to_bits(v, target_bits)._mpf_
-
-
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        env = os.environ.get("MASLANKA_THREADS", "")
-        if env:
-            threads = int(env)
-        else:
-            threads = os.cpu_count() or 1
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    return threads
-
-
-def build_table(
-    kind: str,
-    k_max: int,
-    ctx: PrecisionContext,
-    method: str = "direct_sum",
-    threads: int | None = None,
-    progress: Callable[[int], None] | None = None,
-) -> CoefficientTable:
+def build_table(kind: str, k_max: int, ctx: PrecisionContext) -> CoefficientTable:
     """Fully populated CoefficientTable for k = 0..k_max.
 
-    Entries are independent (own escalated precision each) so the build may
-    fan out over processes; results are assembled in k order, making the
-    content schedule-independent.  threads=None honours MASLANKA_THREADS and
-    falls back to the core count.  ``progress`` gets the 0-based k of each
-    finished entry.
+    One fixed-point row at W(k_max) and k_max rounds of exact differences over
+    it; each head is rounded once to the target.  The working set is that one
+    row of k_max + 1 integers of about W(k_max) bits.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    threads = _resolve_threads(threads)
-    func = _entry_func(kind, method)
-
-    values: list[Real] = []
-    if threads == 1 or k_max == 0:
-        for k in range(k_max + 1):
-            values.append(_round_to_bits(func(k, ctx), ctx.target_bits))
-            if progress is not None:
-                progress(k)
-    else:
-        jobs = [(kind, method, k, ctx.target_bits) for k in range(k_max + 1)]
-        chunk = max(1, (k_max + 1) // (8 * threads))
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for k, payload in pool.map(_table_entry, jobs, chunksize=chunk):
-                values.append(mp.make_mpf(payload))
-                if progress is not None:
-                    progress(k)
-
-    errs = tuple(error_bound_exponent(k, ctx.target_bits) for k in range(k_max + 1))
-    provenance = "exact_pi_oracle" if method == "exact_pi_oracle" else "direct_sum"
+    w = required_bits_for_alternating_sum(k_max, ctx.target_bits)
+    d = _fixed_row(kind, k_max + 1, w)
+    values = [_fixed_to_real(d[0], w, ctx.target_bits)]
+    for n in range(k_max, 0, -1):
+        d[:n] = [a - b for a, b in zip(d, d[1:n + 1])]
+        values.append(_fixed_to_real(d[0], w, ctx.target_bits))
     return CoefficientTable(
         kind=kind,
         k_max=k_max,
         target_bits=ctx.target_bits,
         values=tuple(values),
-        error_bound_exponents=errs,
-        provenance=provenance,
+        error_bound_exponents=tuple(
+            error_bound_exponent(k, ctx.target_bits) for k in range(k_max + 1)),
     )
 
 

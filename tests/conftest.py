@@ -16,7 +16,7 @@ def ctx64():
 @pytest.fixture(scope="session")
 def table_a400_128(ctx128):
     """kind=A table to k=400 at 128-bit target; shared by series and acceptance tests."""
-    return build_table("A", 400, ctx128, threads=1)
+    return build_table("A", 400, ctx128)
 
 
 @pytest.fixture(scope="session")
@@ -26,13 +26,13 @@ def table_a900_128(ctx128):
     At s = -2, -4, -2.5 the P_k factors grow polynomially, so tolerances near
     1e-6 push the stopping index well past 400.
     """
-    return build_table("A", 900, ctx128, threads=1)
+    return build_table("A", 900, ctx128)
 
 
 @pytest.fixture(scope="session")
 def table_a200_256():
     """kind=A table to k=200 at 256-bit target; decay criteria need the headroom."""
-    return build_table("A", 200, PrecisionContext(256), threads=1)
+    return build_table("A", 200, PrecisionContext(256))
 
 
 @pytest.fixture(scope="session")
@@ -42,4 +42,4 @@ def table_b1000_160():
     At k=1000 the escalated working precision is 160+1000+10+32 = 1202 bits,
     which is what the b_k diagnostic sweep requires.
     """
-    return build_table("b", 1000, PrecisionContext(160), threads=1)
+    return build_table("b", 1000, PrecisionContext(160))

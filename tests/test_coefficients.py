@@ -1,17 +1,17 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from maslanka.bernoulli import zeta_even
+from maslanka.bernoulli import zeta_even, zeta_rational_part
 from maslanka.coefficients import (
     CoefficientTable,
     TableFormatError,
     a_k,
     a_k_alt,
-    a_k_exact_pi,
     b_k,
     build_table,
     format_real,
@@ -20,7 +20,7 @@ from maslanka.coefficients import (
     parse_real,
     save_table,
 )
-from maslanka.mpnum import PrecisionContext
+from maslanka.mpnum import PrecisionContext, required_bits_for_alternating_sum
 
 
 def _oracle_sum(k: int, reciprocal: bool):
@@ -140,21 +140,31 @@ class TestIdentities:
 
     @pytest.mark.parametrize("k", [0, 1, 2, 10, 30, 60])
     def test_exact_pi_oracle_path(self, k, ctx128):
+        # A_k = sum_j c_j (pi^2)^(j+1), c_j = (-1)^j C(k,j) (2j+1) q(2j+2) exact
+        # rationals; one Horner pass in pi^2 at 300 bits does all the rounding,
+        # unlike the kernel's per-entry fixed-point row
+        coeffs = [Fraction((-1) ** j * math.comb(k, j) * (2 * j + 1)) * zeta_rational_part(2 * j + 2)
+                  for j in range(k + 1)]
         with mp.workprec(300):
-            rel = abs(a_k_exact_pi(k, ctx128) - a_k(k, ctx128)) / abs(a_k(k, ctx128))
+            x = mp.pi ** 2
+            acc = mp.zero
+            for c in reversed(coeffs):
+                acc = acc * x + mpf(c.numerator) / mpf(c.denominator)
+            want = acc * x
+            rel = abs(want - a_k(k, ctx128)) / abs(a_k(k, ctx128))
         assert rel < mpf(2) ** -120
 
 
 class TestBuildTable:
     def test_small_a_table_matches_pointwise(self, ctx64):
-        table = build_table("A", 2, ctx64, threads=1)
+        table = build_table("A", 2, ctx64)
         for k in range(3):
             with mp.workprec(64):
                 want = +a_k(k, ctx64)
             assert table[k] == want
 
     def test_b_zero_table(self, ctx64):
-        table = build_table("b", 0, ctx64, threads=1)
+        table = build_table("b", 0, ctx64)
         assert table.k_max == 0
         with mp.workprec(96):
             rel = abs(table[0] - 6 / mpmath.pi ** 2) / (6 / mpmath.pi ** 2)
@@ -167,48 +177,81 @@ class TestBuildTable:
         assert rel < mpf(2) ** -124
 
     def test_deterministic_rebuild(self, ctx128):
-        t1 = build_table("A", 30, ctx128, threads=1)
-        t2 = build_table("A", 30, ctx128, threads=1)
+        t1 = build_table("A", 30, ctx128)
+        t2 = build_table("A", 30, ctx128)
         assert t1.values == t2.values
         assert t1.error_bound_exponents == t2.error_bound_exponents
 
-    def test_parallel_build_bitwise_identical(self, ctx128):
-        serial = build_table("A", 40, ctx128, threads=1)
-        parallel = build_table("A", 40, ctx128, threads=2)
-        assert serial.values == parallel.values
-
-    def test_exact_pi_method_provenance(self, ctx64):
-        table = build_table("A", 10, ctx64, method="exact_pi_oracle", threads=1)
-        assert table.provenance == "exact_pi_oracle"
-        direct = build_table("A", 10, ctx64, threads=1)
-        assert direct.provenance == "direct_sum"
-        for k in range(11):
-            assert table[k] == direct[k]  # both round the same real to 64 bits
-
-    def test_b_rejects_exact_pi_method(self, ctx64):
-        with pytest.raises(ValueError):
-            build_table("b", 5, ctx64, method="exact_pi_oracle", threads=1)
-
     def test_rejects_bad_kind_and_kmax(self, ctx64):
         with pytest.raises(ValueError):
-            build_table("B", 5, ctx64, threads=1)
+            build_table("B", 5, ctx64)
         with pytest.raises(ValueError):
-            build_table("A", -1, ctx64, threads=1)
+            build_table("A", -1, ctx64)
 
-    def test_threads_env_fallback(self, ctx64, monkeypatch):
-        from maslanka.coefficients import _resolve_threads
 
-        monkeypatch.setenv("MASLANKA_THREADS", "3")
-        assert _resolve_threads(None) == 3
-        monkeypatch.delenv("MASLANKA_THREADS")
-        assert _resolve_threads(None) >= 1
-        with pytest.raises(ValueError):
-            _resolve_threads(0)
+@pytest.mark.parametrize("kind,k_max,bits", [("A", 400, 128), ("b", 600, 160)])
+def test_row_equals_all_bernoulli_row(kind, k_max, bits):
+    """The kernel's row, Dirichlet sums from the switch point m^(m-1) (m-1) >
+    2^prec on, equals int for int the row built from exact Bernoulli numbers,
+    and each entry is within 1/2 + 2^-32 of w_j 2^W by mpmath.zeta."""
+    from maslanka.coefficients import _fixed_row, _row_entry, _row_prec, _zeta_fixed_bernoulli
 
-    def test_progress_callback_sees_every_k(self, ctx64):
-        seen = []
-        build_table("A", 7, ctx64, threads=1, progress=seen.append)
-        assert seen == list(range(8))
+    w = required_bits_for_alternating_sum(k_max, bits)
+    prec = _row_prec(w)
+    switch = next(j for j in range(k_max + 1)
+                  if (2 * j + 2) ** (2 * j + 1) * (2 * j + 1) > 2 ** prec)
+    assert switch < k_max // 2
+    exact = [_row_entry(kind, j, _zeta_fixed_bernoulli(2 * j + 2, prec), prec, w)
+             for j in range(k_max + 1)]
+    row = _fixed_row(kind, k_max + 1, w)
+    assert row == exact
+    with mp.workprec(w + 80):
+        for j, r in enumerate(row):
+            z = mpmath.zeta(2 * j + 2)
+            x = mpmath.ldexp((2 * j + 1) * z if kind == "A" else 1 / z, w)
+            assert abs(r - x) <= mpf(1) / 2 + mpf(2) ** -32, j
+
+
+def _reference_heads(kind: str, k_max: int, prec: int) -> list[int]:
+    """sum_j (-1)^j C(k,j) floor(w_j 2^prec) for k = 0..k_max, w_j from mpmath.zeta.
+
+    Shares no code with maslanka: every floor is within 2 units of w_j 2^prec
+    (the mpf evaluation at prec + 16 bits adds well under one), so head k is
+    within 2^(k+1) units of the exact coefficient times 2^prec.
+    """
+    with mp.workprec(prec + 16):
+        signed = []
+        for j in range(k_max + 1):
+            z = mpmath.zeta(2 * j + 2)
+            r = int(mpmath.floor(mpmath.ldexp((2 * j + 1) * z if kind == "A" else 1 / z, prec)))
+            signed.append(r if j % 2 == 0 else -r)
+    heads, binom = [], [1]
+    for _ in range(k_max + 1):
+        heads.append(sum(c * r for c, r in zip(binom, signed)))
+        binom = [1] + [a + b for a, b in zip(binom, binom[1:])] + [1]
+    return heads
+
+
+@pytest.mark.parametrize("fixture", ["table_a900_128", "table_b1000_160"])
+def test_table_within_a_priori_bound(fixture, request):
+    """Every entry against an independent reference at W + 64 bits, within
+    2^(k-W-1) for the row rounding plus half an ulp at target_bits.
+
+    The factor 1 + 2^-30 on the row term covers the up to 2^-32 units by which
+    a row entry may exceed half a unit, and the reference's own error of
+    2^(k-W-63).
+    """
+    table = request.getfixturevalue(fixture)
+    t = table.target_bits
+    w = required_bits_for_alternating_sum(table.k_max, t)
+    prec = w + 64
+    for k, ref in enumerate(_reference_heads(table.kind, table.k_max, prec)):
+        sign, man, exp, bc = table.values[k]._mpf_
+        assert exp + prec >= 0
+        err = abs((-man if sign else man) * 2 ** (exp + prec) - ref)
+        row_term = 2 ** (k + prec - w - 1)
+        half_ulp = 2 ** (exp + bc - t - 1 + prec)
+        assert err * 2 ** 30 <= row_term * (2 ** 30 + 1) + half_ulp * 2 ** 30, k
 
 
 class TestErrorBounds:
@@ -216,7 +259,7 @@ class TestErrorBounds:
         from maslanka.coefficients import error_bound_exponent
         from maslanka.mpnum import required_bits_for_alternating_sum
 
-        table = build_table("A", 20, ctx128, threads=1)
+        table = build_table("A", 20, ctx128)
         for k in (0, 5, 20):
             e = table.error_bound_exponents[k]
             assert e == error_bound_exponent(k, 128)
@@ -229,7 +272,7 @@ class TestErrorBounds:
     def test_bound_dominates_observed_refinement_gap(self, ctx128):
         # the bound describes the summation error of the unrounded a_k; the
         # table value adds at most one 128-bit ulp of target rounding on top
-        table = build_table("A", 60, ctx128, threads=1)
+        table = build_table("A", 60, ctx128)
         hi = PrecisionContext(target_bits=256)
         for k in (10, 35, 60):
             with mp.workprec(400):
@@ -269,7 +312,7 @@ class TestTableType:
 
 class TestCache:
     def test_round_trip_small(self, ctx128, tmp_path):
-        table = build_table("A", 50, ctx128, threads=1)
+        table = build_table("A", 50, ctx128)
         path = tmp_path / "a50.coeff"
         save_table(table, path)
         back = load_table(path)
@@ -286,20 +329,20 @@ class TestCache:
         assert load_table(path).values == table_a400_128.values
 
     def test_rewrite_is_byte_identical(self, ctx64, tmp_path):
-        table = build_table("b", 12, ctx64, threads=1)
+        table = build_table("b", 12, ctx64)
         p1, p2 = tmp_path / "one", tmp_path / "two"
         save_table(table, p1)
         save_table(table, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_b_kind_survives(self, ctx64, tmp_path):
-        table = build_table("b", 3, ctx64, threads=1)
+        table = build_table("b", 3, ctx64)
         path = tmp_path / "b3.coeff"
         save_table(table, path)
         assert load_table(path).kind == "b"
 
     def _written(self, ctx, tmp_path):
-        table = build_table("A", 5, ctx, threads=1)
+        table = build_table("A", 5, ctx)
         path = tmp_path / "t.coeff"
         save_table(table, path)
         return path

@@ -93,7 +93,7 @@ class TestMaslankaEval:
         assert res.residual_estimate < mpf("1e-6")
 
     def test_rejects_b_table(self, ctx64):
-        btab = build_table("b", 2, ctx64, threads=1)
+        btab = build_table("b", 2, ctx64)
         with pytest.raises(ValueError):
             maslanka_eval(2, btab, mpf("1e-6"), ctx64)
 
@@ -170,10 +170,10 @@ class TestTruncationCheck:
     def test_preconditions(self, table_a400_128, ctx128, ctx64):
         with pytest.raises(ValueError):
             truncation_check(0, table_a400_128, ctx128)
-        short = build_table("A", 2, ctx64, threads=1)
+        short = build_table("A", 2, ctx64)
         with pytest.raises(ValueError):
             truncation_check(5, short, ctx64)
-        btab = build_table("b", 5, ctx64, threads=1)
+        btab = build_table("b", 5, ctx64)
         with pytest.raises(ValueError):
             truncation_check(2, btab, ctx64)
 
