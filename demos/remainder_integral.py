@@ -8,10 +8,11 @@ integral; for 2 <= a < k every boundary term vanishes, so what is left is
     A_k = ((-1)^a / a!) * Int_1^inf Bbar_a(x) phi_k^(a+1)(x) dx
 
 with Bbar_a the periodified Bernoulli polynomial.  The derivatives come from
-an exact integer-polynomial table (p_{a,j}), the integral from adaptive
-panel quadrature.  It is a slow road to a number the alternating sum yields
-in microseconds -- the point is that two completely different mechanisms
-land on the same 10+ digits.
+an exact integer-polynomial table (p_{a,j}), the integral from Gauss-Legendre
+panels up to some X and, past X, from boundary terms in closed form after
+shifting the remainder to a deeper Bernoulli order.  It is a slow road to a
+number the alternating sum yields in microseconds -- the point is that two
+completely different mechanisms land on the same 10+ digits.
 """
 
 import time

@@ -17,6 +17,28 @@ integer-coefficient polynomials p_{a,j}(k):
 
     p_{0,0} = 1,   p_{a,j} = -(2j+a) p_{a-1,j} + (2k+2j-a) p_{a-1,j-1}.
 
+Past an integer X the remainder integral is not integrated but shifted in
+depth.  With T_a(X) = ((-1)^a / a!) Int_X^inf Bbar_a phi_k^(a+1), one
+integration by parts (Bbar_{r+1}' = (r+1) Bbar_r, Bbar_{r+1}(X) = B_{r+1} at
+an integer) gives T_r(X) = (-1)^(r+1) B_{r+1} / (r+1)! * phi_k^(r+1)(X) +
+T_{r+1}(X), hence for a <= d:
+
+    T_a(X) = sum_{r=a+1}^{d} (-1)^r B_r / r! * phi_k^(r)(X)  +  T_d(X)
+
+where only even r contribute (B_r = 0 for odd r >= 3), and, for d <= k-1 so
+that (1 - 1/x^2)^(k-d-1) <= 1 on [X, inf),
+
+    |T_d(X)| <= sup|Bbar_d| / d! * sum_j |p_{d+1,j}(k)| / ((d+2j+1) X^(d+2j+1)).
+
+The boundary sum is exact and closed-form; only T_d(X) is dropped, and its
+bound falls like X^-(d+1) instead of X^-(a+1).  em_remainder_a_k picks, at
+each integer X >= 4, the d in [a, k-1] reached by raising d while the bound
+shrinks (from a at X = 4, from the previous d after that), and stops at the
+first X where that bound is below half its tolerance.  The other half is
+shared among the panels of [1, X]: a panel [lo, hi] gets (1/lo - 1/hi) of
+it, and is bisected while the Gauss-Legendre error estimate
+|Q[lo,hi] - Q[lo,mid] - Q[mid,hi]| exceeds its share.
+
 The quadrature strategy throughout: the integrands are piecewise smooth with
 breakpoints exactly at the integers (corners of Bbar_a) or at the real roots
 of the bracketed polynomial (kinks of |phi^(a)|), so panels aligned on those
@@ -240,6 +262,50 @@ def _panel_integral(f, lo, hi, xs, ws):
     return acc * half
 
 
+def _next_prow(row: list[int], r: int, k: int) -> list[int]:
+    """p_{r,j}(k) for j = 0..r from row[j] = p_{r-1,j}(k), by the recurrence."""
+    out = [-(2 * j + r) * c for j, c in enumerate(row)] + [0]
+    for j in range(1, r + 1):
+        out[j] += (2 * k + 2 * j - r) * row[j - 1]
+    return out
+
+
+def _l1_tail(pcoeffs: list[int], r: int, X) -> Real:
+    """Termwise bound on Int_X^inf |phi_k^(r)| for r <= k, from pcoeffs[j] = p_{r,j}(k):
+
+        sum_j |p_{r,j}(k)| / ((r+2j) X^(r+2j)),   using (1 - 1/x^2)^(k-r) <= 1.
+    """
+    xp = mpf(X) ** (-r)
+    inv2 = 1 / (mpf(X) * mpf(X))
+    acc = mp.zero
+    for j, c in enumerate(pcoeffs):
+        acc += abs(c) * xp / (r + 2 * j)
+        xp *= inv2
+    return acc
+
+
+def _shift_bound(d: int, X, pcoeffs: list[int]) -> Real:
+    """Bound on |T_d(X)|: sup|Bbar_d| / d! * Int_X^inf |phi_k^(d+1)|, for d < k.
+
+    pcoeffs[j] = p_{d+1,j}(k).
+    """
+    return periodified_sup_bound(d) / math.factorial(d) * _l1_tail(pcoeffs, d + 1, X)
+
+
+def _shift_boundary(k: int, a: int, d: int, X, prow) -> Real:
+    """The boundary terms sum_{r=a+1}^{d} (-1)^r B_r / r! * phi_k^(r)(X).
+
+    X is an integer, so B_r = Bbar_r(X); prow(r) gives the list p_{r,j}(k).
+    Odd r >= 3 have B_r = 0 and are skipped.
+    """
+    acc = mp.zero
+    for r in range(a + 1, d + 1):
+        if r % 2 == 0:
+            acc += (periodified_bernoulli(r, X) / math.factorial(r)
+                    * _phi_deriv_raw(k, r, X, prow(r)))
+    return acc
+
+
 def em_remainder_a_k(
     k: int,
     a: int,
@@ -250,15 +316,28 @@ def em_remainder_a_k(
 ) -> Real:
     """A_k recomputed as the depth-a Euler-Maclaurin remainder integral.
 
-        ((-1)^a / a!) * Int_1^inf Bbar_a(x) * phi_k^(a+1)(x) dx
+        A_k = ((-1)^a / a!) * Int_1^X Bbar_a(x) phi_k^(a+1)(x) dx  +  T_a(X)
 
-    Valid for 2 <= a < k (so every boundary derivative vanishes and the result
-    is depth-independent).  Unit panels [n, n+1] with the fixed Gauss-Legendre
-    rule; integration stops once the analytic tail bound
+    Valid for 2 <= a < k (so every boundary derivative at 1 vanishes and the
+    result is depth-independent); uses no zeta value.  The tail T_a(X) past
+    an integer X is taken by the depth shift of the module docstring:
 
-        sup|Bbar_a| / a! * sum_j |p_{a+1,j}(k)| / ((a+2j+1) X^(a+2j+1))
+        T_a(X) = sum_{r=a+1}^{d} (-1)^r B_r / r! * phi_k^(r)(X)  +  T_d(X),
+        |T_d(X)| <= sup|Bbar_d| / d! * sum_j |p_{d+1,j}(k)| / ((d+2j+1) X^(d+2j+1)),
 
-    drops below quad_tol, and fails if that takes more than max_panels panels.
+    the boundary sum is added exactly and T_d(X) is dropped.  Choice of d and
+    X: after each unit panel, at every integer X >= 4, d rises while the
+    bound keeps shrinking, up to k-1, starting from a at X = 4 and from the
+    previous X's d after that (the best depth grows with X); integration
+    stops at the first X where that bound is below quad_tol/2.
+
+    Panels: [1, X] is walked in unit panels [n, n+1], each on the fixed
+    Gauss-Legendre rule Q.  A panel [lo, hi] with midpoint mid takes the value
+    Q[lo,mid] + Q[mid,hi] and the error estimate |Q[lo,hi] - Q[lo,mid] -
+    Q[mid,hi]|; it is bisected while that estimate, divided by a!, exceeds its
+    share (quad_tol/2) * (1/lo - 1/hi), shares that sum to less than quad_tol/2
+    over [1, X].  Bbar_a is evaluated once per node offset within a unit cell.
+    More than max_panels panels (sub-panels included) raise QuadratureError.
     """
     if not 2 <= a < k:
         raise ValueError("need 2 <= a < k")
@@ -269,39 +348,66 @@ def em_remainder_a_k(
         tol = mpf(quad_tol)
         if not tol > 0:
             raise ValueError("quad_tol must be positive")
-        sup_b = periodified_sup_bound(a)
-        afact = mpf(math.factorial(a))
-        pc = _pcoeffs(paj, a + 1, k)
-        abs_pc = [abs(c) for c in pc]
+        half_tol = tol / 2
+        afact = math.factorial(a)
+        rows = {a + 1: _pcoeffs(paj, a + 1, k)}
+
+        def prow(r):
+            for s in range(max(rows) + 1, r + 1):
+                rows[s] = _next_prow(rows[s - 1], s, k)
+            return rows[r]
+
         xs, ws = _gauss_legendre(QUAD_ORDER, wp)
+        cells: dict = {}  # (lo, hi) within a unit cell -> [(node offset, weight * Bbar_a)]
+        pc = rows[a + 1]
 
-        def integrand(x):
-            return periodified_bernoulli(a, x) * _phi_deriv_raw(k, a + 1, x, pc)
-
-        def tail_bound(X):
+        def panel(n, lo, hi):
+            nodes = cells.get((lo, hi))
+            if nodes is None:
+                half = (hi - lo) / 2
+                ts = [lo + half * (1 + x) for x in xs]
+                nodes = cells[(lo, hi)] = [
+                    (t, w * half * periodified_bernoulli(a, t)) for t, w in zip(ts, ws)]
             acc = mp.zero
-            xp = mpf(X) ** (-(a + 1))
-            inv2 = 1 / (mpf(X) * mpf(X))
-            for j, c in enumerate(abs_pc):
-                acc += c * xp / (a + 2 * j + 1)
-                xp *= inv2
-            return sup_b * acc / afact
+            for t, wb in nodes:
+                acc += wb * _phi_deriv_raw(k, a + 1, n + t, pc)
+            return acc
 
         total = mp.zero
-        n = 1
+        panels = 0
+        X, d = 1, a
         while True:
-            total += _panel_integral(integrand, mpf(n), mpf(n + 1), xs, ws)
-            n += 1
-            if n >= 4 and tail_bound(n) < tol:
+            panels += 1
+            stack = [(mp.zero, mp.one, panel(X, mp.zero, mp.one))]
+            while stack:
+                if panels > max_panels:
+                    raise QuadratureError(
+                        f"tolerance {mpmath.nstr(tol, 6)} not met within {max_panels} panels"
+                    )
+                lo, hi, whole = stack.pop()
+                mid = (lo + hi) / 2
+                left, right = panel(X, lo, mid), panel(X, mid, hi)
+                share = half_tol * (1 / (X + lo) - 1 / (X + hi)) * afact
+                if abs(whole - left - right) <= share:
+                    total += left + right
+                else:
+                    panels += 1
+                    stack += [(lo, mid, left), (mid, hi, right)]
+            X += 1
+            if X < 4:
+                continue
+            best = _shift_bound(d, X, prow(d + 1))
+            while d + 1 < k:
+                nxt = _shift_bound(d + 1, X, prow(d + 2))
+                if not nxt < best:
+                    break
+                d, best = d + 1, nxt
+            if best < half_tol:
                 break
-            if n > max_panels:
-                raise QuadratureError(
-                    f"tolerance {mpmath.nstr(tol, 6)} not met within {max_panels} panels"
-                )
         value = total / afact
         if a % 2:
             value = -value
-        return +value
+        return +(value + _shift_boundary(k, a, d, mpf(X), prow))
 
 
 # -- L1 norms of phi^(a) -----------------------------------------------------
@@ -380,7 +486,6 @@ def deriv_l1_norm(
     if not 1 <= a <= min(k, paj.a_max):
         raise ValueError("need 1 <= a <= min(k, paj.a_max)")
     pc = _pcoeffs(paj, a, k)
-    abs_pc = [abs(c) for c in pc]
     roots = _bracket_poly_roots(pc)
     wp = ctx.working_bits
     with mp.workprec(wp):
@@ -392,15 +497,6 @@ def deriv_l1_norm(
 
         def f(x):
             return abs(_phi_deriv_raw(k, a, x, pc))
-
-        def tail_bound(X):
-            acc = mp.zero
-            xp = mpf(X) ** (-a)
-            inv2 = 1 / (mpf(X) * mpf(X))
-            for j, c in enumerate(abs_pc):
-                acc += c * xp / (a + 2 * j)
-                xp *= inv2
-            return acc
 
         # panel edges: 1 -> each breakpoint -> X0, long stretches cut to <= 1
         edges = [mp.one]
@@ -420,10 +516,10 @@ def deriv_l1_norm(
 
         X = edges[-1]
         for _ in range(400):
-            if tail_bound(X) <= mpf(rel_tol) * acc:
+            if _l1_tail(pc, a, X) <= mpf(rel_tol) * acc:
                 break
             acc += _panel_integral(f, X, 2 * X, xs, ws)
             X = 2 * X
         else:
             raise QuadratureError("tail bound did not shrink within the doubling budget")
-        return +(acc + tail_bound(X))
+        return +(acc + _l1_tail(pc, a, X))

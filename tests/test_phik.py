@@ -6,7 +6,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from maslanka.coefficients import a_k
+from maslanka.coefficients import a_k, a_k_alt
 from maslanka.mpnum import PrecisionContext
 from maslanka.phik import (
     QUAD_ORDER,
@@ -233,6 +233,78 @@ class TestEmRemainder:
             assert abs(d2 - want) / abs(want) < mpf("1e-6")
             assert abs(d4 - want) / abs(want) < mpf("1e-6")
             assert abs(d2 - d4) < 2 * mpf("1e-6") * abs(want)
+
+    @pytest.mark.parametrize("k", range(10, 31))
+    def test_grid_against_alt_identity(self, k, paj8, ctx128):
+        # includes (17,4), (12,5), (13,5), (15,5), (17,5), where unit panels
+        # alone left GL-16 off by up to 8e-6 relative on [1, 2]
+        want = a_k_alt(k, ctx128)
+        for a in (3, 4, 5):
+            got = em_remainder_a_k(k, a, paj8, ctx128, abs(want) * mpf("1e-8"))
+            with mp.workprec(200):
+                assert abs(got - want) / abs(want) < mpf("1e-6"), (k, a)
+
+    @pytest.mark.parametrize("k,a", [(17, 5), (30, 5)])
+    def test_tight_tolerance_met(self, k, a, paj8, ctx128):
+        # halving every unit panel once stalls near 1e-10 relative at (17,5);
+        # only further bisection of [1, 2] reaches a quad_tol this tight
+        want = a_k_alt(k, ctx128)
+        got = em_remainder_a_k(k, a, paj8, ctx128, abs(want) * mpf("1e-20"))
+        with mp.workprec(200):
+            assert abs(got - want) < abs(want) * mpf("1e-20")
+
+    @pytest.mark.parametrize("k,a", [(12, 3), (17, 5), (25, 4)])
+    def test_depth_shift_bound_holds(self, k, a):
+        """|T_a(X) - boundary terms to depth d| <= the stated bound on T_d(X).
+
+        T_a(X) is A_k minus the remainder integral over [1, X], the latter by
+        GL-64 on eighth-unit panels at 320 bits; the boundary terms and the
+        bound are rebuilt here from paj_eval, phi_deriv and the Bernoulli
+        numbers, and the module's own helpers must agree with them.
+        """
+        from maslanka.bernoulli import (
+            bernoulli_number,
+            periodified_bernoulli,
+            periodified_sup_bound,
+        )
+        from maslanka.phik import _gauss_legendre, _panel_integral, _shift_bound, _shift_boundary
+
+        ctx = PrecisionContext(288)
+        paj = build_paj(k)
+
+        def prow(r):
+            return [paj_eval(paj, r, j, k) for j in range(r + 1)]
+
+        with mp.workprec(320):
+            xs, ws = _gauss_legendre(64, 320)
+            ref = a_k(k, ctx)
+            cells = [
+                mpmath.fsum(
+                    _panel_integral(
+                        lambda x: periodified_bernoulli(a, x) * phi_deriv(k, a + 1, x, paj, ctx),
+                        n + mpf(i) / 8, n + mpf(i + 1) / 8, xs, ws)
+                    for i in range(8))
+                for n in range(1, 8)
+            ]
+            body = mp.zero
+            for X, cell in enumerate(cells, start=2):
+                body += cell
+                if X < 4:
+                    continue
+                t_a = ref - (-1) ** a * body / math.factorial(a)
+                boundary = mp.zero
+                for d in range(a, k):
+                    if d > a and d % 2 == 0:
+                        b = bernoulli_number(d)
+                        boundary += (mpf(b.numerator) / b.denominator / math.factorial(d)
+                                     * phi_deriv(k, d, X, paj, ctx))
+                    bound = periodified_sup_bound(d) / math.factorial(d) * mpmath.fsum(
+                        abs(c) / ((d + 2 * j + 1) * mpf(X) ** (d + 2 * j + 1))
+                        for j, c in enumerate(prow(d + 1)))
+                    assert abs(t_a - boundary) <= bound, (X, d)
+                    assert abs(_shift_bound(d, X, prow(d + 1)) - bound) <= bound * mpf(2) ** -280
+                    mine = _shift_boundary(k, a, d, mpf(X), prow)
+                    assert abs(mine - boundary) <= abs(ref) * mpf(2) ** -250, (X, d)
 
     def test_panel_budget_exhaustion(self, paj8, ctx64):
         with pytest.raises(QuadratureError):
