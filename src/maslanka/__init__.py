@@ -29,7 +29,6 @@ from .mpnum import (
     Complex,
     PoleError,
     PrecisionContext,
-    Rational,
     Real,
     ln_gamma,
     pi,
@@ -65,7 +64,6 @@ __all__ = [
     "PoleError",
     "PrecisionContext",
     "QuadratureError",
-    "Rational",
     "Real",
     "SeriesResult",
     "TableFormatError",

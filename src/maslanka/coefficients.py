@@ -57,7 +57,6 @@ __all__ = [
 FORMAT_MAGIC = "MASLANKA-COEFF v1"
 
 KINDS = ("A", "b")
-PROVENANCES = ("direct_sum", "em_remainder")
 
 
 class TableFormatError(ValueError):
@@ -78,13 +77,10 @@ class CoefficientTable:
     target_bits: int
     values: tuple[Real, ...]
     error_bound_exponents: tuple[int, ...]
-    provenance: str = "direct_sum"
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if self.provenance not in PROVENANCES:
-            raise ValueError(f"provenance must be one of {PROVENANCES}")
         if len(self.values) != self.k_max + 1:
             raise ValueError("values length must be k_max + 1")
         if len(self.error_bound_exponents) != self.k_max + 1:
@@ -319,11 +315,7 @@ def save_table(table: CoefficientTable, path) -> None:
 
 
 def load_table(path) -> CoefficientTable:
-    """Strict parse of cache format v1; any deviation raises TableFormatError.
-
-    The returned table's provenance is direct_sum: the v1 header carries no
-    provenance field and unknown fields are rejected, so the file cannot say.
-    """
+    """Strict parse of cache format v1; any deviation raises TableFormatError."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     lines = text.split("\n")

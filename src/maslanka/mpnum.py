@@ -9,10 +9,9 @@ roughly ``k`` leading bits to cancellation at index ``k``; the helper
 absorb that loss.
 
 Values are mpmath ``mpf``/``mpc`` instances (``Real``/``Complex`` below) and
-exact rationals are ``fractions.Fraction`` (``Rational``).  Arithmetic is
-round-to-nearest throughout; there is no interval mode, and refinement
-consistency tests (recompute at twice the bits, compare) stand in for rigorous
-enclosures.
+exact rationals are ``fractions.Fraction``.  Arithmetic is round-to-nearest
+throughout; there is no interval mode, and refinement consistency tests
+(recompute at twice the bits, compare) stand in for rigorous enclosures.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ __all__ = [
     "Complex",
     "PoleError",
     "PrecisionContext",
-    "Rational",
     "Real",
-    "as_complex",
     "as_real",
     "ln_gamma",
     "pi",
@@ -38,7 +35,6 @@ __all__ = [
 
 Real = mpf
 Complex = mpc
-Rational = Fraction
 
 DEFAULT_TARGET_BITS = 128
 
@@ -79,7 +75,6 @@ class PrecisionContext:
 
     target_bits: int = DEFAULT_TARGET_BITS
     working_bits: int = 0
-    rounding: str = "nearest"
 
     def __post_init__(self) -> None:
         if self.target_bits < 16:
@@ -88,8 +83,6 @@ class PrecisionContext:
             object.__setattr__(self, "working_bits", self.target_bits + GUARD_BITS)
         if self.working_bits < self.target_bits:
             raise ValueError("working_bits must be >= target_bits")
-        if self.rounding != "nearest":
-            raise ValueError("only round-to-nearest is supported")
 
     def prec(self):
         """Context manager setting mpmath precision to working_bits."""
@@ -109,13 +102,6 @@ def as_real(x, ctx: PrecisionContext) -> Real:
         if isinstance(x, Fraction):
             return mpf(x.numerator) / mpf(x.denominator)
         return +mpf(x)
-
-
-def as_complex(x, ctx: PrecisionContext) -> Complex:
-    with ctx.prec():
-        if isinstance(x, Fraction):
-            return mpc(mpf(x.numerator) / mpf(x.denominator))
-        return +mpc(x)
 
 
 def pi(ctx: PrecisionContext) -> Real:

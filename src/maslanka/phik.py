@@ -162,20 +162,14 @@ def phi_deriv(k: int, a: int, x, paj: PajTable, ctx: PrecisionContext) -> Real:
         return +_phi_deriv_raw(k, a, xf, _pcoeffs(paj, a, k))
 
 
-_PAJ1: PajTable | None = None
-
-
 def binomial_sum_equals_neg_phi_prime(k: int, x, ctx: PrecisionContext):
     """Both sides of  sum_{j=0}^{k} (-1)^j C(k,j) (2j+1) / x^(2j+2) = -phi_k'(x).
 
     Returned as a (lhs, rhs) pair for tests; the alternating LHS is evaluated
     at escalated precision, the RHS from the closed-form derivative.
     """
-    global _PAJ1
     if k < 1:
         raise ValueError("k must be >= 1")
-    if _PAJ1 is None:
-        _PAJ1 = build_paj(1)
     ectx = ctx.escalated(k)
     with ectx.prec():
         xf = mpf(x)
@@ -190,13 +184,21 @@ def binomial_sum_equals_neg_phi_prime(k: int, x, ctx: PrecisionContext):
             lhs = lhs + term if j % 2 == 0 else lhs - term
             c = c * (k - j) // (j + 1)
             ppow = ppow * inv2
-        rhs = -_phi_deriv_raw(k, 1, xf, _pcoeffs(_PAJ1, 1, k))
+        rhs = -_phi_deriv_raw(k, 1, xf, _next_prow([1], 1, k))
         return +lhs, +rhs
 
 
 # -- Gauss-Legendre panels ---------------------------------------------------
 
 _GL_CACHE: dict[tuple[int, int], tuple[tuple, tuple]] = {}
+
+
+def _legendre(n: int, x):
+    """(P_n(x), P_n'(x)) by the three-term recurrence, for n >= 1 and x != +-1."""
+    p0, p1 = mp.one, x
+    for m in range(2, n + 1):
+        p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+    return p1, n * (x * p1 - p0) / (x * x - 1)
 
 
 def _gauss_legendre(n: int, prec: int) -> tuple[tuple, tuple]:
@@ -217,18 +219,12 @@ def _gauss_legendre(n: int, prec: int) -> tuple[tuple, tuple]:
         for i in range(1, n // 2 + 1):
             x = mpmath.cos(mp.pi * (i - mpf(1) / 4) / (n + mpf(1) / 2))
             for _ in range(100):
-                p0, p1 = mp.one, x
-                for m in range(2, n + 1):
-                    p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-                dp = n * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
+                p, dp = _legendre(n, x)
+                dx = p / dp
                 x -= dx
                 if abs(dx) < tol:
                     break
-            p0, p1 = mp.one, x
-            for m in range(2, n + 1):
-                p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-            dp = n * (x * p1 - p0) / (x * x - 1)
+            _, dp = _legendre(n, x)
             w = 2 / ((1 - x * x) * dp * dp)
             nodes.append(x)
             weights.append(w)
@@ -238,12 +234,8 @@ def _gauss_legendre(n: int, prec: int) -> tuple[tuple, tuple]:
             xs.append(-x)
             ws.append(w)
         if n % 2:
-            x = mp.zero
-            p0, p1 = mp.one, x
-            for m in range(2, n + 1):
-                p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-            dp = n * (x * p1 - p0) / (x * x - 1)
-            xs.append(x)
+            _, dp = _legendre(n, mp.zero)
+            xs.append(mp.zero)
             ws.append(2 / (dp * dp))
         for x, w in zip(nodes, weights):
             xs.append(x)

@@ -1,34 +1,43 @@
 """Pochhammer polynomials P_k(s) = prod_{r=1}^{k} (1 - s/r), with P_0 = 1.
 
-Two evaluators: the defining product (default; exact at the integer truncation
-points P_k(m) = 0 for integer 1 <= m <= k) and a Gamma-ratio form
-P_k(s) = Gamma(k+1-s) / (k! Gamma(1-s)) used as a cross-check and for
-asymptotics.  A bound probe measures sup_k |P_k(s)| k^Re(s).
+One incremental sweep yields P_0(z), P_1(z), ... by P_k = P_{k-1} (1 - z/k);
+every evaluator of the family in the package consumes it, so all of them round
+alike.  On top of it: the defining product (exact at the integer truncation
+points P_k(m) = 0 for integer 1 <= m <= k), the list of the first values, and
+a bound probe measuring sup_k |P_k(s)| k^Re(s).  The Gamma-ratio form
+P_k(s) = Gamma(k+1-s) / (k! Gamma(1-s)) is the independent cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import count, islice
 
 import mpmath
 from mpmath import mp, mpf
 
-from .mpnum import Complex, PrecisionContext, Real, ln_gamma
+from .mpnum import PrecisionContext, Real, ln_gamma
 
 __all__ = [
-    "PochhammerEval",
     "pochhammer_bound_probe",
     "pochhammer_gamma",
     "pochhammer_product",
+    "pochhammer_sweep",
     "pochhammer_values",
 ]
 
 
-@dataclass(frozen=True)
-class PochhammerEval:
-    k: int
-    s: Complex
-    value: Complex
+def pochhammer_sweep(z):
+    """Yield P_0(z), P_1(z), ... without end, each at the ambient precision.
+
+    z must already be an mpmath number; each step costs one division, one
+    subtraction and one multiplication, rounded at the precision in force when
+    the value is drawn.
+    """
+    P = mp.one
+    yield P
+    for k in count(1):
+        P = P * (1 - z / k)
+        yield P
 
 
 def pochhammer_product(k: int, s, ctx: PrecisionContext):
@@ -40,23 +49,16 @@ def pochhammer_product(k: int, s, ctx: PrecisionContext):
     if k < 0:
         raise ValueError("k must be >= 0")
     with ctx.prec():
-        z = mpmath.mpmathify(s)
-        acc = mp.one
-        for r in range(1, k + 1):
-            acc = acc * (1 - z / r)
-        return +acc
+        *_, P = islice(pochhammer_sweep(mpmath.mpmathify(s)), k + 1)
+        return +P
 
 
 def pochhammer_values(s, k_max: int, ctx: PrecisionContext) -> list:
     """[P_0(s), ..., P_k_max(s)] filled incrementally, O(1) per additional k."""
+    if k_max < 0:
+        raise ValueError("k_max must be >= 0")
     with ctx.prec():
-        z = mpmath.mpmathify(s)
-        out = [mp.one]
-        acc = mp.one
-        for r in range(1, k_max + 1):
-            acc = acc * (1 - z / r)
-            out.append(acc)
-        return out
+        return list(islice(pochhammer_sweep(mpmath.mpmathify(s)), k_max + 1))
 
 
 def pochhammer_gamma(k: int, s, ctx: PrecisionContext):
@@ -80,11 +82,5 @@ def pochhammer_bound_probe(s, k_max: int, ctx: PrecisionContext) -> Real:
     with ctx.prec():
         z = mpmath.mpmathify(s)
         sigma = mp.re(z)
-        acc = mp.one
-        best = mp.zero
-        for k in range(1, k_max + 1):
-            acc = acc * (1 - z / k)
-            val = abs(acc) * mpf(k) ** sigma
-            if val > best:
-                best = val
-        return +best
+        sweep = islice(pochhammer_sweep(z), 1, k_max + 1)
+        return +max(abs(P) * mpf(k) ** sigma for k, P in enumerate(sweep, 1))

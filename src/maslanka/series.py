@@ -22,6 +22,7 @@ from mpmath import mp, mpf
 from .bernoulli import BernoulliTable, bernoulli_number, zeta_even
 from .coefficients import CoefficientTable
 from .mpnum import Complex, PoleError, PrecisionContext, Real
+from .pochhammer import pochhammer_sweep
 
 __all__ = [
     "SeriesResult",
@@ -69,16 +70,14 @@ def maslanka_eval(s, table: CoefficientTable, tol, ctx: PrecisionContext) -> Ser
         z = mpmath.mpmathify(s)
         half = z / 2
         partials = []
-        P = mp.one
         S = mp.zero
         converged = False
         K = table.k_max
-        for k in range(table.k_max + 1):
-            if k > 0:
-                P = P * (1 - half / k)
-            S = S + table.values[k] * P
+        for k, (a, P) in enumerate(zip(table.values, pochhammer_sweep(half))):
+            term = a * P
+            S = S + term
             partials.append(S)
-            if k >= 1 and abs(table.values[k] * P) < tolm / 4:
+            if k >= 1 and abs(term) < tolm / 4:
                 if abs(S - partials[(k + 1) // 2]) < tolm / 2:
                     K = k
                     converged = True
@@ -184,13 +183,9 @@ def truncation_check(n: int, table: CoefficientTable, ctx: PrecisionContext):
     if table.k_max < n - 1:
         raise ValueError("table too short: need k_max >= n-1")
     with ctx.prec():
-        nf = mpf(n)
-        P = mp.one
         lhs = mp.zero
-        for k in range(n):
-            if k > 0:
-                P = P * (1 - nf / k)
-            lhs += table.values[k] * P
+        for a, P in zip(table.values[:n], pochhammer_sweep(mpf(n))):
+            lhs += a * P
         rhs = (2 * n - 1) * zeta_even(2 * n, ctx)
         return +lhs, +rhs
 
@@ -210,11 +205,10 @@ def bernoulli_rep_partial(s, K: int, btable: BernoulliTable, ctx: PrecisionConte
         raise ValueError("btable too short for K")
     with ctx.prec():
         z = mpmath.mpmathify(s)
-        w = 2 - z
-        acc = mp.one
-        P = mp.one
-        for k in range(1, K + 1):
-            P = P * (1 - w / k)
+        acc = mp.one  # c_0 P_0
+        sweep = pochhammer_sweep(2 - z)
+        next(sweep)
+        for k, P in zip(range(1, K + 1), sweep):
             if k == 1:
                 acc += P / 2
             elif k % 2 == 0:

@@ -306,8 +306,6 @@ class TestTableType:
     def test_kind_and_provenance_validation(self):
         with pytest.raises(ValueError):
             CoefficientTable("Z", 0, 64, (mpf(1),), (-60,))
-        with pytest.raises(ValueError):
-            CoefficientTable("A", 0, 64, (mpf(1),), (-60,), provenance="guesswork")
 
 
 class TestCache:
@@ -321,7 +319,6 @@ class TestCache:
         assert back.target_bits == table.target_bits
         assert back.values == table.values
         assert back.error_bound_exponents == table.error_bound_exponents
-        assert back.provenance == "direct_sum"
 
     def test_round_trip_acceptance_table(self, table_a400_128, tmp_path):
         path = tmp_path / "a400.coeff"

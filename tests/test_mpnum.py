@@ -53,10 +53,6 @@ class TestPrecisionContext:
         with pytest.raises(ValueError):
             PrecisionContext(8)
 
-    def test_rejects_directed_rounding(self):
-        with pytest.raises(ValueError):
-            PrecisionContext(64, rounding="up")
-
     def test_escalated(self):
         ctx = PrecisionContext(128)
         e = ctx.escalated(100)

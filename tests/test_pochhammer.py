@@ -6,7 +6,6 @@ from mpmath import mp, mpc, mpf
 
 from maslanka.mpnum import PoleError, PrecisionContext
 from maslanka.pochhammer import (
-    PochhammerEval,
     pochhammer_bound_probe,
     pochhammer_gamma,
     pochhammer_product,
@@ -69,6 +68,11 @@ class TestValues:
 
     def test_zero_argument_all_ones(self, ctx64):
         assert all(v == 1 for v in pochhammer_values(mpf(0), 30, ctx64))
+
+    @pytest.mark.parametrize("k_max", [-1, -5])
+    def test_rejects_negative_kmax(self, k_max, ctx64):
+        with pytest.raises(ValueError):
+            pochhammer_values(mpf("0.5"), k_max, ctx64)
 
 
 class TestGammaForm:
@@ -143,9 +147,3 @@ class TestBoundProbe:
     def test_rejects_bad_kmax(self, ctx64):
         with pytest.raises(ValueError):
             pochhammer_bound_probe(mpf(1), 0, ctx64)
-
-
-def test_eval_record_is_frozen():
-    rec = PochhammerEval(k=2, s=mpf(3), value=mpf(1))
-    with pytest.raises(Exception):
-        rec.k = 5
