@@ -2,8 +2,10 @@
 
 The decay claims this package probes are asymptotic (A_k falls faster than
 any power of k; b_k roughly like k^(-3/4) up to log factors), so nothing here
-*asserts* an asymptotic law: decay_fit reports a least-squares power-law slope
-as a diagnostic, and rh_diagnostic emits the scaled b_k sequence for plotting.
+*asserts* an asymptotic law: decay_fit reports a power-law slope as a
+diagnostic, and rh_diagnostic emits the scaled b_k sequence for plotting.  The
+slope comes from an ordinary least-squares line in plain float arithmetic,
+with every sum a math.fsum over centred points.
 
 Two exclusion rules keep log|c_k| fits honest near the sign changes of c_k
 (where |c_k| dips towards zero and the log spikes down) and near precision
@@ -18,7 +20,6 @@ import statistics
 from dataclasses import dataclass
 
 import mpmath
-import numpy as np
 from mpmath import mp, mpf
 
 from .coefficients import CoefficientTable
@@ -67,13 +68,17 @@ def decay_fit(table: CoefficientTable, k_min: int, k_max: int) -> DecayFit:
         ys.append(float(mpmath.log(abs(table.values[k]))))
     if len(xs) < 10:
         raise ValueError(f"insufficient usable points ({len(xs)} < 10)")
-    slope, intercept = np.polyfit(np.array(xs), np.array(ys), 1)
-    resid = np.abs(np.array(ys) - (slope * np.array(xs) + intercept))
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    dxs = [x - x_mean for x in xs]
+    slope = (math.fsum(dx * (y - y_mean) for dx, y in zip(dxs, ys))
+             / math.fsum(dx * dx for dx in dxs))
+    intercept = y_mean - slope * x_mean
     return DecayFit(
         k_range=(k_min, k_max),
-        slope=float(slope),
-        intercept=float(intercept),
-        max_abs_residual=float(resid.max()),
+        slope=slope,
+        intercept=intercept,
+        max_abs_residual=max(abs(y - (slope * x + intercept)) for x, y in zip(xs, ys)),
         excluded_count=excluded,
     )
 

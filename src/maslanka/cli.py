@@ -160,6 +160,13 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
+def _positive_tol(text) -> mpf:
+    tol = mpf(text)
+    if not tol > 0:
+        raise ValueError("tol must be a positive number")
+    return tol
+
+
 def _verify_truncation(table, ctx, nmax, out) -> bool:
     ok_all = True
     tol = mpf(2) ** (-table.target_bits + 8)
@@ -228,6 +235,9 @@ def _cmd_verify(args) -> int:
     ctx = PrecisionContext(args.bits)
     suites = ["truncation", "cross-identity", "em-remainder", "global-agreement"] \
         if args.suite == "all" else [args.suite]
+    if "truncation" in suites and args.nmax < 1:
+        raise ValueError("nmax must be at least 1")
+    tol = _positive_tol(args.tol) if args.tol else None
     table = None
     if any(s in ("truncation", "global-agreement") for s in suites):
         if args.table:
@@ -243,16 +253,15 @@ def _cmd_verify(args) -> int:
         elif suite == "cross-identity":
             ok &= _verify_cross_identity(ctx, 100, sys.stdout)
         elif suite == "em-remainder":
-            ok &= _verify_em(ctx, mpf(args.tol) if args.tol else mpf("1e-6"), sys.stdout)
+            ok &= _verify_em(ctx, tol or mpf("1e-6"), sys.stdout)
         elif suite == "global-agreement":
-            ok &= _verify_global(table, ctx, mpf(args.tol) if args.tol else mpf("1e-20"),
-                                 sys.stdout)
+            ok &= _verify_global(table, ctx, tol or mpf("1e-20"), sys.stdout)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def _cmd_em_check(args) -> int:
     ctx = PrecisionContext(args.bits)
-    tol = mpf(args.tol)
+    tol = _positive_tol(args.tol)
     paj = build_paj(args.a + 1)
     ref = a_k(args.k, ctx)
     quad_tol = mpf(args.quad_tol) if args.quad_tol else abs(ref) * tol / 100

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
@@ -114,6 +115,39 @@ class TestDecayFitOnCoefficients:
         assert fit.slope < -0.75
         assert -2.2 < fit.slope
         assert fit.max_abs_residual < 0.1  # very close to a pure power law
+
+
+def _reference_line(table: CoefficientTable, k_min: int, k_max: int):
+    """The OLS line through the float points (log k, log|c_k|) at 60 digits.
+
+    Returns (slope, intercept, max_abs_residual) and, for each, the magnitude
+    of the operands it is formed from: the intercept and the residual are
+    differences that cancel to rounding noise on an exact power law.
+    """
+    xs = [math.log(k) for k in range(k_min, k_max + 1)]
+    ys = [float(mpmath.log(abs(table.values[k]))) for k in range(k_min, k_max + 1)]
+    with mp.workdps(60):
+        X, Y = [mpf(x) for x in xs], [mpf(y) for y in ys]
+        x_mean, y_mean = mpmath.fsum(X) / len(X), mpmath.fsum(Y) / len(Y)
+        slope = (mpmath.fsum((x - x_mean) * (y - y_mean) for x, y in zip(X, Y))
+                 / mpmath.fsum((x - x_mean) ** 2 for x in X))
+        intercept = y_mean - slope * x_mean
+        resid = max(abs(y - (slope * x + intercept)) for x, y in zip(X, Y))
+        scales = (abs(slope), abs(y_mean) + abs(slope * x_mean), max(abs(y) for y in Y))
+    return (slope, intercept, resid), scales
+
+
+class TestDecayFitReference:
+    @pytest.mark.parametrize("which, k_min, k_max", [("a400", 50, 200), ("cubic", 2, 100)])
+    def test_matches_60_digit_least_squares(self, which, k_min, k_max,
+                                            table_a400_128, cubic_table):
+        table = table_a400_128 if which == "a400" else cubic_table
+        fit = decay_fit(table, k_min, k_max)
+        assert fit.excluded_count == 0  # so the fit used exactly these points
+        refs, scales = _reference_line(table, k_min, k_max)
+        got = (fit.slope, fit.intercept, fit.max_abs_residual)
+        for name, g, ref, scale in zip(("slope", "intercept", "residual"), got, refs, scales):
+            assert abs(g - ref) <= 1e-13 * max(abs(ref), scale), (name, g, ref)
 
 
 class TestRhDiagnostic:

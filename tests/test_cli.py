@@ -1,11 +1,15 @@
 """Command-line interface: argument handling, output formats, exit codes.
 
-Everything runs in-process through cli.run(argv) so we can use capsys and
-tmp_path instead of subprocesses.  Exit-code contract: 0 ok, 1 verification
-failure, 2 usage error, 3 numeric failure.
+Everything but the start-up guard runs in-process through cli.run(argv) so
+we can use capsys and tmp_path instead of subprocesses.  Exit-code contract:
+0 ok, 1 verification failure, 2 usage error, 3 numeric failure.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -268,6 +272,16 @@ class TestVerify:
         assert "PASS cross-identity k=1..100" in out
         assert "worst_rel=" in out
 
+    @pytest.mark.parametrize("suite", ["truncation", "all"])
+    @pytest.mark.parametrize("nmax", ["0", "-3"])
+    def test_nmax_below_one_is_a_usage_error(self, suite, nmax, capsys):
+        # nothing would be checked, so exit 0 would be a vacuous pass
+        rc = cli.run(["verify", "--suite", suite, "--nmax", nmax])
+        cap = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert "error: nmax must be at least 1" in cap.err
+        assert cap.out == ""
+
     def test_global_agreement_default_tolerance_fails(self, deep_table_file, capsys):
         # 2^-400-ish is what 1e-20 would need here; 401 terms cannot reach it,
         # so the suite must report the shortfall and exit 1, not paper over it
@@ -294,6 +308,36 @@ class TestEmCheck:
         cap = capsys.readouterr()
         assert rc == cli.EXIT_NUMERIC
         assert "not met" in cap.err
+
+
+class TestNonPositiveTol:
+    @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--s", "3", "--table", "{table}"],
+        ["em-check", "--k", "8", "--a", "2"],
+        ["verify", "--suite", "em-remainder"],
+        ["verify", "--suite", "global-agreement", "--table", "{table}"],
+    ], ids=["eval", "em-check", "verify-em", "verify-global"])
+    def test_rejected_with_its_own_message(self, argv, tol, small_table_file, capsys):
+        argv = [a.format(table=small_table_file) for a in argv] + ["--tol", tol]
+        rc = cli.run(argv)
+        cap = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert "error: tol must be a positive number" in cap.err
+        assert cap.out == ""
+
+
+class TestStartup:
+    def test_cli_import_leaves_numpy_out(self):
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, maslanka.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestUsageErrors:
