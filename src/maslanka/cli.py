@@ -46,10 +46,15 @@ GLOBAL_PROBES = ("3", "0.5", "0.5+14.134725i", "-1", "-2.5", "5+10i")
 
 
 def parse_complex(text: str):
-    """Strict parse of 'a+bi' / 'a-bi' complex literals (decimal components)."""
+    """Strict parse of 'a+bi' / 'a-bi' complex literals (decimal components).
+
+    NaN and infinite components are rejected: the series needs a finite s.
+    """
     t = text.strip()
     if not t:
         raise ValueError("empty complex literal")
+    if "nan" in t.lower() or "inf" in t.lower():
+        raise ValueError("s must be a finite number")
     if t.endswith("i"):
         body = t[:-1]
         re_part, im_part = "", body

@@ -29,10 +29,19 @@ exhaustion.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import re
 from dataclasses import dataclass
+
+# CPython's built-in SHA-256, as the random module uses its built-in SHA-512:
+# importing hashlib maps OpenSSL, about 3.5 MB resident, for one digest per file.
+try:
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 renamed it; a build without it keeps hashlib's
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest, to_str
@@ -303,7 +312,7 @@ def _payload_lines(table: CoefficientTable) -> list[str]:
 
 def save_table(table: CoefficientTable, path) -> None:
     payload = "".join(line + "\n" for line in _payload_lines(table))
-    sha = hashlib.sha256(payload.encode("ascii")).hexdigest()
+    sha = sha256(payload.encode("ascii")).hexdigest()
     header = (
         f"{FORMAT_MAGIC}\n"
         f"kind={table.kind} kmax={table.k_max} target_bits={table.target_bits}\n"
@@ -340,7 +349,7 @@ def load_table(path) -> CoefficientTable:
             f"expected {k_max + 1} payload lines, found {len(payload_lines)}"
         )
     payload = "".join(line + "\n" for line in payload_lines)
-    sha = hashlib.sha256(payload.encode("ascii")).hexdigest()
+    sha = sha256(payload.encode("ascii")).hexdigest()
     if sha != c.group(1):
         raise TableFormatError("checksum mismatch")
     values: list[Real] = []

@@ -9,8 +9,10 @@ roughly ``k`` leading bits to cancellation at index ``k``; the helper
 absorb that loss.
 
 Values are mpmath ``mpf``/``mpc`` instances (``Real``/``Complex`` below) and
-exact rationals are ``fractions.Fraction``.  Arithmetic is round-to-nearest
-throughout; there is no interval mode, and refinement consistency tests
+exact rationals are ``fractions.Fraction``; the hot loops (the coefficient
+kernel, the series sum) work internally in Python integers at a fixed-point
+scale and hand back ``mpf``/``mpc`` values.  mpmath arithmetic is
+round-to-nearest throughout; there is no interval mode, and refinement consistency tests
 (recompute at twice the bits, compare) stand in for rigorous enclosures.
 """
 

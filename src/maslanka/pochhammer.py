@@ -1,8 +1,8 @@
 """Pochhammer polynomials P_k(s) = prod_{r=1}^{k} (1 - s/r), with P_0 = 1.
 
-One incremental sweep yields P_0(z), P_1(z), ... by P_k = P_{k-1} (1 - z/k);
-every evaluator of the family in the package consumes it, so all of them round
-alike.  On top of it: the defining product (exact at the integer truncation
+One incremental sweep yields P_0(z), P_1(z), ... by P_k = P_{k-1} (1 - z/k) in
+mpmath arithmetic.  (The Maslanka series and its truncation identities run
+their own fixed-point integer sweep, in :mod:`maslanka.series`.)  On top of it: the defining product (exact at the integer truncation
 points P_k(m) = 0 for integer 1 <= m <= k), the list of the first values, and
 a bound probe measuring sup_k |P_k(s)| k^Re(s).  The Gamma-ratio form
 P_k(s) = Gamma(k+1-s) / (k! Gamma(1-s)) is the independent cross-check.

@@ -1,8 +1,14 @@
 """Evaluation of (s-1) zeta(s) = sum_k A_k P_k(s/2) anywhere in the plane.
 
+The series is summed in fixed point: h = s/2, the sweep P_k(h) and every term
+A_k P_k(h) are Gaussian integers at one scale 2^W, so the partial sums
+accumulate exactly and the result is rounded once (see ``maslanka_eval`` for
+how W follows from a proven error bound).  The truncation identities
+(2n-1) zeta(2n) = sum_{k<n} A_k P_k(n) run through the same integer sweep,
+where every step is exact.
+
 Also provides the independent reference zeta (Euler-Maclaurin continuation,
-used as the oracle the series is tested against), the triangular truncation
-identities (2n-1) zeta(2n) = sum_{k<n} A_k P_k(n), and the *divergent*
+used as the oracle the series is tested against) and the *divergent*
 Bernoulli-coefficient representation
 
     (s-1) zeta(s) = 1 + (1/2)(s-1) + sum_{k>=2} B_k P_k(2-s)
@@ -53,13 +59,119 @@ class SeriesResult:
     converged: bool
 
 
+def _to_fixed(x, e: int) -> int:
+    """x * 2^e rounded to the nearest integer, for a finite mpf x."""
+    sign, man, exp, _ = x._mpf_
+    sh = exp + e
+    v = man << sh if sh >= 0 else (man + (1 << (-sh - 1))) >> -sh
+    return -v if sign else v
+
+
+def _norm_limit(x, e: int):
+    """ceil((x * 2^e)^2) for a positive mpf x, so that for an integer N,
+    N < (x 2^e)^2 exactly when N < the limit; an infinite x gives math.inf."""
+    if mpmath.isinf(x):
+        return math.inf
+    _, man, exp, _ = x._mpf_
+    n, sh = man * man, 2 * (exp + e)
+    return n << sh if sh >= 0 else -(-n >> -sh)
+
+
+def _fixed_terms(H: tuple[int, int], values, W: int):
+    """Yield floor(A_k Q_k) as (real, imag) integers for A_k in ``values``.
+
+    Q_0 = 2^W and Q_k = floor(Q_{k-1} (k 2^W - H) / (k 2^W)) componentwise,
+    so Q_k 2^-W approximates P_k(h) for H ~ h 2^W.  The quotient is taken as
+    (Q_{k-1} (k 2^W - H) >> W) // k, the same integer because nested floor
+    divisions by positive integers compose.  A_k enters exactly, as mantissa
+    times 2^exponent, and the product is floored by a shift.
+    """
+    hr, hi = H
+    qr, qi = 1 << W, 0
+    for k, a in enumerate(values):
+        if k:
+            f = (k << W) - hr
+            qr, qi = ((qr * f + qi * hi) >> W) // k, ((qi * f - qr * hi) >> W) // k
+        sign, man, exp, _ = a._mpf_
+        if sign:
+            man = -man
+        if exp >= 0:
+            yield (man * qr) << exp, (man * qi) << exp
+        else:
+            yield (man * qr) >> -exp, (man * qi) >> -exp
+
+
+def _guard_bits(h, k_max: int) -> int:
+    """ceil(log2 E) + 1 for the error bound E = 4 (K+1)^2 X of maslanka_eval at K = k_max.
+
+    log2 X_k is run in floats over the first m = ceil(|h|^2) steps and bounded
+    in closed form beyond them.  Each factor |1 - h/i| is raised by
+    2^-40 (1 + |h|/i), more than the rounding of h to floats and of the float
+    operations can move it; the final + 1 covers the rounding of the sums of
+    logarithms.
+    """
+    x, y = float(h.real), float(h.imag)
+    habs = math.hypot(x, y)
+    if not math.isfinite(habs):
+        raise ValueError("s is too large to sum in fixed point")
+    m = max(1, min(k_max, math.ceil(min(habs * habs, k_max))))
+    lx = lpi = top = 0.0  # log2 of X_k, Pi_k and max_k X_k
+    for i in range(1, m + 1):
+        lr = math.log2(math.hypot(1 - x / i, y / i) + 2.0**-40 * (1 + habs / i))
+        lx = max(lx + lr, 0.0, lpi)
+        lpi += lr
+        top = max(top, lx)
+    if k_max > m:
+        tail = habs * habs / (2 * m * math.log(2)) + max(0.0, -x) * math.log2(k_max / m)
+        top = max(top, tail + max(lx, lpi))
+    return math.ceil(2 + 2 * math.log2(k_max + 1) + top) + 1
+
+
 def maslanka_eval(s, table: CoefficientTable, tol, ctx: PrecisionContext) -> SeriesResult:
     """Sum A_k P_k(s/2) until the tolerance's stopping rule fires.
 
     Stops at the smallest K >= 1 with both |A_K P_K(s/2)| < tol/4 and
     |S_K - S_ceil(K/2)| < tol/2.  The two-part rule matters because the term
     magnitudes are not monotone (P_k oscillates, A_k changes sign): a small
-    single term near a sign change must not end the sum on its own.
+    single term near a sign change must not end the sum on its own.  A real s
+    gives an mpf value, an mpc s an mpc value.
+
+    Kernel.  The sum runs in Gaussian integers at one scale 2^W.  With
+    h = s/2 rounded once to H ~ h 2^W, the sweep is Q_0 = 2^W,
+    Q_k = floor(Q_{k-1} (k 2^W - H) / (k 2^W)) componentwise (exactly zero from
+    k = n on when h = n is a positive integer, and exactly 2^W throughout at
+    s = 0); each term floor(A_k Q_k) takes A_k exactly from its mantissa and
+    exponent, and the partial sums accumulate exactly.  The stopping rule
+    compares squared integer norms with ceil((tol 2^W/4)^2) and
+    ceil((tol 2^W/2)^2), so it takes no square root.  The value is rounded
+    once, to working_bits.
+
+    Bound.  Let u = 2^-W, q_k = Q_k u, r_i = |1 - h/i| and
+    Pi_k = r_1 ... r_k = |P_k(h)|.  A floor moves each component by less than
+    u, so q by less than sqrt2 u, and rounding H moves h by at most u/sqrt2;
+    hence q_k = q_{k-1} (1 - h/k) + d_k with
+    |d_k| < u (sqrt2 + |q_{k-1}|/(sqrt2 k)).  Unrolled,
+    q_k - P_k(h) = sum_{j<=k} d_j prod_{i=j+1..k} (1 - h/i): an error made at
+    step j reaches step k multiplied by |P_k/P_j|, written as a product that
+    stays finite at the zeros of P.  While the bound below stays under 1,
+    |q_{j-1}| <= Pi_{j-1} + 1, and with
+    X_k = max_{j<=k} max(1, Pi_{j-1}) prod_{i=j+1..k} r_i, that is
+    X_k = max(r_k X_{k-1}, 1, Pi_{k-1}), the error of q_k is below
+    u (sqrt2 k + sqrt2 H_k) X_k <= 3 k X_k u (H_k the harmonic number).
+    Every |A_k| < 2, and so is every table entry: from
+    A_k = sum_n n^-2 [(1-n^-2)^k - 2k n^-2 (1-n^-2)^(k-1)], |A_0| = zeta(2),
+    |A_1| = |zeta(2) - 3 zeta(4)| and, for k >= 2,
+    |A_k| <= (zeta(2) - 1) max(1, 2k/(e(k-1))) < 1.  With the floor of each
+    term (< sqrt2 u) the error of the integer S_K is therefore below
+    u (sqrt2 + sum_{k=1..K} (6 k X_k + sqrt2)) <= u E, E = 4 (K+1)^2 max_{k<=K} X_k.
+    Past m = ceil(|h|^2), log r_i <= -Re(h)/i + |h|^2/(2 i^2) and
+    sum_{i>m} i^-2 < 1/m give X_k <= e^(|h|^2/2m) (k/m)^max(0,-Re h)
+    max(X_m, Pi_m).  W = working_bits + ceil(log2 E) + 1 at K = k_max, so the
+    integer sum is within 2^-(working_bits+1) of sum_{k<=K} A_k P_k(h) for
+    the table's A_k, and the returned value, rounded once, within
+    2^-working_bits (1 + |value|).  W grows with log2 of the largest partial
+    product, so an s far outside the table's range of convergence costs
+    proportionally wider integers.
     """
     if table.kind != "A":
         raise ValueError("maslanka_eval needs a kind=A table")
@@ -70,29 +182,37 @@ def maslanka_eval(s, table: CoefficientTable, tol, ctx: PrecisionContext) -> Ser
         if not tolm > mpf(2) ** (-table.target_bits + 8):
             raise ValueError("tol is below what the table's target_bits can support")
         z = mpmath.mpmathify(s)
-        half = z / 2
+        if not mpmath.isfinite(z):
+            raise ValueError("s must be a finite number")
+        W = ctx.working_bits + _guard_bits(z / 2, table.k_max)
+        H = (_to_fixed(mp.re(z), W - 1), _to_fixed(mp.im(z), W - 1))
+        quarter, half = _norm_limit(tolm, W - 2), _norm_limit(tolm, W - 1)
         partials = []
-        S = mp.zero
+        sr = si = 0
         converged = False
         K = table.k_max
-        for k, (a, P) in enumerate(zip(table.values, pochhammer_sweep(half))):
-            term = a * P
-            S = S + term
-            partials.append(S)
-            if k >= 1 and abs(term) < tolm / 4:
-                if abs(S - partials[(k + 1) // 2]) < tolm / 2:
+        for k, (tr, ti) in enumerate(_fixed_terms(H, table.values, W)):
+            sr += tr
+            si += ti
+            partials.append((sr, si))
+            if k and tr * tr + ti * ti < quarter:
+                mr, mi = partials[(k + 1) // 2]
+                if (sr - mr) ** 2 + (si - mi) ** 2 < half:
                     K = k
                     converged = True
                     break
-        residual = abs(partials[K] - partials[(K + 1) // 2])
-        value = +partials[K]
+        (sr, si), (mr, mi) = partials[K], partials[(K + 1) // 2]
+        residual = mpmath.sqrt(mpf(((sr - mr) ** 2 + (si - mi) ** 2, -2 * W)))
+        value = mpf((sr, -W))
+        if isinstance(z, mpmath.mpc):
+            value = mpmath.mpc(value, mpf((si, -W)))
         is_pole = z == 1
         zeta_value = None if is_pole else +(value / (z - 1))
     return SeriesResult(
         s=z,
         value=value,
         terms_used=K + 1,
-        residual_estimate=+residual,
+        residual_estimate=residual,
         zeta_value=zeta_value,
         is_pole=is_pole,
         converged=converged,
@@ -176,7 +296,9 @@ def truncation_check(n: int, table: CoefficientTable, ctx: PrecisionContext):
     """Both sides of (2n-1) zeta(2n) = sum_{k=0}^{n-1} A_k P_k(n).
 
     The sum truncates because P_k(n) = 0 for k >= n; only n terms exist.
-    Returns (lhs, rhs).
+    It runs through the integer sweep of maslanka_eval at a scale 2^W that
+    makes every term exact (P_k(n) = (-1)^k C(n-1, k), and W is at least
+    minus the exponent of each A_k), and is rounded once.  Returns (lhs, rhs).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -184,12 +306,12 @@ def truncation_check(n: int, table: CoefficientTable, ctx: PrecisionContext):
         raise ValueError("truncation_check needs a kind=A table")
     if table.k_max < n - 1:
         raise ValueError("table too short: need k_max >= n-1")
+    values = table.values[:n]
+    W = max(0, *(-a._mpf_[2] for a in values))
     with ctx.prec():
-        lhs = mp.zero
-        for a, P in zip(table.values[:n], pochhammer_sweep(mpf(n))):
-            lhs += a * P
+        lhs = mpf((sum(t for t, _ in _fixed_terms((n << W, 0), values, W)), -W))
         rhs = (2 * n - 1) * zeta_even(2 * n, ctx)
-        return +lhs, +rhs
+        return lhs, +rhs
 
 
 def bernoulli_rep_partial(s, K: int, btable: BernoulliTable, ctx: PrecisionContext) -> Complex:

@@ -1,6 +1,6 @@
 """Command-line interface: argument handling, output formats, exit codes.
 
-Everything but the start-up guard runs in-process through cli.run(argv) so
+Everything but the start-up guards runs in-process through cli.run(argv) so
 we can use capsys and tmp_path instead of subprocesses.  Exit-code contract:
 0 ok, 1 verification failure, 2 usage error, 3 numeric failure.
 """
@@ -88,6 +88,12 @@ class TestParseComplex:
     @pytest.mark.parametrize("bad", ["", "   ", "abc", "1+2x", "4+0j"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
+            parse_complex(bad)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "+nan", "Infinity",
+                                     "0.5+nani", "nan+2i", "0.5-infi"])
+    def test_rejects_non_finite_parts(self, bad):
+        with pytest.raises(ValueError, match="s must be a finite number"):
             parse_complex(bad)
 
 
@@ -181,6 +187,14 @@ class TestEval:
         rc = cli.run(["eval", "--s", "2,5", "--table", str(small_table_file)])
         assert rc == cli.EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("s", ["nan", "inf", "-inf", "0.5+nani"])
+    def test_non_finite_s_exits_2(self, s, small_table_file, capsys):
+        rc = cli.run(["eval", f"--s={s}", "--table", str(small_table_file)])
+        cap = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert "error: s must be a finite number" in cap.err
+        assert cap.out == ""
 
 
 class TestBk:
@@ -327,17 +341,28 @@ class TestNonPositiveTol:
         assert cap.out == ""
 
 
+def _after_cli_import(expr: str) -> str:
+    """What a fresh interpreter prints for ``expr`` once it has imported maslanka.cli."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import importlib.util, sys, maslanka.cli; print({expr})"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestStartup:
     def test_cli_import_leaves_numpy_out(self):
-        root = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, maslanka.cli; print('numpy' in sys.modules)"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert _after_cli_import("'numpy' in sys.modules") == "False"
+
+    def test_cli_import_leaves_openssl_out(self):
+        # the table checksum takes CPython's built-in SHA-256 wherever the
+        # build has one, so OpenSSL (_hashlib) is not mapped
+        builtin = "any(importlib.util.find_spec(m) for m in ('_sha256', '_sha2'))"
+        assert _after_cli_import(f"'_hashlib' in sys.modules and {builtin}") == "False"
 
 
 class TestUsageErrors:

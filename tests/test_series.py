@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
@@ -48,6 +50,7 @@ class TestMaslankaEval:
         assert res.is_pole
         assert res.zeta_value is None
         assert abs(res.value - 1) < mpf("1e-7")
+        assert maslanka_eval(mpc(1, 0), table_a400_128, mpf("1e-8"), ctx128).is_pole
 
     @pytest.mark.parametrize("s,tol", [(-2, "1e-6"), (-4, "1e-5")])
     def test_trivial_zeros(self, s, tol, table_a900_128, ctx128):
@@ -100,6 +103,126 @@ class TestMaslankaEval:
     def test_rejects_tol_below_table_resolution(self, table_a400_128, ctx128):
         with pytest.raises(ValueError):
             maslanka_eval(2, table_a400_128, mpf(2) ** -124, ctx128)
+
+    @pytest.mark.parametrize("s", [mpf("nan"), mpf("inf"), mpf("-inf"),
+                                   mpc("0.5", "nan"), mpc("inf", 3)])
+    def test_rejects_non_finite_s(self, s, table_a400_128, ctx128):
+        with pytest.raises(ValueError, match="s must be a finite number"):
+            maslanka_eval(s, table_a400_128, mpf("1e-6"), ctx128)
+
+    def test_rejects_s_beyond_float_range(self, table_a400_128, ctx128):
+        # the bound that sets the integer width is evaluated in floats
+        with pytest.raises(ValueError, match="too large"):
+            maslanka_eval(mpf("1e400"), table_a400_128, mpf("1e-6"), ctx128)
+
+
+def _rounded_exact_sum(values, weights, bits):
+    """sum_k values[k] weights[k] for integer weights, formed exactly (each
+    product of a 128-bit entry and an integer below 2^64 fits in 2000 bits, as
+    does their sum) and rounded once to ``bits``."""
+    with mp.workprec(2000):
+        total = mpmath.fsum(a * w for a, w in zip(values, weights))
+    with mp.workprec(bits):
+        return +total
+
+
+def _binomial_weights(n):
+    """P_k(n) = (-1)^k C(n-1, k) for k < n."""
+    return [(-1) ** k * math.comb(n - 1, k) for k in range(n)]
+
+
+class TestIntegerKernelEdgeCases:
+    def test_s0_sums_the_coefficients(self, table_a400_128, ctx128):
+        # P_k(0) = 1 for every k, so the value is the plain sum of A_0..A_K
+        res = maslanka_eval(0, table_a400_128, mpf("1e-6"), ctx128)
+        want = _rounded_exact_sum(table_a400_128.values, [1] * res.terms_used,
+                                  ctx128.working_bits)
+        assert res.value == want
+
+    @pytest.mark.parametrize("n", range(1, 21))
+    def test_even_s_is_the_exact_finite_sum(self, n, table_a400_128, ctx128):
+        # P_k(n) = (-1)^k C(n-1, k) vanishes from k = n on.  The rule stops at
+        # the first k >= n whose half-index partial sum S_ceil(k/2) already
+        # holds all n nonzero terms: k = max(n, 2n - 3)
+        res = maslanka_eval(2 * n, table_a400_128, mpf("1e-6"), ctx128)
+        assert res.converged
+        assert res.terms_used == max(n, 2 * n - 3) + 1
+        assert res.value == _rounded_exact_sum(table_a400_128.values, _binomial_weights(n),
+                                               ctx128.working_bits)
+
+    @pytest.mark.parametrize("s", [mpf(3), mpc("0.5", "14.134725")])
+    def test_infinite_tol_stops_at_the_first_check(self, s, table_a400_128, ctx128):
+        res = maslanka_eval(s, table_a400_128, mpf("inf"), ctx128)
+        assert res.converged
+        assert res.terms_used == 2
+
+    def test_single_entry_table(self, ctx64):
+        table = build_table("A", 0, ctx64)
+        res = maslanka_eval(mpf(3), table, mpf("1e-6"), ctx64)
+        assert res.terms_used == 1
+        assert not res.converged
+        assert res.value == table[0]
+        assert res.residual_estimate == 0
+
+    @pytest.mark.parametrize("s,kind", [(3, mpf), (3.0, mpf), (mpf(-1), mpf),
+                                        (mpc(3, 0), mpc), (mpc(-1, 0), mpc),
+                                        (mpc("0.5", 2), mpc)])
+    def test_result_types(self, s, kind, table_a400_128, ctx128):
+        res = maslanka_eval(s, table_a400_128, mpf("1e-6"), ctx128)
+        assert type(res.value) is kind
+        assert type(res.residual_estimate) is mpf
+
+
+def _stop_index(terms, partials, tol):
+    """(K, converged) of the two-part stopping rule applied to given sequences."""
+    for k in range(1, len(terms)):
+        if abs(terms[k]) < tol / 4 and abs(partials[k] - partials[(k + 1) // 2]) < tol / 2:
+            return k, True
+    return len(terms) - 1, False
+
+
+_GRID_S = [mpc(re, im) if im else mpf(re)
+           for re in ("-20", "-8", "-4", "-2.5", "0", "0.5", "3", "6")
+           for im in (0, 5, 15, 40)]
+# points whose parts use all 160 working bits, so that rounding s/2 more
+# coarsely than the kernel's scale shows
+with mp.workprec(160):
+    _GRID_S += [mpf(1) / 3, mpf(-17) / 7, mpc(mpf(1) / 3, 14 + mpf(1) / 7),
+                mpc(-5 - mpf(1) / 3, mpf(22) / 3)]
+
+
+class TestIntegerKernelAccuracy:
+    """The integer sum against the same terms formed independently at twice
+    the working precision: P_k(s/2) by its defining product, no package code."""
+
+    @pytest.fixture(scope="class")
+    def references(self, table_a900_128, ctx128):
+        refs = {}
+        for s in _GRID_S:
+            with mp.workprec(2 * ctx128.working_bits):
+                h = s / 2
+                P = mpf(1)
+                terms, partials, acc = [], [], mpf(0)
+                for k, a in enumerate(table_a900_128.values):
+                    if k:
+                        P *= 1 - h / k
+                    terms.append(a * P)
+                    acc += terms[-1]
+                    partials.append(acc)
+            refs[s] = terms, partials
+        return refs
+
+    @pytest.mark.parametrize("tol", ["1e-4", "1e-8"])
+    @pytest.mark.parametrize("s", _GRID_S, ids=str)
+    def test_within_documented_bound(self, s, tol, references, table_a900_128, ctx128):
+        res = maslanka_eval(s, table_a900_128, mpf(tol), ctx128)
+        terms, partials = references[s]
+        with mp.workprec(2 * ctx128.working_bits):
+            K, converged = _stop_index(terms, partials, mpf(tol))
+            assert (res.terms_used, res.converged) == (K + 1, converged)
+            err = abs(res.value - partials[K])
+            bound = mpf(2) ** -ctx128.working_bits * (1 + abs(partials[K]))
+        assert err <= bound, f"error {mpmath.nstr(err, 3)} above bound {mpmath.nstr(bound, 3)}"
 
 
 class TestZetaReference:
@@ -166,6 +289,12 @@ class TestTruncationCheck:
         with mp.workprec(200):
             rel = abs(lhs - rhs) / abs(rhs)
         assert rel < mpf(2) ** -120
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 60])
+    def test_sum_is_exact_then_rounded_once(self, n, table_a400_128, ctx128):
+        lhs, _ = truncation_check(n, table_a400_128, ctx128)
+        assert lhs == _rounded_exact_sum(table_a400_128.values, _binomial_weights(n),
+                                         ctx128.working_bits)
 
     def test_preconditions(self, table_a400_128, ctx128, ctx64):
         with pytest.raises(ValueError):
