@@ -23,7 +23,6 @@ import mpmath
 from mpmath import mp, mpf
 
 from .coefficients import CoefficientTable
-from .mpnum import Real
 
 __all__ = ["DecayFit", "decay_fit", "rh_diagnostic"]
 
@@ -83,7 +82,7 @@ def decay_fit(table: CoefficientTable, k_min: int, k_max: int) -> DecayFit:
     )
 
 
-def rh_diagnostic(table: CoefficientTable, k_min: int, k_max: int) -> list[tuple[int, Real, Real]]:
+def rh_diagnostic(table: CoefficientTable, k_min: int, k_max: int) -> list[tuple[int, mpf, mpf]]:
     """Rows (k, |b_k| k^(3/4), |b_k| k^(3/4) log^2 k) for k_min..k_max.
 
     The second column is the quantity whose boundedness/decay is the Riemann
@@ -95,7 +94,7 @@ def rh_diagnostic(table: CoefficientTable, k_min: int, k_max: int) -> list[tuple
         raise ValueError("rh_diagnostic needs a kind=b table")
     if not 1 <= k_min <= k_max <= table.k_max:
         raise ValueError("need 1 <= k_min <= k_max <= table.k_max")
-    rows: list[tuple[int, Real, Real]] = []
+    rows: list[tuple[int, mpf, mpf]] = []
     with mp.workprec(max(table.target_bits, 64)):
         for k in range(k_min, k_max + 1):
             scaled = abs(table.values[k]) * mpf(k) ** mpf("0.75")

@@ -15,16 +15,14 @@ with q(m) = |B_m| * 2**(m-1) / m! an exact positive rational.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf
 
-from .mpnum import PrecisionContext, Real
+from .mpnum import PrecisionContext
 
 __all__ = [
-    "BernoulliTable",
     "bernoulli_number",
     "bernoulli_poly_coeffs",
     "bernoulli_table",
@@ -35,25 +33,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BernoulliTable:
-    """Exact B_0 .. B_n_max."""
-
-    values: tuple[Fraction, ...]
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, n: int) -> Fraction:
-        return self.values[n]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def bernoulli_table(n_max: int) -> BernoulliTable:
-    """Exact Bernoulli numbers via the defining recurrence.
+def bernoulli_table(n_max: int) -> tuple[Fraction, ...]:
+    """Exact B_0 .. B_n_max via the defining recurrence.
 
     For n >= 1:  sum_{j=0}^{n} C(n+1, j) B_j = 0,  so
     B_n = -(1/(n+1)) * sum_{j<n} C(n+1, j) B_j.
@@ -64,7 +45,7 @@ def bernoulli_table(n_max: int) -> BernoulliTable:
     for n in range(1, n_max + 1):
         acc = sum(math.comb(n + 1, j) * vals[j] for j in range(n))
         vals.append(Fraction(-acc, n + 1))
-    return BernoulliTable(tuple(vals))
+    return tuple(vals)
 
 
 def bernoulli_number(n: int) -> Fraction:
@@ -95,7 +76,7 @@ def zeta_rational_part(m: int) -> Fraction:
     return q
 
 
-def zeta_even(m: int, ctx: PrecisionContext) -> Real:
+def zeta_even(m: int, ctx: PrecisionContext) -> mpf:
     """zeta(m) for even m >= 2, from the exact Bernoulli formula."""
     q = zeta_rational_part(m)
     with ctx.prec():
@@ -120,7 +101,7 @@ def bernoulli_poly_coeffs(a: int) -> tuple[Fraction, ...]:
     return coeffs
 
 
-def periodified_bernoulli(a: int, x) -> Real:
+def periodified_bernoulli(a: int, x) -> mpf:
     """B_a({x}), the periodified Bernoulli polynomial, at the ambient precision.
 
     Horner evaluation on the exact rational coefficients; rounding happens only
@@ -139,7 +120,7 @@ def periodified_bernoulli(a: int, x) -> Real:
     return acc
 
 
-def periodified_sup_bound(a: int) -> Real:
+def periodified_sup_bound(a: int) -> mpf:
     """Upper bound for sup_x |B_a({x})|, at the ambient precision.
 
     a = 1: exactly 1/2.  Even a: the sup is |B_a| (attained at integers).

@@ -14,8 +14,10 @@ byte-identical data output (nothing timestamped is emitted).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
+import math
 import sys
 
 import mpmath
@@ -32,7 +34,7 @@ from .coefficients import (
     mantissa_digits,
     save_table,
 )
-from .mpnum import PoleError, PrecisionContext
+from .mpnum import PoleError, PrecisionContext, required_bits_for_alternating_sum
 from .phik import QuadratureError, build_paj, em_remainder_a_k
 from .series import maslanka_eval, truncation_check, zeta_reference
 
@@ -77,26 +79,27 @@ def _format_for_print(x, digits: int) -> str:
     return format_real(re, digits)
 
 
-def _write_rows(args, header: list[str], rows: list[list[str]], extra: dict | None = None):
-    if args.format == "json":
-        doc = {"columns": header, "rows": rows}
-        if extra:
-            doc.update(extra)
-        text = json.dumps(doc, indent=2) + "\n"
-        if args.out:
-            with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+@contextlib.contextmanager
+def _data_out(args):
+    """Where a command's data goes: the --out file if given, else stdout.
+
+    A handle rather than a string, so that CSV rows are written one by one
+    and a long table is never held as one string.
+    """
+    if args.out:
+        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
+            yield fh
     else:
-        fh = open(args.out, "w", encoding="ascii", newline="") if args.out else sys.stdout
-        try:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            w.writerows(rows)
-        finally:
-            if args.out:
-                fh.close()
+        yield sys.stdout
+
+
+def _write_rows(args, header: list[str], rows: list[list[str]], extra: dict | None = None):
+    with _data_out(args) as fh:
+        if args.format == "json":
+            doc = {"columns": header, "rows": rows, **(extra or {})}
+            fh.write(json.dumps(doc, indent=2) + "\n")
+        else:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -153,12 +156,8 @@ def _cmd_eval(args) -> int:
         f"residual_estimate = {format_real(result.residual_estimate, digits)}",
         f"converged = {str(result.converged).lower()}",
     ]
-    out = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    with _data_out(args) as fh:
+        fh.write("\n".join(lines) + "\n")
     if not result.converged:
         print("warning: table exhausted before tolerance was met", file=sys.stderr)
         return EXIT_NUMERIC
@@ -173,11 +172,30 @@ def _positive_tol(text) -> mpf:
 
 
 def _verify_truncation(table, ctx, nmax, out) -> bool:
+    """Check each identity n against the error its table entries can carry.
+
+    Entry k is within e_k = half an ulp at target_bits + 2^(k-W-1) (1 + 2^-30)
+    of A_k, W the table's row scale (the model of maslanka.coefficients), and
+    P_k(n) = (-1)^k C(n-1, k) scales that error, so the exact sum is within
+    sum_{k<n} C(n-1, k) e_k of (2n-1) zeta(2n).  On top come the roundings at
+    working_bits: the sum's one, and the 2n + 8 units of (2n-1) zeta(2n) (pi's
+    rounding raised to the power 2n, the power, and six more operations).
+    """
     ok_all = True
-    tol = mpf(2) ** (-table.target_bits + 8)
+    t = table.target_bits
+    w = required_bits_for_alternating_sum(table.k_max, t)
+    errs = []
+    with ctx.prec():
+        ulp = mpf(2) ** -ctx.working_bits
+        for k, v in enumerate(table.values[:nmax]):
+            _, _, exp, bc = v._mpf_
+            errs.append(mpf(2) ** (exp + bc - t - 1) + mpf(2) ** (k - w - 1) * (1 + mpf(2) ** -30))
     for n in range(1, nmax + 1):
         lhs, rhs = truncation_check(n, table, ctx)
         rel = abs(lhs - rhs) / abs(rhs)
+        with ctx.prec():
+            err = sum(math.comb(n - 1, k) * e for k, e in enumerate(errs[:n]))
+            tol = (err + (abs(lhs) + (2 * n + 8) * abs(rhs)) * ulp) / abs(rhs)
         ok = rel < tol
         ok_all &= ok
         print(f"{'PASS' if ok else 'FAIL'} truncation n={n} rel={mpmath.nstr(rel, 3)}", file=out)

@@ -47,7 +47,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest, to_str
 
 from .bernoulli import zeta_rational_part
-from .mpnum import GUARD_BITS, PrecisionContext, Real, required_bits_for_alternating_sum
+from .mpnum import GUARD_BITS, PrecisionContext, required_bits_for_alternating_sum
 
 __all__ = [
     "CoefficientTable",
@@ -64,6 +64,10 @@ __all__ = [
 ]
 
 FORMAT_MAGIC = "MASLANKA-COEFF v1"
+
+# The canonical decimal form str(n) of a non-negative and of any integer n.
+_NAT = "(?:0|[1-9][0-9]*)"
+_INT = "(?:0|-?[1-9][0-9]*)"
 
 KINDS = ("A", "b")
 
@@ -84,7 +88,7 @@ class CoefficientTable:
     kind: str
     k_max: int
     target_bits: int
-    values: tuple[Real, ...]
+    values: tuple[mpf, ...]
     error_bound_exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -95,10 +99,10 @@ class CoefficientTable:
         if len(self.error_bound_exponents) != self.k_max + 1:
             raise ValueError("error_bound_exponents length must be k_max + 1")
 
-    def __getitem__(self, k: int) -> Real:
+    def __getitem__(self, k: int) -> mpf:
         return self.values[k]
 
-    def error_bound(self, k: int) -> Real:
+    def error_bound(self, k: int) -> mpf:
         return mpf(2) ** self.error_bound_exponents[k]
 
 
@@ -167,7 +171,7 @@ def _fixed_row(kind: str, n: int, w: int) -> list[int]:
     return [_row_entry(kind, j, _zeta_fixed(2 * j + 2, prec), prec, w) for j in range(n)]
 
 
-def _fixed_to_real(head: int, w: int, bits: int = 0) -> Real:
+def _fixed_to_real(head: int, w: int, bits: int = 0) -> mpf:
     """head * 2^-w, exact for bits=0, else rounded to nearest at `bits` bits."""
     return mp.make_mpf(from_man_exp(head, -w, bits, round_nearest))
 
@@ -175,7 +179,7 @@ def _fixed_to_real(head: int, w: int, bits: int = 0) -> Real:
 # -- coefficients ----------------------------------------------------------------
 
 
-def _single_index(kind: str, k: int, ctx: PrecisionContext) -> Real:
+def _single_index(kind: str, k: int, ctx: PrecisionContext) -> mpf:
     if k < 0:
         raise ValueError("k must be >= 0")
     w = required_bits_for_alternating_sum(k, ctx.target_bits)
@@ -184,7 +188,7 @@ def _single_index(kind: str, k: int, ctx: PrecisionContext) -> Real:
     return _fixed_to_real(head, w)
 
 
-def a_k(k: int, ctx: PrecisionContext) -> Real:
+def a_k(k: int, ctx: PrecisionContext) -> mpf:
     """A_k by the defining alternating sum, exact over the row built at W(k).
 
     The result is unrounded; its error is the row rounding, below
@@ -193,12 +197,12 @@ def a_k(k: int, ctx: PrecisionContext) -> Real:
     return _single_index("A", k, ctx)
 
 
-def b_k(k: int, ctx: PrecisionContext) -> Real:
+def b_k(k: int, ctx: PrecisionContext) -> mpf:
     """b_k = sum_j (-1)^j C(k,j)/zeta(2j+2), same row model as a_k."""
     return _single_index("b", k, ctx)
 
 
-def a_k_alt(k: int, ctx: PrecisionContext) -> Real:
+def a_k_alt(k: int, ctx: PrecisionContext) -> mpf:
     """A_k by the reindexed sum over C(k-1, j), an independent cross-identity.
 
         sum_{j=0}^{k-1} (-1)^j C(k-1,j) (zeta(2j+2) - (2k+1) zeta(2j+4))
@@ -270,7 +274,8 @@ def build_table(kind: str, k_max: int, ctx: PrecisionContext) -> CoefficientTabl
 # The mantissa carries ceil(target_bits * 0.302) + 2 decimal digits, enough to
 # identify a target_bits-bit binary float uniquely, so load(save(t)) == t bit
 # for bit.  Parsing is strict: wrong field counts, stray fields, checksum or
-# digit-count mismatches are all errors.
+# digit-count mismatches, and integers not in the canonical decimal form str(n)
+# (no sign on naturals, no leading zeros, no '_' or whitespace) are all errors.
 # ---------------------------------------------------------------------------
 
 
@@ -278,7 +283,7 @@ def mantissa_digits(target_bits: int) -> int:
     return math.ceil(target_bits * 0.302) + 2
 
 
-def format_real(x: Real, digits: int) -> str:
+def format_real(x: mpf, digits: int) -> str:
     """Fixed-width scientific form <sign><d>.<d...>e<sign><exp> with `digits` digits."""
     if x == 0:
         return "+0." + "0" * (digits - 1) + "e+0"
@@ -293,9 +298,9 @@ def format_real(x: Real, digits: int) -> str:
     return f"{sign}{mant}e{e:+d}"
 
 
-def parse_real(token: str, target_bits: int) -> Real:
+def parse_real(token: str, target_bits: int) -> mpf:
     digits = mantissa_digits(target_bits)
-    m = re.fullmatch(r"([+-])(\d\.\d{" + str(digits - 1) + r"})e([+-]\d+)", token)
+    m = re.fullmatch(r"([+-])([0-9]\.[0-9]{" + str(digits - 1) + r"})e(\+0|[+-][1-9][0-9]*)", token)
     if m is None:
         raise TableFormatError(f"malformed value token {token!r}")
     with mp.workprec(target_bits):
@@ -334,7 +339,7 @@ def load_table(path) -> CoefficientTable:
         raise TableFormatError("truncated file")
     if lines[0] != FORMAT_MAGIC:
         raise TableFormatError(f"unsupported format version line {lines[0]!r}")
-    m = re.fullmatch(r"kind=(A|b) kmax=(\d+) target_bits=(\d+)", lines[1])
+    m = re.fullmatch(f"kind=(A|b) kmax=({_NAT}) target_bits=({_NAT})", lines[1])
     if m is None:
         raise TableFormatError(f"malformed header line {lines[1]!r}")
     kind, k_max, target_bits = m.group(1), int(m.group(2)), int(m.group(3))
@@ -352,7 +357,7 @@ def load_table(path) -> CoefficientTable:
     sha = sha256(payload.encode("ascii")).hexdigest()
     if sha != c.group(1):
         raise TableFormatError("checksum mismatch")
-    values: list[Real] = []
+    values: list[mpf] = []
     errs: list[int] = []
     for k, line in enumerate(payload_lines):
         parts = line.split(" ")
@@ -361,10 +366,9 @@ def load_table(path) -> CoefficientTable:
         if parts[0] != str(k):
             raise TableFormatError(f"payload index {parts[0]!r} out of order (expected {k})")
         values.append(parse_real(parts[1], target_bits))
-        try:
-            errs.append(int(parts[2]))
-        except ValueError as exc:
-            raise TableFormatError(f"malformed error bound in line {line!r}") from exc
+        if not re.fullmatch(_INT, parts[2]):
+            raise TableFormatError(f"malformed error bound in line {line!r}")
+        errs.append(int(parts[2]))
     return CoefficientTable(
         kind=kind,
         k_max=k_max,

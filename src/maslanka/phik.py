@@ -55,7 +55,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .bernoulli import periodified_bernoulli, periodified_sup_bound
-from .mpnum import PrecisionContext, Real
+from .mpnum import PrecisionContext, required_bits_for_alternating_sum
 
 __all__ = [
     "PajTable",
@@ -70,6 +70,12 @@ __all__ = [
 ]
 
 QUAD_ORDER = 16
+# em_remainder_a_k raises QuadratureError past this many panels, sub-panels included.
+MAX_PANELS = 200_000
+# deriv_l1_norm stops doubling once the tail bound is below this share of the value.
+L1_REL_TOL = 1e-10
+# _bracket_poly_roots narrows each root of the bracketed polynomial to 2^-BISECT_BITS.
+BISECT_BITS = 48
 
 
 class QuadratureError(ArithmeticError):
@@ -120,7 +126,7 @@ def paj_eval(paj: PajTable, a: int, j: int, k: int) -> int:
     return acc
 
 
-def phi(k: int, x, ctx: PrecisionContext) -> Real:
+def phi(k: int, x, ctx: PrecisionContext) -> mpf:
     """phi_k(x) = (1 - 1/x^2)^k / x; exactly 0 at x = 1."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -149,7 +155,7 @@ def _pcoeffs(paj: PajTable, a: int, k: int) -> list[int]:
     return [paj_eval(paj, a, j, k) for j in range(a + 1)]
 
 
-def phi_deriv(k: int, a: int, x, paj: PajTable, ctx: PrecisionContext) -> Real:
+def phi_deriv(k: int, a: int, x, paj: PajTable, ctx: PrecisionContext) -> mpf:
     """The a-th derivative of phi_k from the closed form; a = 0 reduces to phi."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -166,12 +172,12 @@ def binomial_sum_equals_neg_phi_prime(k: int, x, ctx: PrecisionContext):
     """Both sides of  sum_{j=0}^{k} (-1)^j C(k,j) (2j+1) / x^(2j+2) = -phi_k'(x).
 
     Returned as a (lhs, rhs) pair for tests; the alternating LHS is evaluated
-    at escalated precision, the RHS from the closed-form derivative.
+    at required_bits_for_alternating_sum(k, target_bits), the RHS from the
+    closed-form derivative.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    ectx = ctx.escalated(k)
-    with ectx.prec():
+    with mp.workprec(required_bits_for_alternating_sum(k, ctx.target_bits)):
         xf = mpf(x)
         if xf <= 1:
             raise ValueError("x must be > 1")
@@ -262,7 +268,7 @@ def _next_prow(row: list[int], r: int, k: int) -> list[int]:
     return out
 
 
-def _l1_tail(pcoeffs: list[int], r: int, X) -> Real:
+def _l1_tail(pcoeffs: list[int], r: int, X) -> mpf:
     """Termwise bound on Int_X^inf |phi_k^(r)| for r <= k, from pcoeffs[j] = p_{r,j}(k):
 
         sum_j |p_{r,j}(k)| / ((r+2j) X^(r+2j)),   using (1 - 1/x^2)^(k-r) <= 1.
@@ -276,7 +282,7 @@ def _l1_tail(pcoeffs: list[int], r: int, X) -> Real:
     return acc
 
 
-def _shift_bound(d: int, X, pcoeffs: list[int]) -> Real:
+def _shift_bound(d: int, X, pcoeffs: list[int]) -> mpf:
     """Bound on |T_d(X)|: sup|Bbar_d| / d! * Int_X^inf |phi_k^(d+1)|, for d < k.
 
     pcoeffs[j] = p_{d+1,j}(k).
@@ -284,7 +290,7 @@ def _shift_bound(d: int, X, pcoeffs: list[int]) -> Real:
     return periodified_sup_bound(d) / math.factorial(d) * _l1_tail(pcoeffs, d + 1, X)
 
 
-def _shift_boundary(k: int, a: int, d: int, X, prow) -> Real:
+def _shift_boundary(k: int, a: int, d: int, X, prow) -> mpf:
     """The boundary terms sum_{r=a+1}^{d} (-1)^r B_r / r! * phi_k^(r)(X).
 
     X is an integer, so B_r = Bbar_r(X); prow(r) gives the list p_{r,j}(k).
@@ -298,14 +304,7 @@ def _shift_boundary(k: int, a: int, d: int, X, prow) -> Real:
     return acc
 
 
-def em_remainder_a_k(
-    k: int,
-    a: int,
-    paj: PajTable,
-    ctx: PrecisionContext,
-    quad_tol: Real,
-    max_panels: int = 200_000,
-) -> Real:
+def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_tol: mpf) -> mpf:
     """A_k recomputed as the depth-a Euler-Maclaurin remainder integral.
 
         A_k = ((-1)^a / a!) * Int_1^X Bbar_a(x) phi_k^(a+1)(x) dx  +  T_a(X)
@@ -329,7 +328,7 @@ def em_remainder_a_k(
     Q[mid,hi]|; it is bisected while that estimate, divided by a!, exceeds its
     share (quad_tol/2) * (1/lo - 1/hi), shares that sum to less than quad_tol/2
     over [1, X].  Bbar_a is evaluated once per node offset within a unit cell.
-    More than max_panels panels (sub-panels included) raise QuadratureError.
+    More than MAX_PANELS panels (sub-panels included) raise QuadratureError.
     """
     if not 2 <= a < k:
         raise ValueError("need 2 <= a < k")
@@ -372,9 +371,9 @@ def em_remainder_a_k(
             panels += 1
             stack = [(mp.zero, mp.one, panel(X, mp.zero, mp.one))]
             while stack:
-                if panels > max_panels:
+                if panels > MAX_PANELS:
                     raise QuadratureError(
-                        f"tolerance {mpmath.nstr(tol, 6)} not met within {max_panels} panels"
+                        f"tolerance {mpmath.nstr(tol, 6)} not met within {MAX_PANELS} panels"
                     )
                 lo, hi, whole = stack.pop()
                 mid = (lo + hi) / 2
@@ -405,12 +404,12 @@ def em_remainder_a_k(
 # -- L1 norms of phi^(a) -----------------------------------------------------
 
 
-def _bracket_poly_roots(coeffs: list[int], bisect_bits: int = 48) -> list[Fraction]:
+def _bracket_poly_roots(coeffs: list[int]) -> list[Fraction]:
     """Real roots in (0, 1) of g(u) = sum_j coeffs[j] u^j, as Fractions.
 
     Sign evaluation is exact (integers only): sign(g(p/q)) = sign(sum_j c_j
     p^j q^(deg-j)).  A uniform grid brackets sign changes, bisection narrows
-    each to width 2^-bisect_bits.  Exactness means no spurious roots from
+    each to width 2^-BISECT_BITS.  Exactness means no spurious roots from
     rounding; a root of even multiplicity (no sign change) would be missed,
     but such a point does not break |integrand| smoothness anyway.
     """
@@ -437,7 +436,7 @@ def _bracket_poly_roots(coeffs: list[int], bisect_bits: int = 48) -> list[Fracti
             roots.append(u)
         elif s != prev_s and prev_s != 0:
             lo, hi = prev_u, u
-            for _ in range(bisect_bits + 12):
+            for _ in range(BISECT_BITS + 12):
                 mid = (lo + hi) / 2
                 sm = sign_at(mid)
                 if sm == 0:
@@ -447,20 +446,14 @@ def _bracket_poly_roots(coeffs: list[int], bisect_bits: int = 48) -> list[Fracti
                     lo = mid
                 else:
                     hi = mid
-                if hi - lo < Fraction(1, 2 ** bisect_bits):
+                if hi - lo < Fraction(1, 2 ** BISECT_BITS):
                     break
             roots.append((lo + hi) / 2)
         prev_u, prev_s = u, s
     return roots
 
 
-def deriv_l1_norm(
-    k: int,
-    a: int,
-    paj: PajTable,
-    ctx: PrecisionContext,
-    rel_tol: float = 1e-10,
-) -> Real:
+def deriv_l1_norm(k: int, a: int, paj: PajTable, ctx: PrecisionContext) -> mpf:
     """Int_1^inf |phi_k^(a)(x)| dx by sign-split panel quadrature plus tail bound.
 
     |phi^(a)| is smooth except where the bracketed polynomial g(u) =
@@ -470,7 +463,7 @@ def deriv_l1_norm(
 
         sum_j |p_{a,j}(k)| / ((a+2j) X^(a+2j))
 
-    is below rel_tol of the accumulated value; the bound itself is then added,
+    is below L1_REL_TOL of the accumulated value; the bound itself is then added,
     so the quoted value covers the whole half-line.
     """
     if k < 1:
@@ -508,7 +501,7 @@ def deriv_l1_norm(
 
         X = edges[-1]
         for _ in range(400):
-            if _l1_tail(pc, a, X) <= mpf(rel_tol) * acc:
+            if _l1_tail(pc, a, X) <= mpf(L1_REL_TOL) * acc:
                 break
             acc += _panel_integral(f, X, 2 * X, xs, ws)
             X = 2 * X

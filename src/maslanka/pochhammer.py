@@ -2,9 +2,10 @@
 
 One incremental sweep yields P_0(z), P_1(z), ... by P_k = P_{k-1} (1 - z/k) in
 mpmath arithmetic.  (The Maslanka series and its truncation identities run
-their own fixed-point integer sweep, in :mod:`maslanka.series`.)  On top of it: the defining product (exact at the integer truncation
-points P_k(m) = 0 for integer 1 <= m <= k), the list of the first values, and
-a bound probe measuring sup_k |P_k(s)| k^Re(s).  The Gamma-ratio form
+their own fixed-point integer sweep, in :mod:`maslanka.series`.)  On top of
+it: the defining product (exact at the integer truncation points P_k(m) = 0
+for integer 1 <= m <= k), the list of the first values, and a bound probe
+measuring sup_k |P_k(s)| k^Re(s).  The Gamma-ratio form
 P_k(s) = Gamma(k+1-s) / (k! Gamma(1-s)) is the independent cross-check.
 """
 
@@ -15,7 +16,7 @@ from itertools import count, islice
 import mpmath
 from mpmath import mp, mpf
 
-from .mpnum import PrecisionContext, Real, ln_gamma
+from .mpnum import PoleError, PrecisionContext
 
 __all__ = [
     "pochhammer_bound_probe",
@@ -62,20 +63,25 @@ def pochhammer_values(s, k_max: int, ctx: PrecisionContext) -> list:
 
 
 def pochhammer_gamma(k: int, s, ctx: PrecisionContext):
-    """P_k(s) via exp(ln_gamma(k+1-s) - ln_gamma(k+1) - ln_gamma(1-s)).
+    """P_k(s) via exp(log Gamma(k+1-s) - log Gamma(k+1) - log Gamma(1-s)).
 
-    Raises PoleError when 1-s or k+1-s is a non-positive integer; at those s
-    callers use pochhammer_product, which needs no pole bookkeeping.
+    The ratio of three huge Gamma values is formed by subtracting principal
+    log-Gammas and exponentiating once, which never overflows.  Raises
+    PoleError when 1-s or k+1-s is a non-positive integer; at those s callers
+    use pochhammer_product, which needs no pole bookkeeping.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     with ctx.prec():
         z = mpmath.mpmathify(s)
-        d = ln_gamma(k + 1 - z, ctx) - ln_gamma(mpf(k + 1), ctx) - ln_gamma(1 - z, ctx)
+        try:
+            d = mpmath.loggamma(k + 1 - z) - mpmath.loggamma(mpf(k + 1)) - mpmath.loggamma(1 - z)
+        except ValueError as exc:
+            raise PoleError(f"log-gamma pole at s = {s}") from exc
         return +mpmath.exp(d)
 
 
-def pochhammer_bound_probe(s, k_max: int, ctx: PrecisionContext) -> Real:
+def pochhammer_bound_probe(s, k_max: int, ctx: PrecisionContext) -> mpf:
     """sup over 1 <= k <= k_max of |P_k(s)| * k**Re(s), by incremental sweep."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

@@ -23,11 +23,11 @@ import math
 from dataclasses import dataclass
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
-from .bernoulli import BernoulliTable, bernoulli_number, zeta_even
+from .bernoulli import bernoulli_number, zeta_even
 from .coefficients import CoefficientTable
-from .mpnum import Complex, PoleError, PrecisionContext, Real
+from .mpnum import PoleError, PrecisionContext
 from .pochhammer import pochhammer_sweep
 
 __all__ = [
@@ -50,11 +50,11 @@ class SeriesResult:
     available honesty about the gap.
     """
 
-    s: Complex
-    value: Complex
+    s: mpf | mpc
+    value: mpf | mpc
     terms_used: int
-    residual_estimate: Real
-    zeta_value: Complex | None
+    residual_estimate: mpf
+    zeta_value: mpf | mpc | None
     is_pole: bool
     converged: bool
 
@@ -261,7 +261,7 @@ def _em_zeta_attempt(z, N: int, wp: int):
                 return False, None
 
 
-def zeta_reference(s, ctx: PrecisionContext) -> Complex:
+def zeta_reference(s, ctx: PrecisionContext) -> mpf | mpc:
     """zeta(s) by Euler-Maclaurin continuation, the package's independent oracle.
 
     N and the working precision are chosen jointly from target_bits and Im s;
@@ -314,7 +314,7 @@ def truncation_check(n: int, table: CoefficientTable, ctx: PrecisionContext):
         return lhs, +rhs
 
 
-def bernoulli_rep_partial(s, K: int, btable: BernoulliTable, ctx: PrecisionContext) -> Complex:
+def bernoulli_rep_partial(s, K: int, btable: tuple, ctx: PrecisionContext) -> mpf | mpc:
     """Partial sum of the truncating Bernoulli representation.
 
         c_0 + sum_{k=1}^{K} c_k P_k(2-s),  c_0 = 1, c_1 = 1/2, c_k = B_k (k >= 2)
@@ -322,10 +322,11 @@ def bernoulli_rep_partial(s, K: int, btable: BernoulliTable, ctx: PrecisionConte
     The coefficient convention is pinned by solving the triangular system at
     s = 1, 0, -1, ...: the k=1 coefficient must be +1/2, not B_1.  No
     convergence claim is made; at non-truncating s the terms eventually grow.
+    ``btable`` is bernoulli_table(n) for some n >= K.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    if btable.n_max < K:
+    if len(btable) <= K:
         raise ValueError("btable too short for K")
     with ctx.prec():
         z = mpmath.mpmathify(s)

@@ -14,7 +14,6 @@ from maslanka.bernoulli import (
     zeta_even,
     zeta_rational_part,
 )
-from maslanka.mpnum import PrecisionContext, pi
 
 
 class TestBernoulliTable:
@@ -71,7 +70,7 @@ class TestZetaEven:
 
     def test_matches_pi_squared_over_six_exactly(self, ctx128):
         with ctx128.prec():
-            want = pi(ctx128) ** 2 / 6
+            want = mp.pi ** 2 / 6
         assert zeta_even(2, ctx128) == want
 
     @pytest.mark.parametrize("m", [2, 4, 6, 8])

@@ -5,19 +5,39 @@ we can use capsys and tmp_path instead of subprocesses.  Exit-code contract:
 0 ok, 1 verification failure, 2 usage error, 3 numeric failure.
 """
 
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from maslanka import cli
 from maslanka.cli import parse_complex
 from maslanka.coefficients import load_table, save_table
+from maslanka.mpnum import PrecisionContext, required_bits_for_alternating_sum
+
+
+def _truncation_tolerance(table, n: int, working_bits: int) -> Fraction:
+    """The error identity n may carry, summed exactly: each entry within half an
+    ulp at target_bits plus 2^(k-W-1) (1 + 2^-30) of A_k, scaled by C(n-1, k),
+    and the two sides' roundings at working_bits (2n + 9 units of |rhs|)."""
+    t = table.target_bits
+    w = required_bits_for_alternating_sum(table.k_max, t)
+    err = Fraction(0)
+    for k in range(n):
+        _, _, exp, bc = table.values[k]._mpf_
+        half_ulp = Fraction(2) ** (exp + bc - t - 1)
+        row = Fraction(2) ** (k - w - 1) * (1 + Fraction(1, 2**30))
+        err += math.comb(n - 1, k) * (half_ulp + row)
+    rhs = Fraction(2 * n - 1) * Fraction(str(mpmath.zeta(2 * n)))
+    return err + (2 * n + 9) * rhs / 2**working_bits
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +60,22 @@ def deep_table_file(cli_dir, table_a400_128):
     path = cli_dir / "a400.tbl"
     save_table(table_a400_128, str(path))
     return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--s", "3", "--table", "{a}", "--tol", "1e-10"],
+    ["bk", "--kmax", "10", "--bits", "64"],
+    ["bk", "--kmax", "10", "--bits", "64", "--format", "json"],
+    ["decay", "--table", "{a}", "--kmin", "10", "--kmax", "40"],
+    ["decay", "--table", "{a}", "--kmin", "10", "--kmax", "40", "--format", "json"],
+], ids=["eval", "bk-csv", "bk-json", "decay-csv", "decay-json"])
+def test_out_file_matches_stdout(argv, deep_table_file, tmp_path, capsys):
+    argv = [arg.format(a=deep_table_file) for arg in argv]
+    dest = tmp_path / "data.out"
+    assert cli.run(argv + ["--out", str(dest)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == ""
+    assert cli.run(argv) == cli.EXIT_OK
+    assert dest.read_bytes() == capsys.readouterr().out.encode("ascii")
 
 
 class TestParseComplex:
@@ -172,17 +208,6 @@ class TestEval:
         assert "terms_used = 65" in cap.out
         assert "exhausted" in cap.err
 
-    def test_out_file_matches_stdout(self, deep_table_file, cli_dir, capsys):
-        dest = cli_dir / "eval.txt"
-        rc = cli.run(["eval", "--s", "3", "--table", str(deep_table_file),
-                      "--tol", "1e-10", "--out", str(dest)])
-        assert rc == cli.EXIT_OK
-        capsys.readouterr()
-        rc = cli.run(["eval", "--s", "3", "--table", str(deep_table_file),
-                      "--tol", "1e-10"])
-        assert rc == cli.EXIT_OK
-        assert dest.read_text() == capsys.readouterr().out
-
     def test_bad_literal_exits_2(self, small_table_file, capsys):
         rc = cli.run(["eval", "--s", "2,5", "--table", str(small_table_file)])
         assert rc == cli.EXIT_USAGE
@@ -278,6 +303,31 @@ class TestVerify:
         assert rc == cli.EXIT_OK
         assert out.count("PASS truncation") == 6
         assert "FAIL" not in out
+
+    def test_truncation_tolerance_follows_the_entry_error(self, deep_table_file, capsys):
+        # P_k(n) = (-1)^k C(n-1, k) multiplies each entry's rounding, by up to
+        # C(59, 29) ~ 6e16 at n = 60, so a fixed tolerance near 2^-120 fails
+        # this correct table from n = 25 on
+        rc = cli.run(["verify", "--suite", "truncation", "--nmax", "60",
+                      "--table", str(deep_table_file)])
+        out = capsys.readouterr().out
+        assert rc == cli.EXIT_OK
+        assert out.count("PASS truncation") == 60
+
+    def test_truncation_catches_one_moved_entry(self, table_a400_128, tmp_path, capsys):
+        k = 40  # enters identity n = k + 1 first, with P_k(k+1) = (-1)^k
+        n = k + 1
+        tol = _truncation_tolerance(table_a400_128, n, PrecisionContext(128).working_bits)
+        values = list(table_a400_128.values)
+        with mp.workprec(128):
+            values[k] = +(values[k] + 4 * tol)
+        path = tmp_path / "moved.tbl"
+        save_table(dataclasses.replace(table_a400_128, values=tuple(values)), str(path))
+        rc = cli.run(["verify", "--suite", "truncation", "--nmax", "60", "--table", str(path)])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == cli.EXIT_VERIFY
+        assert all(line.startswith("PASS") for line in out[:k])
+        assert out[k].startswith(f"FAIL truncation n={n} ")
 
     def test_cross_identity_suite_passes(self, capsys):
         rc = cli.run(["verify", "--suite", "cross-identity", "--bits", "64"])

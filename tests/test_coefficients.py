@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from maslanka import cli
 from maslanka.bernoulli import zeta_even, zeta_rational_part
 from maslanka.coefficients import (
     CoefficientTable,
@@ -391,6 +393,28 @@ class TestCache:
         with pytest.raises(TableFormatError):
             load_table(path)
 
+    @pytest.mark.parametrize("field,edit", [
+        ("bound", lambda s: s[:-1] + "_" + s[-1]),  # int() would take -9_5 as -95
+        ("bound", lambda s: s + "\t"),               # and -95 followed by a tab
+        ("kmax", lambda s: "00" + s),                # \d+ would take kmax=005 as 5
+    ], ids=["bound-underscore", "bound-tab", "kmax-leading-zeros"])
+    def test_non_canonical_integer_rejected(self, field, edit, ctx64, tmp_path):
+        path = self._written(ctx64, tmp_path)
+        lines = path.read_text().split("\n")
+        if field == "kmax":
+            lines[1] = lines[1].replace("kmax=5", "kmax=" + edit("5"))
+        else:
+            k, value, bound = lines[5].split(" ")
+            assert len(bound) > 1
+            lines[5] = " ".join([k, value, edit(bound)])
+            # recompute the checksum, so that only the field itself is at fault
+            payload = "".join(line + "\n" for line in lines[3:-1])
+            lines[2] = "sha256=" + hashlib.sha256(payload.encode("ascii")).hexdigest()
+        path.write_text("\n".join(lines))
+        with pytest.raises(TableFormatError, match="malformed"):
+            load_table(path)
+        assert cli.run(["cache-info", "--table", str(path)]) == cli.EXIT_USAGE
+
 
 class TestValueFormat:
     def test_digit_budget(self):
@@ -404,7 +428,10 @@ class TestValueFormat:
         assert parse_real(tok, 64) == 0
 
     def test_parse_rejects_malformed(self):
-        for bad in ("1.0e+0", "+1.0", "+1.0e0", "+x.0e+0", ""):
+        three = "+3." + "0" * 21  # a 64-bit mantissa; only "e+0" completes it
+        assert parse_real(three + "e+0", 64) == 3
+        for bad in ("1.0e+0", "+1.0", "+1.0e0", "+x.0e+0", "",
+                    three + "e+00", three + "e-0", three + "e+01", three + "e+1_0"):
             with pytest.raises(TableFormatError):
                 parse_real(bad, 64)
 

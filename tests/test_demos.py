@@ -1,7 +1,9 @@
 """Code outside the package keeps working against it.
 
-The demos run end to end as scripts and print what they claim, and every name
-the package exports or the benchmark scripts import still resolves.
+The demos run end to end as scripts and print what they claim, every name
+the package exports or the benchmark scripts import still resolves, the calls
+the benchmark makes still take their arguments as it passes them, and the top
+level exports exactly what these callers import from it.
 """
 
 import ast
@@ -89,3 +91,67 @@ def test_benchmark_imports_resolve():
     missing = [f"{mod}.{name}" for mod, name in imported
                if not hasattr(importlib.import_module(mod), name)]
     assert not missing
+
+
+def _top_level_imports(source: str) -> set[str]:
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "maslanka" and not node.level
+            for alias in node.names}
+
+
+def test_top_level_exports_are_imported():
+    """`maslanka.__all__` is what bench/, demos/, tests/ and the README quick
+    start import from the top level, submodules aside."""
+    imported = set()
+    for folder in ("bench", "demos", "tests"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            imported |= _top_level_imports(path.read_text(encoding="utf-8"))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        imported |= _top_level_imports(block)
+    submodules = {m.name for m in pkgutil.iter_modules(maslanka.__path__)}
+    assert set(maslanka.__all__) == imported - submodules
+    assert len(maslanka.__all__) == len(set(maslanka.__all__))
+
+
+def test_benchmark_call_shapes(tmp_path):
+    """Each package call in bench/replay.py and bench/workloads.py, at tiny
+    sizes and with the argument shapes used there."""
+    from mpmath import mpf
+
+    from maslanka import (PrecisionContext, TableFormatError, a_k, a_k_alt, build_paj,
+                          build_table, decay_fit, em_remainder_a_k, load_table, maslanka_eval,
+                          required_bits_for_alternating_sum, rh_diagnostic, save_table,
+                          truncation_check, zeta_even, zeta_reference)
+    from maslanka.pochhammer import pochhammer_values
+
+    ctx = PrecisionContext(64)
+    assert ctx.working_bits == 96
+    assert zeta_even(2, ctx) > 1
+    assert required_bits_for_alternating_sum(20, 64) > 64
+    table = build_table("A", 20, PrecisionContext(64))
+    path = tmp_path / "A.tbl"
+    save_table(table, path)
+    assert load_table(path) == table
+    assert isinstance(table.error_bound_exponents[3], int) and table.values[3] != 0
+    b_table = build_table("b", 12, ctx)
+    assert len(rh_diagnostic(b_table, 1, 12)) == 12
+    assert decay_fit(table, 5, 20).k_range == (5, 20)
+    s = mpf(4)  # the series truncates at even s, so the 21 terms suffice
+    result = maslanka_eval(s, table, mpf("1e-6"), ctx)
+    assert result.converged and result.terms_used >= 1
+    assert len(pochhammer_values(s / 2, result.terms_used - 1, ctx)) == result.terms_used
+    assert abs(result.value - (s - 1) * zeta_reference(s, ctx)) < 1e-6
+    lhs, rhs = truncation_check(3, table, ctx)
+    assert abs(lhs - rhs) < abs(rhs) * mpf(2) ** -50
+    ref, alt = a_k(8, ctx), a_k_alt(8, ctx)
+    assert abs(ref - alt) < abs(ref) * mpf(2) ** -50
+    paj = build_paj(3)
+    val = em_remainder_a_k(8, 2, paj, ctx, abs(ref) * mpf("1e-6") / 100)
+    assert abs(val - ref) < abs(ref) * mpf("1e-6")
+    bad = tmp_path / "bad.tbl"
+    bad.write_text("not a table\n")
+    with pytest.raises(TableFormatError):
+        load_table(bad)

@@ -1,16 +1,10 @@
-import mpmath
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
-from mpmath import mp, mpf
+from mpmath import mp
 
-from maslanka.mpnum import (
-    PoleError,
-    PrecisionContext,
-    as_real,
-    ln_gamma,
-    pi,
-    required_bits_for_alternating_sum,
-)
+from maslanka.mpnum import PrecisionContext, required_bits_for_alternating_sum
 
 
 class TestRequiredBits:
@@ -41,76 +35,24 @@ class TestPrecisionContext:
         assert ctx.working_bits == 132
         assert ctx.target_bits == 100
 
-    def test_explicit_working_bits(self):
-        ctx = PrecisionContext(64, 300)
-        assert ctx.working_bits == 300
+    def test_working_bits_is_read_only(self):
+        ctx = PrecisionContext(128)
+        assert ctx.working_bits == 160
+        with pytest.raises(AttributeError):
+            ctx.working_bits = 300
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ctx.target_bits = 64
 
-    def test_rejects_working_below_target(self):
-        with pytest.raises(ValueError):
-            PrecisionContext(128, 64)
+    @pytest.mark.parametrize("args", [(), (64, 300), (128, 64)],
+                             ids=["no-target", "working-300", "working-below-target"])
+    def test_target_bits_is_the_only_field(self, args):
+        with pytest.raises(TypeError):
+            PrecisionContext(*args)
 
     def test_rejects_tiny_target(self):
         with pytest.raises(ValueError):
             PrecisionContext(8)
 
-    def test_escalated(self):
-        ctx = PrecisionContext(128)
-        e = ctx.escalated(100)
-        assert e.target_bits == 128
-        assert e.working_bits == required_bits_for_alternating_sum(100, 128)
-
     def test_prec_context_manager(self):
-        ctx = PrecisionContext(64, 777)
-        with ctx.prec():
-            assert mp.prec == 777
-
-
-class TestPi:
-    def test_known_digits(self, ctx64):
-        # 3.14159265358979323846... (first 21 digits)
-        with mp.workprec(96):
-            diff = abs(pi(ctx64) - mpf("3.14159265358979323846"))
-        assert diff < mpf(2) ** -62
-
-    def test_refinement_consistency(self):
-        lo = pi(PrecisionContext(64))
-        hi = pi(PrecisionContext(64, 128))
-        assert abs(lo - hi) < mpf(2) ** -62
-
-    def test_deterministic(self, ctx128):
-        assert pi(ctx128) == pi(ctx128)
-
-
-class TestLnGamma:
-    def test_at_one(self, ctx128):
-        assert ln_gamma(mpf(1), ctx128) == 0
-
-    def test_at_half(self, ctx128):
-        # log(sqrt(pi)) = 0.57236494292470008707...
-        with mp.workprec(160):
-            diff = abs(ln_gamma(mpf("0.5"), ctx128) - mpf("0.57236494292470008707"))
-        assert diff < mpf("1e-19")
-
-    def test_at_five(self, ctx128):
-        with ctx128.prec():
-            want = mpmath.log(24)
-        assert abs(ln_gamma(mpf(5), ctx128) - want) < mpf(2) ** -120
-
-    @pytest.mark.parametrize("z", [0, -1, -2, -7])
-    def test_poles(self, z, ctx128):
-        with pytest.raises(PoleError):
-            ln_gamma(mpf(z), ctx128)
-
-    def test_complex_value(self, ctx128):
-        got = ln_gamma(mpmath.mpc(0.5, 3), ctx128)
-        with mp.workprec(200):
-            want = mpmath.loggamma(mpmath.mpc(0.5, 3))
-        assert abs(got - want) < mpf(2) ** -120
-
-
-def test_as_real_fraction_conversion(ctx128):
-    from fractions import Fraction
-
-    x = as_real(Fraction(1, 3), ctx128)
-    with ctx128.prec():
-        assert abs(x - mpf(1) / 3) < mpf(2) ** -158
+        with PrecisionContext(64).prec():
+            assert mp.prec == 96

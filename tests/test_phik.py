@@ -6,6 +6,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
+from maslanka import phik
 from maslanka.coefficients import a_k, a_k_alt
 from maslanka.mpnum import PrecisionContext
 from maslanka.phik import (
@@ -306,9 +307,10 @@ class TestEmRemainder:
                     mine = _shift_boundary(k, a, d, mpf(X), prow)
                     assert abs(mine - boundary) <= abs(ref) * mpf(2) ** -250, (X, d)
 
-    def test_panel_budget_exhaustion(self, paj8, ctx64):
+    def test_panel_budget_exhaustion(self, paj8, ctx64, monkeypatch):
+        monkeypatch.setattr(phik, "MAX_PANELS", 2)
         with pytest.raises(QuadratureError):
-            em_remainder_a_k(8, 2, paj8, ctx64, mpf("1e-10"), max_panels=2)
+            em_remainder_a_k(8, 2, paj8, ctx64, mpf("1e-10"))
 
     def test_preconditions(self, paj8, ctx64):
         with pytest.raises(ValueError):
