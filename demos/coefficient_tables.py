@@ -5,7 +5,8 @@ The A_k drive the series for (s-1)*zeta(s); the b_k are the companion
 sequence built from 1/zeta(2j+2).  Both come out of alternating binomial
 sums that cancel ~2^k of leading bits, so the builder takes exact integer
 differences of a zeta row scaled by 2^W, W growing with k_max, and stamps
-every entry with an error-bound exponent.
+every entry k with the least e_k such that 2^e_k covers half an ulp of its
+rounding to the target plus the row rounding 2^(k-W-1) (1 + 2^-30).
 """
 
 import os
@@ -22,7 +23,7 @@ print("building kind=A and kind=b tables to k=60 at 128-bit target...")
 ta = build_table("A", 60, ctx)
 tb = build_table("b", 60, ctx)
 
-print("\n  k            A_k                      b_k            err exp (A)")
+print("\n  k            A_k                      b_k            |A_k error| <=")
 for k in (0, 1, 2, 5, 10, 20, 40, 60):
     print(f"{k:3d}  {mpmath.nstr(ta.values[k], 20):>24}  {mpmath.nstr(tb.values[k], 20):>24}"
           f"   2^{ta.error_bound_exponents[k]}")

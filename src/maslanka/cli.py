@@ -34,7 +34,7 @@ from .coefficients import (
     mantissa_digits,
     save_table,
 )
-from .mpnum import PoleError, PrecisionContext, required_bits_for_alternating_sum
+from .mpnum import PoleError, PrecisionContext
 from .phik import QuadratureError, build_paj, em_remainder_a_k
 from .series import maslanka_eval, truncation_check, zeta_reference
 
@@ -174,27 +174,22 @@ def _positive_tol(text) -> mpf:
 def _verify_truncation(table, ctx, nmax, out) -> bool:
     """Check each identity n against the error its table entries can carry.
 
-    Entry k is within e_k = half an ulp at target_bits + 2^(k-W-1) (1 + 2^-30)
-    of A_k, W the table's row scale (the model of maslanka.coefficients), and
-    P_k(n) = (-1)^k C(n-1, k) scales that error, so the exact sum is within
-    sum_{k<n} C(n-1, k) e_k of (2n-1) zeta(2n).  On top come the roundings at
-    working_bits: the sum's one, and the 2n + 8 units of (2n-1) zeta(2n) (pi's
-    rounding raised to the power 2n, the power, and six more operations).
+    Entry k is within table.error_bound(k) of A_k, and P_k(n) = (-1)^k
+    C(n-1, k) scales that error, so the exact sum is within
+    sum_{k<n} C(n-1, k) error_bound(k) of (2n-1) zeta(2n).  On top come the
+    roundings at working_bits: the sum's one, and the 2n + 8 units of
+    (2n-1) zeta(2n) (pi's rounding raised to the power 2n, the power, and six
+    more operations).
     """
     ok_all = True
-    t = table.target_bits
-    w = required_bits_for_alternating_sum(table.k_max, t)
+    ulp = mpf(2) ** -ctx.working_bits
     errs = []
-    with ctx.prec():
-        ulp = mpf(2) ** -ctx.working_bits
-        for k, v in enumerate(table.values[:nmax]):
-            _, _, exp, bc = v._mpf_
-            errs.append(mpf(2) ** (exp + bc - t - 1) + mpf(2) ** (k - w - 1) * (1 + mpf(2) ** -30))
     for n in range(1, nmax + 1):
         lhs, rhs = truncation_check(n, table, ctx)
+        errs.append(table.error_bound(n - 1))
         rel = abs(lhs - rhs) / abs(rhs)
         with ctx.prec():
-            err = sum(math.comb(n - 1, k) * e for k, e in enumerate(errs[:n]))
+            err = sum(math.comb(n - 1, k) * e for k, e in enumerate(errs))
             tol = (err + (abs(lhs) + (2 * n + 8) * abs(rhs)) * ulp) / abs(rhs)
         ok = rel < tol
         ok_all &= ok
@@ -360,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_bits(sp):
         sp.add_argument("--bits", type=int, default=128, help="target precision in bits (default 128)")
 
-    sp = sub.add_parser("coeff", help="build a coefficient table and write it in cache format v1")
+    sp = sub.add_parser("coeff", help="build a coefficient table and write it in cache format v2")
     sp.add_argument("--kind", choices=["A", "b"], required=True)
     sp.add_argument("--kmax", type=int, required=True)
     add_bits(sp)

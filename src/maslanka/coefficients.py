@@ -21,10 +21,13 @@ an exact integer dot product against C(k, j), and return it unrounded.
 a_k_alt (exact Bernoulli numbers in mpf arithmetic) and
 phik.em_remainder_a_k are the independent routes the tests compare against.
 
-The stored error bound 2^(-W(k)) * (2k+1) * zeta(2) * C(k, k//2), with W(k)
-the precision for index k alone, dominates that row-rounding error for every
-k <= k_max; consumers compare it against |value| to detect precision
-exhaustion.
+Entry k of a table stores the least integer e_k with
+
+    2^e_k >= 2^(exp + bc - target_bits - 1) + 2^(k - W - 1) (1 + 2^-30),
+
+half an ulp of the rounded value (exponent exp, bit count bc) plus the row
+rounding of step 2 with room to spare, so |value - true| <= 2^e_k.
+Consumers read it through CoefficientTable.error_bound.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ __all__ = [
     "save_table",
 ]
 
-FORMAT_MAGIC = "MASLANKA-COEFF v1"
+FORMAT_MAGIC = "MASLANKA-COEFF v2"
 
 # The canonical decimal form str(n) of a non-negative and of any integer n.
 _NAT = "(?:0|[1-9][0-9]*)"
@@ -73,7 +76,7 @@ KINDS = ("A", "b")
 
 
 class TableFormatError(ValueError):
-    """Raised when a coefficient cache file violates format v1."""
+    """Raised when a coefficient cache file violates format v2."""
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,8 @@ class CoefficientTable:
 
     ``values[k]`` is rounded to exactly ``target_bits`` (which is what makes
     the cache round-trip bit-exact), and ``error_bound_exponents[k]`` is an
-    integer e with |computed - true| <= 2**e.
+    integer e with |values[k] - true| <= 2**e (the model of the module
+    docstring, for tables from build_table).
     """
 
     kind: str
@@ -192,7 +196,7 @@ def a_k(k: int, ctx: PrecisionContext) -> mpf:
     """A_k by the defining alternating sum, exact over the row built at W(k).
 
     The result is unrounded; its error is the row rounding, below
-    2^(k - W(k) - 1) * (1 + 2^-31), inside the bound a table stores for k.
+    2^(k - W(k) - 1) * (1 + 2^-31).
     """
     return _single_index("A", k, ctx)
 
@@ -231,19 +235,22 @@ def a_k_alt(k: int, ctx: PrecisionContext) -> mpf:
         return +acc
 
 
-def error_bound_exponent(k: int, target_bits: int) -> int:
-    """Integer e with 2^e >= 2^(-working_bits) * (2k+1) * zeta(2) * C(k, k//2)."""
-    w = required_bits_for_alternating_sum(k, target_bits)
-    bound_num = (2 * k + 1) * 2 * math.comb(k, k // 2)  # zeta(2) < 2
-    return bound_num.bit_length() - w
+def _bound_exponent(x: mpf, k: int, w: int, t: int) -> int:
+    """Least e with 2^e >= 2^(exp + bc - t - 1) + 2^(k - w - 1) (1 + 2^-30), in integers."""
+    _, _, exp, bc = x._mpf_
+    terms = (exp + bc - t - 1, k - w - 1, k - w - 31)
+    low = min(terms)
+    n = sum(1 << e - low for e in terms)
+    return low + (n - 1).bit_length()
 
 
 def build_table(kind: str, k_max: int, ctx: PrecisionContext) -> CoefficientTable:
     """Fully populated CoefficientTable for k = 0..k_max.
 
     One fixed-point row at W(k_max) and k_max rounds of exact differences over
-    it; each head is rounded once to the target.  The working set is that one
-    row of k_max + 1 integers of about W(k_max) bits.
+    it; each head is rounded once to the target and stored with the bound of
+    the module docstring.  The working set is that one row of k_max + 1
+    integers of about W(k_max) bits.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}")
@@ -261,13 +268,14 @@ def build_table(kind: str, k_max: int, ctx: PrecisionContext) -> CoefficientTabl
         target_bits=ctx.target_bits,
         values=tuple(values),
         error_bound_exponents=tuple(
-            error_bound_exponent(k, ctx.target_bits) for k in range(k_max + 1)),
+            _bound_exponent(v, k, w, ctx.target_bits) for k, v in enumerate(values)),
     )
 
 
 # ---------------------------------------------------------------------------
-# Cache format v1 (text):
-#   line 1: MASLANKA-COEFF v1
+# Cache format v2 (text; v1 had the same layout but stored a bound that left
+# out the final rounding, so v1 files are refused):
+#   line 1: MASLANKA-COEFF v2
 #   line 2: kind=<A|b> kmax=<int> target_bits=<int>
 #   line 3: sha256=<hex over the payload lines>
 #   then one line per k:  <k> <sign><mantissa>e<exponent> <error_bound_exponent>
@@ -329,7 +337,7 @@ def save_table(table: CoefficientTable, path) -> None:
 
 
 def load_table(path) -> CoefficientTable:
-    """Strict parse of cache format v1; any deviation raises TableFormatError."""
+    """Strict parse of cache format v2; any deviation raises TableFormatError."""
     with open(path, "r", encoding="ascii") as fh:
         text = fh.read()
     lines = text.split("\n")

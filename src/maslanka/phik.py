@@ -54,7 +54,7 @@ from fractions import Fraction
 import mpmath
 from mpmath import mp, mpf
 
-from .bernoulli import periodified_bernoulli, periodified_sup_bound
+from .bernoulli import bernoulli_number, periodified_bernoulli, periodified_sup_bound
 from .mpnum import PrecisionContext, required_bits_for_alternating_sum
 
 __all__ = [
@@ -293,13 +293,14 @@ def _shift_bound(d: int, X, pcoeffs: list[int]) -> mpf:
 def _shift_boundary(k: int, a: int, d: int, X, prow) -> mpf:
     """The boundary terms sum_{r=a+1}^{d} (-1)^r B_r / r! * phi_k^(r)(X).
 
-    X is an integer, so B_r = Bbar_r(X); prow(r) gives the list p_{r,j}(k).
+    X is an integer, so Bbar_r(X) = B_r; prow(r) gives the list p_{r,j}(k).
     Odd r >= 3 have B_r = 0 and are skipped.
     """
     acc = mp.zero
     for r in range(a + 1, d + 1):
         if r % 2 == 0:
-            acc += (periodified_bernoulli(r, X) / math.factorial(r)
+            b = bernoulli_number(r)
+            acc += (mpf(b.numerator) / mpf(b.denominator) / math.factorial(r)
                     * _phi_deriv_raw(k, r, X, prow(r)))
     return acc
 

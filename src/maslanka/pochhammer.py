@@ -3,9 +3,9 @@
 One incremental sweep yields P_0(z), P_1(z), ... by P_k = P_{k-1} (1 - z/k) in
 mpmath arithmetic.  (The Maslanka series and its truncation identities run
 their own fixed-point integer sweep, in :mod:`maslanka.series`.)  On top of
-it: the defining product (exact at the integer truncation points P_k(m) = 0
-for integer 1 <= m <= k), the list of the first values, and a bound probe
-measuring sup_k |P_k(s)| k^Re(s).  The Gamma-ratio form
+it: the list of the first values (exact at the integer truncation points
+P_k(m) = 0 for integer 1 <= m <= k), and a bound probe measuring
+sup_k |P_k(s)| k^Re(s).  The Gamma-ratio form
 P_k(s) = Gamma(k+1-s) / (k! Gamma(1-s)) is the independent cross-check.
 """
 
@@ -21,7 +21,6 @@ from .mpnum import PoleError, PrecisionContext
 __all__ = [
     "pochhammer_bound_probe",
     "pochhammer_gamma",
-    "pochhammer_product",
     "pochhammer_sweep",
     "pochhammer_values",
 ]
@@ -41,21 +40,12 @@ def pochhammer_sweep(z):
         yield P
 
 
-def pochhammer_product(k: int, s, ctx: PrecisionContext):
-    """P_k(s) by the defining product.
+def pochhammer_values(s, k_max: int, ctx: PrecisionContext) -> list:
+    """[P_0(s), ..., P_k_max(s)] filled incrementally, O(1) per additional k.
 
     Returns mpf for real s, mpc for complex s.  When s is a real integer with
-    1 <= s <= k the factor (1 - s/s) is exactly zero and so is the result.
+    1 <= s <= k the factor (1 - s/s) is exactly zero and so is P_k(s).
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    with ctx.prec():
-        *_, P = islice(pochhammer_sweep(mpmath.mpmathify(s)), k + 1)
-        return +P
-
-
-def pochhammer_values(s, k_max: int, ctx: PrecisionContext) -> list:
-    """[P_0(s), ..., P_k_max(s)] filled incrementally, O(1) per additional k."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     with ctx.prec():
@@ -68,7 +58,7 @@ def pochhammer_gamma(k: int, s, ctx: PrecisionContext):
     The ratio of three huge Gamma values is formed by subtracting principal
     log-Gammas and exponentiating once, which never overflows.  Raises
     PoleError when 1-s or k+1-s is a non-positive integer; at those s callers
-    use pochhammer_product, which needs no pole bookkeeping.
+    use pochhammer_values, which needs no pole bookkeeping.
     """
     if k < 1:
         raise ValueError("k must be >= 1")

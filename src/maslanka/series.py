@@ -314,7 +314,7 @@ def truncation_check(n: int, table: CoefficientTable, ctx: PrecisionContext):
         return lhs, +rhs
 
 
-def bernoulli_rep_partial(s, K: int, btable: tuple, ctx: PrecisionContext) -> mpf | mpc:
+def bernoulli_rep_partial(s, K: int, ctx: PrecisionContext) -> mpf | mpc:
     """Partial sum of the truncating Bernoulli representation.
 
         c_0 + sum_{k=1}^{K} c_k P_k(2-s),  c_0 = 1, c_1 = 1/2, c_k = B_k (k >= 2)
@@ -322,12 +322,9 @@ def bernoulli_rep_partial(s, K: int, btable: tuple, ctx: PrecisionContext) -> mp
     The coefficient convention is pinned by solving the triangular system at
     s = 1, 0, -1, ...: the k=1 coefficient must be +1/2, not B_1.  No
     convergence claim is made; at non-truncating s the terms eventually grow.
-    ``btable`` is bernoulli_table(n) for some n >= K.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
-    if len(btable) <= K:
-        raise ValueError("btable too short for K")
     with ctx.prec():
         z = mpmath.mpmathify(s)
         acc = mp.one  # c_0 P_0
@@ -337,7 +334,7 @@ def bernoulli_rep_partial(s, K: int, btable: tuple, ctx: PrecisionContext) -> mp
             if k == 1:
                 acc += P / 2
             elif k % 2 == 0:
-                b = btable[k]
+                b = bernoulli_number(k)
                 acc += mpf(b.numerator) / mpf(b.denominator) * P
             # odd k >= 3: B_k = 0, nothing to add
         return +acc

@@ -237,7 +237,8 @@ def _reference_heads(kind: str, k_max: int, prec: int) -> list[int]:
 @pytest.mark.parametrize("fixture", ["table_a900_128", "table_b1000_160"])
 def test_table_within_a_priori_bound(fixture, request):
     """Every entry against an independent reference at W + 64 bits, within
-    2^(k-W-1) for the row rounding plus half an ulp at target_bits.
+    2^(k-W-1) for the row rounding plus half an ulp at target_bits, and
+    within the 2^e_k the table stores for it.
 
     The factor 1 + 2^-30 on the row term covers the up to 2^-32 units by which
     a row entry may exceed half a unit, and the reference's own error of
@@ -254,22 +255,22 @@ def test_table_within_a_priori_bound(fixture, request):
         row_term = 2 ** (k + prec - w - 1)
         half_ulp = 2 ** (exp + bc - t - 1 + prec)
         assert err * 2 ** 30 <= row_term * (2 ** 30 + 1) + half_ulp * 2 ** 30, k
+        assert err <= Fraction(2) ** (table.error_bound_exponents[k] + prec), k
 
 
 class TestErrorBounds:
-    def test_stored_exponent_formula(self, ctx128):
-        from maslanka.coefficients import error_bound_exponent
-        from maslanka.mpnum import required_bits_for_alternating_sum
-
-        table = build_table("A", 20, ctx128)
-        for k in (0, 5, 20):
-            e = table.error_bound_exponents[k]
-            assert e == error_bound_exponent(k, 128)
-            w = required_bits_for_alternating_sum(k, 128)
-            # 2^e covers 2^(-w) * (2k+1) * zeta(2) * C(k, k//2)
-            bound = (2 * k + 1) * 2 * math.comb(k, k // 2)
-            assert mpf(2) ** e >= mpf(bound) * mpf(2) ** -w
-            assert table.error_bound(k) == mpf(2) ** e
+    def test_stored_exponent_formula(self, table_a900_128, table_b1000_160):
+        # e_k is the least e with 2^e >= half an ulp of the rounded entry at
+        # target_bits + 2^(k-W-1) (1 + 2^-30), W the table's row scale
+        for table in (table_a900_128, table_b1000_160):
+            t = table.target_bits
+            w = required_bits_for_alternating_sum(table.k_max, t)
+            for k, e in enumerate(table.error_bound_exponents):
+                _, _, exp, bc = table.values[k]._mpf_
+                model = (Fraction(2) ** (exp + bc - t - 1)
+                         + Fraction(2) ** (k - w - 1) * (1 + Fraction(1, 2 ** 30)))
+                assert Fraction(2) ** (e - 1) < model <= Fraction(2) ** e, (table.kind, k)
+                assert table.error_bound(k) == mpf(2) ** e
 
     def test_bound_dominates_observed_refinement_gap(self, ctx128):
         # the bound describes the summation error of the unrounded a_k; the
@@ -347,12 +348,14 @@ class TestCache:
         return path
 
     def test_corrupt_magic(self, ctx64, tmp_path):
+        # v1 files store a bound that leaves out the final rounding
         path = self._written(ctx64, tmp_path)
         lines = path.read_text().split("\n")
-        lines[0] = "MASLANKA-COEFF v2"
+        lines[0] = "MASLANKA-COEFF v1"
         path.write_text("\n".join(lines))
-        with pytest.raises(TableFormatError):
+        with pytest.raises(TableFormatError, match="unsupported format version"):
             load_table(path)
+        assert cli.run(["cache-info", "--table", str(path)]) == cli.EXIT_USAGE
 
     def test_corrupt_checksum(self, ctx64, tmp_path):
         path = self._written(ctx64, tmp_path)
@@ -381,7 +384,7 @@ class TestCache:
 
     def test_truncated_file(self, tmp_path):
         path = tmp_path / "stub.coeff"
-        path.write_text("MASLANKA-COEFF v1\n")
+        path.write_text("MASLANKA-COEFF v2\n")
         with pytest.raises(TableFormatError, match="truncated"):
             load_table(path)
 

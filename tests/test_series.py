@@ -4,7 +4,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
-from maslanka.bernoulli import bernoulli_table, zeta_even
+from maslanka.bernoulli import zeta_even
 from maslanka.coefficients import build_table
 from maslanka.mpnum import PoleError, PrecisionContext
 from maslanka.series import (
@@ -13,11 +13,6 @@ from maslanka.series import (
     truncation_check,
     zeta_reference,
 )
-
-
-@pytest.fixture(scope="module")
-def btable40():
-    return bernoulli_table(40)
 
 
 class TestMaslankaEval:
@@ -308,46 +303,43 @@ class TestTruncationCheck:
 
 
 class TestBernoulliRepresentation:
-    def test_s1_truncates_to_one(self, btable40, ctx64):
+    def test_s1_truncates_to_one(self, ctx64):
         for K in (0, 5, 20):
-            assert bernoulli_rep_partial(1, K, btable40, ctx64) == 1
+            assert bernoulli_rep_partial(1, K, ctx64) == 1
 
-    def test_s0_is_half(self, btable40, ctx64):
-        assert bernoulli_rep_partial(0, 1, btable40, ctx64) == mpf("0.5")
-        assert bernoulli_rep_partial(0, 8, btable40, ctx64) == mpf("0.5")
+    def test_s0_is_half(self, ctx64):
+        assert bernoulli_rep_partial(0, 1, ctx64) == mpf("0.5")
+        assert bernoulli_rep_partial(0, 8, ctx64) == mpf("0.5")
+        assert bernoulli_rep_partial(0, 60, ctx64) == mpf("0.5")  # no table to run out of
 
-    def test_s_minus_one(self, btable40, ctx64):
+    def test_s_minus_one(self, ctx64):
         # (-2) zeta(-1) = 1/6
         with mp.workprec(96):
-            v = bernoulli_rep_partial(-1, 2, btable40, ctx64)
+            v = bernoulli_rep_partial(-1, 2, ctx64)
             assert abs(v - mpf(1) / 6) < mpf(2) ** -90
 
-    def test_s_minus_three(self, btable40, ctx64):
+    def test_s_minus_three(self, ctx64):
         # (-4) zeta(-3) = -1/30
         with mp.workprec(96):
-            v = bernoulli_rep_partial(-3, 4, btable40, ctx64)
+            v = bernoulli_rep_partial(-3, 4, ctx64)
             assert abs(v + mpf(1) / 30) < mpf(2) ** -90
 
-    def test_truncation_makes_longer_sums_identical(self, btable40, ctx64):
-        assert bernoulli_rep_partial(-3, 4, btable40, ctx64) == bernoulli_rep_partial(
-            -3, 30, btable40, ctx64
-        )
+    def test_truncation_makes_longer_sums_identical(self, ctx64):
+        assert bernoulli_rep_partial(-3, 4, ctx64) == bernoulli_rep_partial(-3, 30, ctx64)
 
-    def test_divergence_at_s3(self, btable40, ctx64):
+    def test_divergence_at_s3(self, ctx64):
         # |c_K P_K(-1)| grows for even K >= 8: the representation earns its
         # "divergent" label through increasing doubling gaps
         gaps = []
         for K in range(8, 31, 2):
             with mp.workprec(96):
                 gap = abs(
-                    bernoulli_rep_partial(3, K, btable40, ctx64)
-                    - bernoulli_rep_partial(3, K - 2, btable40, ctx64)
+                    bernoulli_rep_partial(3, K, ctx64)
+                    - bernoulli_rep_partial(3, K - 2, ctx64)
                 )
             gaps.append(gap)
         assert all(a < b for a, b in zip(gaps, gaps[1:]))
 
-    def test_preconditions(self, btable40, ctx64):
+    def test_preconditions(self, ctx64):
         with pytest.raises(ValueError):
-            bernoulli_rep_partial(0, -1, btable40, ctx64)
-        with pytest.raises(ValueError):
-            bernoulli_rep_partial(0, 60, btable40, ctx64)
+            bernoulli_rep_partial(0, -1, ctx64)
