@@ -2,8 +2,8 @@
 
 This module is the "oracle layer" of the package: everything here is exact
 rational arithmetic until a final rounding.  The coefficient row of
-:mod:`maslanka.coefficients` takes zeta(m) from here for small m, and
-a_k_alt for every m.
+:mod:`maslanka.coefficients` takes zeta(m) from here for small m, and the
+zeta row of a_k_alt for every m.
 
 Conventions: B_1 = -1/2 (the defining recurrence's value), and for even m >= 2
 

@@ -27,8 +27,8 @@ from .analysis import decay_fit, rh_diagnostic
 from .coefficients import (
     TableFormatError,
     a_k,
-    a_k_alt,
     build_table,
+    cross_identity_pairs,
     format_real,
     load_table,
     mantissa_digits,
@@ -201,8 +201,7 @@ def _verify_cross_identity(ctx, kmax, out) -> bool:
     ok_all = True
     tol = mpf(2) ** (-ctx.target_bits + 6)
     worst = mp.zero
-    for k in range(1, kmax + 1):
-        va, vb = a_k(k, ctx), a_k_alt(k, ctx)
+    for k, va, vb in cross_identity_pairs(kmax, ctx):
         rel = abs(va - vb) / abs(va)
         worst = max(worst, rel)
         if not rel < tol:

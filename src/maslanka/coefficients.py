@@ -16,10 +16,11 @@ is therefore one transform in exact integer arithmetic:
    its only error is the row rounding, below 2^k * (1/2 + 2^-32) units of
    2^-W.  Each head is rounded once, to target_bits.
 
-a_k and b_k form the same head for one index from the row built at W(k), by
-an exact integer dot product against C(k, j), and return it unrounded.
-a_k_alt (exact Bernoulli numbers in mpf arithmetic) and
-phik.em_remainder_a_k are the independent routes the tests compare against.
+Every route runs the rounds of step 2.  a_k and b_k return unrounded the last
+head over the row built at W(k).  a_k_alt differences its own row of
+zeta(2j+2) from exact Bernoulli numbers; it and phik.em_remainder_a_k are the
+independent routes the tests compare against.  cross_identity_pairs reads
+both a_k routes for k = 1..k_max from one pass each at W(k_max).
 
 Entry k of a table stores the least integer e_k with
 
@@ -35,6 +36,8 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import pairwise
+from operator import sub
 
 # CPython's built-in SHA-256, as the random module uses its built-in SHA-512:
 # importing hashlib maps OpenSSL, about 3.5 MB resident, for one digest per file.
@@ -59,6 +62,7 @@ __all__ = [
     "a_k_alt",
     "b_k",
     "build_table",
+    "cross_identity_pairs",
     "format_real",
     "load_table",
     "mantissa_digits",
@@ -175,9 +179,44 @@ def _fixed_row(kind: str, n: int, w: int) -> list[int]:
     return [_row_entry(kind, j, _zeta_fixed(2 * j + 2, prec), prec, w) for j in range(n)]
 
 
+def _zeta_row(n: int, w: int) -> list[int]:
+    """a_k_alt's row z_j = round(zeta(2j+2) 2^w), j < n, each within 1/2 + 2^-32.
+
+    Every value is q(2j+2) times the power X_j ~ pi^(2j+2) 2^s, s = w + g, of one
+    P within 0.6 of pi^2 2^s > 2^(s+3), by X_{j+1} = floor(X_j P / 2^s).  So
+    |X_j / (pi^(2j+2) 2^s) - 1| < (2j+2) 2^-(s+3), and floor(q X_j) is within
+    (j+1)/2 + 1 <= 2^(g-32) of zeta(2j+2) 2^s before the final rounding.
+    """
+    g = GUARD_BITS + n.bit_length()
+    s = w + g
+    with mp.workprec(s + 8):
+        p = int(mp.nint(mp.ldexp(mp.pi ** 2, s)))
+    row, x = [], p
+    for j in range(n):
+        q = zeta_rational_part(2 * j + 2)
+        row.append((q.numerator * x // q.denominator + (1 << g - 1)) >> g)
+        x = x * p >> s
+    return row
+
+
 def _fixed_to_real(head: int, w: int, bits: int = 0) -> mpf:
     """head * 2^-w, exact for bits=0, else rounded to nearest at `bits` bits."""
     return mp.make_mpf(from_man_exp(head, -w, bits, round_nearest))
+
+
+def _difference_heads(d: list[int]):
+    """Head sum_j (-1)^j C(k,j) d_j after round k = 0..len(d)-1 of d_j <- d_j - d_{j+1}."""
+    yield d[0]
+    while len(d) > 1:
+        d = list(map(sub, d, d[1:]))
+        yield d[0]
+
+
+def _alt_heads(k_max: int, w: int):
+    """D_0 - (2k+1) D_1 for k = 1..k_max, D_i = sum_j (-1)^j C(k-1,j) z_{i+j} over
+    _zeta_row z; D_1 of round k - 1 is its head minus the head of round k."""
+    heads = pairwise(_difference_heads(_zeta_row(k_max + 1, w)))
+    return (h0 - (2 * k + 1) * (h0 - h1) for k, (h0, h1) in enumerate(heads, 1))
 
 
 # -- coefficients ----------------------------------------------------------------
@@ -187,13 +226,12 @@ def _single_index(kind: str, k: int, ctx: PrecisionContext) -> mpf:
     if k < 0:
         raise ValueError("k must be >= 0")
     w = required_bits_for_alternating_sum(k, ctx.target_bits)
-    row = _fixed_row(kind, k + 1, w)
-    head = sum((-1) ** j * math.comb(k, j) * r for j, r in enumerate(row))
+    *_, head = _difference_heads(_fixed_row(kind, k + 1, w))
     return _fixed_to_real(head, w)
 
 
 def a_k(k: int, ctx: PrecisionContext) -> mpf:
-    """A_k by the defining alternating sum, exact over the row built at W(k).
+    """A_k by the defining alternating sum, the last head over the row built at W(k).
 
     The result is unrounded; its error is the row rounding, below
     2^(k - W(k) - 1) * (1 + 2^-31).
@@ -202,7 +240,7 @@ def a_k(k: int, ctx: PrecisionContext) -> mpf:
 
 
 def b_k(k: int, ctx: PrecisionContext) -> mpf:
-    """b_k = sum_j (-1)^j C(k,j)/zeta(2j+2), same row model as a_k."""
+    """b_k = sum_j (-1)^j C(k,j)/zeta(2j+2), by the same rounds as a_k."""
     return _single_index("b", k, ctx)
 
 
@@ -211,28 +249,26 @@ def a_k_alt(k: int, ctx: PrecisionContext) -> mpf:
 
         sum_{j=0}^{k-1} (-1)^j C(k-1,j) (zeta(2j+2) - (2k+1) zeta(2j+4))
 
-    Summed in mpf arithmetic with every zeta from the exact Bernoulli formula,
-    so it shares no rounding with a_k.  Must agree with a_k(k); exercised as
-    Identity A in the tests.
+    That is D_0 - (2k+1) D_1 of _alt_heads over its own row z_j ~ zeta(2j+2) 2^W,
+    W = W(k), from exact Bernoulli numbers.  Each z_j is within 1/2 + 2^-32 units
+    and each difference adds up 2^(k-1) of them, so the unrounded result obeys
+    |a_k_alt(k) - A_k| <= (k+1) 2^(k-W) (1/2 + 2^-32).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     w = required_bits_for_alternating_sum(k, ctx.target_bits)
-    with mp.workprec(w):
-        pi2 = mp.pi ** 2
-        ppow = pi2  # pi^(2j+2)
-        acc = mp.zero
-        c = 1  # C(k-1, j)
-        for j in range(k):
-            qa = zeta_rational_part(2 * j + 2)
-            qb = zeta_rational_part(2 * j + 4)
-            za = mpf(qa.numerator) / mpf(qa.denominator) * ppow
-            zb = mpf(qb.numerator) / mpf(qb.denominator) * (ppow * pi2)
-            term = mpf(c) * (za - (2 * k + 1) * zb)
-            acc = acc + term if j % 2 == 0 else acc - term
-            c = c * (k - 1 - j) // (j + 1)
-            ppow = ppow * pi2
-        return +acc
+    *_, head = _alt_heads(k, w)
+    return _fixed_to_real(head, w)
+
+
+def cross_identity_pairs(k_max: int, ctx: PrecisionContext):
+    """(k, A_k by a_k's route, A_k by a_k_alt's route) for k = 1..k_max, from one
+    pass over each route's row at W = W(k_max); their bounds hold with that W."""
+    w = required_bits_for_alternating_sum(k_max, ctx.target_bits)
+    kernel = _difference_heads(_fixed_row("A", k_max + 1, w))
+    next(kernel)
+    for k, (va, vb) in enumerate(zip(kernel, _alt_heads(k_max, w)), 1):
+        yield k, _fixed_to_real(va, w), _fixed_to_real(vb, w)
 
 
 def _bound_exponent(x: mpf, k: int, w: int, t: int) -> int:
@@ -257,11 +293,8 @@ def build_table(kind: str, k_max: int, ctx: PrecisionContext) -> CoefficientTabl
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     w = required_bits_for_alternating_sum(k_max, ctx.target_bits)
-    d = _fixed_row(kind, k_max + 1, w)
-    values = [_fixed_to_real(d[0], w, ctx.target_bits)]
-    for n in range(k_max, 0, -1):
-        d[:n] = [a - b for a, b in zip(d, d[1:n + 1])]
-        values.append(_fixed_to_real(d[0], w, ctx.target_bits))
+    values = [_fixed_to_real(head, w, ctx.target_bits)
+              for head in _difference_heads(_fixed_row(kind, k_max + 1, w))]
     return CoefficientTable(
         kind=kind,
         k_max=k_max,

@@ -18,7 +18,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from maslanka import cli
+from maslanka import cli, coefficients
 from maslanka.cli import parse_complex
 from maslanka.coefficients import load_table, save_table
 from maslanka.mpnum import PrecisionContext, required_bits_for_alternating_sum
@@ -335,6 +335,27 @@ class TestVerify:
         assert rc == cli.EXIT_OK
         assert "PASS cross-identity k=1..100" in out
         assert "worst_rel=" in out
+
+    def test_cross_identity_catches_a_wrong_route(self, monkeypatch, capsys):
+        # z_40 of the alt row off by 2^(W-100) units, i.e. by 2^-100: the
+        # pairs k >= 40 see it (A_k reads z_0..z_k), scaled by (2k+1) and
+        # C(k-1, 39) far past the suite's 2^-122, and no pair below does
+        j = 40
+        zeta_row = coefficients._zeta_row
+
+        def skewed(n, w):
+            row = zeta_row(n, w)
+            row[j] += 1 << (w - 100)
+            return row
+
+        monkeypatch.setattr(coefficients, "_zeta_row", skewed)
+        rc = cli.run(["verify", "--suite", "cross-identity"])
+        out = capsys.readouterr().out.splitlines()
+        assert rc == cli.EXIT_VERIFY
+        failed = [int(line.split()[2][2:]) for line in out[:-1]]
+        assert min(failed) == j
+        assert all(line.startswith("FAIL cross-identity k=") for line in out[:-1])
+        assert out[-1].startswith("FAIL cross-identity k=1..100 worst_rel=")
 
     @pytest.mark.parametrize("suite", ["truncation", "all"])
     @pytest.mark.parametrize("nmax", ["0", "-3"])

@@ -16,6 +16,7 @@ from maslanka.coefficients import (
     a_k_alt,
     b_k,
     build_table,
+    cross_identity_pairs,
     format_real,
     load_table,
     mantissa_digits,
@@ -212,6 +213,18 @@ def test_row_equals_all_bernoulli_row(kind, k_max, bits):
             z = mpmath.zeta(2 * j + 2)
             x = mpmath.ldexp((2 * j + 1) * z if kind == "A" else 1 / z, w)
             assert abs(r - x) <= mpf(1) / 2 + mpf(2) ** -32, j
+
+
+@pytest.mark.parametrize("k_max,bits", [(1, 64), (100, 64), (100, 128), (300, 128)])
+def test_alt_row_within_half_a_unit(k_max, bits):
+    """a_k_alt's row, q(2j+2) times fixed-point powers of one pi^2, is within
+    1/2 + 2^-32 of zeta(2j+2) 2^W by mpmath.zeta."""
+    from maslanka.coefficients import _zeta_row
+
+    w = required_bits_for_alternating_sum(k_max, bits)
+    with mp.workprec(w + 80):
+        for j, z in enumerate(_zeta_row(k_max + 1, w)):
+            assert abs(z - mpmath.ldexp(mpmath.zeta(2 * j + 2), w)) <= mpf(1) / 2 + mpf(2) ** -32, j
 
 
 def _reference_heads(kind: str, k_max: int, prec: int) -> list[int]:
@@ -451,3 +464,69 @@ class TestValueFormat:
                 x = -x
         tok = format_real(x, mantissa_digits(128))
         assert parse_real(tok, 128) == x
+
+
+def _scaled(x: mpf, prec: int) -> int:
+    """x * 2^prec as an exact integer (x must carry no bits below 2^-prec)."""
+    sign, man, exp, _ = x._mpf_
+    assert exp + prec >= 0
+    return (-man if sign else man) << (exp + prec)
+
+
+class TestSharedKernel:
+    @pytest.mark.parametrize("kind", ["A", "b"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 17, 100, 333])
+    def test_single_index_is_the_exact_dot_product(self, kind, k, ctx128):
+        # oracle: the exact dot product sum_j (-1)^j C(k,j) r_j, which the last
+        # head of k rounds of differences must equal over the same row
+        from maslanka.coefficients import _fixed_row
+
+        w = required_bits_for_alternating_sum(k, 128)
+        row = _fixed_row(kind, k + 1, w)
+        head = sum((-1) ** j * math.comb(k, j) * r for j, r in enumerate(row))
+        value = (a_k if kind == "A" else b_k)(k, ctx128)
+        assert _scaled(value, w) == head
+
+    @pytest.mark.parametrize("kind,k_max,bits,sha", [
+        ("A", 400, 128, "79be01fc0b85c5b67152593242ffbe8b1218b0a0e3dfea0137a0ca6afe85f399"),
+        ("b", 600, 160, "b6630c7714c13597c929442a3d05de02d3da813bce13b215bc2ba44e9fe731a9"),
+    ])
+    def test_saved_checksum_is_pinned(self, kind, k_max, bits, sha, tmp_path):
+        # the checksum lines of the two tables the benchmark writes: a change
+        # to their bytes must come with a shown gain in accuracy
+        path = tmp_path / "t.coeff"
+        save_table(build_table(kind, k_max, PrecisionContext(bits)), path)
+        assert path.read_text().split("\n")[2] == f"sha256={sha}"
+
+
+def _within(value: mpf, ref: int, prec: int, bound: Fraction, k: int) -> bool:
+    """|value - A_k| <= bound, with A_k known as ref / 2^prec to 2^(k+1) units."""
+    return abs(_scaled(value, prec) - ref) <= bound * 2 ** prec + 2 ** (k + 1)
+
+
+def _alt_bound(k: int, w: int) -> Fraction:
+    return (k + 1) * Fraction(2) ** (k - w) * (Fraction(1, 2) + Fraction(1, 2 ** 32))
+
+
+class TestRouteBounds:
+    """Each route against mpmath.zeta heads at W + 64 bits, never against the other."""
+
+    def test_alt_route_within_its_bound(self, ctx128):
+        grid = [1, 2, 7, 30, 75, 100, 300]
+        prec = required_bits_for_alternating_sum(max(grid), 128) + 64
+        refs = _reference_heads("A", max(grid), prec)
+        for k in grid:
+            w = required_bits_for_alternating_sum(k, 128)
+            assert _within(a_k_alt(k, ctx128), refs[k], prec, _alt_bound(k, w), k), k
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_suite_pairs_within_their_bounds(self, bits):
+        w = required_bits_for_alternating_sum(100, bits)
+        prec = w + 64
+        refs = _reference_heads("A", 100, prec)
+        pairs = list(cross_identity_pairs(100, PrecisionContext(bits)))
+        assert [k for k, _, _ in pairs] == list(range(1, 101))
+        for k, va, vb in pairs:
+            kernel = Fraction(2) ** (k - w - 1) * (1 + Fraction(1, 2 ** 31))
+            assert _within(va, refs[k], prec, kernel, k), k
+            assert _within(vb, refs[k], prec, _alt_bound(k, w), k), k
