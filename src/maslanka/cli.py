@@ -263,6 +263,8 @@ def _cmd_verify(args) -> int:
             kmax = max(args.nmax - 1, 400 if "global-agreement" in suites else 0)
             print(f"building kind=A table to k={kmax} at {args.bits} bits", file=sys.stderr)
             table = build_table("A", kmax, ctx)
+    if "truncation" in suites and args.nmax > table.k_max + 1:
+        raise ValueError(f"table too short for nmax {args.nmax}: need k_max >= {args.nmax - 1}")
     ok = True
     for suite in suites:
         if suite == "truncation":

@@ -1,82 +1,136 @@
-"""Pochhammer polynomials P_k(s) = prod_{r=1}^{k} (1 - s/r), with P_0 = 1.
+"""Pochhammer polynomials P_k(h) = prod_{r=1}^{k} (1 - h/r), with P_0 = 1.
 
-One incremental sweep yields P_0(z), P_1(z), ... by P_k = P_{k-1} (1 - z/k) in
-mpmath arithmetic.  (The Maslanka series and its truncation identities run
-their own fixed-point integer sweep, in :mod:`maslanka.series`.)  On top of
-it: the list of the first values (exact at the integer truncation points
-P_k(m) = 0 for integer 1 <= m <= k), and a bound probe measuring
-sup_k |P_k(s)| k^Re(s).  The Gamma-ratio form
-P_k(s) = Gamma(k+1-s) / (k! Gamma(1-s)) is the independent cross-check.
+One incremental sweep serves every caller: ``_fixed_terms`` runs
+P_k = P_{k-1} (1 - h/k) in Gaussian integers at one scale 2^W, with a proven
+error bound, and yields each P_k times a caller's weight; ``_guard_bits``
+gives the W that bound needs.  The Maslanka series, its truncation identities
+and the Bernoulli form (:mod:`maslanka.series`) feed it their coefficients.
+Here it gives the first values P_0(s), ..., P_K(s) (exactly zero at integer
+1 <= s <= k) and a bound probe measuring sup_k |P_k(s)| k^Re(s).
 """
 
 from __future__ import annotations
 
-from itertools import count, islice
+import math
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
-from .mpnum import PoleError, PrecisionContext
+from .mpnum import PrecisionContext
 
 __all__ = [
     "pochhammer_bound_probe",
-    "pochhammer_gamma",
-    "pochhammer_sweep",
     "pochhammer_values",
 ]
 
 
-def pochhammer_sweep(z):
-    """Yield P_0(z), P_1(z), ... without end, each at the ambient precision.
+def _to_fixed(x, e: int) -> int:
+    """x * 2^e rounded to the nearest integer, for a finite mpf x."""
+    sign, man, exp, _ = x._mpf_
+    sh = exp + e
+    v = man << sh if sh >= 0 else (man + (1 << (-sh - 1))) >> -sh
+    return -v if sign else v
 
-    z must already be an mpmath number; each step costs one division, one
-    subtraction and one multiplication, rounded at the precision in force when
-    the value is drawn.
+
+def _fixed_terms(H: tuple[int, int], values, W: int):
+    """Yield floor(c_k Q_k) as (real, imag) integers for the weights c_k in ``values``.
+
+    Q_0 = 2^W and Q_k = floor(Q_{k-1} (k 2^W - H) / (k 2^W)) componentwise,
+    so Q_k 2^-W approximates P_k(h) for H ~ h 2^W (exactly zero from k = n on
+    when h = n is a positive integer, and exactly 2^W throughout at h = 0).
+    The quotient is taken as (Q_{k-1} (k 2^W - H) >> W) // k, the same integer
+    because nested floor divisions by positive integers compose.  Each weight
+    is an mpf and enters exactly, as mantissa times 2^exponent, and the
+    product is floored by a shift.
+
+    Bound.  Let u = 2^-W, q_k = Q_k u, r_i = |1 - h/i| and
+    Pi_k = r_1 ... r_k = |P_k(h)|, with H the nearest Gaussian integer to
+    h 2^W.  A floor moves each component by less than u, so q by less than
+    sqrt2 u, and rounding H moves h by at most u/sqrt2; hence
+    q_k = q_{k-1} (1 - h/k) + d_k with |d_k| < u (sqrt2 + |q_{k-1}|/(sqrt2 k)).
+    Unrolled, q_k - P_k(h) = sum_{j<=k} d_j prod_{i=j+1..k} (1 - h/i): an error
+    made at step j reaches step k multiplied by |P_k/P_j|, written as a product
+    that stays finite at the zeros of P.  While the bound below stays under 1,
+    |q_{j-1}| <= Pi_{j-1} + 1, and with
+    X_k = max_{j<=k} max(1, Pi_{j-1}) prod_{i=j+1..k} r_i, that is
+    X_k = max(r_k X_{k-1}, 1, Pi_{k-1}), the error of q_k is below
+    u (sqrt2 k + sqrt2 H_k) X_k <= 3 k X_k u (H_k the harmonic number).
+    The floor of each weighted term adds less than sqrt2 u.
     """
-    P = mp.one
-    yield P
-    for k in count(1):
-        P = P * (1 - z / k)
-        yield P
+    hr, hi = H
+    qr, qi = 1 << W, 0
+    for k, a in enumerate(values):
+        if k:
+            f = (k << W) - hr
+            qr, qi = ((qr * f + qi * hi) >> W) // k, ((qi * f - qr * hi) >> W) // k
+        sign, man, exp, _ = a._mpf_
+        if sign:
+            man = -man
+        if exp >= 0:
+            yield (man * qr) << exp, (man * qi) << exp
+        else:
+            yield (man * qr) >> -exp, (man * qi) >> -exp
+
+
+def _guard_bits(h, k_max: int) -> int:
+    """ceil(log2 E) + 1 for E = 4 (K+1)^2 max_{k<=K} X_k at K = k_max.
+
+    X_k is the growth factor of ``_fixed_terms``.  E bounds every 3 k X_k, so
+    a sweep at W = b + _guard_bits(h, K) keeps each q_k within 2^-(b+1) of
+    P_k(h); the factor (K+1)^2 leaves room for a sum of weighted terms (see
+    ``maslanka.series.maslanka_eval``).  log2 X_k is run in floats over the
+    first m = ceil(|h|^2) steps.  Beyond them, log r_i <= -Re(h)/i +
+    |h|^2/(2 i^2) and sum_{i>m} i^-2 < 1/m give
+    X_k <= e^(|h|^2/2m) (k/m)^max(0,-Re h) max(X_m, Pi_m).  Each factor
+    |1 - h/i| is raised by 2^-40 (1 + |h|/i), more than the rounding of h to
+    floats and of the float operations can move it; the rounding of the sums
+    of logarithms is covered by the factor of at least 4/3 by which E exceeds
+    the error sums it bounds.
+    """
+    x, y = float(h.real), float(h.imag)
+    habs = math.hypot(x, y)
+    if not math.isfinite(habs):
+        raise ValueError("s is too large to sum in fixed point")
+    m = max(1, min(k_max, math.ceil(min(habs * habs, k_max))))
+    lx = lpi = top = 0.0  # log2 of X_k, Pi_k and max_k X_k
+    for i in range(1, m + 1):
+        lr = math.log2(math.hypot(1 - x / i, y / i) + 2.0**-40 * (1 + habs / i))
+        lx = max(lx + lr, 0.0, lpi)
+        lpi += lr
+        top = max(top, lx)
+    if k_max > m:
+        tail = habs * habs / (2 * m * math.log(2)) + max(0.0, -x) * math.log2(k_max / m)
+        top = max(top, tail + max(lx, lpi))
+    return math.ceil(2 + 2 * math.log2(k_max + 1) + top) + 1
 
 
 def pochhammer_values(s, k_max: int, ctx: PrecisionContext) -> list:
-    """[P_0(s), ..., P_k_max(s)] filled incrementally, O(1) per additional k.
+    """[P_0(s), ..., P_k_max(s)] from one sweep, O(1) integer steps per k.
 
-    Returns mpf for real s, mpc for complex s.  When s is a real integer with
-    1 <= s <= k the factor (1 - s/s) is exactly zero and so is P_k(s).
+    The sweep runs with unit weights at W = working_bits + _guard_bits(s, k_max),
+    so each Q_k 2^-W is within 3 k X_k 2^-W <= 2^-(working_bits+1) of P_k(s)
+    and each value, rounded once to working_bits, satisfies
+    |value - P_k(s)| <= 2^-(working_bits+1) plus half an ulp.  Returns mpf
+    for real s, mpc for complex s.  When s is a real integer with
+    1 <= s <= k, P_k(s) is exactly zero.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     with ctx.prec():
-        return list(islice(pochhammer_sweep(mpmath.mpmathify(s)), k_max + 1))
-
-
-def pochhammer_gamma(k: int, s, ctx: PrecisionContext):
-    """P_k(s) via exp(log Gamma(k+1-s) - log Gamma(k+1) - log Gamma(1-s)).
-
-    The ratio of three huge Gamma values is formed by subtracting principal
-    log-Gammas and exponentiating once, which never overflows.  Raises
-    PoleError when 1-s or k+1-s is a non-positive integer; at those s callers
-    use pochhammer_values, which needs no pole bookkeeping.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    with ctx.prec():
         z = mpmath.mpmathify(s)
-        try:
-            d = mpmath.loggamma(k + 1 - z) - mpmath.loggamma(mpf(k + 1)) - mpmath.loggamma(1 - z)
-        except ValueError as exc:
-            raise PoleError(f"log-gamma pole at s = {s}") from exc
-        return +mpmath.exp(d)
+        W = ctx.working_bits + _guard_bits(z, k_max)
+        H = (_to_fixed(mp.re(z), W), _to_fixed(mp.im(z), W))
+        terms = _fixed_terms(H, [mp.one] * (k_max + 1), W)
+        if isinstance(z, mpc):
+            return [mpc(mpf((qr, -W)), mpf((qi, -W))) for qr, qi in terms]
+        return [mpf((qr, -W)) for qr, _ in terms]
 
 
 def pochhammer_bound_probe(s, k_max: int, ctx: PrecisionContext) -> mpf:
-    """sup over 1 <= k <= k_max of |P_k(s)| * k**Re(s), by incremental sweep."""
+    """sup over 1 <= k <= k_max of |P_k(s)| * k**Re(s), over pochhammer_values."""
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    values = pochhammer_values(s, k_max, ctx)
     with ctx.prec():
-        z = mpmath.mpmathify(s)
-        sigma = mp.re(z)
-        sweep = islice(pochhammer_sweep(z), 1, k_max + 1)
-        return +max(abs(P) * mpf(k) ** sigma for k, P in enumerate(sweep, 1))
+        sigma = mp.re(mpmath.mpmathify(s))
+        return +max(abs(P) * mpf(k) ** sigma for k, P in enumerate(values) if k)

@@ -1,11 +1,11 @@
 """Evaluation of (s-1) zeta(s) = sum_k A_k P_k(s/2) anywhere in the plane.
 
-The series is summed in fixed point: h = s/2, the sweep P_k(h) and every term
-A_k P_k(h) are Gaussian integers at one scale 2^W, so the partial sums
-accumulate exactly and the result is rounded once (see ``maslanka_eval`` for
-how W follows from a proven error bound).  The truncation identities
-(2n-1) zeta(2n) = sum_{k<n} A_k P_k(n) run through the same integer sweep,
-where every step is exact.
+The series is summed in fixed point: every term A_k P_k(h), h = s/2, comes
+from the integer Pochhammer sweep of :mod:`maslanka.pochhammer` as a Gaussian
+integer at one scale 2^W, so the partial sums accumulate exactly and the
+result is rounded once (see ``maslanka_eval`` for how W follows from a proven
+error bound).  The truncation identities (2n-1) zeta(2n) = sum_{k<n} A_k P_k(n)
+run through the same sweep, where every step is exact.
 
 Also provides the independent reference zeta (Euler-Maclaurin continuation,
 used as the oracle the series is tested against) and the *divergent*
@@ -14,7 +14,8 @@ Bernoulli-coefficient representation
     (s-1) zeta(s) = 1 + (1/2)(s-1) + sum_{k>=2} B_k P_k(2-s)
 
 which truncates exactly at non-positive integer s but does not converge
-elsewhere (its partial sums are still useful for demonstrating exactly that).
+elsewhere (its partial sums, from the same sweep, are still useful for
+demonstrating exactly that).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from mpmath import mp, mpc, mpf
 from .bernoulli import bernoulli_number, zeta_even
 from .coefficients import CoefficientTable
 from .mpnum import PoleError, PrecisionContext
-from .pochhammer import pochhammer_sweep
+from .pochhammer import _fixed_terms, _guard_bits, _to_fixed
 
 __all__ = [
     "SeriesResult",
@@ -59,14 +60,6 @@ class SeriesResult:
     converged: bool
 
 
-def _to_fixed(x, e: int) -> int:
-    """x * 2^e rounded to the nearest integer, for a finite mpf x."""
-    sign, man, exp, _ = x._mpf_
-    sh = exp + e
-    v = man << sh if sh >= 0 else (man + (1 << (-sh - 1))) >> -sh
-    return -v if sign else v
-
-
 def _norm_limit(x, e: int):
     """ceil((x * 2^e)^2) for a positive mpf x, so that for an integer N,
     N < (x 2^e)^2 exactly when N < the limit; an infinite x gives math.inf."""
@@ -75,56 +68,6 @@ def _norm_limit(x, e: int):
     _, man, exp, _ = x._mpf_
     n, sh = man * man, 2 * (exp + e)
     return n << sh if sh >= 0 else -(-n >> -sh)
-
-
-def _fixed_terms(H: tuple[int, int], values, W: int):
-    """Yield floor(A_k Q_k) as (real, imag) integers for A_k in ``values``.
-
-    Q_0 = 2^W and Q_k = floor(Q_{k-1} (k 2^W - H) / (k 2^W)) componentwise,
-    so Q_k 2^-W approximates P_k(h) for H ~ h 2^W.  The quotient is taken as
-    (Q_{k-1} (k 2^W - H) >> W) // k, the same integer because nested floor
-    divisions by positive integers compose.  A_k enters exactly, as mantissa
-    times 2^exponent, and the product is floored by a shift.
-    """
-    hr, hi = H
-    qr, qi = 1 << W, 0
-    for k, a in enumerate(values):
-        if k:
-            f = (k << W) - hr
-            qr, qi = ((qr * f + qi * hi) >> W) // k, ((qi * f - qr * hi) >> W) // k
-        sign, man, exp, _ = a._mpf_
-        if sign:
-            man = -man
-        if exp >= 0:
-            yield (man * qr) << exp, (man * qi) << exp
-        else:
-            yield (man * qr) >> -exp, (man * qi) >> -exp
-
-
-def _guard_bits(h, k_max: int) -> int:
-    """ceil(log2 E) + 1 for the error bound E = 4 (K+1)^2 X of maslanka_eval at K = k_max.
-
-    log2 X_k is run in floats over the first m = ceil(|h|^2) steps and bounded
-    in closed form beyond them.  Each factor |1 - h/i| is raised by
-    2^-40 (1 + |h|/i), more than the rounding of h to floats and of the float
-    operations can move it; the final + 1 covers the rounding of the sums of
-    logarithms.
-    """
-    x, y = float(h.real), float(h.imag)
-    habs = math.hypot(x, y)
-    if not math.isfinite(habs):
-        raise ValueError("s is too large to sum in fixed point")
-    m = max(1, min(k_max, math.ceil(min(habs * habs, k_max))))
-    lx = lpi = top = 0.0  # log2 of X_k, Pi_k and max_k X_k
-    for i in range(1, m + 1):
-        lr = math.log2(math.hypot(1 - x / i, y / i) + 2.0**-40 * (1 + habs / i))
-        lx = max(lx + lr, 0.0, lpi)
-        lpi += lr
-        top = max(top, lx)
-    if k_max > m:
-        tail = habs * habs / (2 * m * math.log(2)) + max(0.0, -x) * math.log2(k_max / m)
-        top = max(top, tail + max(lx, lpi))
-    return math.ceil(2 + 2 * math.log2(k_max + 1) + top) + 1
 
 
 def maslanka_eval(s, table: CoefficientTable, tol, ctx: PrecisionContext) -> SeriesResult:
@@ -137,41 +80,27 @@ def maslanka_eval(s, table: CoefficientTable, tol, ctx: PrecisionContext) -> Ser
     gives an mpf value, an mpc s an mpc value.
 
     Kernel.  The sum runs in Gaussian integers at one scale 2^W.  With
-    h = s/2 rounded once to H ~ h 2^W, the sweep is Q_0 = 2^W,
-    Q_k = floor(Q_{k-1} (k 2^W - H) / (k 2^W)) componentwise (exactly zero from
-    k = n on when h = n is a positive integer, and exactly 2^W throughout at
-    s = 0); each term floor(A_k Q_k) takes A_k exactly from its mantissa and
-    exponent, and the partial sums accumulate exactly.  The stopping rule
-    compares squared integer norms with ceil((tol 2^W/4)^2) and
-    ceil((tol 2^W/2)^2), so it takes no square root.  The value is rounded
-    once, to working_bits.
+    h = s/2 rounded once to H ~ h 2^W, the sweep ``pochhammer._fixed_terms``
+    yields each term floor(A_k Q_k), Q_k 2^-W ~ P_k(h), taking A_k exactly
+    from its mantissa and exponent, and the partial sums accumulate exactly.
+    The stopping rule compares squared integer norms with
+    ceil((tol 2^W/4)^2) and ceil((tol 2^W/2)^2), so it takes no square root.
+    The value is rounded once, to working_bits.
 
-    Bound.  Let u = 2^-W, q_k = Q_k u, r_i = |1 - h/i| and
-    Pi_k = r_1 ... r_k = |P_k(h)|.  A floor moves each component by less than
-    u, so q by less than sqrt2 u, and rounding H moves h by at most u/sqrt2;
-    hence q_k = q_{k-1} (1 - h/k) + d_k with
-    |d_k| < u (sqrt2 + |q_{k-1}|/(sqrt2 k)).  Unrolled,
-    q_k - P_k(h) = sum_{j<=k} d_j prod_{i=j+1..k} (1 - h/i): an error made at
-    step j reaches step k multiplied by |P_k/P_j|, written as a product that
-    stays finite at the zeros of P.  While the bound below stays under 1,
-    |q_{j-1}| <= Pi_{j-1} + 1, and with
-    X_k = max_{j<=k} max(1, Pi_{j-1}) prod_{i=j+1..k} r_i, that is
-    X_k = max(r_k X_{k-1}, 1, Pi_{k-1}), the error of q_k is below
-    u (sqrt2 k + sqrt2 H_k) X_k <= 3 k X_k u (H_k the harmonic number).
+    Bound.  The sweep keeps q_k = Q_k u, u = 2^-W, within 3 k X_k u of
+    P_k(h), with X_k its growth factor (see ``pochhammer._fixed_terms``).
     Every |A_k| < 2, and so is every table entry: from
     A_k = sum_n n^-2 [(1-n^-2)^k - 2k n^-2 (1-n^-2)^(k-1)], |A_0| = zeta(2),
     |A_1| = |zeta(2) - 3 zeta(4)| and, for k >= 2,
     |A_k| <= (zeta(2) - 1) max(1, 2k/(e(k-1))) < 1.  With the floor of each
     term (< sqrt2 u) the error of the integer S_K is therefore below
     u (sqrt2 + sum_{k=1..K} (6 k X_k + sqrt2)) <= u E, E = 4 (K+1)^2 max_{k<=K} X_k.
-    Past m = ceil(|h|^2), log r_i <= -Re(h)/i + |h|^2/(2 i^2) and
-    sum_{i>m} i^-2 < 1/m give X_k <= e^(|h|^2/2m) (k/m)^max(0,-Re h)
-    max(X_m, Pi_m).  W = working_bits + ceil(log2 E) + 1 at K = k_max, so the
-    integer sum is within 2^-(working_bits+1) of sum_{k<=K} A_k P_k(h) for
-    the table's A_k, and the returned value, rounded once, within
-    2^-working_bits (1 + |value|).  W grows with log2 of the largest partial
-    product, so an s far outside the table's range of convergence costs
-    proportionally wider integers.
+    W = working_bits + _guard_bits(h, k_max) makes u E <= 2^-(working_bits+1)
+    at K = k_max, so the integer sum is within 2^-(working_bits+1) of
+    sum_{k<=K} A_k P_k(h) for the table's A_k, and the returned value,
+    rounded once, within 2^-working_bits (1 + |value|).  W grows with log2 of
+    the largest partial product, so an s far outside the table's range of
+    convergence costs proportionally wider integers.
     """
     if table.kind != "A":
         raise ValueError("maslanka_eval needs a kind=A table")
@@ -296,7 +225,7 @@ def truncation_check(n: int, table: CoefficientTable, ctx: PrecisionContext):
     """Both sides of (2n-1) zeta(2n) = sum_{k=0}^{n-1} A_k P_k(n).
 
     The sum truncates because P_k(n) = 0 for k >= n; only n terms exist.
-    It runs through the integer sweep of maslanka_eval at a scale 2^W that
+    It runs through the integer Pochhammer sweep at a scale 2^W that
     makes every term exact (P_k(n) = (-1)^k C(n-1, k), and W is at least
     minus the exponent of each A_k), and is rounded once.  Returns (lhs, rhs).
     """
@@ -322,19 +251,23 @@ def bernoulli_rep_partial(s, K: int, ctx: PrecisionContext) -> mpf | mpc:
     The coefficient convention is pinned by solving the triangular system at
     s = 1, 0, -1, ...: the k=1 coefficient must be +1/2, not B_1.  No
     convergence claim is made; at non-truncating s the terms eventually grow.
+
+    The sum runs through the integer sweep at h = 2 - s, with the c_k
+    rounded at working_bits (each within 2^(2-working_bits) |c_k|) and all
+    below 2^(c+1).  maslanka_eval's count, with every term 2^c times larger,
+    puts the integer sum at W = working_bits + c + _guard_bits(h, K) within
+    2^-(working_bits+1) of the sum over the rounded c_k; the value is rounded
+    once.
     """
     if K < 0:
         raise ValueError("K must be >= 0")
     with ctx.prec():
         z = mpmath.mpmathify(s)
-        acc = mp.one  # c_0 P_0
-        sweep = pochhammer_sweep(2 - z)
-        next(sweep)
-        for k, P in zip(range(1, K + 1), sweep):
-            if k == 1:
-                acc += P / 2
-            elif k % 2 == 0:
-                b = bernoulli_number(k)
-                acc += mpf(b.numerator) / mpf(b.denominator) * P
-            # odd k >= 3: B_k = 0, nothing to add
-        return +acc
+        weights = [mp.one, mpf(0.5)][: K + 1] + [
+            mpf(b.numerator) / mpf(b.denominator) for b in map(bernoulli_number, range(2, K + 1))]
+        c = max(map(mpmath.mag, weights)) - 1  # |c_k| < 2^(c+1), c >= 0 from c_0 = 1
+        W = ctx.working_bits + c + _guard_bits(2 - z, K)
+        H = ((2 << W) - _to_fixed(mp.re(z), W), -_to_fixed(mp.im(z), W))
+        sr, si = map(sum, zip(*_fixed_terms(H, weights, W)))
+        value = mpf((sr, -W))
+        return mpc(value, mpf((si, -W))) if isinstance(z, mpc) else value

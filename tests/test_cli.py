@@ -367,6 +367,17 @@ class TestVerify:
         assert "error: nmax must be at least 1" in cap.err
         assert cap.out == ""
 
+    @pytest.mark.parametrize("suite", ["truncation", "all"])
+    def test_nmax_past_the_table_is_a_usage_error(self, suite, small_table_file, capsys):
+        # the 65-entry table holds identities n <= 65; the check comes before
+        # any suite, so no PASS line precedes the exit
+        rc = cli.run(["verify", "--suite", suite, "--nmax", "66",
+                      "--table", str(small_table_file)])
+        cap = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert "error: table too short for nmax 66: need k_max >= 65" in cap.err
+        assert cap.out == ""
+
     def test_global_agreement_default_tolerance_fails(self, deep_table_file, capsys):
         # 2^-400-ish is what 1e-20 would need here; 401 terms cannot reach it,
         # so the suite must report the shortfall and exit 1, not paper over it

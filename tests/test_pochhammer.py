@@ -5,11 +5,25 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from maslanka.mpnum import PoleError, PrecisionContext
-from maslanka.pochhammer import (
-    pochhammer_bound_probe,
-    pochhammer_gamma,
-    pochhammer_values,
-)
+from maslanka.pochhammer import pochhammer_bound_probe, pochhammer_values
+
+
+def pochhammer_gamma(k: int, s, ctx: PrecisionContext):
+    """P_k(s) = Gamma(k+1-s) / (k! Gamma(1-s)), the independent oracle for the sweep.
+
+    The ratio of three huge Gamma values is formed by subtracting principal
+    log-Gammas and exponentiating once, which never overflows.  Raises
+    PoleError when 1-s or k+1-s is a non-positive integer.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    with ctx.prec():
+        z = mpmath.mpmathify(s)
+        try:
+            d = mpmath.loggamma(k + 1 - z) - mpmath.loggamma(mpf(k + 1)) - mpmath.loggamma(1 - z)
+        except ValueError as exc:
+            raise PoleError(f"log-gamma pole at s = {s}") from exc
+        return +mpmath.exp(d)
 
 
 class TestProduct:
@@ -62,6 +76,40 @@ class TestValues:
     def test_rejects_negative_kmax(self, k_max, ctx64):
         with pytest.raises(ValueError):
             pochhammer_values(mpf("0.5"), k_max, ctx64)
+
+
+class TestStatedBound:
+    def test_within_stated_bound_against_rising_factorial(self, ctx64):
+        """|value - P_k(s)| <= 2^-(working_bits+1) plus the value's rounding.
+
+        The reference is rf(1-s, k)/k! at twice the working precision; each
+        component of the value is rounded to nearest, which moves it by at
+        most 2^-working_bits |value|.
+        """
+        wb = ctx64.working_bits
+        rng = random.Random(20261018)
+        for _ in range(40):
+            k_max = rng.randint(1, 1000)
+            s = mpc(rng.uniform(-10, 10), rng.uniform(-10, 10))
+            if rng.random() < 0.3:
+                s = mpf(s.real)
+            values = pochhammer_values(s, k_max, ctx64)
+            assert isinstance(values[-1], type(s))
+            with mp.workprec(2 * wb):
+                for k in sorted({0, 1, k_max // 3, k_max} | {rng.randint(1, k_max)}):
+                    ref = mpmath.rf(1 - s, k) / mpmath.factorial(k)
+                    err = abs(values[k] - ref)
+                    bound = mpf(2) ** -(wb + 1) + abs(values[k]) * mpf(2) ** -wb
+                    slack = abs(ref) * mpf(2) ** (16 - 2 * wb)
+                    assert err <= bound + slack, (k, s, err, bound)
+
+    @pytest.mark.parametrize("as_complex", [False, True])
+    def test_exact_zeros_at_integers_up_to_k_1000(self, as_complex, ctx64):
+        for m in (1, 2, 7, 64, 333, 1000):
+            s = mpc(m, 0) if as_complex else mpf(m)
+            values = pochhammer_values(s, 1000, ctx64)
+            assert all(v == 0 for v in values[m:])
+            assert all(v != 0 for v in values[:m])
 
 
 class TestGammaForm:

@@ -1,10 +1,13 @@
+import hashlib
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
-from maslanka.bernoulli import zeta_even
+from maslanka.bernoulli import bernoulli_number, zeta_even
+from maslanka.cli import GLOBAL_PROBES, parse_complex
 from maslanka.coefficients import build_table
 from maslanka.mpnum import PoleError, PrecisionContext
 from maslanka.series import (
@@ -166,6 +169,32 @@ class TestIntegerKernelEdgeCases:
         res = maslanka_eval(s, table_a400_128, mpf("1e-6"), ctx128)
         assert type(res.value) is kind
         assert type(res.residual_estimate) is mpf
+
+
+def _exact_parts(x):
+    """The exact (sign, mantissa, exponent, bitcount) tuples of an mpf or mpc."""
+    parts = (x.real, x.imag) if isinstance(x, mpc) else (x,)
+    return tuple(tuple(int(c) for c in p._mpf_) for p in parts)
+
+
+class TestGoldenValues:
+    """sha256 over the exact results, pinned so a refactor of the sweep
+    cannot change a single bit of what the series returns."""
+
+    def test_eval_at_the_cli_probes(self, table_a400_128, ctx128):
+        h = hashlib.sha256()
+        for text in GLOBAL_PROBES + ("0", "1"):
+            r = maslanka_eval(parse_complex(text), table_a400_128, mpf("1e-20"), ctx128)
+            h.update(repr((text, _exact_parts(r.value), r.terms_used, r.converged,
+                           _exact_parts(r.residual_estimate))).encode())
+        assert h.hexdigest() == "a59f4ee4cb08b2b1c03360fa3f26285c22c041db4c10cba1f1da03c4bfc4eb64"
+
+    def test_truncation_identities(self, table_a400_128, ctx128):
+        h = hashlib.sha256()
+        for n in range(1, 21):
+            lhs, rhs = truncation_check(n, table_a400_128, ctx128)
+            h.update(repr((n, _exact_parts(lhs), _exact_parts(rhs))).encode())
+        assert h.hexdigest() == "15a32af04e6a61660651f39a24e6bd242642eec675c68f76f2977debf5d8027a"
 
 
 def _stop_index(terms, partials, tol):
@@ -339,6 +368,26 @@ class TestBernoulliRepresentation:
                 )
             gaps.append(gap)
         assert all(a < b for a, b in zip(gaps, gaps[1:]))
+
+    @pytest.mark.parametrize("s", [mpf("0.3"), mpc("0.5", "14.134725"), mpc(-3, 2), mpf(7)])
+    def test_within_stated_bound(self, s, ctx64):
+        # against the exact Bernoulli numbers and the defining product of
+        # P_k(2-s) at twice the precision: the sweep's 2^-(wb+1), the final
+        # rounding and the rounding of each weight, 2^(2-wb) |c_k P_k|
+        wb, K = ctx64.working_bits, 40
+        value = bernoulli_rep_partial(s, K, ctx64)
+        with mp.workprec(2 * wb):
+            h, P, acc, weight_err = 2 - s, mpf(1), mpf(1), mpf(0)
+            for k in range(1, K + 1):
+                P *= 1 - h / k
+                c = bernoulli_number(k) if k > 1 else Fraction(1, 2)
+                b = mpf(c.numerator) / c.denominator
+                acc += b * P
+                weight_err += abs(b * P)
+            err = abs(value - acc)
+            bound = (mpf(2) ** -(wb + 1) + abs(value) * mpf(2) ** -wb
+                     + weight_err * mpf(2) ** (2 - wb))
+        assert err <= bound
 
     def test_preconditions(self, ctx64):
         with pytest.raises(ValueError):
