@@ -119,16 +119,18 @@ def _cmd_bk(args) -> int:
         table = load_table(args.table)
         if table.kind != "b":
             raise ValueError(f"{args.table} holds kind={table.kind}, need kind=b")
+        if args.kmax > table.k_max:
+            raise ValueError(
+                f"table too short for kmax {args.kmax}: {args.table} holds k_max={table.k_max}")
     else:
         ctx = PrecisionContext(args.bits)
         table = build_table("b", args.kmax, ctx)
     k_min = max(1, args.kmin)
-    k_max = min(args.kmax, table.k_max)
     digits = mantissa_digits(table.target_bits)
     rows = []
     # abs() rounds at the ambient precision, which would clip stored values
     with mp.workprec(table.target_bits + 16):
-        for k, scaled, scaled_log2 in rh_diagnostic(table, k_min, k_max):
+        for k, scaled, scaled_log2 in rh_diagnostic(table, k_min, args.kmax):
             v = table.values[k]
             rows.append([
                 str(k),

@@ -39,17 +39,19 @@ shared among the panels of [1, X]: a panel [lo, hi] gets (1/lo - 1/hi) of
 it, and is bisected while the Gauss-Legendre error estimate
 |Q[lo,hi] - Q[lo,mid] - Q[mid,hi]| exceeds its share.
 
-The quadrature strategy throughout: the integrands are piecewise smooth with
-breakpoints exactly at the integers (corners of Bbar_a) or at the real roots
-of the bracketed polynomial (kinks of |phi^(a)|), so panels aligned on those
-breakpoints restore spectral accuracy for a fixed-order Gauss-Legendre rule.
+Quadrature serves the remainder integral alone: its integrand is smooth
+between the integers (the corners of Bbar_a), so panels aligned on them keep
+a fixed-order Gauss-Legendre rule spectrally accurate.  The L1 norms
+Int_1^inf |phi_k^(a)| need none: phi_k^(a) changes sign exactly at its a
+zeros, which a Rolle walk over the exact integer rows p_{r,j}(k) brackets,
+so each norm is the total variation of phi_k^(a-1) between them
+(deriv_l1_norm).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf
@@ -65,21 +67,16 @@ __all__ = [
     "deriv_l1_norm",
     "em_remainder_a_k",
     "paj_eval",
-    "phi",
     "phi_deriv",
 ]
 
 QUAD_ORDER = 16
 # em_remainder_a_k raises QuadratureError past this many panels, sub-panels included.
 MAX_PANELS = 200_000
-# deriv_l1_norm stops doubling once the tail bound is below this share of the value.
-L1_REL_TOL = 1e-10
-# _bracket_poly_roots narrows each root of the bracketed polynomial to 2^-BISECT_BITS.
-BISECT_BITS = 48
 
 
 class QuadratureError(ArithmeticError):
-    """A quadrature loop could not meet its tolerance within its budget."""
+    """A quadrature loop missed its tolerance in budget, or a zero bracket kept its sign."""
 
 
 @dataclass(frozen=True)
@@ -126,18 +123,6 @@ def paj_eval(paj: PajTable, a: int, j: int, k: int) -> int:
     return acc
 
 
-def phi(k: int, x, ctx: PrecisionContext) -> mpf:
-    """phi_k(x) = (1 - 1/x^2)^k / x; exactly 0 at x = 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    with ctx.prec():
-        xf = mpf(x)
-        if xf < 1:
-            raise ValueError("x must be >= 1")
-        u = 1 - 1 / (xf * xf)
-        return +(u ** k / xf)
-
-
 def _phi_deriv_raw(k: int, a: int, x, pcoeffs: list[int]):
     """phi_k^(a)(x) at ambient precision given pcoeffs[j] = p_{a,j}(k)."""
     xf = mpf(x)
@@ -156,7 +141,7 @@ def _pcoeffs(paj: PajTable, a: int, k: int) -> list[int]:
 
 
 def phi_deriv(k: int, a: int, x, paj: PajTable, ctx: PrecisionContext) -> mpf:
-    """The a-th derivative of phi_k from the closed form; a = 0 reduces to phi."""
+    """The a-th derivative of phi_k from the closed form; a = 0 gives phi_k itself."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if not (0 <= a <= min(k, paj.a_max)):
@@ -249,15 +234,6 @@ def _gauss_legendre(n: int, prec: int) -> tuple[tuple, tuple]:
         result = (tuple(+x for x in xs), tuple(+w for w in ws))
     _GL_CACHE[key] = result
     return result
-
-
-def _panel_integral(f, lo, hi, xs, ws):
-    half = (hi - lo) / 2
-    mid = (hi + lo) / 2
-    acc = mp.zero
-    for x, w in zip(xs, ws):
-        acc += w * f(mid + half * x)
-    return acc * half
 
 
 def _next_prow(row: list[int], r: int, k: int) -> list[int]:
@@ -405,107 +381,83 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
 # -- L1 norms of phi^(a) -----------------------------------------------------
 
 
-def _bracket_poly_roots(coeffs: list[int]) -> list[Fraction]:
-    """Real roots in (0, 1) of g(u) = sum_j coeffs[j] u^j, as Fractions.
+def _scaled_poly(coeffs: list[int], m: int, bits: int) -> int:
+    """2^(bits*deg) * g(m / 2^bits) for g(u) = sum_j coeffs[j] u^j, an exact integer."""
+    acc, q = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * m + c * q
+        q <<= bits
+    return acc
 
-    Sign evaluation is exact (integers only): sign(g(p/q)) = sign(sum_j c_j
-    p^j q^(deg-j)).  A uniform grid brackets sign changes, bisection narrows
-    each to width 2^-BISECT_BITS.  Exactness means no spurious roots from
-    rounding; a root of even multiplicity (no sign change) would be missed,
-    but such a point does not break |integrand| smoothness anyway.
+
+def _bracket_zeros(rows: list[list[int]], bits: int) -> list[int]:
+    """The zeros in (0, 1) of g_a(u) = sum_j rows[a][j] u^j, a = len(rows) - 1.
+
+    rows[r] holds p_{r,j}(k) for r = 0..a <= k, so g_r(u) has the sign of
+    phi_k^(r)(x) at u = 1/x^2.  phi_k^(r-1) vanishes at x = 1 (its factor
+    (1 - 1/x^2)^(k-r+1)) and at infinity, and, by induction, at r-1 simple
+    zeros in between; by Rolle phi_k^(r) has a zero in each of those r gaps:
+    at least r, and, g_r having degree r, exactly r, all simple.  The walk
+    r = 1..a therefore bisects g_r on each bracket between consecutive zeros
+    of g_{r-1}, with u = 0 and u = 1 as the outer ends.  Every end is a dyadic
+    m / 2^bits and every sign test is exact (_scaled_poly).  A bracket
+    without a sign change raises QuadratureError; when all r brackets change
+    sign, each holds one zero of g_r, so the count is never wrong.
+
+    Returns the m ascending, each zero of g_a in (m, m+1] / 2^bits.
     """
 
-    def sign_at(fr: Fraction) -> int:
-        p, q = fr.numerator, fr.denominator
-        acc = 0
-        qp = 1
-        for c in reversed(coeffs):  # Horner for q^deg * g(p/q), all-integer
-            acc = acc * p + c * qp
-            qp *= q
-        return (acc > 0) - (acc < 0)
+    def sign(c: list[int], m: int) -> int:
+        v = _scaled_poly(c, m, bits)
+        return (v > 0) - (v < 0)
 
-    grid = 2048
-    roots: list[Fraction] = []
-    prev_u = Fraction(1, grid)
-    prev_s = sign_at(prev_u)
-    if prev_s == 0:
-        roots.append(prev_u)
-    for i in range(2, grid):
-        u = Fraction(i, grid)
-        s = sign_at(u)
-        if s == 0:
-            roots.append(u)
-        elif s != prev_s and prev_s != 0:
-            lo, hi = prev_u, u
-            for _ in range(BISECT_BITS + 12):
-                mid = (lo + hi) / 2
-                sm = sign_at(mid)
-                if sm == 0:
-                    lo = hi = mid
-                    break
-                if sm == prev_s:
+    zeros: list[int] = []
+    for c in rows[1:]:
+        ends = [0, *zeros, 1 << bits]
+        zeros = []
+        for lo, hi in zip(ends, ends[1:]):
+            s_lo = sign(c, lo)
+            if s_lo * sign(c, hi) >= 0:
+                raise QuadratureError(f"g_{len(c) - 1} keeps its sign on [{lo}, {hi}] / 2^{bits}")
+            while hi - lo > 1:
+                mid = (lo + hi) >> 1
+                if sign(c, mid) == s_lo:
                     lo = mid
                 else:
                     hi = mid
-                if hi - lo < Fraction(1, 2 ** BISECT_BITS):
-                    break
-            roots.append((lo + hi) / 2)
-        prev_u, prev_s = u, s
-    return roots
+            zeros.append(lo)
+    return zeros
 
 
 def deriv_l1_norm(k: int, a: int, paj: PajTable, ctx: PrecisionContext) -> mpf:
-    """Int_1^inf |phi_k^(a)(x)| dx by sign-split panel quadrature plus tail bound.
+    """Int_1^inf |phi_k^(a)(x)| dx, for 1 <= a <= k, as a total variation.
 
-    |phi^(a)| is smooth except where the bracketed polynomial g(u) =
-    sum_j p_{a,j}(k) u^j vanishes (u = 1/x^2), so those roots become panel
-    breakpoints.  Beyond X0 ~ 4 sqrt(k) the integral is extended by doubling
-    panels until the term-wise tail bound
+    F = phi_k^(a-1) vanishes at x = 1 and at infinity, and F' = phi_k^(a)
+    changes sign exactly at its a zeros x_1 < ... < x_a (_bracket_zeros), so
+    with x_0 = 1 and x_{a+1} = inf
 
-        sum_j |p_{a,j}(k)| / ((a+2j) X^(a+2j))
+        Int_1^inf |F'| = sum_{i=0}^{a} |F(x_{i+1}) - F(x_i)|.
 
-    is below L1_REL_TOL of the accumulated value; the bound itself is then added,
-    so the quoted value covers the whole half-line.
+    Error.  Each zero is placed within 2^-b in u = 1/x^2, b = working_bits.
+    F' vanishes at the true zero, so F there moves only at second order, by
+    at most 2^-(2b+1) sup|d^2F/du^2| around it.  Each F(x_i) is
+    (1-u)^(k-a+1) u^(a/2) g_{a-1}(u) with u = m / 2^b exact and g_{a-1}(u)
+    an exact integer over 2^(b(a-1)), so it carries a few roundings at b
+    bits.  F has one zero between consecutive x_i, so the F(x_i) alternate in
+    sign and the differences add without cancellation: the result is within
+    a few units of 2^-b relative, GUARD_BITS below 2^-target_bits.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not 1 <= a <= min(k, paj.a_max):
         raise ValueError("need 1 <= a <= min(k, paj.a_max)")
-    pc = _pcoeffs(paj, a, k)
-    roots = _bracket_poly_roots(pc)
-    wp = ctx.working_bits
-    with mp.workprec(wp):
-        xs, ws = _gauss_legendre(QUAD_ORDER, wp)
-        breakpoints = sorted(1 / mpmath.sqrt(mpf(r.numerator) / r.denominator) for r in roots)
-        X0 = mpf(max(math.ceil(4 * math.sqrt(k)), 4))
-        if breakpoints:
-            X0 = max(X0, mpmath.ceil(breakpoints[-1]) + 2)
-
-        def f(x):
-            return abs(_phi_deriv_raw(k, a, x, pc))
-
-        # panel edges: 1 -> each breakpoint -> X0, long stretches cut to <= 1
-        edges = [mp.one]
-        for b in breakpoints + [X0]:
-            lo = edges[-1]
-            if b <= lo:
-                continue
-            span = b - lo
-            steps = max(1, int(mpmath.ceil(span)))
-            for i in range(1, steps):
-                edges.append(lo + span * i / steps)
-            edges.append(b)
-
-        acc = mp.zero
-        for lo, hi in zip(edges, edges[1:]):
-            acc += _panel_integral(f, lo, hi, xs, ws)
-
-        X = edges[-1]
-        for _ in range(400):
-            if _l1_tail(pc, a, X) <= mpf(L1_REL_TOL) * acc:
-                break
-            acc += _panel_integral(f, X, 2 * X, xs, ws)
-            X = 2 * X
-        else:
-            raise QuadratureError("tail bound did not shrink within the doubling budget")
-        return +(acc + _l1_tail(pc, a, X))
+    rows = [_pcoeffs(paj, r, k) for r in range(a + 1)]
+    b = ctx.working_bits
+    with mp.workprec(b):
+        vals = [mp.zero]
+        for m in _bracket_zeros(rows, b):
+            u = mpmath.ldexp(m, -b)
+            g = mpmath.ldexp(_scaled_poly(rows[a - 1], m, b), -b * (a - 1))
+            vals.append((1 - u) ** (k - a + 1) * mpmath.sqrt(u) ** a * g)
+        vals.append(mp.zero)
+        return mpmath.fsum(abs(q - p) for p, q in zip(vals, vals[1:]))

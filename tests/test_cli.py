@@ -262,6 +262,19 @@ class TestBk:
         assert rc == cli.EXIT_USAGE
         assert "need kind=b" in capsys.readouterr().err
 
+    def test_kmax_past_table_exits_2(self, cli_dir, capsys):
+        # a 20-entry table must not quietly print 20 rows for --kmax 30
+        path = cli_dir / "b20.tbl"
+        assert cli.run(["coeff", "--kind", "b", "--kmax", "20", "--out", str(path)]) == cli.EXIT_OK
+        capsys.readouterr()
+        rc = cli.run(["bk", "--kmax", "30", "--table", str(path)])
+        cap = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert "table too short for kmax 30" in cap.err
+        assert cap.out == ""
+        assert cli.run(["bk", "--kmax", "20", "--table", str(path)]) == cli.EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 21
+
 
 class TestDecay:
     def test_json_fit_block(self, deep_table_file, capsys):

@@ -17,9 +17,19 @@ from maslanka.phik import (
     deriv_l1_norm,
     em_remainder_a_k,
     paj_eval,
-    phi,
     phi_deriv,
 )
+
+
+def _phi(k, x):
+    """phi_k(x) = (1 - 1/x^2)^k / x from its definition, at the ambient precision."""
+    return (1 - 1 / (x * x)) ** k / x
+
+
+def _gl_panel(f, lo, hi, xs, ws):
+    """Int_lo^hi f by the rule (xs, ws) on [-1, 1], mapped onto [lo, hi]."""
+    half, mid = (hi - lo) / 2, (hi + lo) / 2
+    return half * mpmath.fsum(w * f(mid + half * x) for x, w in zip(xs, ws))
 
 
 @pytest.fixture(scope="module")
@@ -62,24 +72,26 @@ class TestPajTable:
 
 
 class TestPhi:
-    def test_k1_at_two(self, ctx128):
+    """phi_k itself, as the depth-0 derivative."""
+
+    def test_k1_at_two(self, paj8, ctx128):
         # (3/4)(1/2), every factor an exact dyadic
-        assert phi(1, 2, ctx128) == mpf("0.375")
+        assert phi_deriv(1, 0, 2, paj8, ctx128) == mpf("0.375")
 
     @pytest.mark.parametrize("k", [1, 2, 9])
-    def test_vanishes_at_one(self, k, ctx128):
-        assert phi(k, 1, ctx128) == 0
+    def test_vanishes_at_one(self, k, paj8, ctx128):
+        assert phi_deriv(k, 0, 1, paj8, ctx128) == 0
 
-    def test_decays_like_one_over_x(self, ctx128):
+    def test_decays_like_one_over_x(self, paj8, ctx128):
         with mp.workprec(160):
-            v = phi(3, mpf(10) ** 6, ctx128)
+            v = phi_deriv(3, 0, mpf(10) ** 6, paj8, ctx128)
             assert abs(v * mpf(10) ** 6 - 1) < mpf("1e-11")
 
-    def test_domain_checks(self, ctx128):
+    def test_domain_checks(self, paj8, ctx128):
         with pytest.raises(ValueError):
-            phi(0, 2, ctx128)
+            phi_deriv(0, 0, 2, paj8, ctx128)
         with pytest.raises(ValueError):
-            phi(3, mpf("0.99"), ctx128)
+            phi_deriv(3, 0, mpf("0.99"), paj8, ctx128)
 
 
 # Central difference stencils of second-order accuracy; offsets and weights
@@ -106,8 +118,10 @@ class TestPhiDeriv:
         assert phi_deriv(2, 1, 2, paj8, ctx128) == mpf("0.046875")
 
     def test_a_zero_reduces_to_phi(self, paj8, ctx128):
-        x = mpf("2.25")
-        assert phi_deriv(5, 0, x, paj8, ctx128) == phi(5, x, ctx128)
+        got = phi_deriv(5, 0, mpf("2.25"), paj8, ctx128)
+        want = (1 - Fraction(4, 9) ** 2) ** 5 / Fraction(9, 4)
+        with mp.workprec(300):
+            assert abs(got - mpf(want.numerator) / want.denominator) <= got * mpf(2) ** -128
 
     @pytest.mark.parametrize("k,a", [(3, 1), (5, 4), (8, 0), (8, 7)])
     def test_vanishes_at_one_below_depth_k(self, k, a, paj8, ctx128):
@@ -142,8 +156,7 @@ class TestPhiDeriv:
     @pytest.mark.parametrize("a", [1, 2, 3, 4, 5])
     def test_matches_finite_differences(self, k, a, paj8, ctx64):
         # phi must be sampled far above target accuracy: the stencil cancels
-        # about 50*a bits, so a 500-bit evaluation context feeds the stencil
-        hi = PrecisionContext(target_bits=500)
+        # about 50*a bits, so phi is evaluated at 520 bits
         rng = random.Random(1000 * k + a)
         h = mpf(2) ** -50
         for _ in range(5):
@@ -153,7 +166,7 @@ class TestPhiDeriv:
                 fd = mp.zero
                 for off, wgt in _STENCILS[a]:
                     wq = Fraction(wgt)
-                    term = mpf(wq.numerator) / wq.denominator * phi(k, x + off * h, hi)
+                    term = mpf(wq.numerator) / wq.denominator * _phi(k, x + off * h)
                     fd += term
                 fd /= h ** a
                 closed = phi_deriv(k, a, x, paj8, ctx64)
@@ -185,7 +198,7 @@ class TestBinomialSumIdentity:
 
 
 class TestGaussLegendrePanels:
-    """The fixed-order quadrature kernel behind both integral routines."""
+    """The fixed-order rule behind em_remainder_a_k and the test oracles' panels."""
 
     def test_exact_for_polynomials_through_degree_31(self):
         from maslanka.phik import _gauss_legendre
@@ -209,11 +222,11 @@ class TestGaussLegendrePanels:
             assert ws[i] > 0
 
     def test_panel_integral_of_exp(self):
-        from maslanka.phik import _gauss_legendre, _panel_integral
+        from maslanka.phik import _gauss_legendre
 
         with mp.workprec(128):
             xs, ws = _gauss_legendre(QUAD_ORDER, 128)
-            got = _panel_integral(mpmath.exp, mp.zero, mp.one, xs, ws)
+            got = _gl_panel(mpmath.exp, mp.zero, mp.one, xs, ws)
             assert abs(got - (mpmath.e - 1)) < mpf("1e-20")
 
 
@@ -268,7 +281,7 @@ class TestEmRemainder:
             periodified_bernoulli,
             periodified_sup_bound,
         )
-        from maslanka.phik import _gauss_legendre, _panel_integral, _shift_bound, _shift_boundary
+        from maslanka.phik import _gauss_legendre, _shift_bound, _shift_boundary
 
         ctx = PrecisionContext(288)
         paj = build_paj(k)
@@ -281,7 +294,7 @@ class TestEmRemainder:
             ref = a_k(k, ctx)
             cells = [
                 mpmath.fsum(
-                    _panel_integral(
+                    _gl_panel(
                         lambda x: periodified_bernoulli(a, x) * phi_deriv(k, a + 1, x, paj, ctx),
                         n + mpf(i) / 8, n + mpf(i + 1) / 8, xs, ws)
                     for i in range(8))
@@ -324,35 +337,47 @@ class TestEmRemainder:
 
 
 class TestBracketRoots:
-    def test_single_root(self):
-        from maslanka.phik import _bracket_poly_roots
+    """The Rolle walk over g_r(u) = sum_j p_{r,j}(k) u^j, u = 1/x^2."""
 
-        (r,) = _bracket_poly_roots([-1, 9])
-        assert abs(r - Fraction(1, 9)) < Fraction(1, 2 ** 47)
+    def test_single_root(self):
+        from maslanka.phik import _bracket_zeros
+
+        # g_1 = -1 + 9u at k = 4: phi_4' vanishes at x = 3 only
+        (m,) = _bracket_zeros([[1], [-1, 9]], 48)
+        assert Fraction(m, 2 ** 48) < Fraction(1, 9) <= Fraction(m + 1, 2 ** 48)
 
     def test_exact_grid_hit(self):
-        from maslanka.phik import _bracket_poly_roots
+        from maslanka.phik import _bracket_zeros
 
-        # (2u-1)^2: double root, caught only because the grid lands on it
-        assert Fraction(1, 2) in _bracket_poly_roots([1, -4, 4])
+        # 2u - 1 vanishes exactly on the first bisection midpoint
+        assert _bracket_zeros([[1], [-1, 2]], 48) == [2 ** 47 - 1]
 
     def test_no_roots(self):
-        from maslanka.phik import _bracket_poly_roots
+        from maslanka.phik import _bracket_zeros
 
-        assert _bracket_poly_roots([1, 1]) == []
+        # g_0 = 1: phi_k has no zero in (1, inf)
+        assert _bracket_zeros([[1]], 48) == []
+
+    def test_bracket_without_sign_change_raises(self):
+        from maslanka.phik import _bracket_zeros
+
+        # 1 + u keeps its sign on [0, 1]; no zero may be invented
+        with pytest.raises(QuadratureError):
+            _bracket_zeros([[1], [1, 1]], 48)
 
     def test_against_polyroots(self, paj8):
-        from maslanka.phik import _bracket_poly_roots
+        from maslanka.phik import _bracket_zeros
 
-        coeffs = [paj_eval(paj8, 2, j, 6) for j in range(3)]
-        got = sorted(_bracket_poly_roots(coeffs))
-        with mp.workprec(128):
-            want = sorted(
-                r for r in mpmath.polyroots([coeffs[2], coeffs[1], coeffs[0]]) if 0 < r < 1
-            )
-            assert len(got) == len(want) == 2
-            for g, w in zip(got, want):
-                assert abs(mpf(g.numerator) / g.denominator - w) < mpf(2) ** -46
+        bits = 96
+        for k, a in [(1, 1), (3, 3), (6, 2), (8, 8), (30, 8), (100, 5), (1000, 2), (20000, 4)]:
+            rows = [[paj_eval(paj8, r, j, k) for j in range(r + 1)] for r in range(a + 1)]
+            got = _bracket_zeros(rows, bits)
+            with mp.workprec(192):
+                want = sorted(mpmath.polyroots(rows[a][::-1], maxsteps=200, extraprec=192))
+                assert len(got) == len(want) == a, (k, a)
+                for m, w in zip(got, want):
+                    assert 0 < w < 1, (k, a)
+                    assert abs(mpmath.ldexp(m, -bits) - w) <= mpf(2) ** -bits, (k, a)
 
 
 class TestDerivL1Norm:
@@ -360,10 +385,10 @@ class TestDerivL1Norm:
         # phi_4 rises from 0 to its single max at x=3 (root of -1+9u) and
         # falls back to 0, so the exact norm is 2 phi_4(3) = 2*(8/9)^4/3
         got = deriv_l1_norm(4, 1, paj8, ctx64)
+        want = 2 * Fraction(8, 9) ** 4 / 3
         with mp.workprec(128):
-            want = 2 * (mpf(8) / 9) ** 4 / 3
-            rel = abs(got - want) / want
-        assert rel < mpf("1e-6")
+            rel = abs(got - mpf(want.numerator) / want.denominator) / got
+        assert rel < mpf(2) ** -64
 
     def test_k6_a2_against_quad_oracle(self, paj8, ctx64):
         got = deriv_l1_norm(6, 2, paj8, ctx64)
@@ -378,7 +403,26 @@ class TestDerivL1Norm:
             # phi'' keeps one sign past the last root, so the tail telescopes
             tail = abs(phi_deriv(6, 1, 30, paj8, ctx64))
             rel = abs(got - (body + tail)) / (body + tail)
-        assert rel < mpf("1e-6")
+        assert rel < mpf(2) ** -64
+
+    @pytest.mark.parametrize("k,a", [
+        (4, 1), (6, 2), (100, 3), (400, 3), (400, 5), (1000, 2), (4000, 5), (20000, 4), (8, 8)])
+    def test_meets_target_against_quad_oracle(self, k, a, paj8, ctx64):
+        """Relative 2^-target_bits against tanh-sinh over the sign-definite
+        pieces of |phi_k^(a)| at 128 bits, split at the mpmath.polyroots zeros.
+
+        The grid scan and GL-16 panels this replaced missed here by up to
+        1.6e-6, e.g. 5.2e-9 at (400, 3) and 1.6e-6 at (20000, 4).
+        """
+        got = deriv_l1_norm(k, a, paj8, ctx64)
+        hi = PrecisionContext(96)
+        coeffs = [paj_eval(paj8, a, j, k) for j in range(a + 1)]
+        with mp.workprec(128):
+            us = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=192)
+            splits = sorted(1 / mpmath.sqrt(u) for u in us)
+            want = mpmath.quad(lambda x: abs(phi_deriv(k, a, x, paj8, hi)),
+                               [1, *splits, mpmath.inf])
+            assert abs(got - want) <= want * mpf(2) ** -ctx64.target_bits
 
     def test_halving_across_k_doubling_quadrupling(self, paj8, ctx64):
         n100 = deriv_l1_norm(100, 2, paj8, ctx64)
