@@ -5,7 +5,8 @@ rational arithmetic until a final rounding.  The coefficient row of
 :mod:`maslanka.coefficients` takes zeta(m) from here for small m, and the
 zeta row of a_k_alt for every m.
 
-Conventions: B_1 = -1/2 (the defining recurrence's value), and for even m >= 2
+Conventions: B_1 = -1/2 (the value of the defining recurrence
+sum_{j<=n} C(n+1, j) B_j = 0), and for even m >= 2
 
     zeta(m) = (-1)**(m/2+1) * B_m * (2 pi)**m / (2 m!)  =  q(m) * pi**m
 
@@ -25,7 +26,6 @@ from .mpnum import PrecisionContext
 __all__ = [
     "bernoulli_number",
     "bernoulli_poly_coeffs",
-    "bernoulli_table",
     "periodified_bernoulli",
     "periodified_sup_bound",
     "zeta_even",
@@ -33,27 +33,12 @@ __all__ = [
 ]
 
 
-def bernoulli_table(n_max: int) -> tuple[Fraction, ...]:
-    """Exact B_0 .. B_n_max via the defining recurrence.
-
-    For n >= 1:  sum_{j=0}^{n} C(n+1, j) B_j = 0,  so
-    B_n = -(1/(n+1)) * sum_{j<n} C(n+1, j) B_j.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    vals: list[Fraction] = [Fraction(1)]
-    for n in range(1, n_max + 1):
-        acc = sum(math.comb(n + 1, j) * vals[j] for j in range(n))
-        vals.append(Fraction(-acc, n + 1))
-    return tuple(vals)
-
-
 def bernoulli_number(n: int) -> Fraction:
     """Exact B_n, efficient for large n.
 
     Delegates to mpmath.bernfrac (denominator by von Staudt-Clausen, numerator
     via a zeta evaluation at guaranteed precision), which stays fast well past
-    n = 2000; the recurrence table above cross-checks it for small n.
+    n = 2000.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -95,8 +80,7 @@ def bernoulli_poly_coeffs(a: int) -> tuple[Fraction, ...]:
         raise ValueError("a must be >= 0")
     coeffs = _POLY_CACHE.get(a)
     if coeffs is None:
-        tab = bernoulli_table(a)
-        coeffs = tuple(math.comb(a, i) * tab[i] for i in range(a + 1))
+        coeffs = tuple(math.comb(a, i) * bernoulli_number(i) for i in range(a + 1))
         _POLY_CACHE[a] = coeffs
     return coeffs
 

@@ -34,7 +34,7 @@ from .coefficients import (
     mantissa_digits,
     save_table,
 )
-from .mpnum import PoleError, PrecisionContext
+from .mpnum import PoleError, PrecisionContext, required_bits_for_alternating_sum
 from .phik import QuadratureError, build_paj, em_remainder_a_k
 from .series import maslanka_eval, truncation_check, zeta_reference
 
@@ -200,13 +200,22 @@ def _verify_truncation(table, ctx, nmax, out) -> bool:
 
 
 def _verify_cross_identity(ctx, kmax, out) -> bool:
+    """Check each pair against the sum of its two routes' stated bounds.
+
+    At the row scale W = W(kmax) of cross_identity_pairs, a_k's route is
+    within 2^(k-W-1) (1 + 2^-31) of A_k and a_k_alt's within
+    (k+1) 2^(k-W) (1/2 + 2^-32), together (k+2) (1 + 2^-31) 2^(k-W-1).  Both
+    values are exact conversions of their heads, and their difference is
+    taken exactly.
+    """
     ok_all = True
-    tol = mpf(2) ** (-ctx.target_bits + 6)
+    w = required_bits_for_alternating_sum(kmax, ctx.target_bits)
     worst = mp.zero
     for k, va, vb in cross_identity_pairs(kmax, ctx):
         rel = abs(va - vb) / abs(va)
         worst = max(worst, rel)
-        if not rel < tol:
+        bound = mpmath.ldexp((k + 2) * (2**31 + 1), k - w - 32)
+        if not abs(mpmath.fsub(va, vb, exact=True)) <= bound:
             ok_all = False
             print(f"FAIL cross-identity k={k} rel={mpmath.nstr(rel, 3)}", file=out)
     print(f"{'PASS' if ok_all else 'FAIL'} cross-identity k=1..{kmax} "
@@ -214,14 +223,23 @@ def _verify_cross_identity(ctx, kmax, out) -> bool:
     return ok_all
 
 
+def _em_pair(k, a, ctx, tol, quad_tol=None):
+    """(A_k, A_k as the depth-a remainder integral, their relative difference).
+
+    The quadrature tolerance defaults to |A_k| * tol / 100.
+    """
+    paj = build_paj(a + 1)
+    ref = a_k(k, ctx)
+    if quad_tol is None:
+        quad_tol = abs(ref) * tol / 100
+    val = em_remainder_a_k(k, a, paj, ctx, quad_tol)
+    return ref, val, abs(val - ref) / abs(ref)
+
+
 def _verify_em(ctx, tol, out) -> bool:
     ok_all = True
-    paj = build_paj(max(a for _, a in EM_PAIRS) + 1)
     for k, a in EM_PAIRS:
-        ref = a_k(k, ctx)
-        quad_tol = abs(ref) * tol / 100
-        val = em_remainder_a_k(k, a, paj, ctx, quad_tol)
-        rel = abs(val - ref) / abs(ref)
+        *_, rel = _em_pair(k, a, ctx, tol)
         ok = rel < tol
         ok_all &= ok
         print(f"{'PASS' if ok else 'FAIL'} em-remainder k={k} a={a} rel={mpmath.nstr(rel, 3)}",
@@ -283,11 +301,8 @@ def _cmd_verify(args) -> int:
 def _cmd_em_check(args) -> int:
     ctx = PrecisionContext(args.bits)
     tol = _positive_tol(args.tol)
-    paj = build_paj(args.a + 1)
-    ref = a_k(args.k, ctx)
-    quad_tol = mpf(args.quad_tol) if args.quad_tol else abs(ref) * tol / 100
-    val = em_remainder_a_k(args.k, args.a, paj, ctx, quad_tol)
-    rel = abs(val - ref) / abs(ref)
+    quad_tol = mpf(args.quad_tol) if args.quad_tol else None
+    ref, val, rel = _em_pair(args.k, args.a, ctx, tol, quad_tol)
     digits = mantissa_digits(args.bits)
     print(f"a_k({args.k}) = {format_real(ref, digits)}")
     print(f"em_remainder(k={args.k}, a={args.a}) = {format_real(val, digits)}")

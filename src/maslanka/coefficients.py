@@ -33,7 +33,6 @@ Consumers read it through CoefficientTable.error_bound.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from itertools import pairwise
@@ -321,7 +320,8 @@ def build_table(kind: str, k_max: int, ctx: PrecisionContext) -> CoefficientTabl
 
 
 def mantissa_digits(target_bits: int) -> int:
-    return math.ceil(target_bits * 0.302) + 2
+    """ceil(target_bits * 0.302) + 2, in integers so that any header value has one."""
+    return -(-target_bits * 302 // 1000) + 2
 
 
 def format_real(x: mpf, digits: int) -> str:
@@ -340,12 +340,13 @@ def format_real(x: mpf, digits: int) -> str:
 
 
 def parse_real(token: str, target_bits: int) -> mpf:
-    digits = mantissa_digits(target_bits)
-    m = re.fullmatch(r"([+-])([0-9]\.[0-9]{" + str(digits - 1) + r"})e(\+0|[+-][1-9][0-9]*)", token)
-    if m is None:
+    # the digit count is compared, not put in the pattern: a count past the
+    # regex repetition limit would raise OverflowError instead
+    m = re.fullmatch(r"([+-])([0-9]\.([0-9]+))e(\+0|[+-][1-9][0-9]*)", token)
+    if m is None or len(m.group(3)) != mantissa_digits(target_bits) - 1:
         raise TableFormatError(f"malformed value token {token!r}")
     with mp.workprec(target_bits):
-        return +mpf(m.group(1) + m.group(2) + "e" + m.group(3))
+        return +mpf(m.group(1) + m.group(2) + "e" + m.group(4))
 
 
 def _payload_lines(table: CoefficientTable) -> list[str]:

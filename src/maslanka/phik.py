@@ -57,12 +57,11 @@ import mpmath
 from mpmath import mp, mpf
 
 from .bernoulli import bernoulli_number, periodified_bernoulli, periodified_sup_bound
-from .mpnum import PrecisionContext, required_bits_for_alternating_sum
+from .mpnum import PrecisionContext
 
 __all__ = [
     "PajTable",
     "QuadratureError",
-    "binomial_sum_equals_neg_phi_prime",
     "build_paj",
     "deriv_l1_norm",
     "em_remainder_a_k",
@@ -151,32 +150,6 @@ def phi_deriv(k: int, a: int, x, paj: PajTable, ctx: PrecisionContext) -> mpf:
         if xf < 1:
             raise ValueError("x must be >= 1")
         return +_phi_deriv_raw(k, a, xf, _pcoeffs(paj, a, k))
-
-
-def binomial_sum_equals_neg_phi_prime(k: int, x, ctx: PrecisionContext):
-    """Both sides of  sum_{j=0}^{k} (-1)^j C(k,j) (2j+1) / x^(2j+2) = -phi_k'(x).
-
-    Returned as a (lhs, rhs) pair for tests; the alternating LHS is evaluated
-    at required_bits_for_alternating_sum(k, target_bits), the RHS from the
-    closed-form derivative.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    with mp.workprec(required_bits_for_alternating_sum(k, ctx.target_bits)):
-        xf = mpf(x)
-        if xf <= 1:
-            raise ValueError("x must be > 1")
-        inv2 = 1 / (xf * xf)
-        ppow = inv2
-        lhs = mp.zero
-        c = 1
-        for j in range(k + 1):
-            term = mpf(c * (2 * j + 1)) * ppow
-            lhs = lhs + term if j % 2 == 0 else lhs - term
-            c = c * (k - j) // (j + 1)
-            ppow = ppow * inv2
-        rhs = -_phi_deriv_raw(k, 1, xf, _next_prow([1], 1, k))
-        return +lhs, +rhs
 
 
 # -- Gauss-Legendre panels ---------------------------------------------------

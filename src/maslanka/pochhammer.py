@@ -3,9 +3,9 @@
 One incremental sweep serves every caller: ``_fixed_terms`` runs
 P_k = P_{k-1} (1 - h/k) in Gaussian integers at one scale 2^W, with a proven
 error bound, and yields each P_k times a caller's weight; ``_guard_bits``
-gives the W that bound needs.  The Maslanka series, its truncation identities
-and the Bernoulli form (:mod:`maslanka.series`) feed it their coefficients.
-Here it gives the first values P_0(s), ..., P_K(s) (exactly zero at integer
+gives the W that bound needs.  The Maslanka series and its truncation
+identities (:mod:`maslanka.series`) feed it their coefficients.  Here it
+gives the first values P_0(s), ..., P_K(s) (exactly zero at integer
 1 <= s <= k) and a bound probe measuring sup_k |P_k(s)| k^Re(s).
 """
 

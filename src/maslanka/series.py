@@ -8,14 +8,7 @@ error bound).  The truncation identities (2n-1) zeta(2n) = sum_{k<n} A_k P_k(n)
 run through the same sweep, where every step is exact.
 
 Also provides the independent reference zeta (Euler-Maclaurin continuation,
-used as the oracle the series is tested against) and the *divergent*
-Bernoulli-coefficient representation
-
-    (s-1) zeta(s) = 1 + (1/2)(s-1) + sum_{k>=2} B_k P_k(2-s)
-
-which truncates exactly at non-positive integer s but does not converge
-elsewhere (its partial sums, from the same sweep, are still useful for
-demonstrating exactly that).
+used as the oracle the series is tested against).
 """
 
 from __future__ import annotations
@@ -33,7 +26,6 @@ from .pochhammer import _fixed_terms, _guard_bits, _to_fixed
 
 __all__ = [
     "SeriesResult",
-    "bernoulli_rep_partial",
     "maslanka_eval",
     "truncation_check",
     "zeta_reference",
@@ -242,32 +234,3 @@ def truncation_check(n: int, table: CoefficientTable, ctx: PrecisionContext):
         rhs = (2 * n - 1) * zeta_even(2 * n, ctx)
         return lhs, +rhs
 
-
-def bernoulli_rep_partial(s, K: int, ctx: PrecisionContext) -> mpf | mpc:
-    """Partial sum of the truncating Bernoulli representation.
-
-        c_0 + sum_{k=1}^{K} c_k P_k(2-s),  c_0 = 1, c_1 = 1/2, c_k = B_k (k >= 2)
-
-    The coefficient convention is pinned by solving the triangular system at
-    s = 1, 0, -1, ...: the k=1 coefficient must be +1/2, not B_1.  No
-    convergence claim is made; at non-truncating s the terms eventually grow.
-
-    The sum runs through the integer sweep at h = 2 - s, with the c_k
-    rounded at working_bits (each within 2^(2-working_bits) |c_k|) and all
-    below 2^(c+1).  maslanka_eval's count, with every term 2^c times larger,
-    puts the integer sum at W = working_bits + c + _guard_bits(h, K) within
-    2^-(working_bits+1) of the sum over the rounded c_k; the value is rounded
-    once.
-    """
-    if K < 0:
-        raise ValueError("K must be >= 0")
-    with ctx.prec():
-        z = mpmath.mpmathify(s)
-        weights = [mp.one, mpf(0.5)][: K + 1] + [
-            mpf(b.numerator) / mpf(b.denominator) for b in map(bernoulli_number, range(2, K + 1))]
-        c = max(map(mpmath.mag, weights)) - 1  # |c_k| < 2^(c+1), c >= 0 from c_0 = 1
-        W = ctx.working_bits + c + _guard_bits(2 - z, K)
-        H = ((2 << W) - _to_fixed(mp.re(z), W), -_to_fixed(mp.im(z), W))
-        sr, si = map(sum, zip(*_fixed_terms(H, weights, W)))
-        value = mpf((sr, -W))
-        return mpc(value, mpf((si, -W))) if isinstance(z, mpc) else value

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import mpmath
@@ -8,7 +9,6 @@ from mpmath import mp, mpf
 from maslanka.bernoulli import (
     bernoulli_number,
     bernoulli_poly_coeffs,
-    bernoulli_table,
     periodified_bernoulli,
     periodified_sup_bound,
     zeta_even,
@@ -16,9 +16,20 @@ from maslanka.bernoulli import (
 )
 
 
+def _recurrence_table(n_max: int) -> list[Fraction]:
+    """Exact B_0 .. B_n_max by the defining recurrence, the oracle for
+    bernoulli_number: for n >= 1, sum_{j=0}^{n} C(n+1, j) B_j = 0, so
+    B_n = -(1/(n+1)) * sum_{j<n} C(n+1, j) B_j."""
+    vals = [Fraction(1)]
+    for n in range(1, n_max + 1):
+        vals.append(Fraction(-sum(math.comb(n + 1, j) * vals[j] for j in range(n)), n + 1))
+    return vals
+
+
 class TestBernoulliTable:
     def test_first_values(self):
-        t = bernoulli_table(12)
+        t = _recurrence_table(12)
+        assert [bernoulli_number(n) for n in range(13)] == t
         assert t[0] == 1
         assert t[1] == Fraction(-1, 2)
         assert t[2] == Fraction(1, 6)
@@ -27,18 +38,16 @@ class TestBernoulliTable:
         assert t[12] == Fraction(-691, 2730)
 
     def test_odd_indices_vanish(self):
-        t = bernoulli_table(33)
         for n in range(3, 34, 2):
-            assert t[n] == 0
+            assert bernoulli_number(n) == 0
 
     def test_even_signs_alternate(self):
-        t = bernoulli_table(40)
         for n in range(1, 20):
-            assert (t[2 * n] > 0) == (n % 2 == 1)
+            assert (bernoulli_number(2 * n) > 0) == (n % 2 == 1)
 
     def test_matches_bernfrac_backend(self):
         # the recurrence and the von Staudt-Clausen route must agree exactly
-        t = bernoulli_table(64)
+        t = _recurrence_table(64)
         for n in range(65):
             assert t[n] == bernoulli_number(n)
 
@@ -146,6 +155,12 @@ class TestPolyCoeffs:
 
     def test_degree_four_constant_term(self):
         assert bernoulli_poly_coeffs(4)[-1] == Fraction(-1, 30)
+
+    def test_matches_the_recurrence(self):
+        # B_a(x) = sum_i C(a, i) B_i x^(a-i), with B_i from the recurrence
+        t = _recurrence_table(40)
+        for a in range(41):
+            assert bernoulli_poly_coeffs(a) == tuple(math.comb(a, i) * t[i] for i in range(a + 1))
 
 
 class TestSupBound:

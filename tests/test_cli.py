@@ -6,6 +6,7 @@ we can use capsys and tmp_path instead of subprocesses.  Exit-code contract:
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -366,7 +367,7 @@ class TestVerify:
         out = capsys.readouterr().out.splitlines()
         assert rc == cli.EXIT_VERIFY
         failed = [int(line.split()[2][2:]) for line in out[:-1]]
-        assert min(failed) == j
+        assert failed == list(range(j, 101))
         assert all(line.startswith("FAIL cross-identity k=") for line in out[:-1])
         assert out[-1].startswith("FAIL cross-identity k=1..100 worst_rel=")
 
@@ -399,6 +400,57 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == cli.EXIT_VERIFY
         assert "FAIL global-agreement s=" in out
+
+
+# Every subcommand at small sizes, run in a scratch directory so that file
+# names print the same; `coeff` is pinned by its file, the rest by stdout.
+GOLDEN_ARGV = {
+    "coeff": ["coeff", "--kind", "A", "--kmax", "40", "--bits", "64", "--out", "a40.tbl"],
+    "bk-csv": ["bk", "--kmax", "12", "--bits", "64"],
+    "bk-json": ["bk", "--kmax", "12", "--bits", "64", "--format", "json"],
+    "eval-4": ["eval", "--s", "4", "--table", "a40.tbl", "--bits", "64", "--tol", "1e-6"],
+    "eval-critical": ["eval", "--s", "0.5+14.134725i", "--table", "a40.tbl", "--bits", "64",
+                      "--tol", "1e-6"],
+    "eval-pole": ["eval", "--s", "1", "--table", "a40.tbl", "--bits", "64", "--tol", "1e-6"],
+    "verify-truncation": ["verify", "--suite", "truncation", "--nmax", "8", "--table", "a40.tbl",
+                          "--bits", "64"],
+    "verify-cross-identity": ["verify", "--suite", "cross-identity", "--bits", "64"],
+    "verify-em-remainder": ["verify", "--suite", "em-remainder", "--bits", "64"],
+    "verify-global-agreement": ["verify", "--suite", "global-agreement", "--table", "a40.tbl",
+                                "--bits", "64", "--tol", "1e-3"],
+    "em-check": ["em-check", "--k", "12", "--a", "3"],
+    "decay": ["decay", "--table", "a40.tbl", "--kmin", "5", "--kmax", "30"],
+    "cache-info": ["cache-info", "--table", "a40.tbl"],
+}
+
+# (exit code, first 16 hex digits of the sha256 of the output)
+GOLDEN_OUTPUT = {
+    "coeff": (0, "4c88b391102f21a3"),
+    "bk-csv": (0, "b64036b00e64bb37"),
+    "bk-json": (0, "57fa027409015646"),
+    "eval-4": (0, "114d921de1610163"),
+    "eval-critical": (3, "755c223343bd947d"),
+    "eval-pole": (3, "8e4eb41513fcfe92"),
+    "verify-truncation": (0, "3d3d0b2497cbe6d2"),
+    "verify-cross-identity": (0, "ee3779c2bb0fd6f4"),
+    "verify-em-remainder": (0, "257d34439712dd63"),
+    "verify-global-agreement": (1, "891ad0bc5cf9c1bf"),
+    "em-check": (0, "3ec751a8d08e9619"),
+    "decay": (0, "e8755e846d6f1755"),
+    "cache-info": (0, "fce6433f00f5878a"),
+}
+
+
+def test_output_bytes_and_exit_codes_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    got = {}
+    for name, argv in GOLDEN_ARGV.items():
+        rc = cli.run(argv)
+        out = capsys.readouterr().out.encode("ascii")
+        if name == "coeff":
+            out = (tmp_path / "a40.tbl").read_bytes()
+        got[name] = (rc, hashlib.sha256(out).hexdigest()[:16])
+    assert got == GOLDEN_OUTPUT
 
 
 class TestEmCheck:

@@ -401,6 +401,16 @@ class TestCache:
         with pytest.raises(TableFormatError, match="truncated"):
             load_table(path)
 
+    def test_huge_target_bits_is_a_malformed_value(self, tmp_path):
+        # the digit count of 10^30 bits is past any regex repetition limit
+        payload = "0 +1.6e+0 -5\n"
+        path = tmp_path / "huge.coeff"
+        path.write_text("MASLANKA-COEFF v2\nkind=A kmax=0 target_bits=" + "1" + "0" * 30 + "\n"
+                        f"sha256={hashlib.sha256(payload.encode('ascii')).hexdigest()}\n" + payload)
+        with pytest.raises(TableFormatError, match="malformed value token"):
+            load_table(path)
+        assert cli.run(["cache-info", "--table", str(path)]) == cli.EXIT_USAGE
+
     def test_unknown_header_field_rejected(self, ctx64, tmp_path):
         path = self._written(ctx64, tmp_path)
         lines = path.read_text().split("\n")

@@ -2,8 +2,9 @@
 
 The demos run end to end as scripts and print what they claim, every name
 the package exports or the benchmark scripts import still resolves, the calls
-the benchmark makes still take their arguments as it passes them, and the top
-level exports exactly what these callers import from it.
+the benchmark makes still take their arguments as it passes them, the top
+level exports exactly what these callers import from it, and every name a
+submodule exports has a caller besides the unit tests.
 """
 
 import ast
@@ -36,8 +37,12 @@ def _series_everywhere(out):
 def _truncation_and_identities(out):
     diffs = re.findall(r"^\s*\d+\s+[\d.]+\s+(\S+)$", out, re.M)
     diffs += re.findall(r"(?:rel|abs) diff (\S+)", out)
-    assert len(diffs) == 16, out
+    assert len(diffs) == 20, out  # the last four: the Bernoulli form at s = 1, 0, -1, -3
     assert all(float(d) < 1e-30 for d in diffs), diffs
+    assert out.count(" identical, value ") == 4, out
+    gaps = [float(g) for g in re.findall(r"gap (\S+)", out)]
+    assert len(gaps) == 12, out
+    assert all(a < b for a, b in zip(gaps, gaps[1:])), gaps
 
 
 def _remainder_integral(out):
@@ -155,3 +160,50 @@ def test_benchmark_call_shapes(tmp_path):
     bad.write_text("not a table\n")
     with pytest.raises(TableFormatError):
         load_table(bad)
+
+
+def _identifiers(tree, skip=()) -> set[str]:
+    """Names, attribute names and imported names used in tree, outside the
+    subtrees in skip."""
+    skipped = {id(node) for sub in skip for node in ast.walk(sub)}
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name.rsplit(".", 1)[-1])
+    return found
+
+
+def _defines(node, name: str) -> bool:
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name == name
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def test_every_submodule_name_has_a_caller():
+    """Each name in a submodule's `__all__` is used by the package outside its
+    own definition, by a demo, by the benchmark, in the README or by the
+    acceptance tests; a route only unit tests call does not belong in src/."""
+    outside = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    for path in [*sorted((ROOT / "demos").glob("*.py")), *sorted((ROOT / "bench").glob("*.py")),
+                 ROOT / "tests" / "test_acceptance.py"]:
+        outside |= _identifiers(ast.parse(path.read_text(encoding="utf-8")))
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "maslanka").glob("*.py"))}
+    used = {module: _identifiers(tree) for module, tree in trees.items()}
+    unused = []
+    for module, tree in trees.items():
+        if module == "__init__":  # the top level has its own test above
+            continue
+        elsewhere = outside.union(*(ids for m, ids in used.items() if m != module))
+        for name in getattr(importlib.import_module(f"maslanka.{module}"), "__all__", ()):
+            own = [node for node in tree.body if _defines(node, name) or _defines(node, "__all__")]
+            if name not in elsewhere | _identifiers(tree, own):
+                unused.append(f"maslanka.{module}.{name}")
+    assert not unused

@@ -12,7 +12,6 @@ from maslanka.mpnum import PrecisionContext
 from maslanka.phik import (
     QUAD_ORDER,
     QuadratureError,
-    binomial_sum_equals_neg_phi_prime,
     build_paj,
     deriv_l1_norm,
     em_remainder_a_k,
@@ -174,27 +173,40 @@ class TestPhiDeriv:
             assert rel < mpf("1e-6"), (k, a, x_dyadic)
 
 
+def _neg_phi_prime(k: int, x: Fraction) -> Fraction:
+    """sum_{j=0}^{k} (-1)^j C(k,j) (2j+1) x^-(2j+2), exactly: the alternating sum
+    that A_k = -sum_n phi_k'(n) takes term by term."""
+    return sum((-1) ** j * math.comb(k, j) * (2 * j + 1) / x ** (2 * j + 2)
+               for j in range(k + 1))
+
+
 class TestBinomialSumIdentity:
+    """phi_deriv(k, 1, x) against the exact binomial sum for -phi_k'(x), within
+    2^-target_bits relative."""
+
+    @staticmethod
+    def _rel_error(k, x: Fraction, ctx) -> Fraction:
+        v = phi_deriv(k, 1, mpf(x.numerator) / x.denominator, build_paj(1), ctx)  # x dyadic: exact
+        sign, man, exp, _ = v._mpf_
+        want = _neg_phi_prime(k, x)
+        return abs((-1) ** (sign + 1) * man * Fraction(2) ** exp - want) / abs(want)
+
     def test_k1_exact(self, ctx128):
-        lhs, rhs = binomial_sum_equals_neg_phi_prime(1, 2, ctx128)
-        assert lhs == mpf("0.0625")
-        assert rhs == mpf("0.0625")
+        assert _neg_phi_prime(1, Fraction(2)) == Fraction(1, 16)
+        assert phi_deriv(1, 1, 2, build_paj(1), ctx128) == mpf("-0.0625")
 
     def test_k5(self, ctx128):
-        lhs, rhs = binomial_sum_equals_neg_phi_prime(5, 3, ctx128)
-        with mp.workprec(300):
-            rel = abs(lhs - rhs) / abs(rhs)
-        assert rel < mpf(2) ** -122
+        assert self._rel_error(5, Fraction(3), ctx128) < Fraction(1, 2**128)
 
     def test_k20_escalated(self, ctx128):
-        lhs, rhs = binomial_sum_equals_neg_phi_prime(20, mpf("1.5"), ctx128)
-        with mp.workprec(300):
-            rel = abs(lhs - rhs) / abs(rhs)
-        assert rel < mpf(2) ** -118
+        # the binomial sum loses about 24 bits to cancellation here; the
+        # closed form at working_bits loses none
+        assert self._rel_error(20, Fraction(3, 2), ctx128) < Fraction(1, 2**128)
 
-    def test_rejects_x_at_or_below_one(self, ctx128):
-        with pytest.raises(ValueError):
-            binomial_sum_equals_neg_phi_prime(3, 1, ctx128)
+    @pytest.mark.parametrize("k", [2, 7, 40, 100])
+    @pytest.mark.parametrize("x", [Fraction(9, 8), Fraction(3, 2), Fraction(4), Fraction(33, 4)])
+    def test_grid(self, k, x, ctx64):
+        assert self._rel_error(k, x, ctx64) < Fraction(1, 2**64)
 
 
 class TestGaussLegendrePanels:

@@ -10,12 +10,8 @@ from maslanka.bernoulli import bernoulli_number, zeta_even
 from maslanka.cli import GLOBAL_PROBES, parse_complex
 from maslanka.coefficients import build_table
 from maslanka.mpnum import PoleError, PrecisionContext
-from maslanka.series import (
-    bernoulli_rep_partial,
-    maslanka_eval,
-    truncation_check,
-    zeta_reference,
-)
+from maslanka.pochhammer import pochhammer_values
+from maslanka.series import maslanka_eval, truncation_check, zeta_reference
 
 
 class TestMaslankaEval:
@@ -331,64 +327,78 @@ class TestTruncationCheck:
             truncation_check(2, btab, ctx64)
 
 
+def _bernoulli_form(s, K: int, ctx: PrecisionContext):
+    """c_0 + sum_{k=1}^{K} c_k P_k(2-s), c_0 = 1, c_1 = 1/2, c_k = B_k (k >= 2),
+    built as demos/truncation_and_identities.py builds it: the c_k rounded,
+    the P_k(2-s) from one pochhammer_values sweep, each product and the sum
+    rounded at working_bits."""
+    with ctx.prec():
+        weights = [mp.one, mpf(1) / 2] + [mpf(b.numerator) / b.denominator
+                                          for b in map(bernoulli_number, range(2, K + 1))]
+        return mpmath.fsum(c * p for c, p in zip(weights, pochhammer_values(2 - s, K, ctx)))
+
+
 class TestBernoulliRepresentation:
+    """The divergent form (s-1) zeta(s) = 1 + (1/2)(s-1) + sum_{k>=2} B_k P_k(2-s)
+    through the public pochhammer_values and bernoulli_number: exact where it
+    truncates (s = 1, 0, -1, ...), growing gaps elsewhere."""
+
     def test_s1_truncates_to_one(self, ctx64):
         for K in (0, 5, 20):
-            assert bernoulli_rep_partial(1, K, ctx64) == 1
+            assert _bernoulli_form(1, K, ctx64) == 1
 
     def test_s0_is_half(self, ctx64):
-        assert bernoulli_rep_partial(0, 1, ctx64) == mpf("0.5")
-        assert bernoulli_rep_partial(0, 8, ctx64) == mpf("0.5")
-        assert bernoulli_rep_partial(0, 60, ctx64) == mpf("0.5")  # no table to run out of
+        assert _bernoulli_form(0, 1, ctx64) == mpf("0.5")
+        assert _bernoulli_form(0, 8, ctx64) == mpf("0.5")
+        assert _bernoulli_form(0, 60, ctx64) == mpf("0.5")  # no table to run out of
 
     def test_s_minus_one(self, ctx64):
         # (-2) zeta(-1) = 1/6
         with mp.workprec(96):
-            v = bernoulli_rep_partial(-1, 2, ctx64)
+            v = _bernoulli_form(-1, 2, ctx64)
             assert abs(v - mpf(1) / 6) < mpf(2) ** -90
 
     def test_s_minus_three(self, ctx64):
         # (-4) zeta(-3) = -1/30
         with mp.workprec(96):
-            v = bernoulli_rep_partial(-3, 4, ctx64)
+            v = _bernoulli_form(-3, 4, ctx64)
             assert abs(v + mpf(1) / 30) < mpf(2) ** -90
 
     def test_truncation_makes_longer_sums_identical(self, ctx64):
-        assert bernoulli_rep_partial(-3, 4, ctx64) == bernoulli_rep_partial(-3, 30, ctx64)
+        assert _bernoulli_form(-3, 4, ctx64) == _bernoulli_form(-3, 30, ctx64)
 
     def test_divergence_at_s3(self, ctx64):
-        # |c_K P_K(-1)| grows for even K >= 8: the representation earns its
-        # "divergent" label through increasing doubling gaps
+        # |c_K P_K(-1)| = (K+1) |B_K| grows for even K >= 8: the representation
+        # earns its "divergent" label through increasing doubling gaps
         gaps = []
         for K in range(8, 31, 2):
             with mp.workprec(96):
-                gap = abs(
-                    bernoulli_rep_partial(3, K, ctx64)
-                    - bernoulli_rep_partial(3, K - 2, ctx64)
-                )
+                gap = abs(_bernoulli_form(3, K, ctx64) - _bernoulli_form(3, K - 2, ctx64))
             gaps.append(gap)
         assert all(a < b for a, b in zip(gaps, gaps[1:]))
 
     @pytest.mark.parametrize("s", [mpf("0.3"), mpc("0.5", "14.134725"), mpc(-3, 2), mpf(7)])
     def test_within_stated_bound(self, s, ctx64):
         # against the exact Bernoulli numbers and the defining product of
-        # P_k(2-s) at twice the precision: the sweep's 2^-(wb+1), the final
-        # rounding and the rounding of each weight, 2^(2-wb) |c_k P_k|
+        # P_k(2-s) at twice the precision, with u = 2^-wb: each P_k within
+        # u/2 + u |P_k| (pochhammer_values), each c_k within u |c_k|, each
+        # product within u |c_k P_k| and the sum of K+1 terms within
+        # (K+1) u sum |c_k P_k|
         wb, K = ctx64.working_bits, 40
-        value = bernoulli_rep_partial(s, K, ctx64)
+        value = _bernoulli_form(s, K, ctx64)
         with mp.workprec(2 * wb):
-            h, P, acc, weight_err = 2 - s, mpf(1), mpf(1), mpf(0)
+            h, P, acc, abs_c, abs_terms = 2 - s, mpf(1), mpf(1), mpf(1), mpf(1)
             for k in range(1, K + 1):
                 P *= 1 - h / k
                 c = bernoulli_number(k) if k > 1 else Fraction(1, 2)
                 b = mpf(c.numerator) / c.denominator
                 acc += b * P
-                weight_err += abs(b * P)
+                abs_c += abs(b)
+                abs_terms += abs(b * P)
             err = abs(value - acc)
-            bound = (mpf(2) ** -(wb + 1) + abs(value) * mpf(2) ** -wb
-                     + weight_err * mpf(2) ** (2 - wb))
+            bound = mpf(2) ** -wb * (abs_c / 2 + (K + 5) * abs_terms)
         assert err <= bound
 
     def test_preconditions(self, ctx64):
         with pytest.raises(ValueError):
-            bernoulli_rep_partial(0, -1, ctx64)
+            pochhammer_values(2, -1, ctx64)
