@@ -1,9 +1,10 @@
-"""Exact Bernoulli machinery: numbers, even-argument zeta, periodified polynomials.
+"""Exact Bernoulli machinery: numbers, even-argument zeta, Bernoulli polynomials.
 
 This module is the "oracle layer" of the package: everything here is exact
 rational arithmetic until a final rounding.  The coefficient row of
 :mod:`maslanka.coefficients` takes zeta(m) from here for small m, and the
-zeta row of a_k_alt for every m.
+zeta row of a_k_alt for every m.  :mod:`maslanka.phik` evaluates the
+periodified polynomials B_a({x}) in integers over bernoulli_poly_coeffs.
 
 Conventions: B_1 = -1/2 (the value of the defining recurrence
 sum_{j<=n} C(n+1, j) B_j = 0), and for even m >= 2
@@ -26,7 +27,6 @@ from .mpnum import PrecisionContext
 __all__ = [
     "bernoulli_number",
     "bernoulli_poly_coeffs",
-    "periodified_bernoulli",
     "periodified_sup_bound",
     "zeta_even",
     "zeta_rational_part",
@@ -83,25 +83,6 @@ def bernoulli_poly_coeffs(a: int) -> tuple[Fraction, ...]:
         coeffs = tuple(math.comb(a, i) * bernoulli_number(i) for i in range(a + 1))
         _POLY_CACHE[a] = coeffs
     return coeffs
-
-
-def periodified_bernoulli(a: int, x) -> mpf:
-    """B_a({x}), the periodified Bernoulli polynomial, at the ambient precision.
-
-    Horner evaluation on the exact rational coefficients; rounding happens only
-    in the conversion of each coefficient and the accumulation itself.  Callers
-    that care about precision wrap the call in mp.workprec.
-    """
-    if a < 1:
-        raise ValueError("a must be >= 1")
-    xf = mpf(x)
-    if xf < 0:
-        raise ValueError("x must be >= 0")
-    t = xf - mpmath.floor(xf)
-    acc = mp.zero
-    for c in bernoulli_poly_coeffs(a):
-        acc = acc * t + mpf(c.numerator) / mpf(c.denominator)
-    return acc
 
 
 def periodified_sup_bound(a: int) -> mpf:

@@ -166,10 +166,13 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _positive_tol(text) -> mpf:
+def _positive_tol(text, name: str = "tol") -> mpf:
+    """A tolerance from its command-line text: positive and finite, or ValueError."""
     tol = mpf(text)
     if not tol > 0:
-        raise ValueError("tol must be a positive number")
+        raise ValueError(f"{name} must be a positive number")
+    if not mpmath.isfinite(tol):
+        raise ValueError(f"{name} must be finite")
     return tol
 
 
@@ -301,7 +304,7 @@ def _cmd_verify(args) -> int:
 def _cmd_em_check(args) -> int:
     ctx = PrecisionContext(args.bits)
     tol = _positive_tol(args.tol)
-    quad_tol = mpf(args.quad_tol) if args.quad_tol else None
+    quad_tol = _positive_tol(args.quad_tol, "quad-tol") if args.quad_tol else None
     ref, val, rel = _em_pair(args.k, args.a, ctx, tol, quad_tol)
     digits = mantissa_digits(args.bits)
     print(f"a_k({args.k}) = {format_real(ref, digits)}")

@@ -41,7 +41,9 @@ it, and is bisected while the Gauss-Legendre error estimate
 
 Quadrature serves the remainder integral alone: its integrand is smooth
 between the integers (the corners of Bbar_a), so panels aligned on them keep
-a fixed-order Gauss-Legendre rule spectrally accurate.  The L1 norms
+a fixed-order Gauss-Legendre rule spectrally accurate.  Each panel is one
+sum in Python integers at a fixed-point scale with a proven error bound,
+and the dropped-tail bound is an exact Fraction.  The L1 norms
 Int_1^inf |phi_k^(a)| need none: phi_k^(a) changes sign exactly at its a
 zeros, which a Rolle walk over the exact integer rows p_{r,j}(k) brackets,
 so each norm is the total variation of phi_k^(a-1) between them
@@ -52,11 +54,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
-from .bernoulli import bernoulli_number, periodified_bernoulli, periodified_sup_bound
+from .bernoulli import bernoulli_number, bernoulli_poly_coeffs, periodified_sup_bound
 from .mpnum import PrecisionContext
 
 __all__ = [
@@ -158,8 +162,8 @@ _GL_CACHE: dict[tuple[int, int], tuple[tuple, tuple]] = {}
 
 
 def _legendre(n: int, x):
-    """(P_n(x), P_n'(x)) by the three-term recurrence, for n >= 1 and x != +-1."""
-    p0, p1 = mp.one, x
+    """(P_n(x), P_n'(x)) by the three-term recurrence, for n >= 1 and x != +-1 (float or mpf)."""
+    p0, p1 = 1, x
     for m in range(2, n + 1):
         p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
     return p1, n * (x * p1 - p0) / (x * x - 1)
@@ -168,8 +172,12 @@ def _legendre(n: int, x):
 def _gauss_legendre(n: int, prec: int) -> tuple[tuple, tuple]:
     """Nodes and weights of the order-n Gauss-Legendre rule on [-1, 1].
 
-    Newton iteration on the three-term Legendre recurrence, computed at
-    prec + 32 bits; mpmath offers tanh-sinh natively but no fixed-order
+    Each root is found by Newton iteration in floats, from the guess
+    cos(pi (i - 1/4) / (n + 1/2)), then polished by Newton steps at
+    prec + 32 bits.  A step dx leaves an error of about K dx^2, with
+    K = |P_n''/(2 P_n')| = |x| / (1 - x^2) at a root (Legendre's equation),
+    so the steps stop once 2 K dx^2 < 2^-(prec+32): two or three of them
+    from a float root.  mpmath offers tanh-sinh natively but no fixed-order
     arbitrary-precision Legendre nodes, hence this small solver.
     """
     key = (n, prec)
@@ -179,14 +187,18 @@ def _gauss_legendre(n: int, prec: int) -> tuple[tuple, tuple]:
     with mp.workprec(prec + 32):
         nodes: list = []
         weights: list = []
-        tol = mpf(2) ** (-(prec + 16))
+        tol = mpf(2) ** (-(prec + 32))
         for i in range(1, n // 2 + 1):
-            x = mpmath.cos(mp.pi * (i - mpf(1) / 4) / (n + mpf(1) / 2))
+            xf = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+            for _ in range(8):
+                p, dp = _legendre(n, xf)
+                xf -= p / dp
+            x = mpf(xf)
             for _ in range(100):
                 p, dp = _legendre(n, x)
                 dx = p / dp
                 x -= dx
-                if abs(dx) < tol:
+                if 2 * abs(x) * dx * dx < tol * (1 - x * x):
                     break
             _, dp = _legendre(n, x)
             w = 2 / ((1 - x * x) * dp * dp)
@@ -209,6 +221,92 @@ def _gauss_legendre(n: int, prec: int) -> tuple[tuple, tuple]:
     return result
 
 
+def _man_exp(x) -> tuple[int, int]:
+    """(m, e) with x = m 2^e exactly, for a finite mpf x."""
+    sign, man, exp, _ = x._mpf_
+    return (-man if sign else man), exp
+
+
+def _panel_bits(k: int, a: int, pcoeffs: list[int], wp: int) -> int:
+    """The scale 2^F of _phi_panel: F = wp + the bit length of its bound over
+    2^-F, (beta + 1)(4k + 11)(C + 1), with beta + 1 < 2 + floor(4 a! / 6^a)."""
+    c = sum(abs(v) for v in pcoeffs)
+    beta = 2 + 4 * math.factorial(a) // 6 ** a
+    return wp + (beta * (4 * k + 11) * (c + 1)).bit_length()
+
+
+def _cell_rule(a: int, lo, hi, xs, ws, F: int) -> tuple[int, list[tuple[int, int]]]:
+    """The rule (xs, ws) on [lo, hi] within a unit cell, as (E, [(T_i, V_i)]).
+
+    With h = (hi - lo)/2, T_i 2^-E is the node offset t_i = lo + h (1 + x_i)
+    exactly, and V_i is w_i h Bbar_a(t_i) 2^F rounded to the nearest
+    integer, Bbar_a(t_i) = B_a(t_i) by Horner in integers over the exact
+    coefficients of B_a.
+    """
+    h = (hi - lo) / 2
+    (lm, le), (hm, he) = _man_exp(lo), _man_exp(h)
+    pts = [_man_exp(x) for x in xs]
+    E = max(0, -le, -he, *(-he - e for _, e in pts))
+    base = (lm << (le + E)) + (hm << (he + E))
+    coeffs = bernoulli_poly_coeffs(a)
+    den = math.lcm(*(c.denominator for c in coeffs))
+    cd = [c.numerator * (den // c.denominator) for c in coeffs]
+    nodes = []
+    for (xm, xe), w in zip(pts, ws):
+        T = base + (hm * xm << (he + xe + E))
+        b = cd[0]  # den 2^(E a) B_a(T 2^-E)
+        for i, c in enumerate(cd[1:], 1):
+            b = b * T + (c << E * i)
+        wm, we = _man_exp(w)
+        sh = we + he + F - E * a
+        num, q = wm * hm * b << max(sh, 0), den << max(-sh, 0)
+        nodes.append((T, (2 * num + q) // (2 * q)))
+    return E, nodes
+
+
+def _phi_panel(k: int, a: int, n: int, cell, pcoeffs: list[int], F: int) -> int:
+    """sum_i V_i phi_k^(a+1)(n + t_i) at scale 2^(2F), for a cell of _cell_rule.
+
+    pcoeffs[j] = p_{a+1,j}(k), C = sum_j |p_{a+1,j}(k)| and m = k-a-1.  At a
+    node x, with s = 2^-F, v = 1/x and w = v^2: ix = floor(v/s) has
+    |ix s - v| < s; i2 = floor(ix^2 s) has |i2 s - w| < 3s; with
+    u = 2^F - i2, U = u^m s^(m-1) by binary powering with every product
+    floored is within (m-1) s of (u s)^m, so |U s - (1-w)^m| < (4m+1) s;
+    IX = floor(ix^(a+2) s^(a+1)) has
+    |IX s - v^(a+2)| < (a+3) s; and the Horner sum g of
+    sum_j p_{a+1,j}(k) i2^j, floored a+1 times, is within
+    (a+1) s + 3 s sum_j j |p_{a+1,j}(k)| of g(w).  Every exact factor is at
+    most 1 except |g(w)| <= C, so with its last floor U IX g s^2 is within
+    (4k + 3)(C + 1) s of phi_k^(a+1)(x).  Each V_i is within half a unit of
+    w_i h Bbar_a(t_i) 2^F, and sum_i |V_i| s <= 2h beta + 8s <= beta + 1,
+    beta = sup|Bbar_a| < 2 zeta(2) a! / (2 pi)^a < 4 a! / 6^a.  So the panel
+    is within (beta + 1)(4k + 11)(C + 1) s of
+    sum_i w_i h Bbar_a(t_i) phi_k^(a+1)(n + t_i), at most 2^-wp at the F of
+    _panel_bits.
+    """
+    E, nodes = cell
+    m = k - a - 1
+    one, unit = 1 << (F + E), 1 << F
+    *rest, top = [c << F for c in pcoeffs]
+    rest.reverse()
+    acc = 0
+    for T, V in nodes:
+        ix = one // ((n << E) + T)
+        i2 = ix * ix >> F
+        g = top
+        for c in rest:
+            g = (g * i2 >> F) + c
+        u, U, e = unit - i2, unit, m
+        while e:
+            if e & 1:
+                U = U * u >> F
+            e >>= 1
+            if e:
+                u = u * u >> F
+        acc += V * (U * (ix ** (a + 2) >> F * (a + 1)) * g >> 2 * F)
+    return acc
+
+
 def _next_prow(row: list[int], r: int, k: int) -> list[int]:
     """p_{r,j}(k) for j = 0..r from row[j] = p_{r-1,j}(k), by the recurrence."""
     out = [-(2 * j + r) * c for j, c in enumerate(row)] + [0]
@@ -217,26 +315,19 @@ def _next_prow(row: list[int], r: int, k: int) -> list[int]:
     return out
 
 
-def _l1_tail(pcoeffs: list[int], r: int, X) -> mpf:
-    """Termwise bound on Int_X^inf |phi_k^(r)| for r <= k, from pcoeffs[j] = p_{r,j}(k):
+def _l1_tail(pcoeffs: list[int], r: int, X: int) -> Fraction:
+    """Termwise bound on Int_X^inf |phi_k^(r)| for r <= k, exactly, from pcoeffs[j] = p_{r,j}(k):
 
-        sum_j |p_{r,j}(k)| / ((r+2j) X^(r+2j)),   using (1 - 1/x^2)^(k-r) <= 1.
+        sum_j |p_{r,j}(k)| / ((r+2j) X^(r+2j)),   using (1 - 1/x^2)^(k-r) <= 1,
+
+    summed by Horner in X^2 over the common denominator lcm_j(r+2j) X^(r+2J).
     """
-    xp = mpf(X) ** (-r)
-    inv2 = 1 / (mpf(X) * mpf(X))
-    acc = mp.zero
+    J = len(pcoeffs) - 1
+    lcm = math.lcm(*range(r, r + 2 * J + 1, 2))
+    num = 0
     for j, c in enumerate(pcoeffs):
-        acc += abs(c) * xp / (r + 2 * j)
-        xp *= inv2
-    return acc
-
-
-def _shift_bound(d: int, X, pcoeffs: list[int]) -> mpf:
-    """Bound on |T_d(X)|: sup|Bbar_d| / d! * Int_X^inf |phi_k^(d+1)|, for d < k.
-
-    pcoeffs[j] = p_{d+1,j}(k).
-    """
-    return periodified_sup_bound(d) / math.factorial(d) * _l1_tail(pcoeffs, d + 1, X)
+        num = num * X * X + abs(c) * (lcm // (r + 2 * j))
+    return Fraction(num, lcm * X ** (r + 2 * J))
 
 
 def _shift_boundary(k: int, a: int, d: int, X, prow) -> mpf:
@@ -270,15 +361,21 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
     X: after each unit panel, at every integer X >= 4, d rises while the
     bound keeps shrinking, up to k-1, starting from a at X = 4 and from the
     previous X's d after that (the best depth grows with X); integration
-    stops at the first X where that bound is below quad_tol/2.
+    stops at the first X where that bound is below quad_tol/2.  The bound is
+    an exact Fraction: its sum is exact at the integer X, and sup|Bbar_d| / d!
+    comes padded upward from periodified_sup_bound, once per d.
 
     Panels: [1, X] is walked in unit panels [n, n+1], each on the fixed
     Gauss-Legendre rule Q.  A panel [lo, hi] with midpoint mid takes the value
     Q[lo,mid] + Q[mid,hi] and the error estimate |Q[lo,hi] - Q[lo,mid] -
     Q[mid,hi]|; it is bisected while that estimate, divided by a!, exceeds its
     share (quad_tol/2) * (1/lo - 1/hi), shares that sum to less than quad_tol/2
-    over [1, X].  Bbar_a is evaluated once per node offset within a unit cell.
-    More than MAX_PANELS panels (sub-panels included) raise QuadratureError.
+    over [1, X].  Each Q is one integer sum at the scale 2^F, F = working_bits
+    + guard (_panel_bits), within 2^-working_bits of the rule's exact value
+    (_phi_panel), and is rounded once to working_bits; the nodes and weights
+    are set up in integers once per cell [lo, hi] of the unit interval
+    (_cell_rule).  More than MAX_PANELS panels (sub-panels included) raise
+    QuadratureError.
     """
     if not 2 <= a < k:
         raise ValueError("need 2 <= a < k")
@@ -289,6 +386,8 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
         tol = mpf(quad_tol)
         if not tol > 0:
             raise ValueError("quad_tol must be positive")
+        if not mpmath.isfinite(tol):
+            raise ValueError("quad_tol must be finite")
         half_tol = tol / 2
         afact = math.factorial(a)
         rows = {a + 1: _pcoeffs(paj, a + 1, k)}
@@ -298,25 +397,29 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
                 rows[s] = _next_prow(rows[s - 1], s, k)
             return rows[r]
 
+        sups: dict[int, Fraction] = {}
+
+        def shift_bound(d, X):
+            if d not in sups:
+                sup = periodified_sup_bound(d) / math.factorial(d)
+                sups[d] = Fraction(*to_rational(sup._mpf_))
+            return sups[d] * _l1_tail(prow(d + 1), d + 1, X)
+
         xs, ws = _gauss_legendre(QUAD_ORDER, wp)
-        cells: dict = {}  # (lo, hi) within a unit cell -> [(node offset, weight * Bbar_a)]
         pc = rows[a + 1]
+        F = _panel_bits(k, a, pc, wp)
+        cells: dict = {}  # (lo, hi) within a unit cell -> _cell_rule
 
         def panel(n, lo, hi):
-            nodes = cells.get((lo, hi))
-            if nodes is None:
-                half = (hi - lo) / 2
-                ts = [lo + half * (1 + x) for x in xs]
-                nodes = cells[(lo, hi)] = [
-                    (t, w * half * periodified_bernoulli(a, t)) for t, w in zip(ts, ws)]
-            acc = mp.zero
-            for t, wb in nodes:
-                acc += wb * _phi_deriv_raw(k, a + 1, n + t, pc)
-            return acc
+            cell = cells.get((lo, hi))
+            if cell is None:
+                cell = cells[(lo, hi)] = _cell_rule(a, lo, hi, xs, ws, F)
+            return mpf((_phi_panel(k, a, n, cell, pc, F), -2 * F))
 
         total = mp.zero
         panels = 0
         X, d = 1, a
+        limit = Fraction(*to_rational(half_tol._mpf_))
         while True:
             panels += 1
             stack = [(mp.zero, mp.one, panel(X, mp.zero, mp.one))]
@@ -337,13 +440,13 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
             X += 1
             if X < 4:
                 continue
-            best = _shift_bound(d, X, prow(d + 1))
+            best = shift_bound(d, X)
             while d + 1 < k:
-                nxt = _shift_bound(d + 1, X, prow(d + 2))
+                nxt = shift_bound(d + 1, X)
                 if not nxt < best:
                     break
                 d, best = d + 1, nxt
-            if best < half_tol:
+            if best < limit:
                 break
         value = total / afact
         if a % 2:

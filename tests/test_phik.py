@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 from maslanka import phik
+from maslanka.bernoulli import bernoulli_poly_coeffs
 from maslanka.coefficients import a_k, a_k_alt
 from maslanka.mpnum import PrecisionContext
 from maslanka.phik import (
@@ -29,6 +30,15 @@ def _gl_panel(f, lo, hi, xs, ws):
     """Int_lo^hi f by the rule (xs, ws) on [-1, 1], mapped onto [lo, hi]."""
     half, mid = (hi - lo) / 2, (hi + lo) / 2
     return half * mpmath.fsum(w * f(mid + half * x) for x, w in zip(xs, ws))
+
+
+def _bbar(a, x):
+    """B_a({x}) by Horner over the exact coefficients, at the ambient precision."""
+    t = x - mpmath.floor(x)
+    acc = mp.zero
+    for c in bernoulli_poly_coeffs(a):
+        acc = acc * t + mpf(c.numerator) / c.denominator
+    return acc
 
 
 @pytest.fixture(scope="module")
@@ -288,12 +298,8 @@ class TestEmRemainder:
         bound are rebuilt here from paj_eval, phi_deriv and the Bernoulli
         numbers, and the module's own helpers must agree with them.
         """
-        from maslanka.bernoulli import (
-            bernoulli_number,
-            periodified_bernoulli,
-            periodified_sup_bound,
-        )
-        from maslanka.phik import _gauss_legendre, _shift_bound, _shift_boundary
+        from maslanka.bernoulli import bernoulli_number, periodified_sup_bound
+        from maslanka.phik import _gauss_legendre, _l1_tail, _shift_boundary
 
         ctx = PrecisionContext(288)
         paj = build_paj(k)
@@ -307,7 +313,7 @@ class TestEmRemainder:
             cells = [
                 mpmath.fsum(
                     _gl_panel(
-                        lambda x: periodified_bernoulli(a, x) * phi_deriv(k, a + 1, x, paj, ctx),
+                        lambda x: _bbar(a, x) * phi_deriv(k, a + 1, x, paj, ctx),
                         n + mpf(i) / 8, n + mpf(i + 1) / 8, xs, ws)
                     for i in range(8))
                 for n in range(1, 8)
@@ -324,11 +330,13 @@ class TestEmRemainder:
                         b = bernoulli_number(d)
                         boundary += (mpf(b.numerator) / b.denominator / math.factorial(d)
                                      * phi_deriv(k, d, X, paj, ctx))
-                    bound = periodified_sup_bound(d) / math.factorial(d) * mpmath.fsum(
-                        abs(c) / ((d + 2 * j + 1) * mpf(X) ** (d + 2 * j + 1))
-                        for j, c in enumerate(prow(d + 1)))
+                    tail = mpmath.fsum(abs(c) / ((d + 2 * j + 1) * mpf(X) ** (d + 2 * j + 1))
+                                       for j, c in enumerate(prow(d + 1)))
+                    bound = periodified_sup_bound(d) / math.factorial(d) * tail
                     assert abs(t_a - boundary) <= bound, (X, d)
-                    assert abs(_shift_bound(d, X, prow(d + 1)) - bound) <= bound * mpf(2) ** -280
+                    exact = _l1_tail(prow(d + 1), d + 1, X)
+                    exact = exact.numerator / mpf(exact.denominator)
+                    assert abs(exact - tail) <= tail * mpf(2) ** -280
                     mine = _shift_boundary(k, a, d, mpf(X), prow)
                     assert abs(mine - boundary) <= abs(ref) * mpf(2) ** -250, (X, d)
 
@@ -346,6 +354,57 @@ class TestEmRemainder:
             em_remainder_a_k(8, 2, build_paj(2), ctx64, mpf("1e-6"))  # needs a+1
         with pytest.raises(ValueError):
             em_remainder_a_k(8, 2, paj8, ctx64, mpf(0))
+        with pytest.raises(ValueError, match="quad_tol must be finite"):
+            em_remainder_a_k(8, 2, paj8, ctx64, mpf("inf"))  # would stop the walk at X = 4
+
+
+class TestIntegerPanels:
+    """The fixed-point panels of em_remainder_a_k against the rule applied in mpf
+    at twice the working bits, with the same nodes and weights."""
+
+    @pytest.mark.parametrize("k,a,bits", [(8, 2, 128), (17, 5, 128), (21, 5, 128), (30, 12, 64),
+                                          (250, 5, 128)])
+    def test_within_two_to_minus_working_bits(self, k, a, bits):
+        from maslanka.phik import _cell_rule, _gauss_legendre, _panel_bits, _phi_panel
+
+        wp = PrecisionContext(bits).working_bits
+        paj = build_paj(a + 1)
+        pc = [paj_eval(paj, a + 1, j, k) for j in range(a + 2)]
+        F = _panel_bits(k, a, pc, wp)
+        xs, ws = _gauss_legendre(QUAD_ORDER, wp)
+        oracle_ctx = PrecisionContext(2 * wp - 32)
+        for lo, hi in [(0, 1), (0, mpf(1) / 2), (mpf(1) / 4, mpf(1) / 2)]:
+            cell = _cell_rule(a, mpf(lo), mpf(hi), xs, ws, F)
+            for n in (1, 2, 7, 30):
+                got = _phi_panel(k, a, n, cell, pc, F)
+                with mp.workprec(2 * wp):
+                    want = _gl_panel(
+                        lambda x: _bbar(a, x) * phi_deriv(k, a + 1, x, paj, oracle_ctx),
+                        n + mpf(lo), n + mpf(hi), xs, ws)
+                    err = abs(mpf((got, -2 * F)) - want)
+                assert err <= mpf(2) ** -wp, (k, a, lo, hi, n, err)
+
+
+class TestL1Tail:
+    @pytest.mark.parametrize("k,r", [(8, 3), (17, 6), (21, 12), (30, 13)])
+    @pytest.mark.parametrize("X", [4, 7, 12])
+    def test_bounds_tanh_sinh_integral(self, k, r, X):
+        """The exact termwise bound is at least Int_X^inf |phi_k^(r)| by tanh-sinh,
+        split at the zeros of phi_k^(r) past X."""
+        from maslanka.phik import _l1_tail
+
+        paj = build_paj(r)
+        pc = [paj_eval(paj, r, j, k) for j in range(r + 1)]
+        tail = _l1_tail(pc, r, X)
+        ctx = PrecisionContext(96)
+        with mp.workprec(128):
+            us = mpmath.polyroots(pc[::-1], maxsteps=200, extraprec=192)
+            splits = sorted(x for x in (1 / mpmath.sqrt(u) for u in us) if x > X)
+            want = mpmath.quad(lambda x: abs(phi_deriv(k, r, x, paj, ctx)),
+                               [X, *splits, mpmath.inf])
+            assert want > 0
+            man, exp = (want * (1 + mpf(2) ** -64)).man_exp
+        assert tail >= man * Fraction(2) ** exp, (k, r, X)
 
 
 class TestBracketRoots:

@@ -145,10 +145,11 @@ class TestIntegerKernelEdgeCases:
                                                ctx128.working_bits)
 
     @pytest.mark.parametrize("s", [mpf(3), mpc("0.5", "14.134725")])
-    def test_infinite_tol_stops_at_the_first_check(self, s, table_a400_128, ctx128):
-        res = maslanka_eval(s, table_a400_128, mpf("inf"), ctx128)
-        assert res.converged
-        assert res.terms_used == 2
+    def test_infinite_tol_is_rejected(self, s, table_a400_128, ctx128):
+        # every term is below an infinite tol, so the sum would stop at the
+        # first check, K = 1, and call itself converged
+        with pytest.raises(ValueError, match="tol must be finite"):
+            maslanka_eval(s, table_a400_128, mpf("inf"), ctx128)
 
     def test_single_entry_table(self, ctx64):
         table = build_table("A", 0, ctx64)
