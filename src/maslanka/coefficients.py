@@ -106,9 +106,6 @@ class CoefficientTable:
         if len(self.error_bound_exponents) != self.k_max + 1:
             raise ValueError("error_bound_exponents length must be k_max + 1")
 
-    def __getitem__(self, k: int) -> mpf:
-        return self.values[k]
-
     def error_bound(self, k: int) -> mpf:
         return mpf(2) ** self.error_bound_exponents[k]
 

@@ -11,9 +11,10 @@ and :func:`required_bits_for_alternating_sum` quantifies that loss.
 Values are mpmath ``mpf``/``mpc`` instances and exact rationals are
 ``fractions.Fraction``; the hot loops (the coefficient kernel, the series sum)
 work internally in Python integers at a fixed-point scale and hand back
-``mpf``/``mpc`` values.  mpmath arithmetic is round-to-nearest throughout;
-there is no interval mode, and refinement consistency tests (recompute at
-twice the bits, compare) stand in for rigorous enclosures.
+``mpf``/``mpc`` values.  There is no interval mode; error bounds are proven
+instead, in the docstrings of the table entries' stored 2^e_k
+(:mod:`maslanka.coefficients`), ``maslanka_eval``, ``truncation_check``,
+``em_remainder_a_k``, ``deriv_l1_norm`` and ``zeta_reference``.
 """
 
 from __future__ import annotations

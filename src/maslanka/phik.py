@@ -170,7 +170,7 @@ def _legendre(n: int, x):
 
 
 def _gauss_legendre(n: int, prec: int) -> tuple[tuple, tuple]:
-    """Nodes and weights of the order-n Gauss-Legendre rule on [-1, 1].
+    """Nodes and weights of the order-n Gauss-Legendre rule on [-1, 1], n even.
 
     Each root is found by Newton iteration in floats, from the guess
     cos(pi (i - 1/4) / (n + 1/2)), then polished by Newton steps at
@@ -204,18 +204,8 @@ def _gauss_legendre(n: int, prec: int) -> tuple[tuple, tuple]:
             w = 2 / ((1 - x * x) * dp * dp)
             nodes.append(x)
             weights.append(w)
-        xs: list = []
-        ws: list = []
-        for x, w in zip(reversed(nodes), reversed(weights)):
-            xs.append(-x)
-            ws.append(w)
-        if n % 2:
-            _, dp = _legendre(n, mp.zero)
-            xs.append(mp.zero)
-            ws.append(2 / (dp * dp))
-        for x, w in zip(nodes, weights):
-            xs.append(x)
-            ws.append(w)
+        xs = [-x for x in reversed(nodes)] + nodes
+        ws = weights[::-1] + weights
         result = (tuple(+x for x in xs), tuple(+w for w in ws))
     _GL_CACHE[key] = result
     return result

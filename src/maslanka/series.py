@@ -7,12 +7,13 @@ result is rounded once (see ``maslanka_eval`` for how W follows from a proven
 error bound).  The truncation identities (2n-1) zeta(2n) = sum_{k<n} A_k P_k(n)
 run through the same sweep, where every step is exact.
 
-Also provides the independent reference zeta (Euler-Maclaurin continuation,
-used as the oracle the series is tested against).
+Also provides the series' independent oracle, ``zeta_reference``: Euler-Maclaurin
+summation stopped by Backlund's remainder bound, with N chosen so the stop must come.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,10 +54,7 @@ class SeriesResult:
 
 
 def _norm_limit(x, e: int):
-    """ceil((x * 2^e)^2) for a positive mpf x, so that for an integer N,
-    N < (x 2^e)^2 exactly when N < the limit; an infinite x gives math.inf."""
-    if mpmath.isinf(x):
-        return math.inf
+    """ceil((x 2^e)^2) for a positive finite mpf x: an integer is below (x 2^e)^2 iff below it."""
     _, man, exp, _ = x._mpf_
     n, sh = man * man, 2 * (exp + e)
     return n << sh if sh >= 0 else -(-n >> -sh)
@@ -142,77 +140,71 @@ def maslanka_eval(s, table: CoefficientTable, tol, ctx: PrecisionContext) -> Ser
     )
 
 
-def _em_zeta_attempt(z, N: int, wp: int):
-    """One Euler-Maclaurin pass at fixed N and precision.
-
-    Returns (True, value) on success, (False, None) when the correction terms
-    start growing before reaching tolerance (N too small for this s).
-    """
-    with mp.workprec(wp):
-        zc = +mpmath.mpmathify(z)
-        acc = mp.zero
-        for n in range(1, N):
-            acc += mpmath.power(n, -zc)
-        acc += mpmath.power(N, 1 - zc) / (zc - 1)
-        acc += mpmath.power(N, -zc) / 2
-        tol = mpf(2) ** (-wp + 4) * max(abs(acc), mpf(2) ** (-wp // 2))
-        rising = zc  # (s)_{2r-1}
-        npow = mpmath.power(N, -zc - 1)
-        corr = mp.zero
-        prev = mpmath.inf
-        r = 1
-        while True:
-            b = bernoulli_number(2 * r)
-            term = (
-                mpf(b.numerator)
-                / mpf(b.denominator)
-                / mpf(math.factorial(2 * r))
-                * rising
-                * npow
-            )
-            at = abs(term)
-            if at > prev:
-                return False, None
-            corr += term
-            if at < tol:
-                return True, +(acc + corr)
-            prev = at
-            rising = rising * (zc + 2 * r - 1) * (zc + 2 * r)
-            npow = npow / (N * N)
-            r += 1
-            if r > 2 * N + 16:
-                return False, None
+def _em_rhos(sigma: float, tau: float, N: int, wp: int):
+    """Floats rho_r >= |s+2r-1|/(sigma+2r-1), inf while sigma+2r-1 may be <= 0, up to the
+    first r with b_r rho_r < 2^(3-wp-ceil(wp/2)); None if b_r rises first (``zeta_reference``).
+    The slack e + j u covers rounding s to wp >= 40 bits and to floats, and each float step."""
+    u, c = 2.0 ** -38, 2 * math.log2(2 * math.pi * N)
+    e = (abs(sigma) + tau + 1) * u
+    lg = 2 + (1 - sigma) * math.log2(N) - c + math.log2(math.hypot(sigma, tau) + e)  # log2 b_1
+    floor, rhos = 3 - wp - (wp + 1) // 2, []
+    for j in itertools.count(1, 2):  # j = 2r-1
+        x, sl = sigma + j, e + j * u
+        h = math.hypot(x, tau) + sl  # >= |s+j|
+        rhos.append(h / (x - sl) if x > sl else math.inf)
+        if lg < floor and lg + math.log2(rhos[-1]) < floor:  # rho_r >= 1
+            return rhos
+        if (step := math.log2(h * (math.hypot(x + 1, tau) + sl + u)) - c) >= 0:  # log2 q_r
+            return None
+        lg += step
 
 
 def zeta_reference(s, ctx: PrecisionContext) -> mpf | mpc:
-    """zeta(s) by Euler-Maclaurin continuation, the package's independent oracle.
+    """zeta(s) by Euler-Maclaurin summation, the package's independent oracle.
 
-    N and the working precision are chosen jointly from target_bits and Im s;
-    for Re s < 0 extra bits absorb the cancellation between the partial sum
-    (which grows like N^(1+|Re s|)) and the continuation terms.  If the
-    correction series bottoms out before reaching tolerance, N is doubled and
-    the pass rerun.
+    zeta(s) = sum_{n<N} n^-s + N^(1-s)/(s-1) + N^-s/2 + sum_{r<M} T_r + R_M with
+    T_r = B_2r/(2r)! (s)_(2r-1) N^(1-s-2r), and |R_M| <= |T_M| |s+2M-1|/(sigma+2M-1)
+    for sigma = Re s > 1-2M (Backlund 1914; Rubinstein 2005; Johansson 2015).
+    The sum stops before the first T_M with |T_M| rho_M < tol = 2^(4-wp) max(|acc|,
+    2^(-wp/2)), rho_M that ratio rounded up, so it is within tol of zeta(s).
+    N and wp are fixed before the sum so that the stop must come: |T_r| <= b_r,
+    b_1 = 4 |s| N^(1-sigma)/(2 pi N)^2, b_(r+1) = b_r |s+2r-1| |s+2r|/(2 pi N)^2
+    (|B_2r|/(2r)! = 2 zeta(2r)/(2 pi)^2r, zeta(2r) falls), a ratio that falls, then rises.
+    ``_em_rhos`` walks b_r rho_r while b_r falls, and N grows by one until the
+    walk goes below 2^(3-wp-ceil(wp/2)), half the least tol; that bit covers
+    the rounding of the walk and of |T_r|.  For sigma < 0 the power sum's
+    terms reach N^-sigma; the extra ceil((1-sigma) log2(N+1)) + 8 bits hold
+    its rounding error, about N^(2-sigma) 2^-wp, below N 2^-(t+32).
     """
     z = mpmath.mpmathify(s)
+    if not mpmath.isfinite(z):
+        raise ValueError("s must be a finite number")
     if z == 1:
         raise PoleError("zeta pole at s = 1")
-    t = ctx.target_bits
-    sigma = float(mp.re(z))
-    tau = abs(float(mp.im(z)))
+    t, sigma, tau = ctx.target_bits, float(mp.re(z)), abs(float(mp.im(z)))
+    bits = lambda N: t + 24 + (math.ceil((1.0 - sigma) * math.log2(N + 1)) + 8 if sigma < 0 else 0)
     wp = t + 24
     for _ in range(3):
         N = max(16, math.ceil(0.14 * wp + 0.55 * tau + 8))
-        extra = 0
-        if sigma < 0:
-            extra = math.ceil((1.0 - sigma) * math.log2(N + 1)) + 8
-        wp = t + 24 + extra
-    while True:
-        ok, val = _em_zeta_attempt(z, N, wp)
-        if ok:
-            return val
-        N *= 2
-        if sigma < 0:
-            wp = t + 24 + math.ceil((1.0 - sigma) * math.log2(N + 1)) + 8
+        wp = bits(N)
+    while (rhos := _em_rhos(sigma, tau, N, wp)) is None:
+        N += 1
+        wp = bits(N)
+    with mp.workprec(wp):
+        zc = +z
+        acc = sum((mpmath.power(n, -zc) for n in range(1, N)), mp.zero)
+        acc += mpmath.power(N, 1 - zc) / (zc - 1)
+        acc += mpmath.power(N, -zc) / 2
+        tol = mpf(2) ** (-wp + 4) * max(abs(acc), mpf(2) ** (-wp // 2))
+        rising, npow, corr = zc, mpmath.power(N, -zc - 1), mp.zero  # (s)_(2r-1), N^(-s-2r+1)
+        for r, rho in enumerate(rhos, 1):
+            b = bernoulli_number(2 * r)
+            term = mpf(b.numerator) / mpf(b.denominator) / mpf(math.factorial(2 * r)) * rising * npow
+            if (at := abs(term)) < tol and at * rho < tol:  # rho >= 1
+                return +(acc + corr)
+            corr += term
+            rising, npow = rising * (zc + 2 * r - 1) * (zc + 2 * r), npow / (N * N)
+    raise ArithmeticError("Euler-Maclaurin stop missed its proven bound")
 
 
 def truncation_check(n: int, table: CoefficientTable, ctx: PrecisionContext):

@@ -19,7 +19,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from maslanka import cli, coefficients
+from maslanka import cli, coefficients, phik
 from maslanka.cli import parse_complex
 from maslanka.coefficients import load_table, save_table
 from maslanka.mpnum import PrecisionContext, required_bits_for_alternating_sum
@@ -392,6 +392,15 @@ class TestVerify:
         assert "error: table too short for nmax 66: need k_max >= 65" in cap.err
         assert cap.out == ""
 
+    def test_builds_its_own_table(self, capsys):
+        # no --table: the suite builds the k <= nmax-1 table it needs
+        rc = cli.run(["verify", "--suite", "truncation", "--nmax", "6", "--bits", "64"])
+        cap = capsys.readouterr()
+        assert rc == cli.EXIT_OK
+        assert cap.out.count("PASS truncation") == 6
+        assert "FAIL" not in cap.out
+        assert cap.err == "building kind=A table to k=5 at 64 bits\n"
+
     def test_global_agreement_default_tolerance_fails(self, deep_table_file, capsys):
         # 2^-400-ish is what 1e-20 would need here; 401 terms cannot reach it,
         # so the suite must report the shortfall and exit 1, not paper over it
@@ -478,6 +487,14 @@ class TestEmCheck:
         cap = capsys.readouterr()
         assert rc == cli.EXIT_NUMERIC
         assert "not met" in cap.err
+
+    def test_quadrature_failure_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(phik, "MAX_PANELS", 2)
+        rc = cli.run(["em-check", "--k", "12", "--a", "3", "--bits", "64"])
+        cap = capsys.readouterr()
+        assert rc == cli.EXIT_NUMERIC
+        assert cap.out == ""
+        assert cap.err.startswith("numeric failure:")
 
 
 class TestNonPositiveTol:

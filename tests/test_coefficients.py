@@ -164,19 +164,19 @@ class TestBuildTable:
         for k in range(3):
             with mp.workprec(64):
                 want = +a_k(k, ctx64)
-            assert table[k] == want
+            assert table.values[k] == want
 
     def test_b_zero_table(self, ctx64):
         table = build_table("b", 0, ctx64)
         assert table.k_max == 0
         with mp.workprec(96):
-            rel = abs(table[0] - 6 / mpmath.pi ** 2) / (6 / mpmath.pi ** 2)
+            rel = abs(table.values[0] - 6 / mpmath.pi ** 2) / (6 / mpmath.pi ** 2)
         assert rel < mpf(2) ** -60
 
     def test_a_table_head_is_zeta2(self, table_a400_128):
         ctx = PrecisionContext(target_bits=128)
         with mp.workprec(200):
-            rel = abs(table_a400_128[0] - zeta_even(2, ctx)) / zeta_even(2, ctx)
+            rel = abs(table_a400_128.values[0] - zeta_even(2, ctx)) / zeta_even(2, ctx)
         assert rel < mpf(2) ** -124
 
     def test_deterministic_rebuild(self, ctx128):
@@ -294,7 +294,7 @@ class TestErrorBounds:
             with mp.workprec(400):
                 refined = a_k(k, hi)
                 gap = abs(a_k(k, ctx128) - refined)
-                table_gap = abs(table[k] - refined)
+                table_gap = abs(table.values[k] - refined)
                 slack = table.error_bound(k) + abs(refined) * mpf(2) ** -127
             assert gap < table.error_bound(k)
             assert table_gap < slack

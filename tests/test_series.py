@@ -11,13 +11,13 @@ from maslanka.cli import GLOBAL_PROBES, parse_complex
 from maslanka.coefficients import build_table
 from maslanka.mpnum import PoleError, PrecisionContext
 from maslanka.pochhammer import pochhammer_values
-from maslanka.series import maslanka_eval, truncation_check, zeta_reference
+from maslanka.series import _em_rhos, maslanka_eval, truncation_check, zeta_reference
 
 
 class TestMaslankaEval:
     def test_s2_truncates_at_first_term(self, table_a400_128, ctx128):
         res = maslanka_eval(2, table_a400_128, mpf("1e-6"), ctx128)
-        assert res.value == table_a400_128[0]
+        assert res.value == table_a400_128.values[0]
         assert res.terms_used == 2  # the k=1 term is exactly zero
         assert res.converged
         assert not res.is_pole
@@ -156,7 +156,7 @@ class TestIntegerKernelEdgeCases:
         res = maslanka_eval(mpf(3), table, mpf("1e-6"), ctx64)
         assert res.terms_used == 1
         assert not res.converged
-        assert res.value == table[0]
+        assert res.value == table.values[0]
         assert res.residual_estimate == 0
 
     @pytest.mark.parametrize("s,kind", [(3, mpf), (3.0, mpf), (mpf(-1), mpf),
@@ -269,6 +269,35 @@ class TestZetaReference:
             rel = abs(got - want) / abs(want)
         assert rel < mpf(2) ** -120
 
+    @pytest.mark.parametrize("t", [16, 512])
+    @pytest.mark.parametrize(
+        "s",
+        [mpc(-60, "0.5"), mpf(60), mpc("0.5", 300), mpc(-30, 40), mpc("0.5", "14.134725141734693")],
+    )
+    def test_one_pass_against_mpmath_zeta(self, s, t):
+        # far left and right, high on the critical line and next to its first
+        # zero (|acc| near its floor), at both ends of the precision range
+        got = zeta_reference(s, PrecisionContext(t))
+        with mp.workprec(2 * t):
+            want = mpmath.zeta(s)
+            assert abs(got - want) <= mpf(2) ** -(t - 8) * max(1, abs(want))
+
+    @pytest.mark.parametrize("s", [mpc("0.5", "14.134725"), mpf(-3), mpc(-7, "1e-30"), mpc(2, 40)])
+    def test_rhos_bound_the_remainder_ratio(self, s):
+        # each float rho_r covers |s+2r-1|/(sigma+2r-1) exactly computed, and
+        # is infinite where sigma+2r-1 <= 0
+        sigma, tau = float(s.real), abs(float(s.imag))
+        rhos = _em_rhos(sigma, tau, 60, 200)
+        assert rhos
+        with mp.workprec(200):
+            for r, rho in enumerate(rhos, 1):
+                d = s.real + 2 * r - 1
+                assert rho == math.inf if d <= 0 else rho >= abs(s + 2 * r - 1) / d
+
+    def test_rhos_refuse_too_small_n(self):
+        # at N = 2 the bound on |T_r| rises before it reaches the least tol
+        assert _em_rhos(0.5, 14.0, 2, 152) is None
+
     def test_zeta_zero_value(self, ctx128):
         with mp.workprec(200):
             assert abs(zeta_reference(0, ctx128) + mpf("0.5")) < mpf(2) ** -120
@@ -289,11 +318,17 @@ class TestZetaReference:
         with pytest.raises(PoleError):
             zeta_reference(1, ctx128)
 
+    @pytest.mark.parametrize("s", [mpf("nan"), mpf("inf"), mpc("nan", 1), mpc(2, "-inf")])
+    def test_non_finite_s_is_rejected(self, s, ctx128):
+        # a NaN or infinite part would leave the choice of N without an end
+        with pytest.raises(ValueError, match="finite"):
+            zeta_reference(s, ctx128)
+
 
 class TestTruncationCheck:
     def test_n1(self, table_a400_128, ctx128):
         lhs, rhs = truncation_check(1, table_a400_128, ctx128)
-        assert lhs == table_a400_128[0]
+        assert lhs == table_a400_128.values[0]
         with mp.workprec(200):
             rel = abs(lhs - rhs) / rhs
         assert rel < mpf(2) ** -124
