@@ -30,24 +30,20 @@ that (1 - 1/x^2)^(k-d-1) <= 1 on [X, inf),
 
     |T_d(X)| <= sup|Bbar_d| / d! * sum_j |p_{d+1,j}(k)| / ((d+2j+1) X^(d+2j+1)).
 
-The boundary sum is exact and closed-form; only T_d(X) is dropped, and its
-bound falls like X^-(d+1) instead of X^-(a+1).  em_remainder_a_k picks, at
-each integer X >= 4, the d in [a, k-1] reached by raising d while the bound
-shrinks (from a at X = 4, from the previous d after that), and stops at the
-first X where that bound is below half its tolerance.  The other half is
-shared among the panels of [1, X]: a panel [lo, hi] gets (1/lo - 1/hi) of
-it, and is bisected while the Gauss-Legendre error estimate
-|Q[lo,hi] - Q[lo,mid] - Q[mid,hi]| exceeds its share.
+At an integer X every boundary term is rational, so their sum is exact; only
+T_d(X) is dropped, and its bound falls like X^-(d+1) instead of X^-(a+1).
+The bound depends on k, d and X alone, so em_remainder_a_k fixes X and d
+before it integrates [1, X].
 
 Quadrature serves the remainder integral alone: its integrand is smooth
 between the integers (the corners of Bbar_a), so panels aligned on them keep
 a fixed-order Gauss-Legendre rule spectrally accurate.  Each panel is one
-sum in Python integers at a fixed-point scale with a proven error bound,
-and the dropped-tail bound is an exact Fraction.  The L1 norms
-Int_1^inf |phi_k^(a)| need none: phi_k^(a) changes sign exactly at its a
-zeros, which a Rolle walk over the exact integer rows p_{r,j}(k) brackets,
-so each norm is the total variation of phi_k^(a-1) between them
-(deriv_l1_norm).
+sum in Python integers at a fixed-point scale with a proven error bound, the
+panels add up to one integer, and the dropped-tail bound is an exact
+Fraction.  The L1 norms Int_1^inf |phi_k^(a)| need none: phi_k^(a) changes
+sign exactly at its a zeros, which a Rolle walk over the exact integer rows
+p_{r,j}(k) brackets, so each norm is the total variation of phi_k^(a-1)
+between them (deriv_l1_norm).
 """
 
 from __future__ import annotations
@@ -58,7 +54,7 @@ from fractions import Fraction
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import to_rational
+from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from .bernoulli import bernoulli_number, bernoulli_poly_coeffs, periodified_sup_bound
 from .mpnum import PrecisionContext
@@ -126,19 +122,6 @@ def paj_eval(paj: PajTable, a: int, j: int, k: int) -> int:
     return acc
 
 
-def _phi_deriv_raw(k: int, a: int, x, pcoeffs: list[int]):
-    """phi_k^(a)(x) at ambient precision given pcoeffs[j] = p_{a,j}(k)."""
-    xf = mpf(x)
-    inv2 = 1 / (xf * xf)
-    u = 1 - inv2
-    xp = xf ** (-(a + 1))
-    acc = mp.zero
-    for c in pcoeffs:
-        acc += c * xp
-        xp *= inv2
-    return u ** (k - a) * acc
-
-
 def _pcoeffs(paj: PajTable, a: int, k: int) -> list[int]:
     return [paj_eval(paj, a, j, k) for j in range(a + 1)]
 
@@ -153,7 +136,13 @@ def phi_deriv(k: int, a: int, x, paj: PajTable, ctx: PrecisionContext) -> mpf:
         xf = mpf(x)
         if xf < 1:
             raise ValueError("x must be >= 1")
-        return +_phi_deriv_raw(k, a, xf, _pcoeffs(paj, a, k))
+        inv2 = 1 / (xf * xf)
+        xp = xf ** (-(a + 1))
+        acc = mp.zero
+        for c in _pcoeffs(paj, a, k):
+            acc += c * xp
+            xp *= inv2
+        return (1 - inv2) ** (k - a) * acc
 
 
 # -- Gauss-Legendre panels ---------------------------------------------------
@@ -320,19 +309,14 @@ def _l1_tail(pcoeffs: list[int], r: int, X: int) -> Fraction:
     return Fraction(num, lcm * X ** (r + 2 * J))
 
 
-def _shift_boundary(k: int, a: int, d: int, X, prow) -> mpf:
-    """The boundary terms sum_{r=a+1}^{d} (-1)^r B_r / r! * phi_k^(r)(X).
-
-    X is an integer, so Bbar_r(X) = B_r; prow(r) gives the list p_{r,j}(k).
-    Odd r >= 3 have B_r = 0 and are skipped.
-    """
-    acc = mp.zero
-    for r in range(a + 1, d + 1):
-        if r % 2 == 0:
-            b = bernoulli_number(r)
-            acc += (mpf(b.numerator) / mpf(b.denominator) / math.factorial(r)
-                    * _phi_deriv_raw(k, r, X, prow(r)))
-    return acc
+def _phi_deriv_exact(k: int, r: int, X: int, pcoeffs: list[int]) -> Fraction:
+    """phi_k^(r)(X) as an exact Fraction at an integer X >= 1, for r <= k, from
+    pcoeffs[j] = p_{r,j}(k): (X^2 - 1)^(k-r) sum_j p_{r,j}(k) X^(2(r-j)) / X^(2k+r+1)."""
+    x2 = X * X
+    acc = 0
+    for c in pcoeffs:
+        acc = acc * x2 + c
+    return Fraction((x2 - 1) ** (k - r) * acc, X ** (2 * k + r + 1))
 
 
 def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_tol: mpf) -> mpf:
@@ -342,30 +326,32 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
 
     Valid for 2 <= a < k (so every boundary derivative at 1 vanishes and the
     result is depth-independent); uses no zeta value.  The tail T_a(X) past
-    an integer X is taken by the depth shift of the module docstring:
+    an integer X is the boundary sum to depth d plus T_d(X), by the depth
+    shift of the module docstring.  Two phases.
 
-        T_a(X) = sum_{r=a+1}^{d} (-1)^r B_r / r! * phi_k^(r)(X)  +  T_d(X),
-        |T_d(X)| <= sup|Bbar_d| / d! * sum_j |p_{d+1,j}(k)| / ((d+2j+1) X^(d+2j+1)),
-
-    the boundary sum is added exactly and T_d(X) is dropped.  Choice of d and
-    X: after each unit panel, at every integer X >= 4, d rises while the
+    The cut: the bound on T_d(X) depends on k, d, X and quad_tol alone, so X
+    and d are fixed before any panel.  At X = 4, 5, ..., d rises while the
     bound keeps shrinking, up to k-1, starting from a at X = 4 and from the
-    previous X's d after that (the best depth grows with X); integration
-    stops at the first X where that bound is below quad_tol/2.  The bound is
-    an exact Fraction: its sum is exact at the integer X, and sup|Bbar_d| / d!
-    comes padded upward from periodified_sup_bound, once per d.
+    previous X's d after that (the best depth grows with X); the walk stops at
+    the first X where that bound is below quad_tol/2.  The bound is an exact
+    Fraction: its sum is exact at the integer X (_l1_tail), and sup|Bbar_d| /
+    d! comes padded upward from periodified_sup_bound, once per d.  An X - 1
+    above MAX_PANELS raises QuadratureError at once.
 
-    Panels: [1, X] is walked in unit panels [n, n+1], each on the fixed
+    The panels: [1, X] is walked in unit panels [n, n+1] on the fixed
     Gauss-Legendre rule Q.  A panel [lo, hi] with midpoint mid takes the value
-    Q[lo,mid] + Q[mid,hi] and the error estimate |Q[lo,hi] - Q[lo,mid] -
-    Q[mid,hi]|; it is bisected while that estimate, divided by a!, exceeds its
-    share (quad_tol/2) * (1/lo - 1/hi), shares that sum to less than quad_tol/2
-    over [1, X].  Each Q is one integer sum at the scale 2^F, F = working_bits
-    + guard (_panel_bits), within 2^-working_bits of the rule's exact value
-    (_phi_panel), and is rounded once to working_bits; the nodes and weights
-    are set up in integers once per cell [lo, hi] of the unit interval
-    (_cell_rule).  More than MAX_PANELS panels (sub-panels included) raise
-    QuadratureError.
+    Q[lo,mid] + Q[mid,hi]; it is bisected while the estimate |Q[lo,hi] -
+    Q[lo,mid] - Q[mid,hi]|, rounded once, divided by a!, exceeds its share
+    (quad_tol/2) (1/lo - 1/hi), shares that sum to less than quad_tol/2.  Each
+    Q is one integer at the scale 2^(2F), F = working_bits + guard
+    (_panel_bits), over nodes and weights set up once per cell [lo, hi] of
+    the unit interval (_cell_rule), and the panels add up exactly.  More than
+    MAX_PANELS panels (sub-panels included) raise QuadratureError.
+
+    Error: the rule's own error, held by the estimate to each panel's share;
+    each Q within 2^-working_bits of the rule's exact value (_phi_panel); the
+    dropped T_d(X), below quad_tol/2 by the exact bound; the boundary sum,
+    exact (_phi_deriv_exact); and one final rounding to working_bits.
     """
     if not 2 <= a < k:
         raise ValueError("need 2 <= a < k")
@@ -379,24 +365,30 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
         if not mpmath.isfinite(tol):
             raise ValueError("quad_tol must be finite")
         half_tol = tol / 2
-        afact = math.factorial(a)
-        rows = {a + 1: _pcoeffs(paj, a + 1, k)}
+        failure = f"tolerance {mpmath.nstr(tol, 6)} not met within {MAX_PANELS} panels"
 
-        def prow(r):
-            for s in range(max(rows) + 1, r + 1):
-                rows[s] = _next_prow(rows[s - 1], s, k)
-            return rows[r]
-
-        sups: dict[int, Fraction] = {}
-
-        def shift_bound(d, X):
-            if d not in sups:
-                sup = periodified_sup_bound(d) / math.factorial(d)
-                sups[d] = Fraction(*to_rational(sup._mpf_))
-            return sups[d] * _l1_tail(prow(d + 1), d + 1, X)
+        # sups[e - a] = sup|Bbar_e| / e! and rows[e - a] = p_{e+1,j}(k), grown as d rises
+        rows, sups = [_pcoeffs(paj, a + 1, k)], []
+        limit = Fraction(*to_rational(half_tol._mpf_))
+        d = a
+        for X in range(4, MAX_PANELS + 2):
+            best = None
+            for e in range(d, k):
+                if e - a == len(sups):
+                    sup = periodified_sup_bound(e) / math.factorial(e)
+                    sups.append(Fraction(*to_rational(sup._mpf_)))
+                    rows.append(_next_prow(rows[-1], e + 2, k))
+                bound = sups[e - a] * _l1_tail(rows[e - a], e + 1, X)
+                if best is not None and not bound < best:
+                    break
+                d, best = e, bound
+            if best < limit:
+                break
+        else:
+            raise QuadratureError(failure)
 
         xs, ws = _gauss_legendre(QUAD_ORDER, wp)
-        pc = rows[a + 1]
+        pc = rows[0]
         F = _panel_bits(k, a, pc, wp)
         cells: dict = {}  # (lo, hi) within a unit cell -> _cell_rule
 
@@ -404,44 +396,29 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
             cell = cells.get((lo, hi))
             if cell is None:
                 cell = cells[(lo, hi)] = _cell_rule(a, lo, hi, xs, ws, F)
-            return mpf((_phi_panel(k, a, n, cell, pc, F), -2 * F))
+            return _phi_panel(k, a, n, cell, pc, F)
 
-        total = mp.zero
-        panels = 0
-        X, d = 1, a
-        limit = Fraction(*to_rational(half_tol._mpf_))
-        while True:
-            panels += 1
-            stack = [(mp.zero, mp.one, panel(X, mp.zero, mp.one))]
+        afact = math.factorial(a)
+        total, panels = 0, X - 1
+        for n in range(1, X):
+            stack = [(mp.zero, mp.one, panel(n, mp.zero, mp.one))]
             while stack:
-                if panels > MAX_PANELS:
-                    raise QuadratureError(
-                        f"tolerance {mpmath.nstr(tol, 6)} not met within {MAX_PANELS} panels"
-                    )
                 lo, hi, whole = stack.pop()
                 mid = (lo + hi) / 2
-                left, right = panel(X, lo, mid), panel(X, mid, hi)
-                share = half_tol * (1 / (X + lo) - 1 / (X + hi)) * afact
-                if abs(whole - left - right) <= share:
+                left, right = panel(n, lo, mid), panel(n, mid, hi)
+                share = half_tol * (1 / (n + lo) - 1 / (n + hi)) * afact
+                if abs(mpf((whole - left - right, -2 * F))) <= share:
                     total += left + right
                 else:
                     panels += 1
+                    if panels > MAX_PANELS:
+                        raise QuadratureError(failure)
                     stack += [(lo, mid, left), (mid, hi, right)]
-            X += 1
-            if X < 4:
-                continue
-            best = shift_bound(d, X)
-            while d + 1 < k:
-                nxt = shift_bound(d + 1, X)
-                if not nxt < best:
-                    break
-                d, best = d + 1, nxt
-            if best < limit:
-                break
-        value = total / afact
-        if a % 2:
-            value = -value
-        return +(value + _shift_boundary(k, a, d, mpf(X), prow))
+        value = Fraction((-1) ** a * total, afact << 2 * F)
+        for r in range(a + 2 - a % 2, d + 1, 2):  # even r in (a, d]
+            b_r = bernoulli_number(r) / math.factorial(r)
+            value += b_r * _phi_deriv_exact(k, r, X, rows[r - a - 1])
+        return mpf(from_rational(value.numerator, value.denominator, wp, round_nearest))
 
 
 # -- L1 norms of phi^(a) -----------------------------------------------------

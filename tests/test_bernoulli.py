@@ -153,6 +153,8 @@ class TestPeriodifiedBernoulli:
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
+            bernoulli_number(-1)
+        with pytest.raises(ValueError):
             bernoulli_poly_coeffs(-1)
         with pytest.raises(ValueError):
             periodified_sup_bound(0)

@@ -441,6 +441,25 @@ class TestCache:
             load_table(path)
         assert cli.run(["cache-info", "--table", str(path)]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("line,edit,message", [
+        (1, lambda s: s.replace("target_bits=64", "target_bits=15"), "target_bits out of range"),
+        (2, lambda s: s[:-1], "malformed checksum line"),  # 63 hex digits
+        (5, lambda s: s + " 0", "malformed payload line"),
+        (5, lambda s: "3" + s[1:], "payload index '3' out of order"),  # line 5 holds k = 2
+    ], ids=["target-bits-below-16", "checksum-line", "payload-fields", "payload-index"])
+    def test_rejected_line(self, line, edit, message, ctx64, tmp_path):
+        path = self._written(ctx64, tmp_path)
+        lines = path.read_text().split("\n")
+        lines[line] = edit(lines[line])
+        if line >= 3:
+            # recompute the checksum, so that only the edited field is at fault
+            payload = "".join(line + "\n" for line in lines[3:-1])
+            lines[2] = "sha256=" + hashlib.sha256(payload.encode("ascii")).hexdigest()
+        path.write_text("\n".join(lines))
+        with pytest.raises(TableFormatError, match=message):
+            load_table(path)
+        assert cli.run(["cache-info", "--table", str(path)]) == cli.EXIT_USAGE
+
 
 class TestValueFormat:
     def test_digit_budget(self):

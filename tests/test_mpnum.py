@@ -28,6 +28,10 @@ class TestRequiredBits:
         with pytest.raises(ValueError):
             required_bits_for_alternating_sum(-1, 64)
 
+    def test_rejects_non_positive_target(self):
+        with pytest.raises(ValueError, match="target_bits must be positive"):
+            required_bits_for_alternating_sum(5, 0)
+
 
 class TestPrecisionContext:
     def test_default_working_bits(self):

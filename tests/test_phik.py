@@ -13,6 +13,7 @@ from maslanka.mpnum import PrecisionContext
 from maslanka.phik import (
     QUAD_ORDER,
     QuadratureError,
+    _phi_deriv_exact,
     build_paj,
     deriv_l1_norm,
     em_remainder_a_k,
@@ -182,6 +183,19 @@ class TestPhiDeriv:
                 rel = abs(fd - closed) / abs(closed)
             assert rel < mpf("1e-6"), (k, a, x_dyadic)
 
+    @pytest.mark.parametrize("X", [4, 7, 12])
+    @pytest.mark.parametrize("k,r", [(k, r) for k in (8, 17, 30, 250) for r in (2, 4, 12) if r < k])
+    def test_exact_at_integer_matches_closed_form(self, k, r, X, ctx128):
+        """The Fraction phi_k^(r)(X) of em_remainder_a_k's boundary against
+        phi_deriv at 352 working bits, more than twice ctx128's 160."""
+        paj = build_paj(r)
+        exact = _phi_deriv_exact(k, r, X, [paj_eval(paj, r, j, k) for j in range(r + 1)])
+        assert isinstance(exact, Fraction)
+        got = phi_deriv(k, r, X, paj, PrecisionContext(320))
+        with mp.workprec(1000):
+            want = mpf(exact.numerator) / exact.denominator
+            assert abs(got - want) <= abs(want) * mpf(2) ** -(2 * ctx128.working_bits), (k, r, X)
+
 
 def _neg_phi_prime(k: int, x: Fraction) -> Fraction:
     """sum_{j=0}^{k} (-1)^j C(k,j) (2j+1) x^-(2j+2), exactly: the alternating sum
@@ -299,7 +313,7 @@ class TestEmRemainder:
         numbers, and the module's own helpers must agree with them.
         """
         from maslanka.bernoulli import bernoulli_number, periodified_sup_bound
-        from maslanka.phik import _gauss_legendre, _l1_tail, _shift_boundary
+        from maslanka.phik import _gauss_legendre, _l1_tail
 
         ctx = PrecisionContext(288)
         paj = build_paj(k)
@@ -337,13 +351,32 @@ class TestEmRemainder:
                     exact = _l1_tail(prow(d + 1), d + 1, X)
                     exact = exact.numerator / mpf(exact.denominator)
                     assert abs(exact - tail) <= tail * mpf(2) ** -280
-                    mine = _shift_boundary(k, a, d, mpf(X), prow)
+                    mine = sum((bernoulli_number(r) / math.factorial(r)
+                                * _phi_deriv_exact(k, r, X, prow(r))
+                                for r in range(a + 1, d + 1) if r % 2 == 0), Fraction(0))
+                    mine = mine.numerator / mpf(mine.denominator)
                     assert abs(mine - boundary) <= abs(ref) * mpf(2) ** -250, (X, d)
 
     def test_panel_budget_exhaustion(self, paj8, ctx64, monkeypatch):
         monkeypatch.setattr(phik, "MAX_PANELS", 2)
         with pytest.raises(QuadratureError):
             em_remainder_a_k(8, 2, paj8, ctx64, mpf("1e-10"))
+
+    def test_unreachable_cut_fails_before_any_panel(self, ctx64, monkeypatch):
+        # at k = 3 the depth stays at a = 2, so the tail bound falls only like
+        # X^-3 and 1e-40 needs an X far past the panel budget
+        integrated = []
+        phi_panel = phik._phi_panel
+
+        def counting(*args):
+            integrated.append(args)
+            return phi_panel(*args)
+
+        monkeypatch.setattr(phik, "MAX_PANELS", 10)
+        monkeypatch.setattr(phik, "_phi_panel", counting)
+        with pytest.raises(QuadratureError):
+            em_remainder_a_k(3, 2, build_paj(3), ctx64, mpf("1e-40"))
+        assert integrated == []
 
     def test_preconditions(self, paj8, ctx64):
         with pytest.raises(ValueError):
