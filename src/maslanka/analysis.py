@@ -16,24 +16,30 @@ are counted, never silently dropped.
 from __future__ import annotations
 
 import math
-import statistics
-from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpf
 
 from .coefficients import CoefficientTable
+from .mpnum import Record
 
 __all__ = ["DecayFit", "decay_fit", "rh_diagnostic"]
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(Record):
+    __slots__ = ("k_range", "slope", "intercept", "max_abs_residual", "excluded_count")
     k_range: tuple[int, int]
     slope: float
     intercept: float
     max_abs_residual: float
     excluded_count: int
+
+
+def _median(values):
+    """The median by sort and index: the middle value, or the mean of the middle two."""
+    xs = sorted(values)
+    n = len(xs)
+    return xs[n // 2] if n % 2 else (xs[n // 2 - 1] + xs[n // 2]) / 2
 
 
 def _usable(table: CoefficientTable, k: int) -> bool:
@@ -45,7 +51,7 @@ def _usable(table: CoefficientTable, k: int) -> bool:
         return False
     lo = max(0, k - 2)
     hi = min(table.k_max, k + 2)
-    med = statistics.median(abs(table.values[i]) for i in range(lo, hi + 1))
+    med = _median(abs(table.values[i]) for i in range(lo, hi + 1))
     # sign-change spike: the magnitude dips orders below its neighbourhood
     if v < med * mpf("1e-3"):
         return False

@@ -9,34 +9,16 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
 failure (tolerance unmet or quadrature failure).  Data goes to --out or
 stdout; diagnostics go to stderr.  Identical argv and input files produce
 byte-identical data output (nothing timestamped is emitted).
-"""
 
-from __future__ import annotations
+Start-up: this module loads argparse alone, so ``--help`` and usage errors
+cost no more than the interpreter.  Each handler imports the package modules
+and mpmath it runs, when it runs.
+"""
 
 import argparse
 import contextlib
-import csv
-import json
 import math
 import sys
-
-import mpmath
-from mpmath import mp, mpf
-
-from .analysis import decay_fit, rh_diagnostic
-from .coefficients import (
-    TableFormatError,
-    a_k,
-    build_table,
-    cross_identity_pairs,
-    format_real,
-    load_table,
-    mantissa_digits,
-    save_table,
-)
-from .mpnum import PoleError, PrecisionContext, required_bits_for_alternating_sum
-from .phik import QuadratureError, build_paj, em_remainder_a_k
-from .series import maslanka_eval, truncation_check, zeta_reference
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -52,6 +34,8 @@ def parse_complex(text: str):
 
     NaN and infinite components are rejected: the series needs a finite s.
     """
+    import mpmath
+
     t = text.strip()
     if not t:
         raise ValueError("empty complex literal")
@@ -66,12 +50,16 @@ def parse_complex(text: str):
                 break
         if im_part in ("", "+", "-"):
             im_part += "1"
-        re_val = mpf(re_part) if re_part else mp.zero
-        return mpmath.mpc(re_val, mpf(im_part))
-    return mpf(t)
+        re_val = mpmath.mpf(re_part) if re_part else mpmath.mp.zero
+        return mpmath.mpc(re_val, mpmath.mpf(im_part))
+    return mpmath.mpf(t)
 
 
 def _format_for_print(x, digits: int) -> str:
+    import mpmath
+
+    from .coefficients import format_real
+
     if isinstance(x, mpmath.mpc) and x.imag != 0:
         im = format_real(x.imag, digits)
         return f"{format_real(x.real, digits)}{im}i"
@@ -96,9 +84,13 @@ def _data_out(args):
 def _write_rows(args, header: list[str], rows: list[list[str]], extra: dict | None = None):
     with _data_out(args) as fh:
         if args.format == "json":
+            import json
+
             doc = {"columns": header, "rows": rows, **(extra or {})}
             fh.write(json.dumps(doc, indent=2) + "\n")
         else:
+            import csv
+
             csv.writer(fh, lineterminator="\n").writerows([header, *rows])
 
 
@@ -106,6 +98,9 @@ def _write_rows(args, header: list[str], rows: list[list[str]], extra: dict | No
 
 
 def _cmd_coeff(args) -> int:
+    from .coefficients import build_table, save_table
+    from .mpnum import PrecisionContext
+
     ctx = PrecisionContext(args.bits)
     table = build_table(args.kind, args.kmax, ctx)
     save_table(table, args.out)
@@ -115,6 +110,12 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_bk(args) -> int:
+    import mpmath
+
+    from .analysis import rh_diagnostic
+    from .coefficients import build_table, format_real, load_table, mantissa_digits
+    from .mpnum import PrecisionContext
+
     if args.table:
         table = load_table(args.table)
         if table.kind != "b":
@@ -129,7 +130,7 @@ def _cmd_bk(args) -> int:
     digits = mantissa_digits(table.target_bits)
     rows = []
     # abs() rounds at the ambient precision, which would clip stored values
-    with mp.workprec(table.target_bits + 16):
+    with mpmath.mp.workprec(table.target_bits + 16):
         for k, scaled, scaled_log2 in rh_diagnostic(table, k_min, args.kmax):
             v = table.values[k]
             rows.append([
@@ -144,10 +145,16 @@ def _cmd_bk(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    import mpmath
+
+    from .coefficients import format_real, load_table, mantissa_digits
+    from .mpnum import PrecisionContext
+    from .series import maslanka_eval
+
     table = load_table(args.table)
     ctx = PrecisionContext(args.bits)
     s = parse_complex(args.s)
-    result = maslanka_eval(s, table, mpf(args.tol), ctx)
+    result = maslanka_eval(s, table, mpmath.mpf(args.tol), ctx)
     digits = mantissa_digits(min(table.target_bits, args.bits))
     lines = [
         f"s = {_format_for_print(result.s, digits)}",
@@ -166,9 +173,11 @@ def _cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _positive_tol(text, name: str = "tol") -> mpf:
+def _positive_tol(text, name: str = "tol"):
     """A tolerance from its command-line text: positive and finite, or ValueError."""
-    tol = mpf(text)
+    import mpmath
+
+    tol = mpmath.mpf(text)
     if not tol > 0:
         raise ValueError(f"{name} must be a positive number")
     if not mpmath.isfinite(tol):
@@ -186,8 +195,12 @@ def _verify_truncation(table, ctx, nmax, out) -> bool:
     (2n-1) zeta(2n) (pi's rounding raised to the power 2n, the power, and six
     more operations).
     """
+    import mpmath
+
+    from .series import truncation_check
+
     ok_all = True
-    ulp = mpf(2) ** -ctx.working_bits
+    ulp = mpmath.mpf(2) ** -ctx.working_bits
     errs = []
     for n in range(1, nmax + 1):
         lhs, rhs = truncation_check(n, table, ctx)
@@ -211,9 +224,14 @@ def _verify_cross_identity(ctx, kmax, out) -> bool:
     values are exact conversions of their heads, and their difference is
     taken exactly.
     """
+    import mpmath
+
+    from .coefficients import cross_identity_pairs
+    from .mpnum import required_bits_for_alternating_sum
+
     ok_all = True
     w = required_bits_for_alternating_sum(kmax, ctx.target_bits)
-    worst = mp.zero
+    worst = mpmath.mp.zero
     for k, va, vb in cross_identity_pairs(kmax, ctx):
         rel = abs(va - vb) / abs(va)
         worst = max(worst, rel)
@@ -231,6 +249,9 @@ def _em_pair(k, a, ctx, tol, quad_tol=None):
 
     The quadrature tolerance defaults to |A_k| * tol / 100.
     """
+    from .coefficients import a_k
+    from .phik import build_paj, em_remainder_a_k
+
     paj = build_paj(a + 1)
     ref = a_k(k, ctx)
     if quad_tol is None:
@@ -240,6 +261,8 @@ def _em_pair(k, a, ctx, tol, quad_tol=None):
 
 
 def _verify_em(ctx, tol, out) -> bool:
+    import mpmath
+
     ok_all = True
     for k, a in EM_PAIRS:
         *_, rel = _em_pair(k, a, ctx, tol)
@@ -251,6 +274,10 @@ def _verify_em(ctx, tol, out) -> bool:
 
 
 def _verify_global(table, ctx, tol, out) -> bool:
+    import mpmath
+
+    from .series import maslanka_eval, zeta_reference
+
     ok_all = True
     for text in GLOBAL_PROBES:
         s = parse_complex(text)
@@ -261,7 +288,7 @@ def _verify_global(table, ctx, tol, out) -> bool:
         ok_all &= ok
         print(f"{'PASS' if ok else 'FAIL'} global-agreement s={text} abs_err={mpmath.nstr(err, 3)}",
               file=out)
-    for label, target in (("0", mpf(1) / 2), ("1", mp.one)):
+    for label, target in (("0", mpmath.mpf(1) / 2), ("1", mpmath.mp.one)):
         result = maslanka_eval(parse_complex(label), table, tol, ctx)
         err = abs(result.value - target)
         ok = err < tol
@@ -272,6 +299,11 @@ def _verify_global(table, ctx, tol, out) -> bool:
 
 
 def _cmd_verify(args) -> int:
+    import mpmath
+
+    from .coefficients import build_table, load_table
+    from .mpnum import PrecisionContext
+
     ctx = PrecisionContext(args.bits)
     suites = ["truncation", "cross-identity", "em-remainder", "global-agreement"] \
         if args.suite == "all" else [args.suite]
@@ -295,13 +327,18 @@ def _cmd_verify(args) -> int:
         elif suite == "cross-identity":
             ok &= _verify_cross_identity(ctx, 100, sys.stdout)
         elif suite == "em-remainder":
-            ok &= _verify_em(ctx, tol or mpf("1e-6"), sys.stdout)
+            ok &= _verify_em(ctx, tol or mpmath.mpf("1e-6"), sys.stdout)
         elif suite == "global-agreement":
-            ok &= _verify_global(table, ctx, tol or mpf("1e-20"), sys.stdout)
+            ok &= _verify_global(table, ctx, tol or mpmath.mpf("1e-20"), sys.stdout)
     return EXIT_OK if ok else EXIT_VERIFY
 
 
 def _cmd_em_check(args) -> int:
+    import mpmath
+
+    from .coefficients import format_real, mantissa_digits
+    from .mpnum import PrecisionContext
+
     ctx = PrecisionContext(args.bits)
     tol = _positive_tol(args.tol)
     quad_tol = _positive_tol(args.quad_tol, "quad-tol") if args.quad_tol else None
@@ -317,16 +354,21 @@ def _cmd_em_check(args) -> int:
 
 
 def _cmd_decay(args) -> int:
+    import mpmath
+
+    from .analysis import decay_fit
+    from .coefficients import format_real, load_table, mantissa_digits
+
     table = load_table(args.table)
     fit = decay_fit(table, args.kmin, args.kmax)
     digits = mantissa_digits(table.target_bits)
     rows = []
-    with mp.workprec(table.target_bits + 16):
+    with mpmath.mp.workprec(table.target_bits + 16):
         for k in range(args.kmin, args.kmax + 1):
             v = table.values[k]
             av = abs(v)
             logk = mpmath.log(k)
-            logv = mpmath.log(av) if av > 0 else mp.ninf
+            logv = mpmath.log(av) if av > 0 else mpmath.mp.ninf
             rows.append([
                 str(k),
                 format_real(v, digits),
@@ -348,6 +390,8 @@ def _cmd_decay(args) -> int:
 
 
 def _cmd_cache_info(args) -> int:
+    from .coefficients import format_real, load_table, mantissa_digits
+
     table = load_table(args.table)
     print(f"file = {args.table}")
     print(f"kind = {table.kind}")
@@ -435,6 +479,16 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _numeric_errors() -> tuple:
+    """QuadratureError and PoleError, each if the command loaded its module.
+
+    A command that never imported a module cannot have raised its error, so
+    the mapping of exit codes imports nothing itself.
+    """
+    homes = (("maslanka.phik", "QuadratureError"), ("maslanka.mpnum", "PoleError"))
+    return tuple(getattr(sys.modules[mod], name) for mod, name in homes if mod in sys.modules)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -443,12 +497,14 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (QuadratureError, PoleError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except (TableFormatError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (ArithmeticError, OSError, ValueError) as exc:
+        if isinstance(exc, _numeric_errors()):
+            print(f"numeric failure: {exc}", file=sys.stderr)
+            return EXIT_NUMERIC
+        if isinstance(exc, (OSError, ValueError)):  # TableFormatError is a ValueError
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        raise
 
 
 def main() -> None:

@@ -34,7 +34,6 @@ Consumers read it through CoefficientTable.error_bound.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import pairwise
 from operator import sub
 
@@ -52,7 +51,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, round_nearest, to_str
 
 from .bernoulli import zeta_rational_part
-from .mpnum import GUARD_BITS, PrecisionContext, required_bits_for_alternating_sum
+from .mpnum import GUARD_BITS, PrecisionContext, Record, required_bits_for_alternating_sum
 
 __all__ = [
     "CoefficientTable",
@@ -82,8 +81,7 @@ class TableFormatError(ValueError):
     """Raised when a coefficient cache file violates format v2."""
 
 
-@dataclass(frozen=True)
-class CoefficientTable:
+class CoefficientTable(Record):
     """Precision-stamped coefficient values A_0..A_k_max or b_0..b_k_max.
 
     ``values[k]`` is rounded to exactly ``target_bits`` (which is what makes
@@ -92,6 +90,7 @@ class CoefficientTable:
     docstring, for tables from build_table).
     """
 
+    __slots__ = ("kind", "k_max", "target_bits", "values", "error_bound_exponents")
     kind: str
     k_max: int
     target_bits: int

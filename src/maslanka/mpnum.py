@@ -19,8 +19,6 @@ instead, in the docstrings of the table entries' stored 2^e_k
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from mpmath import mp
 
 __all__ = [
@@ -38,6 +36,56 @@ class PoleError(ValueError):
     """An operation was evaluated at a pole of the underlying function."""
 
 
+class Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__``.  An instance takes them
+    positionally or by keyword, runs ``__post_init__`` (the subclass's
+    validation, if any) and then refuses attribute assignment.  Equality,
+    hash and repr follow the fields, and two records are equal only if their
+    types are the same.  It stands in for a frozen dataclass: importing
+    dataclasses (inspect with it) takes about 11 ms of every process.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if (len(args) + len(kwargs) != len(names)
+                or not set(kwargs) <= set(names[len(args):])):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in (*zip(names, args), *kwargs.items()):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
 def required_bits_for_alternating_sum(k: int, target_bits: int) -> int:
     """Working precision that keeps an order-k alternating binomial sum accurate.
 
@@ -53,14 +101,14 @@ def required_bits_for_alternating_sum(k: int, target_bits: int) -> int:
     return target_bits + k + (k + 1).bit_length() + GUARD_BITS
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(Record):
     """Precision policy shared by all operations.
 
     ``target_bits`` is the accuracy promised to the caller; ``working_bits``,
     the precision used inside an operation, is ``target_bits + GUARD_BITS``.
     """
 
+    __slots__ = ("target_bits",)
     target_bits: int
 
     def __post_init__(self) -> None:

@@ -49,7 +49,6 @@ between them (deriv_l1_norm).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -57,7 +56,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from .bernoulli import bernoulli_number, bernoulli_poly_coeffs, periodified_sup_bound
-from .mpnum import PrecisionContext
+from .mpnum import PrecisionContext, Record
 
 __all__ = [
     "PajTable",
@@ -78,14 +77,14 @@ class QuadratureError(ArithmeticError):
     """A quadrature loop missed its tolerance in budget, or a zero bracket kept its sign."""
 
 
-@dataclass(frozen=True)
-class PajTable:
+class PajTable(Record):
     """p_{a,j}(k) for 0 <= j <= a <= a_max, as exact integer polynomials in k.
 
     entries[(a, j)] holds the coefficients lowest power first, so
     p_{1,1} = 2k+1 is stored as (1, 2).
     """
 
+    __slots__ = ("a_max", "entries")
     a_max: int
     entries: dict[tuple[int, int], tuple[int, ...]]
 
@@ -319,6 +318,58 @@ def _phi_deriv_exact(k: int, r: int, X: int, pcoeffs: list[int]) -> Fraction:
     return Fraction((x2 - 1) ** (k - r) * acc, X ** (2 * k + r + 1))
 
 
+def _first_true(pred, lo: int, top: int) -> int | None:
+    """The least x in (lo, top] with pred(x), for a pred that stays true once
+    true and is false at lo; None if pred(top) is false.  Steps of 1, 2, 4, ...
+    from lo, then bisection: about 2 log2(x - lo) calls."""
+    step = 1
+    while True:
+        hi = min(lo + step, top)
+        if pred(hi):
+            break
+        if hi >= top:
+            return None
+        lo, step = hi, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
+    return hi
+
+
+def _em_cut(k: int, a: int, row: list[int], limit: Fraction):
+    """The cut (X, d, rows) of em_remainder_a_k's walk, or None past MAX_PANELS + 1.
+
+    The bound at depth e is sup|Bbar_e| / e! * _l1_tail(p_{e+1}, e + 1, X).
+    Once d is k - 1 it cannot rise again, and the bound falls with X, so the
+    rest of the walk is a search (_first_true) with the same answer.
+    rows[e - a] holds p_{e+1,j}(k), from row = p_{a+1,j}(k) up to e = d + 1.
+    """
+    # sups[e - a] = sup|Bbar_e| / e!, grown with rows as d rises
+    rows, sups = [row], []
+
+    def bound(e, X):
+        if e - a == len(sups):
+            sup = periodified_sup_bound(e) / math.factorial(e)
+            sups.append(Fraction(*to_rational(sup._mpf_)))
+            rows.append(_next_prow(rows[-1], e + 2, k))
+        return sups[e - a] * _l1_tail(rows[e - a], e + 1, X)
+
+    d = a
+    for X in range(4, MAX_PANELS + 2):
+        best = None
+        for e in range(d, k):
+            b = bound(e, X)
+            if best is not None and not b < best:
+                break
+            d, best = e, b
+        if best < limit:
+            return X, d, rows
+        if d == k - 1:
+            X = _first_true(lambda x: bound(d, x) < limit, X, MAX_PANELS + 1)
+            return None if X is None else (X, d, rows)
+    return None
+
+
 def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_tol: mpf) -> mpf:
     """A_k recomputed as the depth-a Euler-Maclaurin remainder integral.
 
@@ -333,10 +384,11 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
     and d are fixed before any panel.  At X = 4, 5, ..., d rises while the
     bound keeps shrinking, up to k-1, starting from a at X = 4 and from the
     previous X's d after that (the best depth grows with X); the walk stops at
-    the first X where that bound is below quad_tol/2.  The bound is an exact
-    Fraction: its sum is exact at the integer X (_l1_tail), and sup|Bbar_d| /
-    d! comes padded upward from periodified_sup_bound, once per d.  An X - 1
-    above MAX_PANELS raises QuadratureError at once.
+    the first X where that bound is below quad_tol/2; once d is k-1 the rest
+    of the walk is a doubling and bisection search (_em_cut).  The bound is an
+    exact Fraction: its sum is exact at the integer X (_l1_tail), and
+    sup|Bbar_d| / d! comes padded upward from periodified_sup_bound, once per
+    d.  An X - 1 above MAX_PANELS raises QuadratureError at once.
 
     The panels: [1, X] is walked in unit panels [n, n+1] on the fixed
     Gauss-Legendre rule Q.  A panel [lo, hi] with midpoint mid takes the value
@@ -367,25 +419,10 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
         half_tol = tol / 2
         failure = f"tolerance {mpmath.nstr(tol, 6)} not met within {MAX_PANELS} panels"
 
-        # sups[e - a] = sup|Bbar_e| / e! and rows[e - a] = p_{e+1,j}(k), grown as d rises
-        rows, sups = [_pcoeffs(paj, a + 1, k)], []
-        limit = Fraction(*to_rational(half_tol._mpf_))
-        d = a
-        for X in range(4, MAX_PANELS + 2):
-            best = None
-            for e in range(d, k):
-                if e - a == len(sups):
-                    sup = periodified_sup_bound(e) / math.factorial(e)
-                    sups.append(Fraction(*to_rational(sup._mpf_)))
-                    rows.append(_next_prow(rows[-1], e + 2, k))
-                bound = sups[e - a] * _l1_tail(rows[e - a], e + 1, X)
-                if best is not None and not bound < best:
-                    break
-                d, best = e, bound
-            if best < limit:
-                break
-        else:
+        cut = _em_cut(k, a, _pcoeffs(paj, a + 1, k), Fraction(*to_rational(half_tol._mpf_)))
+        if cut is None:
             raise QuadratureError(failure)
+        X, d, rows = cut
 
         xs, ws = _gauss_legendre(QUAD_ORDER, wp)
         pc = rows[0]

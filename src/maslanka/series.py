@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpc, mpf
 
 from .bernoulli import bernoulli_number, zeta_even
 from .coefficients import CoefficientTable
-from .mpnum import PoleError, PrecisionContext
+from .mpnum import PoleError, PrecisionContext, Record
 from .pochhammer import _fixed_terms, _guard_bits, _to_fixed
 
 __all__ = [
@@ -33,8 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(Record):
     """Partial Maslanka sum at s, with convergence bookkeeping.
 
     ``value`` approximates (s-1) zeta(s); ``zeta_value`` is value/(s-1), or
@@ -44,6 +42,8 @@ class SeriesResult:
     available honesty about the gap.
     """
 
+    __slots__ = ("s", "value", "terms_used", "residual_estimate", "zeta_value", "is_pole",
+                 "converged")
     s: mpf | mpc
     value: mpf | mpc
     terms_used: int

@@ -1,11 +1,12 @@
 import math
+import statistics
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from maslanka.analysis import DecayFit, decay_fit, rh_diagnostic
+from maslanka.analysis import DecayFit, _median, decay_fit, rh_diagnostic
 from maslanka.coefficients import CoefficientTable
 
 
@@ -183,3 +184,29 @@ class TestRhDiagnostic:
             rh_diagnostic(table_b1000_160, 0, 50)
         with pytest.raises(ValueError):
             rh_diagnostic(table_b1000_160, 5, 1001)
+
+
+class TestMedian:
+    """analysis._median, the sort-and-index median, against statistics.median."""
+
+    def test_windows_decay_fit_sees(self, table_a400_128):
+        # |A_i| for i in [k-2, k+2] clipped to the table: five values inside,
+        # four at k = k_max - 1, three at k = k_max
+        lengths = set()
+        for k in range(2, table_a400_128.k_max + 1):
+            window = [abs(table_a400_128.values[i])
+                      for i in range(max(0, k - 2), min(table_a400_128.k_max, k + 2) + 1)]
+            lengths.add(len(window))
+            assert _median(window) == statistics.median(window), k
+        assert lengths == {3, 4, 5}
+
+    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=12))
+    def test_floats(self, xs):
+        assert _median(xs) == statistics.median(xs)
+
+    @given(st.lists(st.integers(-10**40, 10**40), min_size=1, max_size=12), st.integers(0, 200))
+    def test_mpf_at_working_precision(self, ints, shift):
+        with mp.workprec(96):
+            xs = [mpf(n) * mpf(2) ** -shift for n in ints]
+            assert _median(xs) == statistics.median(xs)
+            assert _median(iter(xs)) == statistics.median(iter(xs))

@@ -5,8 +5,8 @@ we can use capsys and tmp_path instead of subprocesses.  Exit-code contract:
 0 ok, 1 verification failure, 2 usage error, 3 numeric failure.
 """
 
-import dataclasses
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -21,7 +21,7 @@ from mpmath import mp, mpf
 
 from maslanka import cli, coefficients, phik
 from maslanka.cli import parse_complex
-from maslanka.coefficients import load_table, save_table
+from maslanka.coefficients import CoefficientTable, load_table, save_table
 from maslanka.mpnum import PrecisionContext, required_bits_for_alternating_sum
 
 
@@ -336,7 +336,10 @@ class TestVerify:
         with mp.workprec(128):
             values[k] = +(values[k] + 4 * tol)
         path = tmp_path / "moved.tbl"
-        save_table(dataclasses.replace(table_a400_128, values=tuple(values)), str(path))
+        moved = CoefficientTable(kind=table_a400_128.kind, k_max=table_a400_128.k_max,
+                                 target_bits=table_a400_128.target_bits, values=tuple(values),
+                                 error_bound_exponents=table_a400_128.error_bound_exponents)
+        save_table(moved, str(path))
         rc = cli.run(["verify", "--suite", "truncation", "--nmax", "60", "--table", str(path)])
         out = capsys.readouterr().out.splitlines()
         assert rc == cli.EXIT_VERIFY
@@ -546,28 +549,83 @@ class TestNonFiniteTol:
         assert cap.out == ""
 
 
-def _after_cli_import(expr: str) -> str:
-    """What a fresh interpreter prints for ``expr`` once it has imported maslanka.cli."""
+def _modules_after(argv: list[str]) -> set[str]:
+    """sys.modules of a fresh interpreter once it has run cli.run(argv)."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", f"import importlib.util, sys, maslanka.cli; print({expr})"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    code = ("import io, sys\n"
+            "from maslanka import cli\n"
+            "out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()\n"
+            f"rc = cli.run({argv!r})\n"
+            "print(rc, *sys.modules, file=out)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.strip()
+    rc, *modules = proc.stdout.split()
+    assert rc == "0", (argv, rc)
+    return set(modules)
+
+
+# each subcommand at a tiny size; {t} is a 65-entry kind=A table file
+STARTUP_ARGV = {
+    "help": ["--help"],
+    "coeff": ["coeff", "--kind", "A", "--kmax", "8", "--bits", "32", "--out", "{d}/a8.tbl"],
+    "bk": ["bk", "--kmax", "6", "--bits", "32"],
+    "eval": ["eval", "--s", "4", "--table", "{t}", "--bits", "64", "--tol", "1e-6"],
+    "verify": ["verify", "--suite", "truncation", "--nmax", "4", "--table", "{t}"],
+    "em-check": ["em-check", "--k", "8", "--a", "2", "--bits", "64"],
+    "decay": ["decay", "--table", "{t}", "--kmin", "5", "--kmax", "30"],
+    "cache-info": ["cache-info", "--table", "{t}"],
+}
+
+
+@pytest.fixture(scope="module")
+def startup_modules(small_table_file, tmp_path_factory):
+    d = tmp_path_factory.mktemp("startup")
+    return {name: _modules_after([arg.format(t=small_table_file, d=d) for arg in argv])
+            for name, argv in STARTUP_ARGV.items()}
+
+
+def _package_modules(modules: set[str]) -> set[str]:
+    return {m for m in modules if m == "maslanka" or m.startswith("maslanka.")}
 
 
 class TestStartup:
-    def test_cli_import_leaves_numpy_out(self):
-        assert _after_cli_import("'numpy' in sys.modules") == "False"
+    """Each subcommand imports only the modules it runs."""
 
-    def test_cli_import_leaves_openssl_out(self):
+    def test_cli_import_leaves_numpy_out(self, startup_modules):
+        assert all("numpy" not in mods for mods in startup_modules.values())
+
+    def test_cli_import_leaves_openssl_out(self, startup_modules):
         # the table checksum takes CPython's built-in SHA-256 wherever the
         # build has one, so OpenSSL (_hashlib) is not mapped
-        builtin = "any(importlib.util.find_spec(m) for m in ('_sha256', '_sha2'))"
-        assert _after_cli_import(f"'_hashlib' in sys.modules and {builtin}") == "False"
+        builtin = any(importlib.util.find_spec(m) for m in ("_sha256", "_sha2"))
+        assert "maslanka.coefficients" in startup_modules["cache-info"]
+        assert not (builtin and any("_hashlib" in mods for mods in startup_modules.values()))
+
+    def test_help_loads_no_mpmath_and_no_submodule(self, startup_modules):
+        mods = startup_modules["help"]
+        assert "mpmath" not in mods
+        assert _package_modules(mods) == {"maslanka", "maslanka.cli"}
+
+    def test_em_check_loads_no_series_analysis_or_output_formats(self, startup_modules):
+        mods = startup_modules["em-check"]
+        assert "maslanka.phik" in mods
+        left_out = {"maslanka.series", "maslanka.analysis", "maslanka.pochhammer",
+                    "statistics", "json", "csv", "dataclasses"}
+        assert not left_out & mods
+
+    @pytest.mark.parametrize("name", ["eval", "cache-info"])
+    def test_table_reads_load_no_phik_or_analysis(self, name, startup_modules):
+        mods = startup_modules[name]
+        assert "maslanka.coefficients" in mods
+        assert not {"maslanka.phik", "maslanka.analysis"} & mods
+
+    def test_no_command_loads_dataclasses_inspect_or_statistics(self, startup_modules):
+        loaded = {name: sorted({"dataclasses", "inspect", "statistics"} & mods)
+                  for name, mods in startup_modules.items()}
+        assert loaded == {name: [] for name in STARTUP_ARGV}
 
 
 class TestUsageErrors:

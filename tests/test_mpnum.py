@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
@@ -38,14 +36,16 @@ class TestPrecisionContext:
         ctx = PrecisionContext(100)
         assert ctx.working_bits == 132
         assert ctx.target_bits == 100
+        assert ctx == PrecisionContext(100) != PrecisionContext(101)
 
     def test_working_bits_is_read_only(self):
         ctx = PrecisionContext(128)
         assert ctx.working_bits == 160
         with pytest.raises(AttributeError):
             ctx.working_bits = 300
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             ctx.target_bits = 64
+        assert ctx.target_bits == 128
 
     @pytest.mark.parametrize("args", [(), (64, 300), (128, 64)],
                              ids=["no-target", "working-300", "working-below-target"])
@@ -60,3 +60,77 @@ class TestPrecisionContext:
     def test_prec_context_manager(self):
         with PrecisionContext(64).prec():
             assert mp.prec == 96
+
+
+def _records():
+    """One instance of each value class, a twin built separately, and its repr."""
+    from mpmath import mpf
+
+    from maslanka.analysis import DecayFit
+    from maslanka.coefficients import CoefficientTable
+    from maslanka.phik import build_paj
+    from maslanka.series import SeriesResult
+
+    table = dict(kind="A", k_max=1, target_bits=32, values=(mpf(1), mpf("0.5")),
+                 error_bound_exponents=(-40, -41))
+    result = dict(s=mpf(4), value=mpf(3), terms_used=5, residual_estimate=mpf(0),
+                  zeta_value=mpf(1), is_pole=False, converged=True)
+    fit = dict(k_range=(5, 20), slope=-1.5, intercept=0.25, max_abs_residual=0.125,
+               excluded_count=2)
+    return {
+        "PrecisionContext": (lambda: PrecisionContext(64), "PrecisionContext(target_bits=64)"),
+        "CoefficientTable": (
+            lambda: CoefficientTable(**table),
+            "CoefficientTable(kind='A', k_max=1, target_bits=32, "
+            "values=(mpf('1.0'), mpf('0.5')), error_bound_exponents=(-40, -41))"),
+        "PajTable": (
+            lambda: build_paj(1),
+            "PajTable(a_max=1, entries={(0, 0): (1,), (1, 0): (-1,), (1, 1): (1, 2)})"),
+        "SeriesResult": (
+            lambda: SeriesResult(**result),
+            "SeriesResult(s=mpf('4.0'), value=mpf('3.0'), terms_used=5, "
+            "residual_estimate=mpf('0.0'), zeta_value=mpf('1.0'), is_pole=False, "
+            "converged=True)"),
+        "DecayFit": (
+            lambda: DecayFit(**fit),
+            "DecayFit(k_range=(5, 20), slope=-1.5, intercept=0.25, max_abs_residual=0.125, "
+            "excluded_count=2)"),
+    }
+
+
+class TestRecord:
+    """The value classes compare, print and refuse assignment as frozen dataclasses do."""
+
+    @pytest.mark.parametrize("name", list(_records()))
+    def test_value_semantics(self, name):
+        import pickle
+
+        make, text = _records()[name]
+        one, twin = make(), make()
+        assert type(one).__name__ == name
+        assert one == twin and not one != twin and one is not twin
+        assert one != PrecisionContext(16)
+        assert one != tuple(getattr(one, f) for f in one.__slots__)
+        if name != "PajTable":  # its entries are a dict
+            assert hash(one) == hash(twin)
+        assert repr(one) == text
+        field = one.__slots__[0]
+        before = getattr(one, field)
+        with pytest.raises(AttributeError):
+            setattr(one, field, None)
+        with pytest.raises(AttributeError):
+            delattr(one, field)
+        with pytest.raises(AttributeError):
+            one.extra = 1
+        assert getattr(one, field) == before and one == twin
+        assert pickle.loads(pickle.dumps(one)) == one
+
+    def test_fields_bind_like_a_signature(self):
+        from maslanka.analysis import DecayFit
+
+        fit = DecayFit((5, 20), -1.5, intercept=0.25, max_abs_residual=0.125, excluded_count=2)
+        assert fit == _records()["DecayFit"][0]()
+        for args, kwargs in [((), {}), (((5, 20),), {"k_range": (5, 20)}),
+                             (((5, 20), -1.5, 0.25, 0.125), {"colour": 2})]:
+            with pytest.raises(TypeError):
+                DecayFit(*args, **kwargs)

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 from mpmath import mp, mpf
 
 from maslanka import phik
@@ -377,6 +378,71 @@ class TestEmRemainder:
         with pytest.raises(QuadratureError):
             em_remainder_a_k(3, 2, build_paj(3), ctx64, mpf("1e-40"))
         assert integrated == []
+
+    def test_unreachable_cut_fails_in_few_tail_bounds(self, ctx128, monkeypatch):
+        # the same failure at the default budget: once the depth is k - 1 the
+        # cut is searched, not walked one X at a time up to MAX_PANELS + 1
+        calls = []
+        l1_tail = phik._l1_tail
+
+        def counting(*args):
+            calls.append(args)
+            return l1_tail(*args)
+
+        monkeypatch.setattr(phik, "_l1_tail", counting)
+        with pytest.raises(QuadratureError):
+            em_remainder_a_k(3, 2, build_paj(3), ctx128, mpf("1e-40"))
+        assert 0 < len(calls) < 100
+
+    @pytest.mark.parametrize("k", [3, 4, 6, 9, 14])
+    def test_cut_search_matches_the_walk(self, k, monkeypatch):
+        # the cut walked one X at a time, d rising while the bound shrinks,
+        # against _em_cut, which searches once d is k - 1
+        from maslanka.bernoulli import periodified_sup_bound
+        from maslanka.phik import _em_cut, _l1_tail, _next_prow, _pcoeffs
+
+        monkeypatch.setattr(phik, "MAX_PANELS", 400)
+        paj = build_paj(k + 1)
+
+        def walk(a, limit):
+            rows, sups, d = [_pcoeffs(paj, a + 1, k)], [], a
+            for X in range(4, 402):
+                best = None
+                for e in range(d, k):
+                    if e - a == len(sups):
+                        sup = periodified_sup_bound(e) / math.factorial(e)
+                        sups.append(Fraction(*mpmath.libmp.to_rational(sup._mpf_)))
+                        rows.append(_next_prow(rows[-1], e + 2, k))
+                    bound = sups[e - a] * _l1_tail(rows[e - a], e + 1, X)
+                    if best is not None and not bound < best:
+                        break
+                    d, best = e, bound
+                if best < limit:
+                    return X, d
+            return None
+
+        searched = failed = 0
+        for a in range(2, k):
+            for e in (6, 12, 20, 30, 40):
+                limit = Fraction(1, 10**e)
+                cut = _em_cut(k, a, _pcoeffs(paj, a + 1, k), limit)
+                assert (cut and cut[:2]) == walk(a, limit), (a, e)
+                searched += cut is not None and cut[1] == k - 1 and cut[0] > 4
+                failed += cut is None
+        assert searched > 0 and failed > 0
+
+    @given(st.integers(0, 50), st.integers(1, 200), st.integers(0, 300))
+    def test_first_true_is_the_least_true(self, lo, width, first):
+        from maslanka.phik import _first_true
+
+        top, seen = lo + width, []
+
+        def pred(x):
+            seen.append(x)
+            return x > lo + first
+
+        assert _first_true(pred, lo, top) == (lo + first + 1 if first < width else None)
+        assert all(lo < x <= top for x in seen)
 
     def test_preconditions(self, paj8, ctx64):
         with pytest.raises(ValueError):
