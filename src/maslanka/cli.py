@@ -479,16 +479,6 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _numeric_errors() -> tuple:
-    """QuadratureError and PoleError, each if the command loaded its module.
-
-    A command that never imported a module cannot have raised its error, so
-    the mapping of exit codes imports nothing itself.
-    """
-    homes = (("maslanka.phik", "QuadratureError"), ("maslanka.mpnum", "PoleError"))
-    return tuple(getattr(sys.modules[mod], name) for mod, name in homes if mod in sys.modules)
-
-
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -497,14 +487,12 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ArithmeticError, OSError, ValueError) as exc:
-        if isinstance(exc, _numeric_errors()):
-            print(f"numeric failure: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
-        if isinstance(exc, (OSError, ValueError)):  # TableFormatError is a ValueError
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        raise
+    except ArithmeticError as exc:  # QuadratureError among them
+        print(f"numeric failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (OSError, ValueError) as exc:  # TableFormatError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def main() -> None:

@@ -205,6 +205,15 @@ def _man_exp(x) -> tuple[int, int]:
     return (-man if sign else man), exp
 
 
+def _scaled_poly(coeffs: list[int], m: int, bits: int) -> int:
+    """2^(bits*deg) * g(m / 2^bits) for g(u) = sum_j coeffs[j] u^j, an exact integer."""
+    acc, q = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * m + c * q
+        q <<= bits
+    return acc
+
+
 def _panel_bits(k: int, a: int, pcoeffs: list[int], wp: int) -> int:
     """The scale 2^F of _phi_panel: F = wp + the bit length of its bound over
     2^-F, (beta + 1)(4k + 11)(C + 1), with beta + 1 < 2 + floor(4 a! / 6^a)."""
@@ -218,23 +227,21 @@ def _cell_rule(a: int, lo, hi, xs, ws, F: int) -> tuple[int, list[tuple[int, int
 
     With h = (hi - lo)/2, T_i 2^-E is the node offset t_i = lo + h (1 + x_i)
     exactly, and V_i is w_i h Bbar_a(t_i) 2^F rounded to the nearest
-    integer, Bbar_a(t_i) = B_a(t_i) by Horner in integers over the exact
-    coefficients of B_a.
+    integer, Bbar_a(t_i) = B_a(t_i) in integers over the exact coefficients
+    of B_a (_scaled_poly).
     """
     h = (hi - lo) / 2
     (lm, le), (hm, he) = _man_exp(lo), _man_exp(h)
     pts = [_man_exp(x) for x in xs]
     E = max(0, -le, -he, *(-he - e for _, e in pts))
     base = (lm << (le + E)) + (hm << (he + E))
-    coeffs = bernoulli_poly_coeffs(a)
+    coeffs = bernoulli_poly_coeffs(a)[::-1]
     den = math.lcm(*(c.denominator for c in coeffs))
     cd = [c.numerator * (den // c.denominator) for c in coeffs]
     nodes = []
     for (xm, xe), w in zip(pts, ws):
         T = base + (hm * xm << (he + xe + E))
-        b = cd[0]  # den 2^(E a) B_a(T 2^-E)
-        for i, c in enumerate(cd[1:], 1):
-            b = b * T + (c << E * i)
+        b = _scaled_poly(cd, T, E)  # den 2^(E a) B_a(T 2^-E)
         wm, we = _man_exp(w)
         sh = we + he + F - E * a
         num, q = wm * hm * b << max(sh, 0), den << max(-sh, 0)
@@ -312,37 +319,18 @@ def _phi_deriv_exact(k: int, r: int, X: int, pcoeffs: list[int]) -> Fraction:
     """phi_k^(r)(X) as an exact Fraction at an integer X >= 1, for r <= k, from
     pcoeffs[j] = p_{r,j}(k): (X^2 - 1)^(k-r) sum_j p_{r,j}(k) X^(2(r-j)) / X^(2k+r+1)."""
     x2 = X * X
-    acc = 0
-    for c in pcoeffs:
-        acc = acc * x2 + c
+    acc = _scaled_poly(pcoeffs[::-1], x2, 0)  # sum_j p_{r,j}(k) X^(2(r-j))
     return Fraction((x2 - 1) ** (k - r) * acc, X ** (2 * k + r + 1))
-
-
-def _first_true(pred, lo: int, top: int) -> int | None:
-    """The least x in (lo, top] with pred(x), for a pred that stays true once
-    true and is false at lo; None if pred(top) is false.  Steps of 1, 2, 4, ...
-    from lo, then bisection: about 2 log2(x - lo) calls."""
-    step = 1
-    while True:
-        hi = min(lo + step, top)
-        if pred(hi):
-            break
-        if hi >= top:
-            return None
-        lo, step = hi, 2 * step
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if pred(mid) else (mid, hi)
-    return hi
 
 
 def _em_cut(k: int, a: int, row: list[int], limit: Fraction):
     """The cut (X, d, rows) of em_remainder_a_k's walk, or None past MAX_PANELS + 1.
 
     The bound at depth e is sup|Bbar_e| / e! * _l1_tail(p_{e+1}, e + 1, X).
-    Once d is k - 1 it cannot rise again, and the bound falls with X, so the
-    rest of the walk is a search (_first_true) with the same answer.
-    rows[e - a] holds p_{e+1,j}(k), from row = p_{a+1,j}(k) up to e = d + 1.
+    Once d is k - 1 it cannot rise again, and the bound falls with X, so one
+    bound at X = MAX_PANELS + 1 tells whether the rest of the walk can end
+    in budget.  rows[e - a] holds p_{e+1,j}(k), from row = p_{a+1,j}(k) up
+    to e = d + 1.
     """
     # sups[e - a] = sup|Bbar_e| / e!, grown with rows as d rises
     rows, sups = [row], []
@@ -354,7 +342,7 @@ def _em_cut(k: int, a: int, row: list[int], limit: Fraction):
             rows.append(_next_prow(rows[-1], e + 2, k))
         return sups[e - a] * _l1_tail(rows[e - a], e + 1, X)
 
-    d = a
+    d, in_budget = a, False
     for X in range(4, MAX_PANELS + 2):
         best = None
         for e in range(d, k):
@@ -364,9 +352,10 @@ def _em_cut(k: int, a: int, row: list[int], limit: Fraction):
             d, best = e, b
         if best < limit:
             return X, d, rows
-        if d == k - 1:
-            X = _first_true(lambda x: bound(d, x) < limit, X, MAX_PANELS + 1)
-            return None if X is None else (X, d, rows)
+        if d == k - 1 and not in_budget:
+            if not bound(d, MAX_PANELS + 1) < limit:
+                break
+            in_budget = True
     return None
 
 
@@ -384,11 +373,12 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
     and d are fixed before any panel.  At X = 4, 5, ..., d rises while the
     bound keeps shrinking, up to k-1, starting from a at X = 4 and from the
     previous X's d after that (the best depth grows with X); the walk stops at
-    the first X where that bound is below quad_tol/2; once d is k-1 the rest
-    of the walk is a doubling and bisection search (_em_cut).  The bound is an
-    exact Fraction: its sum is exact at the integer X (_l1_tail), and
+    the first X where that bound is below quad_tol/2 (_em_cut).  The bound is
+    an exact Fraction: its sum is exact at the integer X (_l1_tail), and
     sup|Bbar_d| / d! comes padded upward from periodified_sup_bound, once per
-    d.  An X - 1 above MAX_PANELS raises QuadratureError at once.
+    d.  When d first reaches k-1 it can rise no further and the bound falls
+    with X, so one bound at X = MAX_PANELS + 1 tells whether the walk can
+    stop in budget.  A cut past that X raises QuadratureError at once.
 
     The panels: [1, X] is walked in unit panels [n, n+1] on the fixed
     Gauss-Legendre rule Q.  A panel [lo, hi] with midpoint mid takes the value
@@ -398,7 +388,9 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
     Q is one integer at the scale 2^(2F), F = working_bits + guard
     (_panel_bits), over nodes and weights set up once per cell [lo, hi] of
     the unit interval (_cell_rule), and the panels add up exactly.  More than
-    MAX_PANELS panels (sub-panels included) raise QuadratureError.
+    MAX_PANELS panels (sub-panels included) raise QuadratureError, and so
+    does a panel to bisect whose share is below 2^-working_bits: each Q is
+    only that close to the rule's value, so no bisection can certify it.
 
     Error: the rule's own error, held by the estimate to each panel's share;
     each Q within 2^-working_bits of the rule's exact value (_phi_panel); the
@@ -436,6 +428,7 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
             return _phi_panel(k, a, n, cell, pc, F)
 
         afact = math.factorial(a)
+        noise = mpmath.ldexp(1, -wp)  # one Q's accuracy
         total, panels = 0, X - 1
         for n in range(1, X):
             stack = [(mp.zero, mp.one, panel(n, mp.zero, mp.one))]
@@ -450,6 +443,9 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
                     panels += 1
                     if panels > MAX_PANELS:
                         raise QuadratureError(failure)
+                    if share < noise:
+                        raise QuadratureError(f"tolerance {mpmath.nstr(tol, 6)} is below the "
+                                              f"panels' noise at {wp} bits")
                     stack += [(lo, mid, left), (mid, hi, right)]
         value = Fraction((-1) ** a * total, afact << 2 * F)
         for r in range(a + 2 - a % 2, d + 1, 2):  # even r in (a, d]
@@ -459,15 +455,6 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
 
 
 # -- L1 norms of phi^(a) -----------------------------------------------------
-
-
-def _scaled_poly(coeffs: list[int], m: int, bits: int) -> int:
-    """2^(bits*deg) * g(m / 2^bits) for g(u) = sum_j coeffs[j] u^j, an exact integer."""
-    acc, q = 0, 1
-    for c in reversed(coeffs):
-        acc = acc * m + c * q
-        q <<= bits
-    return acc
 
 
 def _bracket_zeros(rows: list[list[int]], bits: int) -> list[int]:

@@ -436,6 +436,9 @@ GOLDEN_ARGV = {
     "em-check-17-5": ["em-check", "--k", "17", "--a", "5", "--bits", "128", "--tol", "1e-6"],
     "em-check-21-5": ["em-check", "--k", "21", "--a", "5", "--bits", "128", "--tol", "1e-6"],
     "verify-em-remainder-128": ["verify", "--suite", "em-remainder", "--bits", "128"],
+    # the walk stops below depth k - 1 (d = 29 and 34)
+    "em-check-40-4": ["em-check", "--k", "40", "--a", "4", "--bits", "64", "--tol", "1e-3"],
+    "em-check-60-5": ["em-check", "--k", "60", "--a", "5", "--bits", "64", "--tol", "1e-3"],
     "decay": ["decay", "--table", "a40.tbl", "--kmin", "5", "--kmax", "30"],
     "cache-info": ["cache-info", "--table", "a40.tbl"],
 }
@@ -457,6 +460,8 @@ GOLDEN_OUTPUT = {
     "em-check-17-5": (0, "b4071bbc39689ae2"),
     "em-check-21-5": (0, "a996fb699fb450b4"),
     "verify-em-remainder-128": (0, "257d34439712dd63"),
+    "em-check-40-4": (0, "0719177bb939c151"),
+    "em-check-60-5": (0, "aa88fa02b17a5665"),
     "decay": (0, "e8755e846d6f1755"),
     "cache-info": (0, "fce6433f00f5878a"),
 }
@@ -498,6 +503,20 @@ class TestEmCheck:
         assert rc == cli.EXIT_NUMERIC
         assert cap.out == ""
         assert cap.err.startswith("numeric failure:")
+
+
+def test_every_arithmetic_error_exits_3(deep_table_file, monkeypatch, capsys):
+    # exit 1 is kept for a FAIL line, so no numeric error may escape run()
+    from maslanka import series
+
+    def broken(s, ctx):
+        raise ArithmeticError("reference diverged")
+
+    monkeypatch.setattr(series, "zeta_reference", broken)
+    rc = cli.run(["verify", "--suite", "global-agreement", "--table", str(deep_table_file)])
+    cap = capsys.readouterr()
+    assert rc == cli.EXIT_NUMERIC
+    assert cap.err == "numeric failure: reference diverged\n"
 
 
 class TestNonPositiveTol:

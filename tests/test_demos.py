@@ -3,8 +3,9 @@
 The demos run end to end as scripts and print what they claim, every name
 the package exports or the benchmark scripts import still resolves, the calls
 the benchmark makes still take their arguments as it passes them, the top
-level exports exactly what these callers import from it, and every name a
-submodule exports has a caller besides the unit tests.
+level exports exactly what these callers import from it, every name a
+submodule exports has a caller besides the unit tests, and every private
+helper has a caller in the package.
 """
 
 import ast
@@ -207,3 +208,23 @@ def test_every_submodule_name_has_a_caller():
             if name not in elsewhere | _identifiers(tree, own):
                 unused.append(f"maslanka.{module}.{name}")
     assert not unused
+
+
+def test_every_private_helper_has_a_caller():
+    """Each module-level private function or class in src/maslanka is used in
+    src/ outside its own definition: a simplification leaves no dead helper."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "src" / "maslanka").glob("*.py"))}
+    used = {module: _identifiers(tree) for module, tree in trees.items()}
+    helpers, orphans = 0, []
+    for module, tree in trees.items():
+        elsewhere = set().union(*(ids for m, ids in used.items() if m != module))
+        for node in tree.body:
+            name = getattr(node, "name", "")
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and name.startswith("_") and not name.startswith("__")):
+                continue
+            helpers += 1
+            if name not in elsewhere | _identifiers(tree, [node]):
+                orphans.append(f"maslanka.{module}.{name}")
+    assert helpers > 0 and not orphans

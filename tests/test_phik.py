@@ -48,6 +48,20 @@ def paj8():
     return build_paj(8)
 
 
+@pytest.fixture
+def integrated(monkeypatch):
+    """The arguments of every _phi_panel call the test makes, in order."""
+    calls = []
+    phi_panel = phik._phi_panel
+
+    def counting(*args):
+        calls.append(args)
+        return phi_panel(*args)
+
+    monkeypatch.setattr(phik, "_phi_panel", counting)
+    return calls
+
+
 class TestPajTable:
     def test_base_case(self, paj8):
         assert paj8.entries[(0, 0)] == (1,)
@@ -363,25 +377,35 @@ class TestEmRemainder:
         with pytest.raises(QuadratureError):
             em_remainder_a_k(8, 2, paj8, ctx64, mpf("1e-10"))
 
-    def test_unreachable_cut_fails_before_any_panel(self, ctx64, monkeypatch):
+    def test_panel_budget_exhausted_by_bisection(self, paj8, ctx64, integrated, monkeypatch):
+        # at 1e-12 the cut is X = 24 and one panel is bisected: a budget of
+        # 23 holds the 23 unit panels and runs out at that bisection
+        monkeypatch.setattr(phik, "MAX_PANELS", 23)
+        with pytest.raises(QuadratureError, match="not met within 23 panels"):
+            em_remainder_a_k(8, 2, paj8, ctx64, mpf("1e-12"))
+        assert integrated
+        monkeypatch.setattr(phik, "MAX_PANELS", 24)
+        em_remainder_a_k(8, 2, paj8, ctx64, mpf("1e-12"))
+
+    def test_share_below_panel_noise_fails_fast(self, ctx64, integrated):
+        # at 64 bits each panel is within 2^-96 of the rule's value; at 1e-30
+        # the share of [1, 2] is 5e-31, which no bisection can certify
+        with pytest.raises(QuadratureError, match="below the panels' noise at 96 bits"):
+            em_remainder_a_k(8, 2, build_paj(3), ctx64, mpf("1e-30"))
+        assert len(integrated) == 3
+
+    def test_unreachable_cut_fails_before_any_panel(self, ctx64, integrated, monkeypatch):
         # at k = 3 the depth stays at a = 2, so the tail bound falls only like
         # X^-3 and 1e-40 needs an X far past the panel budget
-        integrated = []
-        phi_panel = phik._phi_panel
-
-        def counting(*args):
-            integrated.append(args)
-            return phi_panel(*args)
-
         monkeypatch.setattr(phik, "MAX_PANELS", 10)
-        monkeypatch.setattr(phik, "_phi_panel", counting)
         with pytest.raises(QuadratureError):
             em_remainder_a_k(3, 2, build_paj(3), ctx64, mpf("1e-40"))
         assert integrated == []
 
     def test_unreachable_cut_fails_in_few_tail_bounds(self, ctx128, monkeypatch):
-        # the same failure at the default budget: once the depth is k - 1 the
-        # cut is searched, not walked one X at a time up to MAX_PANELS + 1
+        # the same failure at the default budget: once the depth is k - 1 one
+        # bound at X = MAX_PANELS + 1 ends the cut, which is not walked one X
+        # at a time up to there
         calls = []
         l1_tail = phik._l1_tail
 
@@ -394,10 +418,13 @@ class TestEmRemainder:
             em_remainder_a_k(3, 2, build_paj(3), ctx128, mpf("1e-40"))
         assert 0 < len(calls) < 100
 
-    @pytest.mark.parametrize("k", [3, 4, 6, 9, 14])
+    @pytest.mark.parametrize("k", [3, 4, 6, 9, 14, 60, 120])
     def test_cut_search_matches_the_walk(self, k, monkeypatch):
-        # the cut walked one X at a time, d rising while the bound shrinks,
-        # against _em_cut, which searches once d is k - 1
+        # the cut walked one X at a time, d rising while the bound shrinks and
+        # every X tried up to MAX_PANELS + 1, against _em_cut, which checks
+        # that budget with one bound once d is k - 1; at small k the depth
+        # reaches k - 1 (and the walk goes on past X = 4, or fails), at large
+        # k the walk stops with d below k - 1
         from maslanka.bernoulli import periodified_sup_bound
         from maslanka.phik import _em_cut, _l1_tail, _next_prow, _pcoeffs
 
@@ -421,28 +448,17 @@ class TestEmRemainder:
                     return X, d
             return None
 
-        searched = failed = 0
-        for a in range(2, k):
-            for e in (6, 12, 20, 30, 40):
-                limit = Fraction(1, 10**e)
-                cut = _em_cut(k, a, _pcoeffs(paj, a + 1, k), limit)
-                assert (cut and cut[:2]) == walk(a, limit), (a, e)
-                searched += cut is not None and cut[1] == k - 1 and cut[0] > 4
-                failed += cut is None
-        assert searched > 0 and failed > 0
-
-    @given(st.integers(0, 50), st.integers(1, 200), st.integers(0, 300))
-    def test_first_true_is_the_least_true(self, lo, width, first):
-        from maslanka.phik import _first_true
-
-        top, seen = lo + width, []
-
-        def pred(x):
-            seen.append(x)
-            return x > lo + first
-
-        assert _first_true(pred, lo, top) == (lo + first + 1 if first < width else None)
-        assert all(lo < x <= top for x in seen)
+        cases = {60: [(5, 8)], 120: [(5, 20)]}.get(k)
+        cases = cases or [(a, e) for a in range(2, k) for e in (6, 12, 20, 30, 40)]
+        searched = failed = shallow = 0
+        for a, e in cases:
+            limit = Fraction(1, 10**e)
+            cut = _em_cut(k, a, _pcoeffs(paj, a + 1, k), limit)
+            assert (cut and cut[:2]) == walk(a, limit), (a, e)
+            searched += cut is not None and cut[1] == k - 1 and cut[0] > 4
+            failed += cut is None
+            shallow += cut is not None and cut[1] < k - 1
+        assert (searched > 0 and failed > 0) if k < 60 else shallow == len(cases)
 
     def test_preconditions(self, paj8, ctx64):
         with pytest.raises(ValueError):
