@@ -102,7 +102,8 @@ def rh_diagnostic(table: CoefficientTable, k_min: int, k_max: int) -> list[tuple
         raise ValueError("need 1 <= k_min <= k_max <= table.k_max")
     rows: list[tuple[int, mpf, mpf]] = []
     with mp.workprec(max(table.target_bits, 64)):
+        three_quarters = mpf("0.75")
         for k in range(k_min, k_max + 1):
-            scaled = abs(table.values[k]) * mpf(k) ** mpf("0.75")
+            scaled = abs(table.values[k]) * mpf(k) ** three_quarters
             rows.append((k, +scaled, +(scaled * mpmath.log(k) ** 2)))
     return rows

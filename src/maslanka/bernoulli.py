@@ -4,7 +4,16 @@ This module is the "oracle layer" of the package: everything here is exact
 rational arithmetic until a final rounding.  The coefficient row of
 :mod:`maslanka.coefficients` takes zeta(m) from here for small m, and the
 zeta row of a_k_alt for every m.  :mod:`maslanka.phik` evaluates the
-periodified polynomials B_a({x}) in integers over bernoulli_poly_coeffs.
+periodified polynomials B_a({x}) in integers over bernoulli_poly_coeffs, and
+:func:`maslanka.series.zeta_reference` takes its Euler-Maclaurin corrections
+from bernoulli_number.
+
+Every Bernoulli number is read from one module-level table of B_0, B_2, ...,
+B_2n, built from the tangent numbers T_1..T_n in O(n**2) multiply-adds of
+Python ints by small factors (Brent & Harvey, "Fast computation of Bernoulli,
+tangent and secant numbers", 2011), with B_2k = (-1)**(k-1) 2k T_k /
+(4**k (4**k - 1)).  A larger index rebuilds the table to at least twice its
+size, so a run pays about one build at its largest index.
 
 Conventions: B_1 = -1/2 (the value of the defining recurrence
 sum_{j<=n} C(n+1, j) B_j = 0), and for even m >= 2
@@ -33,32 +42,43 @@ __all__ = [
 ]
 
 
-def bernoulli_number(n: int) -> Fraction:
-    """Exact B_n, efficient for large n.
+_EVEN: list[Fraction] = []  # B_0, B_2, ..., B_2n
 
-    Delegates to mpmath.bernfrac (denominator by von Staudt-Clausen, numerator
-    via a zeta evaluation at guaranteed precision), which stays fast well past
-    n = 2000.
+
+def _even_bernoulli(n: int) -> list[Fraction]:
+    """B_0, B_2, ..., B_2n from the tangent numbers T_1..T_n (Brent & Harvey)."""
+    t = [0, 1]
+    for k in range(2, n + 1):
+        t.append((k - 1) * t[k - 1])
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return [Fraction(1)] + [Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
+                            for k in range(1, n + 1)]
+
+
+def bernoulli_number(n: int) -> Fraction:
+    """Exact B_n, read from the module's table of even-index values.
+
+    Odd n are B_1 = -1/2 and 0 beyond.  An even n past the end of the table
+    rebuilds it from the tangent numbers to at least twice its size.
     """
+    global _EVEN
     if n < 0:
         raise ValueError("n must be >= 0")
-    p, q = mpmath.bernfrac(n)
-    return Fraction(int(p), int(q))
-
-
-_Q_CACHE: dict[int, Fraction] = {}
+    if n % 2:
+        return Fraction(-1, 2) if n == 1 else Fraction(0)
+    if n // 2 >= len(_EVEN):
+        _EVEN = _even_bernoulli(max(n // 2, 2 * len(_EVEN)))
+    return _EVEN[n // 2]
 
 
 def zeta_rational_part(m: int) -> Fraction:
     """The exact rational q(m) with zeta(m) = q(m) * pi**m, for even m >= 2."""
     if m < 2 or m % 2:
         raise ValueError("m must be an even integer >= 2")
-    q = _Q_CACHE.get(m)
-    if q is None:
-        b = bernoulli_number(m)
-        q = Fraction(abs(b.numerator) * 2 ** (m - 1), b.denominator * math.factorial(m))
-        _Q_CACHE[m] = q
-    return q
+    b = bernoulli_number(m)
+    return Fraction(abs(b.numerator) * 2 ** (m - 1), b.denominator * math.factorial(m))
 
 
 def zeta_even(m: int, ctx: PrecisionContext) -> mpf:

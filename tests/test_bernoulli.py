@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
+from maslanka import bernoulli
 from maslanka.bernoulli import (
     bernoulli_number,
     bernoulli_poly_coeffs,
@@ -13,6 +14,10 @@ from maslanka.bernoulli import (
     zeta_even,
     zeta_rational_part,
 )
+from maslanka.coefficients import build_table, cross_identity_pairs
+from maslanka.mpnum import PrecisionContext
+from maslanka.phik import build_paj, em_remainder_a_k
+from maslanka.series import zeta_reference
 
 
 def periodified_bernoulli(a: int, x) -> mpf:
@@ -56,10 +61,35 @@ class TestBernoulliTable:
             assert (bernoulli_number(2 * n) > 0) == (n % 2 == 1)
 
     def test_matches_bernfrac_backend(self):
-        # the recurrence and the von Staudt-Clausen route must agree exactly
-        t = _recurrence_table(64)
-        for n in range(65):
+        # the tangent-number table against the defining recurrence, exactly,
+        # past the rebuild at B_128
+        t = _recurrence_table(130)
+        for n in range(131):
             assert t[n] == bernoulli_number(n)
+
+    @pytest.mark.parametrize("order", [range(402, -1, -1), range(403)], ids=["high-first", "low-first"])
+    def test_table_matches_bernfrac(self, order, monkeypatch):
+        # every rebuild path gives mpmath's zeta-based fractions: one rebuild
+        # straight to B_402, or the doubling chain from an empty table
+        monkeypatch.setattr(bernoulli, "_EVEN", [])
+        for n in order:
+            p, q = mpmath.bernfrac(n)
+            assert bernoulli_number(n) == Fraction(int(p), int(q))
+
+    def test_consumers_never_call_bernfrac(self, monkeypatch):
+        # the coefficient rows, the reference zeta and the Euler-Maclaurin
+        # boundary terms all read the table, even from an empty one
+        def bernfrac(n):
+            raise AssertionError(f"mpmath.bernfrac({n}) called")
+
+        monkeypatch.setattr(mpmath, "bernfrac", bernfrac)
+        monkeypatch.setattr(bernoulli, "_EVEN", [])
+        ctx = PrecisionContext(128)
+        assert len(list(cross_identity_pairs(100, ctx))) == 100
+        assert build_table("A", 400, ctx).k_max == 400
+        assert abs(zeta_reference(mpmath.mpc("0.5", "14.134725"), ctx)) < mpf("1e-6")
+        assert zeta_reference(mpf("-2.5"), ctx) != 0
+        assert em_remainder_a_k(12, 3, build_paj(8), PrecisionContext(64), mpf("1e-9")) != 0
 
     def test_large_index_is_cheap(self):
         b = bernoulli_number(400)
