@@ -110,8 +110,6 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_bk(args) -> int:
-    import mpmath
-
     from .analysis import rh_diagnostic
     from .coefficients import build_table, format_real, load_table, mantissa_digits
     from .mpnum import PrecisionContext
@@ -129,17 +127,15 @@ def _cmd_bk(args) -> int:
     k_min = max(1, args.kmin)
     digits = mantissa_digits(table.target_bits)
     rows = []
-    # abs() rounds at the ambient precision, which would clip stored values
-    with mpmath.mp.workprec(table.target_bits + 16):
-        for k, scaled, scaled_log2 in rh_diagnostic(table, k_min, args.kmax):
-            v = table.values[k]
-            rows.append([
-                str(k),
-                format_real(v, digits),
-                format_real(abs(v), digits),
-                format_real(scaled, digits),
-                format_real(scaled_log2, digits),
-            ])
+    for k, scaled, scaled_log2 in rh_diagnostic(table, k_min, args.kmax):
+        value = format_real(table.values[k], digits)
+        rows.append([
+            str(k),
+            value,
+            "+" + value[1:],  # |value|: the same digits, signed +
+            format_real(scaled, digits),
+            format_real(scaled_log2, digits),
+        ])
     _write_rows(args, ["k", "value", "abs_value", "k34_scaled", "k34_log2_scaled"], rows)
     return EXIT_OK
 

@@ -10,7 +10,12 @@ is therefore one transform in exact integer arithmetic:
 
 1. Fixed-point row.  W = required_bits_for_alternating_sum(k_max, target_bits)
    is fixed once per table and r_j = round(w_j * 2^W) is built as Python ints
-   (_fixed_row), each within 1/2 + 2^-32 of w_j * 2^W.
+   (_fixed_row), each within 1/2 + 2^-32 of w_j * 2^W, from zeta(2j+2) at a
+   few more bits.  Up to the switch point m^(m-1) (m-1) > 2^prec, m = 2j+2,
+   that is q(m) pi^m from exact Bernoulli numbers; from it on, the Dirichlet
+   sum of floor(2^prec / n^m) over n <= N(m), for every m in one pass over n:
+   u = floor(2^prec / n^(m-1)) steps to the next m by u //= n^2, the term is
+   u // n, and n is the last one for m exactly when u < m - 1.
 2. Transform.  k_max rounds of the difference d_j <- d_j - d_{j+1} over that
    one row.  After round k the head d_0 is exactly sum_j (-1)^j C(k,j) r_j, so
    its only error is the row rounding, below 2^k * (1/2 + 2^-32) units of
@@ -48,9 +53,9 @@ except ImportError:  # Python 3.12 renamed it; a build without it keeps hashlib'
         from hashlib import sha256
 
 from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, round_nearest, to_str
+from mpmath.libmp import from_man_exp, from_str, round_nearest, to_str
 
-from .bernoulli import zeta_rational_part
+from .bernoulli import bernoulli_number, zeta_rational_part
 from .mpnum import GUARD_BITS, PrecisionContext, Record, required_bits_for_alternating_sum
 
 __all__ = [
@@ -138,27 +143,45 @@ def _zeta_fixed_bernoulli(m: int, prec: int) -> int:
         return int(mp.nint(mp.ldexp(x, prec)))
 
 
-def _zeta_fixed(m: int, prec: int) -> int:
-    """zeta(m) * 2^prec as an integer, within m units.
+def _dirichlet_sums(lo: int, hi: int, prec: int) -> list[int]:
+    """zeta(m) * 2^prec as integers for even m = lo..hi, each within m units.
 
-    Large m: the Dirichlet sum sum_{n<=N} floor(2^prec / n^m), with N the least
-    n >= 2 such that N^(1-m) / (m-1) < 2^-prec.  Since sum_{n>N} n^-m <=
+    Each is the Dirichlet sum sum_{n<=N(m)} floor(2^prec / n^m), with N(m) the
+    least n >= 2 such that n^(1-m) / (m-1) < 2^-prec.  Since sum_{n>N} n^-m <=
     int_N^inf x^-m dx = N^(1-m) / (m-1), the tail is below one unit and the
-    N - 1 floors lose less than N - 1 more.  N falls like 2^(prec/(m-1)), from
-    astronomically many terms at m = 2 to two at m ~ prec; the sum is used
-    from the switch point where N <= m, i.e. m^(m-1) (m-1) > 2^prec, on.
-    Small m: the exact Bernoulli route, whose rational parts are cheap there.
+    N - 1 floors lose less than N - 1 more.  One pass over n serves every m:
+    since floor(floor(a/b)/c) = floor(a/(bc)), u = floor(2^prec / n^(m-1))
+    starts with one power at m = lo and steps to m + 2 by u //= n^2, the term
+    is u // n, and N(m) = n exactly when u < m - 1.  N(m) falls with m, so the
+    m still summing at n are a prefix of lo..hi; the pass ends when it is empty.
     """
     one = 1 << prec
-    if m ** (m - 1) * (m - 1) <= one:
-        return _zeta_fixed_bernoulli(m, prec)
-    total, n = one, 1
-    while True:
+    sums = [one] * ((hi - lo) // 2 + 1)
+    live, n = len(sums), 1
+    while live:
         n += 1
-        p = n ** (m - 1)
-        total += one // (p * n)
-        if p * (m - 1) > one:
-            return total
+        u, n2, keep = one // n ** (lo - 1), n * n, 0
+        for i in range(live):
+            sums[i] += u // n
+            keep += u >= lo + 2 * i - 1
+            u //= n2
+        live = keep
+    return sums
+
+
+def _zeta_fixed_row(n: int, prec: int) -> list[int]:
+    """zeta(m) * 2^prec as integers for m = 2, 4, ..., 2n, each within m units.
+
+    The Dirichlet sums serve from the switch point where N(m) <= m, i.e.
+    m^(m-1) (m-1) > 2^prec, on; the test is monotone in m, so one walk finds it.
+    Below it the exact Bernoulli route, whose rational parts are cheap there.
+    """
+    lo = 2
+    while lo <= 2 * n and lo ** (lo - 1) * (lo - 1) <= 1 << prec:
+        lo += 2
+    bernoulli_number(lo - 2)  # one table build for the whole Bernoulli route
+    return ([_zeta_fixed_bernoulli(m, prec) for m in range(2, lo, 2)]
+            + _dirichlet_sums(lo, 2 * n, prec))
 
 
 def _row_entry(kind: str, j: int, zeta: int, prec: int, w: int) -> int:
@@ -171,7 +194,7 @@ def _row_entry(kind: str, j: int, zeta: int, prec: int, w: int) -> int:
 def _fixed_row(kind: str, n: int, w: int) -> list[int]:
     """r_0..r_{n-1}, each within 1/2 + 2^-GUARD_BITS of w_j * 2^w (needs n <= w)."""
     prec = _row_prec(w)
-    return [_row_entry(kind, j, _zeta_fixed(2 * j + 2, prec), prec, w) for j in range(n)]
+    return [_row_entry(kind, j, z, prec, w) for j, z in enumerate(_zeta_fixed_row(n, prec))]
 
 
 def _zeta_row(n: int, w: int) -> list[int]:
@@ -184,6 +207,7 @@ def _zeta_row(n: int, w: int) -> list[int]:
     """
     g = GUARD_BITS + n.bit_length()
     s = w + g
+    bernoulli_number(2 * n)  # one table build for the whole row
     with mp.workprec(s + 8):
         p = int(mp.nint(mp.ldexp(mp.pi ** 2, s)))
     row, x = [], p
@@ -260,9 +284,10 @@ def cross_identity_pairs(k_max: int, ctx: PrecisionContext):
     """(k, A_k by a_k's route, A_k by a_k_alt's route) for k = 1..k_max, from one
     pass over each route's row at W = W(k_max); their bounds hold with that W."""
     w = required_bits_for_alternating_sum(k_max, ctx.target_bits)
+    alt = _alt_heads(k_max, w)  # first: its row reads the Bernoulli table furthest
     kernel = _difference_heads(_fixed_row("A", k_max + 1, w))
     next(kernel)
-    for k, (va, vb) in enumerate(zip(kernel, _alt_heads(k_max, w)), 1):
+    for k, (va, vb) in enumerate(zip(kernel, alt), 1):
         yield k, _fixed_to_real(va, w), _fixed_to_real(vb, w)
 
 
@@ -338,11 +363,10 @@ def format_real(x: mpf, digits: int) -> str:
 def parse_real(token: str, target_bits: int) -> mpf:
     # the digit count is compared, not put in the pattern: a count past the
     # regex repetition limit would raise OverflowError instead
-    m = re.fullmatch(r"([+-])([0-9]\.([0-9]+))e(\+0|[+-][1-9][0-9]*)", token)
-    if m is None or len(m.group(3)) != mantissa_digits(target_bits) - 1:
+    m = re.fullmatch(r"[+-][0-9]\.([0-9]+)e(?:\+0|[+-][1-9][0-9]*)", token)
+    if m is None or len(m.group(1)) != mantissa_digits(target_bits) - 1:
         raise TableFormatError(f"malformed value token {token!r}")
-    with mp.workprec(target_bits):
-        return +mpf(m.group(1) + m.group(2) + "e" + m.group(4))
+    return mp.make_mpf(from_str(token, target_bits, round_nearest))
 
 
 def _payload_lines(table: CoefficientTable) -> list[str]:

@@ -420,6 +420,8 @@ GOLDEN_ARGV = {
     "coeff": ["coeff", "--kind", "A", "--kmax", "40", "--bits", "64", "--out", "a40.tbl"],
     "bk-csv": ["bk", "--kmax", "12", "--bits", "64"],
     "bk-json": ["bk", "--kmax", "12", "--bits", "64", "--format", "json"],
+    # deep enough for the Dirichlet half of the row: the benchmark's bk command
+    "bk-600-160": ["bk", "--kmax", "600", "--bits", "160", "--format", "csv"],
     "eval-4": ["eval", "--s", "4", "--table", "a40.tbl", "--bits", "64", "--tol", "1e-6"],
     "eval-critical": ["eval", "--s", "0.5+14.134725i", "--table", "a40.tbl", "--bits", "64",
                       "--tol", "1e-6"],
@@ -448,6 +450,7 @@ GOLDEN_OUTPUT = {
     "coeff": (0, "4c88b391102f21a3"),
     "bk-csv": (0, "b64036b00e64bb37"),
     "bk-json": (0, "57fa027409015646"),
+    "bk-600-160": (0, "5047b143066094c8"),
     "eval-4": (0, "114d921de1610163"),
     "eval-critical": (3, "755c223343bd947d"),
     "eval-pole": (3, "8e4eb41513fcfe92"),

@@ -192,11 +192,12 @@ class TestBuildTable:
             build_table("A", -1, ctx64)
 
 
-@pytest.mark.parametrize("kind,k_max,bits", [("A", 400, 128), ("b", 600, 160)])
-def test_row_equals_all_bernoulli_row(kind, k_max, bits):
+@pytest.mark.parametrize("kind,k_max,bits", [("A", 400, 128), ("b", 600, 160), ("A", 900, 128)])
+def test_row_equals_all_bernoulli_row(kind, k_max, bits, monkeypatch):
     """The kernel's row, Dirichlet sums from the switch point m^(m-1) (m-1) >
     2^prec on, equals int for int the row built from exact Bernoulli numbers,
     and each entry is within 1/2 + 2^-32 of w_j 2^W by mpmath.zeta."""
+    from maslanka import bernoulli
     from maslanka.coefficients import _fixed_row, _row_entry, _row_prec, _zeta_fixed_bernoulli
 
     w = required_bits_for_alternating_sum(k_max, bits)
@@ -204,6 +205,9 @@ def test_row_equals_all_bernoulli_row(kind, k_max, bits):
     switch = next(j for j in range(k_max + 1)
                   if (2 * j + 2) ** (2 * j + 1) * (2 * j + 1) > 2 ** prec)
     assert switch < k_max // 2
+    # one Bernoulli table build to 2 k_max + 2, whatever size earlier tests left
+    monkeypatch.setattr(bernoulli, "_EVEN", [])
+    zeta_rational_part(2 * k_max + 2)
     exact = [_row_entry(kind, j, _zeta_fixed_bernoulli(2 * j + 2, prec), prec, w)
              for j in range(k_max + 1)]
     row = _fixed_row(kind, k_max + 1, w)
@@ -213,6 +217,77 @@ def test_row_equals_all_bernoulli_row(kind, k_max, bits):
             z = mpmath.zeta(2 * j + 2)
             x = mpmath.ldexp((2 * j + 1) * z if kind == "A" else 1 / z, w)
             assert abs(r - x) <= mpf(1) / 2 + mpf(2) ** -32, j
+
+
+def _zeta_fixed_per_m(m: int, prec: int) -> int:
+    """zeta(m) * 2^prec by the per-m route the one-pass row replaced: the exact
+    Bernoulli value below the switch m^(m-1) (m-1) > 2^prec, else a fresh
+    power n^(m-1) and a full-width division per term of the Dirichlet sum."""
+    from maslanka.coefficients import _zeta_fixed_bernoulli
+
+    one = 1 << prec
+    if m ** (m - 1) * (m - 1) <= one:
+        return _zeta_fixed_bernoulli(m, prec)
+    total, n = one, 1
+    while True:
+        n += 1
+        p = n ** (m - 1)
+        total += one // (p * n)
+        if p * (m - 1) > one:
+            return total
+
+
+@pytest.mark.parametrize("k_max,bits", [
+    (400, 128), (600, 160), (900, 128), (1000, 200), (0, 64), (1, 64), (3, 64)])
+def test_zeta_row_equals_per_m_route(k_max, bits):
+    """The one-pass row equals the per-m route int for int, for every even m
+    from 2 to 2W at the precision of a table to k_max, so past the switch and
+    past the m = 2k_max + 2 that the table itself reads."""
+    from maslanka.coefficients import _row_prec, _zeta_fixed_row
+
+    w = required_bits_for_alternating_sum(k_max, bits)
+    prec = _row_prec(w)
+    assert _zeta_fixed_row(w, prec) == [_zeta_fixed_per_m(m, prec) for m in range(2, 2 * w + 1, 2)]
+
+
+def test_zeta_row_equals_per_m_route_at_every_small_precision():
+    """The same past the switch point at every precision from 20 to 400 bits:
+    a switch test off by a factor (m-1)/(m-2) moves the switch at some of them
+    but at none of the row precisions above."""
+    from maslanka.coefficients import _zeta_fixed_row
+
+    for prec in range(20, 401):
+        n = prec // 4 + 4  # 2n > the switch m, which has m log2(m) < prec
+        assert _zeta_fixed_row(n, prec) == [
+            _zeta_fixed_per_m(m, prec) for m in range(2, 2 * n + 1, 2)], prec
+
+
+def test_each_row_builds_the_bernoulli_table_once(monkeypatch):
+    """Each row asks for its last Bernoulli number first, so a cold table is
+    built once, to that index, and the cross-identity pass (the alt row reads
+    B_2..B_202 at k_max = 100) builds it once for both of its rows."""
+    from maslanka import bernoulli
+    from maslanka.coefficients import _fixed_row, _zeta_row
+
+    builds = []
+    build = bernoulli._even_bernoulli
+
+    def counted(n):
+        builds.append(n)
+        return build(n)
+
+    monkeypatch.setattr(bernoulli, "_even_bernoulli", counted)
+    monkeypatch.setattr(bernoulli, "_EVEN", [])
+    list(cross_identity_pairs(100, PrecisionContext(64)))
+    assert builds == [101]
+    for n in (1, 40, 120):
+        monkeypatch.setattr(bernoulli, "_EVEN", [])
+        _zeta_row(n, required_bits_for_alternating_sum(n - 1, 64))
+        assert len(bernoulli._EVEN) == n + 1
+    builds.clear()
+    monkeypatch.setattr(bernoulli, "_EVEN", [])
+    _fixed_row("A", 401, required_bits_for_alternating_sum(400, 128))
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("k_max,bits", [(1, 64), (100, 64), (100, 128), (300, 128)])
@@ -480,6 +555,24 @@ class TestValueFormat:
             with pytest.raises(TableFormatError):
                 parse_real(bad, 64)
 
+    def test_parse_is_the_mpf_constructor(self, table_a400_128, table_a900_128):
+        # the mpf that +mpf(token) gives under workprec(bits), as _mpf_: every
+        # token of the three tables the benchmark writes, zero, and decimal
+        # exponents past 400, where mpmath's from_str multiplies by 10^exp
+        tables = [table_a400_128, build_table("b", 600, PrecisionContext(160)), table_a900_128]
+        cases = [(format_real(v, mantissa_digits(t.target_bits)), t.target_bits)
+                 for t in tables for v in t.values]
+        for bits in (16, 64, 160):
+            tail = "7" * (mantissa_digits(bits) - 2)
+            cases += [(format_real(mpf(0), mantissa_digits(bits)), bits), (f"+0.{tail}0e+0", bits),
+                      (f"-9.{tail}1e-401", bits), (f"+1.{tail}3e+4096", bits),
+                      (f"-3.{tail}9e-99999", bits)]
+        assert len(cases) == 401 + 601 + 901 + 15
+        for tok, bits in cases:
+            with mp.workprec(bits):
+                expected = (+mpf(tok))._mpf_
+            assert parse_real(tok, bits)._mpf_ == expected, tok
+
     @settings(max_examples=150, deadline=None)
     @given(
         st.booleans(),
@@ -519,9 +612,10 @@ class TestSharedKernel:
     @pytest.mark.parametrize("kind,k_max,bits,sha", [
         ("A", 400, 128, "79be01fc0b85c5b67152593242ffbe8b1218b0a0e3dfea0137a0ca6afe85f399"),
         ("b", 600, 160, "b6630c7714c13597c929442a3d05de02d3da813bce13b215bc2ba44e9fe731a9"),
+        ("A", 900, 128, "6d6946df1ca53872e2bd6e701cbb001ec4c0a18e5627d14d27a17c5cba1e4e52"),
     ])
     def test_saved_checksum_is_pinned(self, kind, k_max, bits, sha, tmp_path):
-        # the checksum lines of the two tables the benchmark writes: a change
+        # the checksum lines of the three tables the benchmark writes: a change
         # to their bytes must come with a shown gain in accuracy
         path = tmp_path / "t.coeff"
         save_table(build_table(kind, k_max, PrecisionContext(bits)), path)
