@@ -1,19 +1,20 @@
 """Exact Bernoulli machinery: numbers, even-argument zeta, Bernoulli polynomials.
 
 This module is the "oracle layer" of the package: everything here is exact
-rational arithmetic until a final rounding.  The coefficient row of
-:mod:`maslanka.coefficients` takes zeta(m) from here for small m, and the
-zeta row of a_k_alt for every m.  :mod:`maslanka.phik` evaluates the
-periodified polynomials B_a({x}) in integers over bernoulli_poly_coeffs, and
+rational arithmetic until a final rounding.  The zeta row walk of
+:mod:`maslanka.coefficients` reads B_m here (the kernel row for small m,
+a_k_alt's for every m).  :mod:`maslanka.phik` evaluates the periodified
+polynomials B_a({x}) in integers over bernoulli_poly_coeffs, and
 :func:`maslanka.series.zeta_reference` takes its Euler-Maclaurin corrections
 from bernoulli_number.
 
 Every Bernoulli number is read from one module-level table of B_0, B_2, ...,
-B_2n, built from the tangent numbers T_1..T_n in O(n**2) multiply-adds of
+B_2n, made from the tangent numbers T_1..T_n in O(n**2) multiply-adds of
 Python ints by small factors (Brent & Harvey, "Fast computation of Bernoulli,
 tangent and secant numbers", 2011), with B_2k = (-1)**(k-1) 2k T_k /
-(4**k (4**k - 1)).  A larger index rebuilds the table to at least twice its
-size, so a run pays about one build at its largest index.
+(4**k (4**k - 1)).  The table grows in place, one column of the tangent
+triangle at a time, to exactly the largest index asked for; it keeps the last
+column's value after each pass, which is all the next column reads.
 
 Conventions: B_1 = -1/2 (the value of the defining recurrence
 sum_{j<=n} C(n+1, j) B_j = 0), and for even m >= 2
@@ -42,34 +43,34 @@ __all__ = [
 ]
 
 
-_EVEN: list[Fraction] = []  # B_0, B_2, ..., B_2n
-
-
-def _even_bernoulli(n: int) -> list[Fraction]:
-    """B_0, B_2, ..., B_2n from the tangent numbers T_1..T_n (Brent & Harvey)."""
-    t = [0, 1]
-    for k in range(2, n + 1):
-        t.append((k - 1) * t[k - 1])
-    for k in range(2, n + 1):
-        for j in range(k, n + 1):
-            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-    return [Fraction(1)] + [Fraction((-1) ** (k - 1) * 2 * k * t[k], 4 ** k * (4 ** k - 1))
-                            for k in range(1, n + 1)]
+_EVEN: list[Fraction] = [Fraction(1)]  # B_0, B_2, ..., B_2n
+_EDGE: list[int] = [1]  # column n or n + 1 of the tangent triangle after each pass
 
 
 def bernoulli_number(n: int) -> Fraction:
     """Exact B_n, read from the module's table of even-index values.
 
     Odd n are B_1 = -1/2 and 0 beyond.  An even n past the end of the table
-    rebuilds it from the tangent numbers to at least twice its size.
+    extends it to exactly B_n: from the values e of column k - 1 of the
+    tangent triangle, column k starts at (k - 1) e[0], pass p sets
+    v = (k - p) e[p - 1] + (k - p + 2) v, and pass k doubles v to T_k.  A
+    column is bound only once complete and B_2k appended after it, so an
+    interrupted extension leaves the table whole.
     """
-    global _EVEN
+    global _EDGE
     if n < 0:
         raise ValueError("n must be >= 0")
     if n % 2:
         return Fraction(-1, 2) if n == 1 else Fraction(0)
-    if n // 2 >= len(_EVEN):
-        _EVEN = _even_bernoulli(max(n // 2, 2 * len(_EVEN)))
+    while n // 2 >= len(_EVEN):
+        k = len(_EVEN)
+        if len(_EDGE) < k:
+            edge = [(k - 1) * _EDGE[0]]
+            for p in range(2, k):
+                edge.append((k - p) * _EDGE[p - 1] + (k - p + 2) * edge[-1])
+            edge.append(2 * edge[-1])
+            _EDGE = edge
+        _EVEN.append(Fraction((-1) ** (k - 1) * 2 * k * _EDGE[-1], 4 ** k * (4 ** k - 1)))
     return _EVEN[n // 2]
 
 

@@ -248,6 +248,8 @@ def _em_pair(k, a, ctx, tol, quad_tol=None):
     from .coefficients import a_k
     from .phik import build_paj, em_remainder_a_k
 
+    if not 2 <= a < k:  # before build_paj(a + 1), which costs about a^3
+        raise ValueError("need 2 <= a < k")
     paj = build_paj(a + 1)
     ref = a_k(k, ctx)
     if quad_tol is None:

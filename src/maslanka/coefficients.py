@@ -12,7 +12,8 @@ is therefore one transform in exact integer arithmetic:
    is fixed once per table and r_j = round(w_j * 2^W) is built as Python ints
    (_fixed_row), each within 1/2 + 2^-32 of w_j * 2^W, from zeta(2j+2) at a
    few more bits.  Up to the switch point m^(m-1) (m-1) > 2^prec, m = 2j+2,
-   that is q(m) pi^m from exact Bernoulli numbers; from it on, the Dirichlet
+   that is the walk of _zeta_row at scale 2^prec, q(m) from exact Bernoulli
+   numbers times one fixed-point power of pi^2 per m; from it on, the Dirichlet
    sum of floor(2^prec / n^m) over n <= N(m), for every m in one pass over n:
    u = floor(2^prec / n^(m-1)) steps to the next m by u //= n^2, the term is
    u // n, and n is the last one for m exactly when u < m - 1.
@@ -22,10 +23,11 @@ is therefore one transform in exact integer arithmetic:
    2^-W.  Each head is rounded once, to target_bits.
 
 Every route runs the rounds of step 2.  a_k and b_k return unrounded the last
-head over the row built at W(k).  a_k_alt differences its own row of
-zeta(2j+2) from exact Bernoulli numbers; it and phik.em_remainder_a_k are the
-independent routes the tests compare against.  cross_identity_pairs reads
-both a_k routes for k = 1..k_max from one pass each at W(k_max).
+head over the row built at W(k).  a_k_alt reindexes the sum over its own row
+of zeta(2j+2), the same walk at scale 2^W for every j; it and
+phik.em_remainder_a_k are the independent routes the tests compare against.
+cross_identity_pairs reads both a_k routes for k = 1..k_max from one pass each
+at W(k_max).
 
 Entry k of a table stores the least integer e_k with
 
@@ -55,7 +57,7 @@ except ImportError:  # Python 3.12 renamed it; a build without it keeps hashlib'
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, from_str, round_nearest, to_str
 
-from .bernoulli import bernoulli_number, zeta_rational_part
+from .bernoulli import bernoulli_number
 from .mpnum import GUARD_BITS, PrecisionContext, Record, required_bits_for_alternating_sum
 
 __all__ = [
@@ -128,21 +130,6 @@ def _row_prec(w: int) -> int:
     return w + GUARD_BITS + 2 * (2 * w).bit_length()
 
 
-def _zeta_fixed_bernoulli(m: int, prec: int) -> int:
-    """zeta(m) * 2^prec rounded to an integer, from the exact q(m) pi^m.
-
-    The m + 5 roundings of the mpf evaluation (m of them from pi inside pi^m)
-    stay below 2^-6 units at the precision used, so the result is within
-    1/2 + 2^-6 units, and exact where zeta(m) * 2^prec is within 2^-7 of an
-    integer.  That keeps it equal to the Dirichlet route at m = W + 1 for an
-    odd row scale W, where w_j * 2^W is a rounding tie up to about 3^-m 2^W.
-    """
-    q = zeta_rational_part(m)
-    with mp.workprec(prec + m.bit_length() + 8):
-        x = mpf(q.numerator) * mp.pi ** m / q.denominator
-        return int(mp.nint(mp.ldexp(x, prec)))
-
-
 def _dirichlet_sums(lo: int, hi: int, prec: int) -> list[int]:
     """zeta(m) * 2^prec as integers for even m = lo..hi, each within m units.
 
@@ -174,14 +161,13 @@ def _zeta_fixed_row(n: int, prec: int) -> list[int]:
 
     The Dirichlet sums serve from the switch point where N(m) <= m, i.e.
     m^(m-1) (m-1) > 2^prec, on; the test is monotone in m, so one walk finds it.
-    Below it the exact Bernoulli route, whose rational parts are cheap there.
+    Below it the walk of _zeta_row at scale 2^prec, whose Bernoulli numbers
+    are cheap there.
     """
     lo = 2
     while lo <= 2 * n and lo ** (lo - 1) * (lo - 1) <= 1 << prec:
         lo += 2
-    bernoulli_number(lo - 2)  # one table build for the whole Bernoulli route
-    return ([_zeta_fixed_bernoulli(m, prec) for m in range(2, lo, 2)]
-            + _dirichlet_sums(lo, 2 * n, prec))
+    return _zeta_row(lo // 2 - 1, prec) + _dirichlet_sums(lo, 2 * n, prec)
 
 
 def _row_entry(kind: str, j: int, zeta: int, prec: int, w: int) -> int:
@@ -198,22 +184,24 @@ def _fixed_row(kind: str, n: int, w: int) -> list[int]:
 
 
 def _zeta_row(n: int, w: int) -> list[int]:
-    """a_k_alt's row z_j = round(zeta(2j+2) 2^w), j < n, each within 1/2 + 2^-32.
+    """z_j = round(zeta(2j+2) 2^w) for j < n, each within 1/2 + 2^-32.
 
     Every value is q(2j+2) times the power X_j ~ pi^(2j+2) 2^s, s = w + g, of one
     P within 0.6 of pi^2 2^s > 2^(s+3), by X_{j+1} = floor(X_j P / 2^s).  So
     |X_j / (pi^(2j+2) 2^s) - 1| < (2j+2) 2^-(s+3), and floor(q X_j) is within
-    (j+1)/2 + 1 <= 2^(g-32) of zeta(2j+2) 2^s before the final rounding.
+    (j+1)/2 + 1 <= 2^(g-32) of zeta(2j+2) 2^s before the final rounding; it is
+    read off B_m and a running m!, m = 2j+2, with no gcd.  This walk is all of
+    a_k_alt's row and the kernel row below its switch point.
     """
     g = GUARD_BITS + n.bit_length()
     s = w + g
-    bernoulli_number(2 * n)  # one table build for the whole row
     with mp.workprec(s + 8):
         p = int(mp.nint(mp.ldexp(mp.pi ** 2, s)))
-    row, x = [], p
-    for j in range(n):
-        q = zeta_rational_part(2 * j + 2)
-        row.append((q.numerator * x // q.denominator + (1 << g - 1)) >> g)
+    row, x, fact = [], p, 1
+    for m in range(2, 2 * n + 1, 2):
+        b = bernoulli_number(m)
+        fact *= (m - 1) * m
+        row.append((abs(b.numerator) * x << m - 1) // (b.denominator * fact) + (1 << g - 1) >> g)
         x = x * p >> s
     return row
 
@@ -284,7 +272,7 @@ def cross_identity_pairs(k_max: int, ctx: PrecisionContext):
     """(k, A_k by a_k's route, A_k by a_k_alt's route) for k = 1..k_max, from one
     pass over each route's row at W = W(k_max); their bounds hold with that W."""
     w = required_bits_for_alternating_sum(k_max, ctx.target_bits)
-    alt = _alt_heads(k_max, w)  # first: its row reads the Bernoulli table furthest
+    alt = _alt_heads(k_max, w)
     kernel = _difference_heads(_fixed_row("A", k_max + 1, w))
     next(kernel)
     for k, (va, vb) in enumerate(zip(kernel, alt), 1):

@@ -1,6 +1,16 @@
+from fractions import Fraction
+
 import pytest
 
-from maslanka import PrecisionContext, build_table
+from maslanka import PrecisionContext, bernoulli, build_table
+
+
+@pytest.fixture
+def empty_bernoulli_table(monkeypatch):
+    """The whole Bernoulli table state set back to its start, B_0 and column 1
+    of the tangent triangle, as a fresh import has it.  Restored after the test."""
+    monkeypatch.setattr(bernoulli, "_EVEN", [Fraction(1)])
+    monkeypatch.setattr(bernoulli, "_EDGE", [1])
 
 
 @pytest.fixture(scope="session")

@@ -61,35 +61,54 @@ class TestBernoulliTable:
             assert (bernoulli_number(2 * n) > 0) == (n % 2 == 1)
 
     def test_matches_bernfrac_backend(self):
-        # the tangent-number table against the defining recurrence, exactly,
-        # past the rebuild at B_128
+        # the tangent-number table against the defining recurrence, exactly
         t = _recurrence_table(130)
         for n in range(131):
             assert t[n] == bernoulli_number(n)
 
     @pytest.mark.parametrize("order", [range(402, -1, -1), range(403)], ids=["high-first", "low-first"])
-    def test_table_matches_bernfrac(self, order, monkeypatch):
-        # every rebuild path gives mpmath's zeta-based fractions: one rebuild
-        # straight to B_402, or the doubling chain from an empty table
-        monkeypatch.setattr(bernoulli, "_EVEN", [])
+    def test_table_matches_bernfrac(self, order, empty_bernoulli_table):
+        # every growth path gives mpmath's zeta-based fractions: one extension
+        # straight to B_402, or one column at a time from an empty table
         for n in order:
             p, q = mpmath.bernfrac(n)
             assert bernoulli_number(n) == Fraction(int(p), int(q))
 
-    def test_consumers_never_call_bernfrac(self, monkeypatch):
+    def test_consumers_never_call_bernfrac(self, monkeypatch, empty_bernoulli_table):
         # the coefficient rows, the reference zeta and the Euler-Maclaurin
         # boundary terms all read the table, even from an empty one
         def bernfrac(n):
             raise AssertionError(f"mpmath.bernfrac({n}) called")
 
         monkeypatch.setattr(mpmath, "bernfrac", bernfrac)
-        monkeypatch.setattr(bernoulli, "_EVEN", [])
         ctx = PrecisionContext(128)
         assert len(list(cross_identity_pairs(100, ctx))) == 100
         assert build_table("A", 400, ctx).k_max == 400
         assert abs(zeta_reference(mpmath.mpc("0.5", "14.134725"), ctx)) < mpf("1e-6")
         assert zeta_reference(mpf("-2.5"), ctx) != 0
         assert em_remainder_a_k(12, 3, build_paj(8), PrecisionContext(64), mpf("1e-9")) != 0
+
+    def test_table_grows_in_place(self, empty_bernoulli_table):
+        # a cold request builds to exactly its index, and growth appends to
+        # the table: the entries made before are kept as the same objects
+        bernoulli_number(200)
+        assert len(bernoulli._EVEN) == 101
+        before = list(bernoulli._EVEN)
+        bernoulli_number(402)
+        assert len(bernoulli._EVEN) == 202
+        assert all(x is y for x, y in zip(before, bernoulli._EVEN))
+        for n in range(0, 403, 2):
+            p, q = mpmath.bernfrac(n)
+            assert bernoulli._EVEN[n // 2] == Fraction(int(p), int(q))
+
+    def test_interrupted_extension_resumes(self, empty_bernoulli_table):
+        # a column bound but its B_2k not yet appended, the state an interrupt
+        # between the two leaves: the next request appends B_2k from it
+        bernoulli_number(12)
+        del bernoulli._EVEN[-1]
+        for n in range(0, 41, 2):
+            p, q = mpmath.bernfrac(n)
+            assert bernoulli_number(n) == Fraction(int(p), int(q))
 
     def test_large_index_is_cheap(self):
         b = bernoulli_number(400)

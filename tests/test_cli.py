@@ -356,13 +356,15 @@ class TestVerify:
     def test_cross_identity_catches_a_wrong_route(self, monkeypatch, capsys):
         # z_40 of the alt row off by 2^(W-100) units, i.e. by 2^-100: the
         # pairs k >= 40 see it (A_k reads z_0..z_k), scaled by (2k+1) and
-        # C(k-1, 39) far past the suite's 2^-122, and no pair below does
+        # C(k-1, 39) far past the suite's 2^-122, and no pair below does.
+        # The kernel row's Bernoulli half is a shorter walk, left as it is
         j = 40
         zeta_row = coefficients._zeta_row
 
         def skewed(n, w):
             row = zeta_row(n, w)
-            row[j] += 1 << (w - 100)
+            if n > j:
+                row[j] += 1 << (w - 100)
             return row
 
         monkeypatch.setattr(coefficients, "_zeta_row", skewed)
@@ -422,6 +424,10 @@ GOLDEN_ARGV = {
     "bk-json": ["bk", "--kmax", "12", "--bits", "64", "--format", "json"],
     # deep enough for the Dirichlet half of the row: the benchmark's bk command
     "bk-600-160": ["bk", "--kmax", "600", "--bits", "160", "--format", "csv"],
+    # a zeta(2j+2) integer of the row's Bernoulli half that a per-m mpf route
+    # rounded one unit off: j = 2 and j = 12
+    "bk-40-128": ["bk", "--kmax", "40", "--bits", "128", "--format", "csv"],
+    "bk-17-256": ["bk", "--kmax", "17", "--bits", "256", "--format", "csv"],
     "eval-4": ["eval", "--s", "4", "--table", "a40.tbl", "--bits", "64", "--tol", "1e-6"],
     "eval-critical": ["eval", "--s", "0.5+14.134725i", "--table", "a40.tbl", "--bits", "64",
                       "--tol", "1e-6"],
@@ -451,6 +457,8 @@ GOLDEN_OUTPUT = {
     "bk-csv": (0, "b64036b00e64bb37"),
     "bk-json": (0, "57fa027409015646"),
     "bk-600-160": (0, "5047b143066094c8"),
+    "bk-40-128": (0, "390cee068cd376bb"),
+    "bk-17-256": (0, "3bc35daff273ef17"),
     "eval-4": (0, "114d921de1610163"),
     "eval-critical": (3, "755c223343bd947d"),
     "eval-pole": (3, "8e4eb41513fcfe92"),
@@ -498,6 +506,21 @@ class TestEmCheck:
         cap = capsys.readouterr()
         assert rc == cli.EXIT_NUMERIC
         assert "not met" in cap.err
+
+    @pytest.mark.parametrize("k,a", [(3, 1000), (3, 3), (8, 1), (120, 0)])
+    def test_bad_pair_is_rejected_before_any_work(self, k, a, monkeypatch, capsys):
+        # the polynomials p_{a+1,j} and A_k cost about a^3 to build, so the
+        # pair is checked before either is asked for
+        def never(*args):
+            raise AssertionError("called for a usage error")
+
+        monkeypatch.setattr(phik, "build_paj", never)
+        monkeypatch.setattr(coefficients, "a_k", never)
+        rc = cli.run(["em-check", "--k", str(k), "--a", str(a)])
+        cap = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert "error: need 2 <= a < k" in cap.err
+        assert cap.out == ""
 
     def test_quadrature_failure_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(phik, "MAX_PANELS", 2)

@@ -1,6 +1,7 @@
 import hashlib
 import math
 from fractions import Fraction
+from itertools import count
 
 import mpmath
 import pytest
@@ -193,23 +194,17 @@ class TestBuildTable:
 
 
 @pytest.mark.parametrize("kind,k_max,bits", [("A", 400, 128), ("b", 600, 160), ("A", 900, 128)])
-def test_row_equals_all_bernoulli_row(kind, k_max, bits, monkeypatch):
+def test_row_equals_all_bernoulli_row(kind, k_max, bits, empty_bernoulli_table):
     """The kernel's row, Dirichlet sums from the switch point m^(m-1) (m-1) >
-    2^prec on, equals int for int the row built from exact Bernoulli numbers,
-    and each entry is within 1/2 + 2^-32 of w_j 2^W by mpmath.zeta."""
-    from maslanka import bernoulli
-    from maslanka.coefficients import _fixed_row, _row_entry, _row_prec, _zeta_fixed_bernoulli
+    2^prec on, equals int for int the row built from exact Bernoulli numbers
+    by the pi^2 walk alone, and each entry is within 1/2 + 2^-32 of w_j 2^W
+    by mpmath.zeta."""
+    from maslanka.coefficients import _fixed_row, _row_entry, _row_prec, _zeta_row
 
     w = required_bits_for_alternating_sum(k_max, bits)
     prec = _row_prec(w)
-    switch = next(j for j in range(k_max + 1)
-                  if (2 * j + 2) ** (2 * j + 1) * (2 * j + 1) > 2 ** prec)
-    assert switch < k_max // 2
-    # one Bernoulli table build to 2 k_max + 2, whatever size earlier tests left
-    monkeypatch.setattr(bernoulli, "_EVEN", [])
-    zeta_rational_part(2 * k_max + 2)
-    exact = [_row_entry(kind, j, _zeta_fixed_bernoulli(2 * j + 2, prec), prec, w)
-             for j in range(k_max + 1)]
+    assert _switch(prec) < k_max // 2
+    exact = [_row_entry(kind, j, z, prec, w) for j, z in enumerate(_zeta_row(k_max + 1, prec))]
     row = _fixed_row(kind, k_max + 1, w)
     assert row == exact
     with mp.workprec(w + 80):
@@ -219,15 +214,20 @@ def test_row_equals_all_bernoulli_row(kind, k_max, bits, monkeypatch):
             assert abs(r - x) <= mpf(1) / 2 + mpf(2) ** -32, j
 
 
-def _zeta_fixed_per_m(m: int, prec: int) -> int:
-    """zeta(m) * 2^prec by the per-m route the one-pass row replaced: the exact
-    Bernoulli value below the switch m^(m-1) (m-1) > 2^prec, else a fresh
-    power n^(m-1) and a full-width division per term of the Dirichlet sum."""
-    from maslanka.coefficients import _zeta_fixed_bernoulli
+def _switch(prec: int) -> int:
+    """The number of Bernoulli entries below the switch m^(m-1) (m-1) > 2^prec."""
+    return next(j for j in count() if (2 * j + 2) ** (2 * j + 1) * (2 * j + 1) > 2 ** prec)
 
+
+def _zeta_fixed_per_m(m: int, prec: int) -> int:
+    """zeta(m) * 2^prec by a per-m route: below the switch m^(m-1) (m-1) >
+    2^prec the nearest integer by mpmath.zeta at prec + 128 bits, shared with
+    no code of maslanka; else the Dirichlet sum the one-pass row replaced, a
+    fresh power n^(m-1) and a full-width division per term."""
     one = 1 << prec
     if m ** (m - 1) * (m - 1) <= one:
-        return _zeta_fixed_bernoulli(m, prec)
+        with mp.workprec(prec + 128):
+            return int(mp.nint(mp.ldexp(mpmath.zeta(m), prec)))
     total, n = one, 1
     while True:
         n += 1
@@ -262,43 +262,31 @@ def test_zeta_row_equals_per_m_route_at_every_small_precision():
             _zeta_fixed_per_m(m, prec) for m in range(2, 2 * n + 1, 2)], prec
 
 
-def test_each_row_builds_the_bernoulli_table_once(monkeypatch):
-    """Each row asks for its last Bernoulli number first, so a cold table is
-    built once, to that index, and the cross-identity pass (the alt row reads
-    B_2..B_202 at k_max = 100) builds it once for both of its rows."""
-    from maslanka import bernoulli
-    from maslanka.coefficients import _fixed_row, _zeta_row
-
-    builds = []
-    build = bernoulli._even_bernoulli
-
-    def counted(n):
-        builds.append(n)
-        return build(n)
-
-    monkeypatch.setattr(bernoulli, "_even_bernoulli", counted)
-    monkeypatch.setattr(bernoulli, "_EVEN", [])
-    list(cross_identity_pairs(100, PrecisionContext(64)))
-    assert builds == [101]
-    for n in (1, 40, 120):
-        monkeypatch.setattr(bernoulli, "_EVEN", [])
-        _zeta_row(n, required_bits_for_alternating_sum(n - 1, 64))
-        assert len(bernoulli._EVEN) == n + 1
-    builds.clear()
-    monkeypatch.setattr(bernoulli, "_EVEN", [])
-    _fixed_row("A", 401, required_bits_for_alternating_sum(400, 128))
-    assert len(builds) == 1
+def _alt_row(k_max: int, bits: int):
+    """n and w of a_k_alt's row for A_k_max at `bits`."""
+    return pytest.param(k_max + 1, required_bits_for_alternating_sum(k_max, bits),
+                        id=f"{k_max}-{bits}")
 
 
-@pytest.mark.parametrize("k_max,bits", [(1, 64), (100, 64), (100, 128), (300, 128)])
-def test_alt_row_within_half_a_unit(k_max, bits):
-    """a_k_alt's row, q(2j+2) times fixed-point powers of one pi^2, is within
-    1/2 + 2^-32 of zeta(2j+2) 2^W by mpmath.zeta."""
+def _kernel_row(k_max: int, bits: int):
+    """n and w of the Bernoulli half of the kernel row of a table to k_max."""
+    from maslanka.coefficients import _row_prec
+
+    prec = _row_prec(required_bits_for_alternating_sum(k_max, bits))
+    return pytest.param(_switch(prec), prec, id=f"kernel-{k_max}-{bits}")
+
+
+@pytest.mark.parametrize("n,w", [
+    _alt_row(1, 64), _alt_row(100, 64), _alt_row(100, 128), _alt_row(300, 128),
+    _kernel_row(400, 128), _kernel_row(600, 160), _kernel_row(900, 128)])
+def test_alt_row_within_half_a_unit(n, w):
+    """The pi^2 walk, q(2j+2) times fixed-point powers of one pi^2, is within
+    1/2 + 2^-32 of zeta(2j+2) 2^w by mpmath.zeta, at the scale of a_k_alt's
+    rows and at the precision of the kernel rows' Bernoulli half."""
     from maslanka.coefficients import _zeta_row
 
-    w = required_bits_for_alternating_sum(k_max, bits)
     with mp.workprec(w + 80):
-        for j, z in enumerate(_zeta_row(k_max + 1, w)):
+        for j, z in enumerate(_zeta_row(n, w)):
             assert abs(z - mpmath.ldexp(mpmath.zeta(2 * j + 2), w)) <= mpf(1) / 2 + mpf(2) ** -32, j
 
 
