@@ -29,9 +29,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
-from mpmath import mp, mpf
-
 from .mpnum import PrecisionContext
 
 __all__ = [
@@ -82,8 +79,10 @@ def zeta_rational_part(m: int) -> Fraction:
     return Fraction(abs(b.numerator) * 2 ** (m - 1), b.denominator * math.factorial(m))
 
 
-def zeta_even(m: int, ctx: PrecisionContext) -> mpf:
-    """zeta(m) for even m >= 2, from the exact Bernoulli formula."""
+def zeta_even(m: int, ctx: PrecisionContext):
+    """zeta(m) for even m >= 2 as an mpf, from the exact Bernoulli formula."""
+    from mpmath import mp, mpf
+
     q = zeta_rational_part(m)
     with ctx.prec():
         return +(mpf(q.numerator) * mp.pi ** m / mpf(q.denominator))
@@ -106,13 +105,16 @@ def bernoulli_poly_coeffs(a: int) -> tuple[Fraction, ...]:
     return coeffs
 
 
-def periodified_sup_bound(a: int) -> mpf:
+def periodified_sup_bound(a: int):
     """Upper bound for sup_x |B_a({x})|, at the ambient precision.
 
     a = 1: exactly 1/2.  Even a: the sup is |B_a| (attained at integers).
     Odd a >= 3: the Fourier bound 2 * zeta(a) * a! / (2 pi)**a.  A tiny
     relative pad keeps the result an upper bound despite rounding.
     """
+    import mpmath
+    from mpmath import mp, mpf
+
     if a < 1:
         raise ValueError("a must be >= 1")
     pad = 1 + mpf(2) ** (-20)

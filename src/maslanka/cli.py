@@ -12,7 +12,9 @@ byte-identical data output (nothing timestamped is emitted).
 
 Start-up: this module loads argparse alone, so ``--help`` and usage errors
 cost no more than the interpreter.  Each handler imports the package modules
-and mpmath it runs, when it runs.
+and mpmath it runs, when it runs.  ``coeff`` and ``cache-info`` run on Python
+integers alone (tables are built, saved, loaded and printed without mpmath),
+so they never import mpmath; every other command does.
 """
 
 import argparse
@@ -61,10 +63,10 @@ def _format_for_print(x, digits: int) -> str:
     from .coefficients import format_real
 
     if isinstance(x, mpmath.mpc) and x.imag != 0:
-        im = format_real(x.imag, digits)
-        return f"{format_real(x.real, digits)}{im}i"
+        im = format_real(x.imag._mpf_, digits)
+        return f"{format_real(x.real._mpf_, digits)}{im}i"
     re = x.real if isinstance(x, mpmath.mpc) else x
-    return format_real(re, digits)
+    return format_real(re._mpf_, digits)
 
 
 @contextlib.contextmanager
@@ -128,13 +130,13 @@ def _cmd_bk(args) -> int:
     digits = mantissa_digits(table.target_bits)
     rows = []
     for k, scaled, scaled_log2 in rh_diagnostic(table, k_min, args.kmax):
-        value = format_real(table.values[k], digits)
+        value = format_real(table.raw[k], digits)
         rows.append([
             str(k),
             value,
             "+" + value[1:],  # |value|: the same digits, signed +
-            format_real(scaled, digits),
-            format_real(scaled_log2, digits),
+            format_real(scaled._mpf_, digits),
+            format_real(scaled_log2._mpf_, digits),
         ])
     _write_rows(args, ["k", "value", "abs_value", "k34_scaled", "k34_log2_scaled"], rows)
     return EXIT_OK
@@ -158,7 +160,7 @@ def _cmd_eval(args) -> int:
         f"zeta_value = "
         + ("pole" if result.is_pole else _format_for_print(result.zeta_value, digits)),
         f"terms_used = {result.terms_used}",
-        f"residual_estimate = {format_real(result.residual_estimate, digits)}",
+        f"residual_estimate = {format_real(result.residual_estimate._mpf_, digits)}",
         f"converged = {str(result.converged).lower()}",
     ]
     with _data_out(args) as fh:
@@ -342,8 +344,8 @@ def _cmd_em_check(args) -> int:
     quad_tol = _positive_tol(args.quad_tol, "quad-tol") if args.quad_tol else None
     ref, val, rel = _em_pair(args.k, args.a, ctx, tol, quad_tol)
     digits = mantissa_digits(args.bits)
-    print(f"a_k({args.k}) = {format_real(ref, digits)}")
-    print(f"em_remainder(k={args.k}, a={args.a}) = {format_real(val, digits)}")
+    print(f"a_k({args.k}) = {format_real(ref._mpf_, digits)}")
+    print(f"em_remainder(k={args.k}, a={args.a}) = {format_real(val._mpf_, digits)}")
     print(f"rel_diff = {mpmath.nstr(rel, 6)}")
     if not rel < tol:
         print(f"tolerance {args.tol} not met", file=sys.stderr)
@@ -369,8 +371,8 @@ def _cmd_decay(args) -> int:
             logv = mpmath.log(av) if av > 0 else mpmath.mp.ninf
             rows.append([
                 str(k),
-                format_real(v, digits),
-                format_real(av, digits),
+                format_real(v._mpf_, digits),
+                format_real(av._mpf_, digits),
                 mpmath.nstr(logk, 17),
                 mpmath.nstr(logv, 17) if av > 0 else "-inf",
             ])
@@ -398,8 +400,8 @@ def _cmd_cache_info(args) -> int:
     print(f"mantissa_digits = {mantissa_digits(table.target_bits)}")
     print("checksum = ok")
     digits = mantissa_digits(table.target_bits)
-    print(f"first = {format_real(table.values[0], digits)}")
-    print(f"last = {format_real(table.values[-1], digits)}")
+    print(f"first = {format_real(table.raw[0], digits)}")
+    print(f"last = {format_real(table.raw[-1], digits)}")
     return EXIT_OK
 
 

@@ -36,6 +36,13 @@ Entry k of a table stores the least integer e_k with
 half an ulp of the rounded value (exponent exp, bit count bc) plus the row
 rounding of step 2 with room to spare, so |value - true| <= 2^e_k.
 Consumers read it through CoefficientTable.error_bound.
+
+Everything on the table path is Python integers, so building, saving and
+loading a table never imports mpmath.  An entry is stored as mpmath's own raw
+tuple (sign, man, exp, bc) of ints, rounded by mpnum._raw; pi^2 for the zeta
+walk and the decimal tokens of the cache come from mpnum too.  Only the
+routes that hand back mpf values (a_k, b_k, a_k_alt, cross_identity_pairs,
+CoefficientTable.values and error_bound) import mpmath, inside the call.
 """
 
 from __future__ import annotations
@@ -54,11 +61,9 @@ except ImportError:  # Python 3.12 renamed it; a build without it keeps hashlib'
     except ImportError:
         from hashlib import sha256
 
-from mpmath import mp, mpf
-from mpmath.libmp import from_man_exp, from_str, round_nearest, to_str
-
 from .bernoulli import bernoulli_number
-from .mpnum import GUARD_BITS, PrecisionContext, Record, required_bits_for_alternating_sum
+from .mpnum import (GUARD_BITS, PrecisionContext, Record, _pi_squared, _raw, decimal_to_raw,
+                    format_real, required_bits_for_alternating_sum)
 
 __all__ = [
     "CoefficientTable",
@@ -88,32 +93,62 @@ class TableFormatError(ValueError):
     """Raised when a coefficient cache file violates format v2."""
 
 
-class CoefficientTable(Record):
+class _ValuesView(Record):
+    """The slot in which a CoefficientTable keeps its mpf view; not a field."""
+
+    __slots__ = ("_values",)
+
+
+class CoefficientTable(_ValuesView):
     """Precision-stamped coefficient values A_0..A_k_max or b_0..b_k_max.
 
-    ``values[k]`` is rounded to exactly ``target_bits`` (which is what makes
-    the cache round-trip bit-exact), and ``error_bound_exponents[k]`` is an
-    integer e with |values[k] - true| <= 2**e (the model of the module
-    docstring, for tables from build_table).
+    ``raw[k]`` is entry k as mpmath's raw tuple (sign, man, exp, bc) of ints,
+    rounded to exactly ``target_bits`` (which is what makes the cache
+    round-trip bit-exact), and ``error_bound_exponents[k]`` is an integer e
+    with |entry k - true| <= 2**e (the model of the module docstring, for
+    tables from build_table).  ``values`` is the same entries as a tuple of
+    mpf, made on first use and kept.
     """
 
-    __slots__ = ("kind", "k_max", "target_bits", "values", "error_bound_exponents")
+    __slots__ = ("kind", "k_max", "target_bits", "raw", "error_bound_exponents")
     kind: str
     k_max: int
     target_bits: int
-    values: tuple[mpf, ...]
+    raw: tuple[tuple[int, int, int, int], ...]
     error_bound_exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}")
-        if len(self.values) != self.k_max + 1:
-            raise ValueError("values length must be k_max + 1")
+        if len(self.raw) != self.k_max + 1:
+            raise ValueError("raw length must be k_max + 1")
         if len(self.error_bound_exponents) != self.k_max + 1:
             raise ValueError("error_bound_exponents length must be k_max + 1")
 
-    def error_bound(self, k: int) -> mpf:
-        return mpf(2) ** self.error_bound_exponents[k]
+    @property
+    def values(self) -> tuple:
+        """The entries as mpmath mpf, in order."""
+        try:
+            return self._values
+        except AttributeError:
+            from mpmath import mp
+
+            values = tuple(map(mp.make_mpf, self.raw))
+            object.__setattr__(self, "_values", values)
+            return values
+
+    def error_bound(self, k: int):
+        """2^e_k as an mpf."""
+        from mpmath import mp
+
+        return mp.make_mpf((0, 1, self.error_bound_exponents[k], 1))
+
+
+def _to_mpf(head: int, w: int):
+    """head * 2^-w as an exact mpf."""
+    from mpmath import mp
+
+    return mp.make_mpf(_raw(head, -w))
 
 
 # -- fixed-point zeta row ------------------------------------------------------
@@ -195,8 +230,7 @@ def _zeta_row(n: int, w: int) -> list[int]:
     """
     g = GUARD_BITS + n.bit_length()
     s = w + g
-    with mp.workprec(s + 8):
-        p = int(mp.nint(mp.ldexp(mp.pi ** 2, s)))
+    p = _pi_squared(s)
     row, x, fact = [], p, 1
     for m in range(2, 2 * n + 1, 2):
         b = bernoulli_number(m)
@@ -204,11 +238,6 @@ def _zeta_row(n: int, w: int) -> list[int]:
         row.append((abs(b.numerator) * x << m - 1) // (b.denominator * fact) + (1 << g - 1) >> g)
         x = x * p >> s
     return row
-
-
-def _fixed_to_real(head: int, w: int, bits: int = 0) -> mpf:
-    """head * 2^-w, exact for bits=0, else rounded to nearest at `bits` bits."""
-    return mp.make_mpf(from_man_exp(head, -w, bits, round_nearest))
 
 
 def _difference_heads(d: list[int]):
@@ -229,15 +258,15 @@ def _alt_heads(k_max: int, w: int):
 # -- coefficients ----------------------------------------------------------------
 
 
-def _single_index(kind: str, k: int, ctx: PrecisionContext) -> mpf:
+def _single_index(kind: str, k: int, ctx: PrecisionContext):
     if k < 0:
         raise ValueError("k must be >= 0")
     w = required_bits_for_alternating_sum(k, ctx.target_bits)
     *_, head = _difference_heads(_fixed_row(kind, k + 1, w))
-    return _fixed_to_real(head, w)
+    return _to_mpf(head, w)
 
 
-def a_k(k: int, ctx: PrecisionContext) -> mpf:
+def a_k(k: int, ctx: PrecisionContext):
     """A_k by the defining alternating sum, the last head over the row built at W(k).
 
     The result is unrounded; its error is the row rounding, below
@@ -246,12 +275,12 @@ def a_k(k: int, ctx: PrecisionContext) -> mpf:
     return _single_index("A", k, ctx)
 
 
-def b_k(k: int, ctx: PrecisionContext) -> mpf:
+def b_k(k: int, ctx: PrecisionContext):
     """b_k = sum_j (-1)^j C(k,j)/zeta(2j+2), by the same rounds as a_k."""
     return _single_index("b", k, ctx)
 
 
-def a_k_alt(k: int, ctx: PrecisionContext) -> mpf:
+def a_k_alt(k: int, ctx: PrecisionContext):
     """A_k by the reindexed sum over C(k-1, j), an independent cross-identity.
 
         sum_{j=0}^{k-1} (-1)^j C(k-1,j) (zeta(2j+2) - (2k+1) zeta(2j+4))
@@ -265,7 +294,7 @@ def a_k_alt(k: int, ctx: PrecisionContext) -> mpf:
         raise ValueError("k must be >= 1")
     w = required_bits_for_alternating_sum(k, ctx.target_bits)
     *_, head = _alt_heads(k, w)
-    return _fixed_to_real(head, w)
+    return _to_mpf(head, w)
 
 
 def cross_identity_pairs(k_max: int, ctx: PrecisionContext):
@@ -276,12 +305,12 @@ def cross_identity_pairs(k_max: int, ctx: PrecisionContext):
     kernel = _difference_heads(_fixed_row("A", k_max + 1, w))
     next(kernel)
     for k, (va, vb) in enumerate(zip(kernel, alt), 1):
-        yield k, _fixed_to_real(va, w), _fixed_to_real(vb, w)
+        yield k, _to_mpf(va, w), _to_mpf(vb, w)
 
 
-def _bound_exponent(x: mpf, k: int, w: int, t: int) -> int:
+def _bound_exponent(x: tuple, k: int, w: int, t: int) -> int:
     """Least e with 2^e >= 2^(exp + bc - t - 1) + 2^(k - w - 1) (1 + 2^-30), in integers."""
-    _, _, exp, bc = x._mpf_
+    _, _, exp, bc = x
     terms = (exp + bc - t - 1, k - w - 1, k - w - 31)
     low = min(terms)
     n = sum(1 << e - low for e in terms)
@@ -301,15 +330,15 @@ def build_table(kind: str, k_max: int, ctx: PrecisionContext) -> CoefficientTabl
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     w = required_bits_for_alternating_sum(k_max, ctx.target_bits)
-    values = [_fixed_to_real(head, w, ctx.target_bits)
-              for head in _difference_heads(_fixed_row(kind, k_max + 1, w))]
+    raw = [_raw(head, -w, ctx.target_bits)
+           for head in _difference_heads(_fixed_row(kind, k_max + 1, w))]
     return CoefficientTable(
         kind=kind,
         k_max=k_max,
         target_bits=ctx.target_bits,
-        values=tuple(values),
+        raw=tuple(raw),
         error_bound_exponents=tuple(
-            _bound_exponent(v, k, w, ctx.target_bits) for k, v in enumerate(values)),
+            _bound_exponent(v, k, w, ctx.target_bits) for k, v in enumerate(raw)),
     )
 
 
@@ -333,34 +362,22 @@ def mantissa_digits(target_bits: int) -> int:
     return -(-target_bits * 302 // 1000) + 2
 
 
-def format_real(x: mpf, digits: int) -> str:
-    """Fixed-width scientific form <sign><d>.<d...>e<sign><exp> with `digits` digits."""
-    if x == 0:
-        return "+0." + "0" * (digits - 1) + "e+0"
-    s = to_str(x._mpf_, digits, strip_zeros=False, min_fixed=1, max_fixed=0)
-    sign = "-" if s.startswith("-") else "+"
-    s = s.lstrip("+-")
-    if "e" in s:
-        mant, _, exp = s.partition("e")
-        e = int(exp)
-    else:
-        mant, e = s, 0
-    return f"{sign}{mant}e{e:+d}"
-
-
-def parse_real(token: str, target_bits: int) -> mpf:
+def parse_real(token: str, target_bits: int) -> tuple[int, int, int, int]:
+    """The raw tuple of a value token, rounded to nearest at target_bits, ties
+    to even (mpnum.decimal_to_raw)."""
     # the digit count is compared, not put in the pattern: a count past the
     # regex repetition limit would raise OverflowError instead
-    m = re.fullmatch(r"[+-][0-9]\.([0-9]+)e(?:\+0|[+-][1-9][0-9]*)", token)
-    if m is None or len(m.group(1)) != mantissa_digits(target_bits) - 1:
+    m = re.fullmatch(r"([+-][0-9])\.([0-9]+)e(\+0|[+-][1-9][0-9]*)", token)
+    if m is None or len(m.group(2)) != mantissa_digits(target_bits) - 1:
         raise TableFormatError(f"malformed value token {token!r}")
-    return mp.make_mpf(from_str(token, target_bits, round_nearest))
+    return decimal_to_raw(int(m.group(1) + m.group(2)), int(m.group(3)) - len(m.group(2)),
+                          target_bits)
 
 
 def _payload_lines(table: CoefficientTable) -> list[str]:
     digits = mantissa_digits(table.target_bits)
     return [
-        f"{k} {format_real(table.values[k], digits)} {table.error_bound_exponents[k]}"
+        f"{k} {format_real(table.raw[k], digits)} {table.error_bound_exponents[k]}"
         for k in range(table.k_max + 1)
     ]
 
@@ -407,7 +424,7 @@ def load_table(path) -> CoefficientTable:
     sha = sha256(payload.encode("ascii")).hexdigest()
     if sha != c.group(1):
         raise TableFormatError("checksum mismatch")
-    values: list[mpf] = []
+    raw: list[tuple[int, int, int, int]] = []
     errs: list[int] = []
     for k, line in enumerate(payload_lines):
         parts = line.split(" ")
@@ -415,7 +432,7 @@ def load_table(path) -> CoefficientTable:
             raise TableFormatError(f"malformed payload line {line!r}")
         if parts[0] != str(k):
             raise TableFormatError(f"payload index {parts[0]!r} out of order (expected {k})")
-        values.append(parse_real(parts[1], target_bits))
+        raw.append(parse_real(parts[1], target_bits))
         if not re.fullmatch(_INT, parts[2]):
             raise TableFormatError(f"malformed error bound in line {line!r}")
         errs.append(int(parts[2]))
@@ -423,6 +440,6 @@ def load_table(path) -> CoefficientTable:
         kind=kind,
         k_max=k_max,
         target_bits=target_bits,
-        values=tuple(values),
+        raw=tuple(raw),
         error_bound_exponents=tuple(errs),
     )

@@ -8,22 +8,34 @@ derive their own precision instead: the alternating binomial sums computed in
 :mod:`maslanka.coefficients` lose roughly ``k`` leading bits at index ``k``,
 and :func:`required_bits_for_alternating_sum` quantifies that loss.
 
-Values are mpmath ``mpf``/``mpc`` instances and exact rationals are
-``fractions.Fraction``; the hot loops (the coefficient kernel, the series sum)
-work internally in Python integers at a fixed-point scale and hand back
-``mpf``/``mpc`` values.  There is no interval mode; error bounds are proven
-instead, in the docstrings of the table entries' stored 2^e_k
+Exact rationals are ``fractions.Fraction``, and the hot loops (the
+coefficient kernel, the series sum) work in Python integers at a fixed-point
+scale.  Binary floats are mpmath's raw tuples (sign, man, exp, bc) of ints:
+man odd (or the zero (0, 0, 0, 0)), bc its bit length, value
+(-1)^sign man 2^exp.  This module makes them without mpmath: _raw rounds
+an integer times a power of two to nearest, ties to even, as from_man_exp
+does; _pi_squared gives pi^2 from Machin's formula; format_real and
+decimal_to_raw convert to and from decimal by integer radix conversion
+(Brent & Zimmermann, Modern Computer Arithmetic, 2010, sections 1.7 and
+4.9).  So coefficient tables, which keep their entries as raw tuples, are
+built, saved and loaded without importing mpmath.  The series, the
+quadrature and the analysis hand back mpmath ``mpf``/``mpc`` values and
+import mpmath when they run; this module never does.  There is no interval
+mode; error bounds are proven instead, in the docstrings of the table
+entries' stored 2^e_k
 (:mod:`maslanka.coefficients`), ``maslanka_eval``, ``truncation_check``,
 ``em_remainder_a_k``, ``deriv_l1_norm`` and ``zeta_reference``.
 """
 
 from __future__ import annotations
 
-from mpmath import mp
+import math
 
 __all__ = [
     "PoleError",
     "PrecisionContext",
+    "decimal_to_raw",
+    "format_real",
     "required_bits_for_alternating_sum",
 ]
 
@@ -32,8 +44,11 @@ __all__ = [
 GUARD_BITS = 32
 
 
-class PoleError(ValueError):
-    """An operation was evaluated at a pole of the underlying function."""
+class PoleError(ArithmeticError):
+    """An operation was evaluated at a pole of the underlying function.
+
+    A numeric failure, so the CLI exits 3 on it, as on any ArithmeticError.
+    """
 
 
 class Record:
@@ -121,4 +136,190 @@ class PrecisionContext(Record):
 
     def prec(self):
         """Context manager setting mpmath precision to working_bits."""
+        from mpmath import mp
+
         return mp.workprec(self.working_bits)
+
+
+# -- binary floats, pi and decimal conversion in integers ---------------------
+
+
+def _raw(man: int, exp: int, bits: int = 0) -> tuple[int, int, int, int]:
+    """The raw tuple of man * 2^exp, rounded to `bits` bits to nearest with ties
+    to even (exact for bits=0): from_man_exp(man, exp, bits, round_nearest)."""
+    sign = int(man < 0)
+    man = abs(man)
+    if not man:
+        return (0, 0, 0, 0)
+    n = man.bit_length() - bits
+    if bits and n > 0:
+        half = 1 << n - 1
+        rest = man & (2 * half - 1)
+        man >>= n
+        exp += n
+        if rest > half or rest == half and man & 1:
+            man += 1
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return (sign, man, exp + zeros, man.bit_length())
+
+
+def _atan_inv(x: int, m: int) -> tuple[int, int]:
+    """(S, c): S within c units of atan(1/x) 2^m, from its Taylor series.
+
+    Term i is floor(2^m / (x^(2i+1) (2i+1))), by nested floor divisions; each
+    is within a unit of its true value, and the series stops at the first
+    u = floor(2^m / x^(2i+1)) = 0, whose alternating tail is below a unit.
+    """
+    u, x2, total, i = (1 << m) // x, x * x, 0, 0
+    while u:
+        total += -(u // (2 * i + 1)) if i % 2 else u // (2 * i + 1)
+        u //= x2
+        i += 1
+    return total, i + 1
+
+
+_PI = (2, 12, 1)  # (m, P, c): pi 2^m within c units of P, the widest made so far
+
+
+def _pi_raw(bits: int) -> tuple[int, int, int, int]:
+    """pi rounded to nearest at `bits` bits, as a raw tuple.
+
+    pi is irrational, so never on a tie: when P - c and P + c of _PI round
+    alike, so does pi.  Else _PI is remade at m = max(2m, bits + 32) bits by
+    Machin's pi = 16 atan(1/5) - 4 atan(1/239) in fixed point; it is kept, so
+    rising requests cost a geometric series of builds, as in mpmath.
+    """
+    global _PI
+    while True:
+        m, p, c = _PI
+        raw = _raw(p - c, -m, bits)
+        if raw == _raw(p + c, -m, bits):
+            return raw
+        m = max(2 * m, bits + 32)
+        s5, c5 = _atan_inv(5, m)
+        s239, c239 = _atan_inv(239, m)
+        _PI = (m, 16 * s5 - 4 * s239, 16 * c5 + 4 * c239)
+
+
+def _pi_squared(s: int) -> int:
+    """The integer nearest pi^2 2^s, rounded as mpmath's
+    int(nint(ldexp(pi ** 2, s))) under workprec(s + 8) rounds it: pi to nearest
+    at s + 8 bits, its square to nearest at s + 8 bits, then to the nearest
+    integer, every tie to even."""
+    _, man, exp, _ = _pi_raw(s + 8)
+    _, man, exp, bc = _raw(man * man, 2 * exp, s + 8)
+    _, man, exp, _ = _raw(man, exp + s, exp + s + bc)
+    return man << exp
+
+
+# log10(2) 2^128 rounded down, and log2(10) as the float that to_str uses
+_LOG10_2 = 0x4D104D427DE7FBCC47C4ACD605BE48BC
+_LOG2_10 = math.log(10, 2)
+
+
+def _scale10(man: int, k: int, t: int) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo 2^e <= man 10^k <= hi 2^e, for an integer man >= 0.
+
+    10^|k| starts exact, as 10^(|k| >> j) with j = bitlength(10|k| // 3t),
+    which fits in t bits, and takes the last j bits of |k| by binary powering
+    with its lower end floored and its upper end ceiled to t bits after each
+    step, so the two are within 2^(j+2-t) relative; 10^-|k| divides man,
+    shifted to a quotient of at least t bits, by them.
+    """
+    n = abs(k)
+    j = (10 * n // (3 * t)).bit_length()
+    lo = hi = 10 ** (n >> j)
+    e = 0
+    for i in reversed(range(j)):
+        lo, hi, e = lo * lo, hi * hi, 2 * e
+        if n >> i & 1:
+            lo, hi = 10 * lo, 10 * hi
+        sh = hi.bit_length() - t
+        if sh > 0:
+            lo, hi, e = lo >> sh, -(-hi >> sh), e + sh
+    if k >= 0:
+        return man * lo, man * hi, e
+    s = max(0, t + hi.bit_length() - man.bit_length())
+    return (man << s) // hi, -(-(man << s) // lo), -s - e
+
+
+def _floor_digits(man: int, exp: int, n: int) -> tuple[int, int]:
+    """(N, E) with N = floor(x 10^(n-1-E)) the first n decimal digits of
+    x = man 2^exp > 0 rounded down, and E = floor(log10 x).
+
+    E starts at 0.  A guess more than one off moves by the digits the bounds
+    show, which is within one of the truth while |exp| < 2^120 and closer
+    each round beyond; one off, it moves by one.  When the bounds on N
+    disagree, t grows until 10^|k| is exact, where they meet.
+    """
+    e10, t = 0, 4 * n + 64
+    while True:
+        k = n - 1 - e10
+        lo, hi, e = _scale10(man, k, t + k.bit_length())
+        e += exp
+        off = ((lo.bit_length() + e - 1) * _LOG10_2 >> 128) - (n - 1)
+        if abs(off) > 1:
+            e10 += off
+            continue
+        a, b = (lo << e, hi << e) if e >= 0 else (lo >> -e, hi >> -e)
+        if a >= 10 ** n:
+            e10 += 1
+        elif b < 10 ** (n - 1):
+            e10 -= 1
+        elif a == b:
+            return a, e10
+        else:
+            t *= 2
+
+
+def format_real(x: tuple, digits: int) -> str:
+    """Fixed-width scientific form <sign><d>.<d...>e<sign><exp> with `digits`
+    digits, of the raw tuple x (an mpf's ``_mpf_``).
+
+    The token is mpmath's to_str(x, digits, strip_zeros=False, min_fixed=1,
+    max_fixed=0), in integers.  to_str takes digits + 3 leading decimal
+    digits rounded down and rounds them half up at the last digit kept.
+    For 2^-3500 <= |x| <= 2^3500 they are read off x in binary fixed point
+    at bitprec bits, by its steps.  Beyond, where to_str divides by a
+    rounded power of ten, they are the exact ones, so the token is x rounded
+    to nearest with ties away from zero.
+    """
+    sign, man, exp, bc = x
+    if not man:
+        return "+0." + "0" * (digits - 1) + "e+0"
+    if abs(exp + bc) > 3500:
+        lead, e10 = _floor_digits(man, exp, digits + 1)
+    else:
+        bitprec = int((digits + 3) * _LOG2_10) + 10
+        fixprec = max(bitprec - exp - bc, 0)
+        fixdps = int(fixprec / _LOG2_10 + 0.5)
+        sh = exp + fixprec
+        text = str(((man << sh if sh >= 0 else man >> -sh) * 10 ** fixdps) >> fixprec)
+        lead, e10 = int(text[:digits + 1]), len(text) - fixdps - 1
+    lead = (lead + 5) // 10
+    if lead == 10 ** digits:
+        lead, e10 = lead // 10, e10 + 1
+    m = str(lead)
+    return f"{'-' if sign else '+'}{m[0]}.{m[1:]}e{e10:+d}"
+
+
+def decimal_to_raw(man: int, e10: int, bits: int) -> tuple[int, int, int, int]:
+    """The raw tuple of man 10^e10 rounded to nearest at `bits` bits, ties to
+    even: mpmath's from_str(str(man) + "e" + str(e10), bits, round_nearest),
+    in integers.
+
+    The value lies within the bounds of _scale10; when both bounds round
+    alike, so does the value, else t grows.  Bounds that are exact meet on
+    an exact or tied value, so the loop ends, and an exponent of any size
+    costs one powering of log2|e10| steps.  from_str rounds the same way up
+    to |e10| = 400; beyond, it multiplies by a rounded power of ten, and this
+    stays correctly rounded.
+    """
+    t = bits + 64 + e10.bit_length()
+    while True:
+        lo, hi, e = _scale10(abs(man), e10, t)
+        raw = _raw(lo, e, bits)
+        if raw == _raw(hi, e, bits):
+            return (1, *raw[1:]) if man < 0 else raw
+        t *= 2

@@ -40,8 +40,8 @@ def _fixed_terms(H: tuple[int, int], values, W: int):
     when h = n is a positive integer, and exactly 2^W throughout at h = 0).
     The quotient is taken as (Q_{k-1} (k 2^W - H) >> W) // k, the same integer
     because nested floor divisions by positive integers compose.  Each weight
-    is an mpf and enters exactly, as mantissa times 2^exponent, and the
-    product is floored by a shift.
+    is a raw mpf tuple (sign, man, exp, bc) and enters exactly, as mantissa
+    times 2^exponent, and the product is floored by a shift.
 
     Bound.  Let u = 2^-W, q_k = Q_k u, r_i = |1 - h/i| and
     Pi_k = r_1 ... r_k = |P_k(h)|, with H the nearest Gaussian integer to
@@ -59,11 +59,10 @@ def _fixed_terms(H: tuple[int, int], values, W: int):
     """
     hr, hi = H
     qr, qi = 1 << W, 0
-    for k, a in enumerate(values):
+    for k, (sign, man, exp, _) in enumerate(values):
         if k:
             f = (k << W) - hr
             qr, qi = ((qr * f + qi * hi) >> W) // k, ((qi * f - qr * hi) >> W) // k
-        sign, man, exp, _ = a._mpf_
         if sign:
             man = -man
         if exp >= 0:
@@ -120,7 +119,7 @@ def pochhammer_values(s, k_max: int, ctx: PrecisionContext) -> list:
         z = mpmath.mpmathify(s)
         W = ctx.working_bits + _guard_bits(z, k_max)
         H = (_to_fixed(mp.re(z), W), _to_fixed(mp.im(z), W))
-        terms = _fixed_terms(H, [mp.one] * (k_max + 1), W)
+        terms = _fixed_terms(H, [mp.one._mpf_] * (k_max + 1), W)
         if isinstance(z, mpc):
             return [mpc(mpf((qr, -W)), mpf((qi, -W))) for qr, qi in terms]
         return [mpf((qr, -W)) for qr, _ in terms]

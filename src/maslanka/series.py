@@ -112,7 +112,7 @@ def maslanka_eval(s, table: CoefficientTable, tol, ctx: PrecisionContext) -> Ser
         sr = si = 0
         converged = False
         K = table.k_max
-        for k, (tr, ti) in enumerate(_fixed_terms(H, table.values, W)):
+        for k, (tr, ti) in enumerate(_fixed_terms(H, table.raw, W)):
             sr += tr
             si += ti
             partials.append((sr, si))
@@ -221,8 +221,8 @@ def truncation_check(n: int, table: CoefficientTable, ctx: PrecisionContext):
         raise ValueError("truncation_check needs a kind=A table")
     if table.k_max < n - 1:
         raise ValueError("table too short: need k_max >= n-1")
-    values = table.values[:n]
-    W = max(0, *(-a._mpf_[2] for a in values))
+    values = table.raw[:n]
+    W = max(0, *(-exp for _, _, exp, _ in values))
     with ctx.prec():
         lhs = mpf((sum(t for t, _ in _fixed_terms((n << W, 0), values, W)), -W))
         rhs = (2 * n - 1) * zeta_even(2 * n, ctx)

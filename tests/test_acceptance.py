@@ -175,7 +175,8 @@ def test_09_synthetic_fit_validation(capsys):
     """decay_fit recovers the exponent of exact k^-3 data to 1e-10."""
     with mp.workprec(64):
         values = tuple(mpf(1) if k == 0 else +(mpf(k) ** -3) for k in range(101))
-    table = CoefficientTable(kind="A", k_max=100, target_bits=64, values=values,
+    table = CoefficientTable(kind="A", k_max=100, target_bits=64,
+                             raw=tuple(v._mpf_ for v in values),
                              error_bound_exponents=(-300,) * 101)
     fit = decay_fit(table, 2, 100)
     err = abs(fit.slope + 3)

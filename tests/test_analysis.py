@@ -18,7 +18,7 @@ def _power_law_table(k_max: int = 100, p: int = 3) -> CoefficientTable:
         kind="A",
         k_max=k_max,
         target_bits=64,
-        values=values,
+        raw=tuple(v._mpf_ for v in values),
         error_bound_exponents=(-300,) * (k_max + 1),
     )
 
@@ -47,7 +47,7 @@ class TestDecayFitSynthetic:
             kind="A",
             k_max=cubic_table.k_max,
             target_bits=64,
-            values=scaled_values,
+            raw=tuple(v._mpf_ for v in scaled_values),
             error_bound_exponents=cubic_table.error_bound_exponents,
         )
         base = decay_fit(cubic_table, 2, 100)
@@ -64,7 +64,7 @@ class TestDecayFitSynthetic:
             kind="A",
             k_max=cubic_table.k_max,
             target_bits=64,
-            values=tuple(values),
+            raw=tuple(v._mpf_ for v in values),
             error_bound_exponents=cubic_table.error_bound_exponents,
         )
         fit = decay_fit(spiky, 2, 100)
@@ -78,7 +78,7 @@ class TestDecayFitSynthetic:
             kind="A",
             k_max=cubic_table.k_max,
             target_bits=64,
-            values=cubic_table.values,
+            raw=cubic_table.raw,
             error_bound_exponents=tuple(errs),
         )
         fit = decay_fit(noisy, 2, 100)

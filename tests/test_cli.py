@@ -337,7 +337,8 @@ class TestVerify:
             values[k] = +(values[k] + 4 * tol)
         path = tmp_path / "moved.tbl"
         moved = CoefficientTable(kind=table_a400_128.kind, k_max=table_a400_128.k_max,
-                                 target_bits=table_a400_128.target_bits, values=tuple(values),
+                                 target_bits=table_a400_128.target_bits,
+                                 raw=tuple(v._mpf_ for v in values),
                                  error_bound_exponents=table_a400_128.error_bound_exponents)
         save_table(moved, str(path))
         rc = cli.run(["verify", "--suite", "truncation", "--nmax", "60", "--table", str(path)])
@@ -545,6 +546,21 @@ def test_every_arithmetic_error_exits_3(deep_table_file, monkeypatch, capsys):
     assert cap.err == "numeric failure: reference diverged\n"
 
 
+def test_pole_error_exits_3(deep_table_file, monkeypatch, capsys):
+    # a pole is a numeric failure, not a usage error
+    from maslanka import series
+    from maslanka.mpnum import PoleError
+
+    def at_pole(s, table, tol, ctx):
+        raise PoleError("zeta pole at s = 1")
+
+    monkeypatch.setattr(series, "maslanka_eval", at_pole)
+    rc = cli.run(["eval", "--s", "1", "--table", str(deep_table_file)])
+    cap = capsys.readouterr()
+    assert rc == cli.EXIT_NUMERIC
+    assert cap.err == "numeric failure: zeta pole at s = 1\n"
+
+
 class TestNonPositiveTol:
     @pytest.mark.parametrize("tol", ["0", "-1", "nan"])
     @pytest.mark.parametrize("argv", [
@@ -660,6 +676,13 @@ class TestStartup:
         left_out = {"maslanka.series", "maslanka.analysis", "maslanka.pochhammer",
                     "statistics", "json", "csv", "dataclasses"}
         assert not left_out & mods
+
+    @pytest.mark.parametrize("name", ["coeff", "cache-info"])
+    def test_table_commands_load_no_mpmath(self, name, startup_modules):
+        # tables are built, saved, loaded and printed in Python integers
+        mods = startup_modules[name]
+        assert "maslanka.coefficients" in mods
+        assert "mpmath" not in mods
 
     @pytest.mark.parametrize("name", ["eval", "cache-info"])
     def test_table_reads_load_no_phik_or_analysis(self, name, startup_modules):

@@ -1,12 +1,14 @@
 import hashlib
 import math
+import time
 from fractions import Fraction
 from itertools import count
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, from_rational, from_str, round_nearest, to_str
 
 from maslanka import cli
 from maslanka.bernoulli import zeta_even, zeta_rational_part
@@ -24,7 +26,7 @@ from maslanka.coefficients import (
     parse_real,
     save_table,
 )
-from maslanka.mpnum import PrecisionContext, required_bits_for_alternating_sum
+from maslanka.mpnum import PrecisionContext, _pi_squared, _raw, required_bits_for_alternating_sum
 
 
 def _oracle_sum(k: int, reciprocal: bool):
@@ -370,7 +372,7 @@ class TestTableType:
                 kind="A",
                 k_max=2,
                 target_bits=64,
-                values=(mpf(1),),
+                raw=((0, 1, 0, 1),),
                 error_bound_exponents=(-60, -60, -60),
             )
         with pytest.raises(ValueError):
@@ -378,13 +380,13 @@ class TestTableType:
                 kind="A",
                 k_max=0,
                 target_bits=64,
-                values=(mpf(1),),
+                raw=((0, 1, 0, 1),),
                 error_bound_exponents=(),
             )
 
     def test_kind_and_provenance_validation(self):
         with pytest.raises(ValueError):
-            CoefficientTable("Z", 0, 64, (mpf(1),), (-60,))
+            CoefficientTable("Z", 0, 64, ((0, 1, 0, 1),), (-60,))
 
 
 class TestCache:
@@ -531,35 +533,34 @@ class TestValueFormat:
 
     def test_zero_token(self):
         digits = mantissa_digits(64)
-        tok = format_real(mpf(0), digits)
+        tok = format_real(mpf(0)._mpf_, digits)
         assert tok == "+0." + "0" * 21 + "e+0"
-        assert parse_real(tok, 64) == 0
+        assert parse_real(tok, 64) == parse_real("-" + tok[1:], 64) == mpf(0)._mpf_
 
     def test_parse_rejects_malformed(self):
         three = "+3." + "0" * 21  # a 64-bit mantissa; only "e+0" completes it
-        assert parse_real(three + "e+0", 64) == 3
+        assert parse_real(three + "e+0", 64) == mpf(3)._mpf_
         for bad in ("1.0e+0", "+1.0", "+1.0e0", "+x.0e+0", "",
                     three + "e+00", three + "e-0", three + "e+01", three + "e+1_0"):
             with pytest.raises(TableFormatError):
                 parse_real(bad, 64)
 
-    def test_parse_is_the_mpf_constructor(self, table_a400_128, table_a900_128):
+    def test_parse_is_the_mpf_constructor(self, bench_tables):
         # the mpf that +mpf(token) gives under workprec(bits), as _mpf_: every
         # token of the three tables the benchmark writes, zero, and decimal
         # exponents past 400, where mpmath's from_str multiplies by 10^exp
-        tables = [table_a400_128, build_table("b", 600, PrecisionContext(160)), table_a900_128]
         cases = [(format_real(v, mantissa_digits(t.target_bits)), t.target_bits)
-                 for t in tables for v in t.values]
+                 for t in bench_tables for v in t.raw]
         for bits in (16, 64, 160):
             tail = "7" * (mantissa_digits(bits) - 2)
-            cases += [(format_real(mpf(0), mantissa_digits(bits)), bits), (f"+0.{tail}0e+0", bits),
-                      (f"-9.{tail}1e-401", bits), (f"+1.{tail}3e+4096", bits),
-                      (f"-3.{tail}9e-99999", bits)]
+            cases += [(format_real(mpf(0)._mpf_, mantissa_digits(bits)), bits),
+                      (f"+0.{tail}0e+0", bits), (f"-9.{tail}1e-401", bits),
+                      (f"+1.{tail}3e+4096", bits), (f"-3.{tail}9e-99999", bits)]
         assert len(cases) == 401 + 601 + 901 + 15
         for tok, bits in cases:
             with mp.workprec(bits):
                 expected = (+mpf(tok))._mpf_
-            assert parse_real(tok, bits)._mpf_ == expected, tok
+            assert parse_real(tok, bits) == expected, tok
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -572,8 +573,133 @@ class TestValueFormat:
             x = mpf(mantissa) * mpf(2) ** e2
             if neg:
                 x = -x
-        tok = format_real(x, mantissa_digits(128))
-        assert parse_real(tok, 128) == x
+        tok = format_real(x._mpf_, mantissa_digits(128))
+        assert parse_real(tok, 128) == x._mpf_
+
+
+@pytest.fixture(scope="module")
+def bench_tables(table_a400_128, table_a900_128):
+    """The three tables the benchmark writes: A k<=400 @128, b k<=600 @160, A k<=900 @128."""
+    return [table_a400_128, build_table("b", 600, PrecisionContext(160)), table_a900_128]
+
+
+def _to_str_token(raw, digits: int) -> str:
+    """The value token as mpmath's to_str prints it, as the format was first written."""
+    if not raw[1]:
+        return "+0." + "0" * (digits - 1) + "e+0"
+    text = to_str(raw, digits, strip_zeros=False, min_fixed=1, max_fixed=0)
+    mant, _, exp = text.lstrip("+-").partition("e")
+    return f"{'-' if text.startswith('-') else '+'}{mant}e{int(exp or 0):+d}"
+
+
+def _nearest_token(raw, digits: int) -> str:
+    """The value token of raw rounded to nearest at `digits` digits, ties away
+    from zero, in exact rational arithmetic."""
+    sign, man, exp, _ = raw
+    x = man * Fraction(2) ** exp
+    e10 = len(str(math.floor(x))) - 1 if x >= 1 else -len(str(math.ceil(1 / x) - 1))
+    n = math.floor(x * Fraction(10) ** (digits - 1 - e10) + Fraction(1, 2))
+    if n == 10 ** digits:
+        n, e10 = n // 10, e10 + 1
+    text = str(n)
+    return f"{'-' if sign else '+'}{text[0]}.{text[1:]}e{e10:+d}"
+
+
+def _token(data, bits: int, e_lo: int, e_hi: int) -> tuple[str, int, int]:
+    """(token, signed mantissa integer, value exponent e) with the token's value
+    that integer times 10^e, e drawn from [e_lo, e_hi]."""
+    digits = mantissa_digits(bits)
+    man = data.draw(st.integers(0, 10 ** digits - 1)) * data.draw(st.sampled_from((1, -1)))
+    e = data.draw(st.integers(e_lo, e_hi))
+    text = str(abs(man)).zfill(digits)
+    return f"{'-' if man < 0 else '+'}{text[0]}.{text[1:]}e{e + digits - 1:+d}", man, e
+
+
+class TestIntegerIO:
+    """Rounding, formatting and parsing in integers, with mpmath as the oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(-2 ** 400, 2 ** 400), st.integers(-6000, 6000), st.integers(0, 420))
+    @example(0b101, 0, 2)  # ties: to even, down and up
+    @example(0b111, 0, 2)
+    @example(-0b1101, 7, 3)
+    @example(2 ** 128 - 1, -9, 128)  # rounds up to a power of two
+    @example(0, 5, 64)
+    def test_rounding_is_from_man_exp(self, man, exp, bits):
+        assert _raw(man, exp, bits) == from_man_exp(man, exp, bits, round_nearest)
+
+    def test_format_is_to_str_on_every_table_token(self, bench_tables):
+        for t in bench_tables:
+            digits = mantissa_digits(t.target_bits)
+            for raw in t.raw:
+                assert format_real(raw, digits) == _to_str_token(raw, digits), raw
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.booleans(), st.integers(1, 2 ** 700), st.integers(-3500, 3500),
+           st.integers(2, 160))
+    @example(False, 2 ** 41 - 1, 0, 12)  # all nines: the carry moves the exponent
+    def test_format_is_to_str(self, neg, man, mag, digits):
+        # any width of mantissa, digit count and magnitude exp + bc to_str
+        # converts in binary fixed point
+        _, man, _, bc = from_man_exp(man, 0)
+        raw = (int(neg), man, mag - bc, bc)
+        assert format_real(raw, digits) == _to_str_token(raw, digits)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.booleans(), st.integers(1, 2 ** 700), st.integers(3501, 9000), st.booleans(),
+           st.integers(2, 160))
+    def test_format_beyond_to_str_range_is_correctly_rounded(self, neg, man, mag, tiny, digits):
+        # past |exp + bc| = 3500 to_str divides by a rounded power of ten;
+        # every token here is the correctly rounded one, whatever to_str prints
+        _, man, _, bc = from_man_exp(man, 0)
+        mag = -mag if tiny else mag
+        raw = (int(neg), man, mag - bc, bc)
+        assert format_real(raw, digits) == _nearest_token(raw, digits)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(16, 400), st.data())
+    def test_parse_is_from_str(self, bits, data):
+        tok, _, _ = _token(data, bits, -400, 400)
+        assert parse_real(tok, bits) == from_str(tok, bits, round_nearest)
+
+    @pytest.mark.parametrize("tok", ["+6.553700e+4", "+6.553900e+4", "-6.553900e+4",
+                                     "+5.000000e-1", "+3.276850e+4", "+0.000000e+0"])
+    def test_parse_exact_and_tied_values(self, tok):
+        # 65537 and 65539 lie halfway between 16-bit neighbours: ties to even
+        assert parse_real(tok, 16) == from_str(tok, 16, round_nearest)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(16, 400), st.sampled_from((1, -1)), st.data())
+    def test_parse_beyond_400_is_correctly_rounded(self, bits, side, data):
+        # past |e| = 400 from_str multiplies by a rounded power of ten; every
+        # value here is the exact rational rounded to nearest, ties to even
+        lo, hi = (401, 4000) if side > 0 else (-4000, -401)
+        tok, man, e = _token(data, bits, lo, hi)
+        want = from_rational(man * 10 ** max(e, 0), 10 ** max(-e, 0), bits, round_nearest)
+        assert parse_real(tok, bits) == want
+
+    def test_huge_exponents_parse_in_microseconds(self):
+        # table files come from outside the program: an exponent of 10^9
+        # must not build 10^(10^9)
+        cases = []
+        for bits in (16, 128, 160, 512):
+            tail = "3" * (mantissa_digits(bits) - 2)
+            cases += [(f"-3.{tail}7e-999999999", bits), (f"+7.{tail}1e+999999999", bits),
+                      (f"+1.{tail}9e-1000000000", bits), (f"-9.{tail}1e+1000000000", bits)]
+        start = time.perf_counter()
+        got = [parse_real(tok, bits) for tok, bits in cases]
+        assert time.perf_counter() - start < 0.5
+        assert got == [from_str(tok, bits, round_nearest) for tok, bits in cases]
+
+
+def test_pi_squared_is_mpmaths_at_every_scale(monkeypatch):
+    # from a cold pi, so each widening of the kept value is met on the way up
+    from maslanka import mpnum
+
+    monkeypatch.setattr(mpnum, "_PI", (2, 12, 1))
+    for s in range(2, 5001):
+        with mp.workprec(s + 8):
+            assert _pi_squared(s) == int(mp.nint(mp.ldexp(mp.pi ** 2, s))), s
 
 
 def _scaled(x: mpf, prec: int) -> int:
@@ -601,10 +727,14 @@ class TestSharedKernel:
         ("A", 400, 128, "79be01fc0b85c5b67152593242ffbe8b1218b0a0e3dfea0137a0ca6afe85f399"),
         ("b", 600, 160, "b6630c7714c13597c929442a3d05de02d3da813bce13b215bc2ba44e9fe731a9"),
         ("A", 900, 128, "6d6946df1ca53872e2bd6e701cbb001ec4c0a18e5627d14d27a17c5cba1e4e52"),
+        ("A", 2000, 128, "fba4914a7be55976913c136fe80e46a1c4b2bca3146265d231c0b251db1ae43c"),
+        ("b", 1000, 200, "4d5e3aee4f568cbaa4ad2c9247067937cd9fdd0c9d292932dd79283b15efae94"),
     ])
     def test_saved_checksum_is_pinned(self, kind, k_max, bits, sha, tmp_path):
-        # the checksum lines of the three tables the benchmark writes: a change
-        # to their bytes must come with a shown gain in accuracy
+        # the checksum lines of the three tables the benchmark writes, and of
+        # two deeper ones whose pi^2 walk runs past 2000 bits and whose rows
+        # reach the Dirichlet half: a change to their bytes must come with a
+        # shown gain in accuracy
         path = tmp_path / "t.coeff"
         save_table(build_table(kind, k_max, PrecisionContext(bits)), path)
         assert path.read_text().split("\n")[2] == f"sha256={sha}"

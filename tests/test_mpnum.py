@@ -71,7 +71,7 @@ def _records():
     from maslanka.phik import build_paj
     from maslanka.series import SeriesResult
 
-    table = dict(kind="A", k_max=1, target_bits=32, values=(mpf(1), mpf("0.5")),
+    table = dict(kind="A", k_max=1, target_bits=32, raw=((0, 1, 0, 1), (0, 1, -1, 1)),
                  error_bound_exponents=(-40, -41))
     result = dict(s=mpf(4), value=mpf(3), terms_used=5, residual_estimate=mpf(0),
                   zeta_value=mpf(1), is_pole=False, converged=True)
@@ -82,7 +82,7 @@ def _records():
         "CoefficientTable": (
             lambda: CoefficientTable(**table),
             "CoefficientTable(kind='A', k_max=1, target_bits=32, "
-            "values=(mpf('1.0'), mpf('0.5')), error_bound_exponents=(-40, -41))"),
+            "raw=((0, 1, 0, 1), (0, 1, -1, 1)), error_bound_exponents=(-40, -41))"),
         "PajTable": (
             lambda: build_paj(1),
             "PajTable(a_max=1, entries={(0, 0): (1,), (1, 0): (-1,), (1, 1): (1, 2)})"),
