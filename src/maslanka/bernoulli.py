@@ -1,10 +1,13 @@
-"""Exact Bernoulli machinery: numbers, even-argument zeta, Bernoulli polynomials.
+"""Exact Bernoulli machinery: numbers, pi^2, even-argument zeta, Bernoulli polynomials.
 
 This module is the "oracle layer" of the package: everything here is exact
-rational arithmetic until a final rounding.  The zeta row walk of
-:mod:`maslanka.coefficients` reads B_m here (the kernel row for small m,
-a_k_alt's for every m).  :mod:`maslanka.phik` evaluates the periodified
-polynomials B_a({x}) in integers over bernoulli_poly_coeffs, and
+rational or integer arithmetic until a final rounding, and it is the one place
+that makes pi^2 and zeta(2j) from the Bernoulli formula.  Its walk _zeta_row
+gives round(zeta(2j+2) 2^w) for j < n from B_2j+2 and fixed-point powers of
+one pi^2; it is all of a_k_alt's row, the kernel row of
+:mod:`maslanka.coefficients` below its switch point, and zeta_even, which
+rounds the walk's last entry once.  :mod:`maslanka.phik` evaluates the
+periodified polynomials B_a({x}) in integers over bernoulli_poly_coeffs, and
 :func:`maslanka.series.zeta_reference` takes its Euler-Maclaurin corrections
 from bernoulli_number.
 
@@ -14,7 +17,9 @@ Python ints by small factors (Brent & Harvey, "Fast computation of Bernoulli,
 tangent and secant numbers", 2011), with B_2k = (-1)**(k-1) 2k T_k /
 (4**k (4**k - 1)).  The table grows in place, one column of the tangent
 triangle at a time, to exactly the largest index asked for; it keeps the last
-column's value after each pass, which is all the next column reads.
+column's value after each pass, which is all the next column reads.  The
+walk's pi^2 is one fixed-point pi by Machin's formula, squared and rounded
+(Brent & Zimmermann, Modern Computer Arithmetic, 2010, section 4.9).
 
 Conventions: B_1 = -1/2 (the value of the defining recurrence
 sum_{j<=n} C(n+1, j) B_j = 0), and for even m >= 2
@@ -29,14 +34,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .mpnum import PrecisionContext
+from .mpnum import GUARD_BITS, PrecisionContext, _raw
 
 __all__ = [
     "bernoulli_number",
     "bernoulli_poly_coeffs",
     "periodified_sup_bound",
     "zeta_even",
-    "zeta_rational_part",
 ]
 
 
@@ -71,24 +75,73 @@ def bernoulli_number(n: int) -> Fraction:
     return _EVEN[n // 2]
 
 
-def zeta_rational_part(m: int) -> Fraction:
-    """The exact rational q(m) with zeta(m) = q(m) * pi**m, for even m >= 2."""
-    if m < 2 or m % 2:
-        raise ValueError("m must be an even integer >= 2")
-    b = bernoulli_number(m)
-    return Fraction(abs(b.numerator) * 2 ** (m - 1), b.denominator * math.factorial(m))
+def _atan_inv(x: int, m: int) -> int:
+    """atan(1/x) 2^m within m / (2 log2 x) + 2 units, from its Taylor series.
+
+    Term i is floor(2^m / (x^(2i+1) (2i+1))), by nested floor divisions; each
+    is within a unit of its true value, and the series stops at the first
+    u = floor(2^m / x^(2i+1)) = 0, whose alternating tail is below a unit.
+    """
+    u, x2, total, i = (1 << m) // x, x * x, 0, 0
+    while u:
+        total += -(u // (2 * i + 1)) if i % 2 else u // (2 * i + 1)
+        u //= x2
+        i += 1
+    return total
+
+
+def _pi_squared(s: int) -> int:
+    """An integer within 0.6 of pi^2 2^s, for 2 <= s < 2^32.
+
+    Machin's pi = 16 atan(1/5) - 4 atan(1/239) in fixed point at m = s + 40
+    bits is P = pi 2^m + d with |d| < 16 (m/4.64 + 2) + 4 (m/15.8 + 2) <
+    4m + 40 units.  So v = P^2 / 2^(2m-s) is within 2 pi |d| 2^-40 +
+    d^2 2^(s-2m) < 0.1 of pi^2 2^s, and floor((floor(2v) + 1) / 2) =
+    floor(v + 1/2) is within 1/2 of v.
+    """
+    m = s + 40
+    p = 16 * _atan_inv(5, m) - 4 * _atan_inv(239, m)
+    return ((p * p >> 2 * m - s - 1) + 1) >> 1
+
+
+def _zeta_row(n: int, w: int) -> list[int]:
+    """z_j = round(zeta(2j+2) 2^w) for j < n, each within 1/2 + 2^-32.
+
+    Every value is q(2j+2) times the power X_j ~ pi^(2j+2) 2^s, s = w + g, of one
+    P within 0.6 of pi^2 2^s > 2^(s+3), by X_{j+1} = floor(X_j P / 2^s).  So
+    |X_j / (pi^(2j+2) 2^s) - 1| < (2j+2) 2^-(s+3), and floor(q X_j) is within
+    (j+1)/2 + 1 <= 2^(g-32) of zeta(2j+2) 2^s before the final rounding; it is
+    read off B_m and a running m!, m = 2j+2, with no gcd.  This walk is all of
+    a_k_alt's row, the kernel row below its switch point, and zeta_even.
+    """
+    g = GUARD_BITS + n.bit_length()
+    s = w + g
+    p = _pi_squared(s)
+    row, x, fact = [], p, 1
+    for m in range(2, 2 * n + 1, 2):
+        b = bernoulli_number(m)
+        fact *= (m - 1) * m
+        row.append((abs(b.numerator) * x << m - 1) // (b.denominator * fact) + (1 << g - 1) >> g)
+        x = x * p >> s
+    return row
 
 
 def zeta_even(m: int, ctx: PrecisionContext):
-    """zeta(m) for even m >= 2 as an mpf, from the exact Bernoulli formula."""
-    from mpmath import mp, mpf
+    """zeta(m) for even m >= 2 as an mpf: the last entry of _zeta_row at scale
+    2^s, s = working_bits + GUARD_BITS, rounded once to working_bits.
 
-    q = zeta_rational_part(m)
-    with ctx.prec():
-        return +(mpf(q.numerator) * mp.pi ** m / mpf(q.denominator))
+    The entry is within (1/2 + 2^-32) 2^-s < 2^-(wp+33) (1 + 2^-31) zeta(m) of
+    zeta(m), wp = working_bits, and the rounding adds half an ulp, at most
+    2^-wp times the entry, so the result is within 2^-wp (1 + 2^-32) zeta(m).
+    Since the entry is within 2^-33 ulp of zeta(m), the result is zeta(m)
+    correctly rounded unless zeta(m) lies that close to a tie.
+    """
+    from mpmath import mp
 
-
-_POLY_CACHE: dict[int, tuple[Fraction, ...]] = {}
+    if m < 2 or m % 2:
+        raise ValueError("m must be an even integer >= 2")
+    s = ctx.working_bits + GUARD_BITS
+    return mp.make_mpf(_raw(_zeta_row(m // 2, s)[-1], -s, ctx.working_bits))
 
 
 def bernoulli_poly_coeffs(a: int) -> tuple[Fraction, ...]:
@@ -98,11 +151,7 @@ def bernoulli_poly_coeffs(a: int) -> tuple[Fraction, ...]:
     """
     if a < 0:
         raise ValueError("a must be >= 0")
-    coeffs = _POLY_CACHE.get(a)
-    if coeffs is None:
-        coeffs = tuple(math.comb(a, i) * bernoulli_number(i) for i in range(a + 1))
-        _POLY_CACHE[a] = coeffs
-    return coeffs
+    return tuple(math.comb(a, i) * bernoulli_number(i) for i in range(a + 1))
 
 
 def periodified_sup_bound(a: int):

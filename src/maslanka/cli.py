@@ -189,9 +189,10 @@ def _verify_truncation(table, ctx, nmax, out) -> bool:
     Entry k is within table.error_bound(k) of A_k, and P_k(n) = (-1)^k
     C(n-1, k) scales that error, so the exact sum is within
     sum_{k<n} C(n-1, k) error_bound(k) of (2n-1) zeta(2n).  On top come the
-    roundings at working_bits: the sum's one, and the 2n + 8 units of
-    (2n-1) zeta(2n) (pi's rounding raised to the power 2n, the power, and six
-    more operations).
+    roundings at working_bits wp: the sum's one, a unit of |lhs| 2^-wp, and 3
+    units of |rhs| 2^-wp for the right side, since zeta_even is within
+    2^-wp (1 + 2^-32) of zeta(2n) relative and the product (2n-1) zeta adds
+    one rounding, at most 2^-wp relative.
     """
     import mpmath
 
@@ -206,7 +207,7 @@ def _verify_truncation(table, ctx, nmax, out) -> bool:
         rel = abs(lhs - rhs) / abs(rhs)
         with ctx.prec():
             err = sum(math.comb(n - 1, k) * e for k, e in enumerate(errs))
-            tol = (err + (abs(lhs) + (2 * n + 8) * abs(rhs)) * ulp) / abs(rhs)
+            tol = (err + (abs(lhs) + 3 * abs(rhs)) * ulp) / abs(rhs)
         ok = rel < tol
         ok_all &= ok
         print(f"{'PASS' if ok else 'FAIL'} truncation n={n} rel={mpmath.nstr(rel, 3)}", file=out)

@@ -12,7 +12,7 @@ is therefore one transform in exact integer arithmetic:
    is fixed once per table and r_j = round(w_j * 2^W) is built as Python ints
    (_fixed_row), each within 1/2 + 2^-32 of w_j * 2^W, from zeta(2j+2) at a
    few more bits.  Up to the switch point m^(m-1) (m-1) > 2^prec, m = 2j+2,
-   that is the walk of _zeta_row at scale 2^prec, q(m) from exact Bernoulli
+   that is bernoulli._zeta_row at scale 2^prec, q(m) from exact Bernoulli
    numbers times one fixed-point power of pi^2 per m; from it on, the Dirichlet
    sum of floor(2^prec / n^m) over n <= N(m), for every m in one pass over n:
    u = floor(2^prec / n^(m-1)) steps to the next m by u //= n^2, the term is
@@ -39,10 +39,11 @@ Consumers read it through CoefficientTable.error_bound.
 
 Everything on the table path is Python integers, so building, saving and
 loading a table never imports mpmath.  An entry is stored as mpmath's own raw
-tuple (sign, man, exp, bc) of ints, rounded by mpnum._raw; pi^2 for the zeta
-walk and the decimal tokens of the cache come from mpnum too.  Only the
-routes that hand back mpf values (a_k, b_k, a_k_alt, cross_identity_pairs,
-CoefficientTable.values and error_bound) import mpmath, inside the call.
+tuple (sign, man, exp, bc) of ints, rounded by mpnum._raw, and the decimal
+tokens of the cache come from mpnum too; the zeta walk and its pi^2 are
+bernoulli's.  Only the routes that hand back mpf values (a_k, b_k, a_k_alt,
+cross_identity_pairs, CoefficientTable.values and error_bound) import
+mpmath, inside the call.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ except ImportError:  # Python 3.12 renamed it; a build without it keeps hashlib'
     except ImportError:
         from hashlib import sha256
 
-from .bernoulli import bernoulli_number
-from .mpnum import (GUARD_BITS, PrecisionContext, Record, _pi_squared, _raw, decimal_to_raw,
-                    format_real, required_bits_for_alternating_sum)
+from .bernoulli import _zeta_row
+from .mpnum import (GUARD_BITS, PrecisionContext, Record, _raw, decimal_to_raw, format_real,
+                    required_bits_for_alternating_sum)
 
 __all__ = [
     "CoefficientTable",
@@ -216,28 +217,6 @@ def _fixed_row(kind: str, n: int, w: int) -> list[int]:
     """r_0..r_{n-1}, each within 1/2 + 2^-GUARD_BITS of w_j * 2^w (needs n <= w)."""
     prec = _row_prec(w)
     return [_row_entry(kind, j, z, prec, w) for j, z in enumerate(_zeta_fixed_row(n, prec))]
-
-
-def _zeta_row(n: int, w: int) -> list[int]:
-    """z_j = round(zeta(2j+2) 2^w) for j < n, each within 1/2 + 2^-32.
-
-    Every value is q(2j+2) times the power X_j ~ pi^(2j+2) 2^s, s = w + g, of one
-    P within 0.6 of pi^2 2^s > 2^(s+3), by X_{j+1} = floor(X_j P / 2^s).  So
-    |X_j / (pi^(2j+2) 2^s) - 1| < (2j+2) 2^-(s+3), and floor(q X_j) is within
-    (j+1)/2 + 1 <= 2^(g-32) of zeta(2j+2) 2^s before the final rounding; it is
-    read off B_m and a running m!, m = 2j+2, with no gcd.  This walk is all of
-    a_k_alt's row and the kernel row below its switch point.
-    """
-    g = GUARD_BITS + n.bit_length()
-    s = w + g
-    p = _pi_squared(s)
-    row, x, fact = [], p, 1
-    for m in range(2, 2 * n + 1, 2):
-        b = bernoulli_number(m)
-        fact *= (m - 1) * m
-        row.append((abs(b.numerator) * x << m - 1) // (b.denominator * fact) + (1 << g - 1) >> g)
-        x = x * p >> s
-    return row
 
 
 def _difference_heads(d: list[int]):

@@ -14,11 +14,11 @@ scale.  Binary floats are mpmath's raw tuples (sign, man, exp, bc) of ints:
 man odd (or the zero (0, 0, 0, 0)), bc its bit length, value
 (-1)^sign man 2^exp.  This module makes them without mpmath: _raw rounds
 an integer times a power of two to nearest, ties to even, as from_man_exp
-does; _pi_squared gives pi^2 from Machin's formula; format_real and
-decimal_to_raw convert to and from decimal by integer radix conversion
-(Brent & Zimmermann, Modern Computer Arithmetic, 2010, sections 1.7 and
-4.9).  So coefficient tables, which keep their entries as raw tuples, are
-built, saved and loaded without importing mpmath.  The series, the
+does; format_real and decimal_to_raw convert to and from decimal by integer
+radix conversion (Brent & Zimmermann, Modern Computer Arithmetic, 2010,
+section 1.7).  So coefficient tables, which keep their entries as raw
+tuples, are built, saved and loaded without importing mpmath; the pi^2 of
+their rows comes from :mod:`maslanka.bernoulli`.  The series, the
 quadrature and the analysis hand back mpmath ``mpf``/``mpc`` values and
 import mpmath when they run; this module never does.  There is no interval
 mode; error bounds are proven instead, in the docstrings of the table
@@ -141,7 +141,7 @@ class PrecisionContext(Record):
         return mp.workprec(self.working_bits)
 
 
-# -- binary floats, pi and decimal conversion in integers ---------------------
+# -- binary floats and decimal conversion in integers -------------------------
 
 
 def _raw(man: int, exp: int, bits: int = 0) -> tuple[int, int, int, int]:
@@ -162,55 +162,6 @@ def _raw(man: int, exp: int, bits: int = 0) -> tuple[int, int, int, int]:
     zeros = (man & -man).bit_length() - 1
     man >>= zeros
     return (sign, man, exp + zeros, man.bit_length())
-
-
-def _atan_inv(x: int, m: int) -> tuple[int, int]:
-    """(S, c): S within c units of atan(1/x) 2^m, from its Taylor series.
-
-    Term i is floor(2^m / (x^(2i+1) (2i+1))), by nested floor divisions; each
-    is within a unit of its true value, and the series stops at the first
-    u = floor(2^m / x^(2i+1)) = 0, whose alternating tail is below a unit.
-    """
-    u, x2, total, i = (1 << m) // x, x * x, 0, 0
-    while u:
-        total += -(u // (2 * i + 1)) if i % 2 else u // (2 * i + 1)
-        u //= x2
-        i += 1
-    return total, i + 1
-
-
-_PI = (2, 12, 1)  # (m, P, c): pi 2^m within c units of P, the widest made so far
-
-
-def _pi_raw(bits: int) -> tuple[int, int, int, int]:
-    """pi rounded to nearest at `bits` bits, as a raw tuple.
-
-    pi is irrational, so never on a tie: when P - c and P + c of _PI round
-    alike, so does pi.  Else _PI is remade at m = max(2m, bits + 32) bits by
-    Machin's pi = 16 atan(1/5) - 4 atan(1/239) in fixed point; it is kept, so
-    rising requests cost a geometric series of builds, as in mpmath.
-    """
-    global _PI
-    while True:
-        m, p, c = _PI
-        raw = _raw(p - c, -m, bits)
-        if raw == _raw(p + c, -m, bits):
-            return raw
-        m = max(2 * m, bits + 32)
-        s5, c5 = _atan_inv(5, m)
-        s239, c239 = _atan_inv(239, m)
-        _PI = (m, 16 * s5 - 4 * s239, 16 * c5 + 4 * c239)
-
-
-def _pi_squared(s: int) -> int:
-    """The integer nearest pi^2 2^s, rounded as mpmath's
-    int(nint(ldexp(pi ** 2, s))) under workprec(s + 8) rounds it: pi to nearest
-    at s + 8 bits, its square to nearest at s + 8 bits, then to the nearest
-    integer, every tie to even."""
-    _, man, exp, _ = _pi_raw(s + 8)
-    _, man, exp, bc = _raw(man * man, 2 * exp, s + 8)
-    _, man, exp, _ = _raw(man, exp + s, exp + s + bc)
-    return man << exp
 
 
 # log10(2) 2^128 rounded down, and log2(10) as the float that to_str uses

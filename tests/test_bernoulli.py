@@ -12,12 +12,11 @@ from maslanka.bernoulli import (
     bernoulli_poly_coeffs,
     periodified_sup_bound,
     zeta_even,
-    zeta_rational_part,
 )
-from maslanka.coefficients import build_table, cross_identity_pairs
+from maslanka.coefficients import a_k_alt, build_table, cross_identity_pairs
 from maslanka.mpnum import PrecisionContext
 from maslanka.phik import build_paj, em_remainder_a_k
-from maslanka.series import zeta_reference
+from maslanka.series import truncation_check, zeta_reference
 
 
 def periodified_bernoulli(a: int, x) -> mpf:
@@ -88,6 +87,29 @@ class TestBernoulliTable:
         assert zeta_reference(mpf("-2.5"), ctx) != 0
         assert em_remainder_a_k(12, 3, build_paj(8), PrecisionContext(64), mpf("1e-9")) != 0
 
+    def test_consumers_never_read_mpmaths_pi(self, monkeypatch):
+        # pi^2 and zeta(2j) have one route, bernoulli's integer walk: no
+        # consumer of zeta(2j) or of the coefficient rows reads mpmath's pi
+        class Unread:
+            def fail(self, *args):
+                raise AssertionError("mpmath's pi read")
+
+            _mpf_ = property(fail)
+            __pos__ = __neg__ = __abs__ = __float__ = fail
+            __add__ = __radd__ = __sub__ = __rsub__ = fail
+            __mul__ = __rmul__ = __truediv__ = __rtruediv__ = __pow__ = __rpow__ = fail
+
+        monkeypatch.setattr(mpmath.mp, "pi", Unread())
+        monkeypatch.setattr(mpmath, "pi", Unread())
+        ctx = PrecisionContext(128)
+        assert zeta_even(40, ctx) > 1
+        table = build_table("A", 60, ctx)
+        lhs, rhs = truncation_check(20, table, ctx)
+        assert abs(lhs - rhs) < abs(rhs) * mpf(2) ** -100
+        assert build_table("b", 60, ctx).k_max == 60
+        assert a_k_alt(30, ctx) != 0
+        assert len(list(cross_identity_pairs(30, ctx))) == 30
+
     def test_table_grows_in_place(self, empty_bernoulli_table):
         # a cold request builds to exactly its index, and growth appends to
         # the table: the entries made before are kept as the same objects
@@ -118,11 +140,6 @@ class TestBernoulliTable:
 
 
 class TestZetaEven:
-    def test_rational_part_small(self):
-        assert zeta_rational_part(2) == Fraction(1, 6)
-        assert zeta_rational_part(4) == Fraction(1, 90)
-        assert zeta_rational_part(6) == Fraction(1, 945)
-
     @pytest.mark.parametrize(
         "m,text",
         [
@@ -137,9 +154,23 @@ class TestZetaEven:
         assert diff < mpf("1e-20")
 
     def test_matches_pi_squared_over_six_exactly(self, ctx128):
+        # pi^2/6 far past working_bits, then rounded once to it
+        with mp.workprec(2 * ctx128.working_bits + 64):
+            exact = mp.pi ** 2 / 6
         with ctx128.prec():
-            want = mp.pi ** 2 / 6
+            want = +exact
         assert zeta_even(2, ctx128) == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 200), st.integers(16, 512))
+    def test_within_the_stated_bound(self, half_m, target_bits):
+        # |zeta_even(m) - zeta(m)| <= 2^-wp (1 + 2^-32) zeta(m), wp = working_bits
+        ctx = PrecisionContext(target_bits)
+        wp = ctx.working_bits
+        v = zeta_even(2 * half_m, ctx)
+        with mp.workprec(2 * wp + 64):
+            want = mpmath.zeta(2 * half_m)
+            assert abs(v - want) <= mpmath.ldexp(want, -wp) * (1 + mpf(2) ** -32)
 
     @pytest.mark.parametrize("m", [2, 4, 6, 8])
     def test_against_partial_sums_with_tail_bound(self, m, ctx128):

@@ -28,7 +28,8 @@ from maslanka.mpnum import PrecisionContext, required_bits_for_alternating_sum
 def _truncation_tolerance(table, n: int, working_bits: int) -> Fraction:
     """The error identity n may carry, summed exactly: each entry within half an
     ulp at target_bits plus 2^(k-W-1) (1 + 2^-30) of A_k, scaled by C(n-1, k),
-    and the two sides' roundings at working_bits (2n + 9 units of |rhs|)."""
+    and the two sides' roundings at working_bits (4 units of |rhs|: 3 for the
+    right side, one for the left)."""
     t = table.target_bits
     w = required_bits_for_alternating_sum(table.k_max, t)
     err = Fraction(0)
@@ -38,7 +39,7 @@ def _truncation_tolerance(table, n: int, working_bits: int) -> Fraction:
         row = Fraction(2) ** (k - w - 1) * (1 + Fraction(1, 2**30))
         err += math.comb(n - 1, k) * (half_ulp + row)
     rhs = Fraction(2 * n - 1) * Fraction(str(mpmath.zeta(2 * n)))
-    return err + (2 * n + 9) * rhs / 2**working_bits
+    return err + 4 * rhs / 2**working_bits
 
 
 @pytest.fixture(scope="module")
