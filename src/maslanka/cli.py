@@ -151,7 +151,8 @@ def _cmd_eval(args) -> int:
 
     table = load_table(args.table)
     ctx = PrecisionContext(args.bits)
-    s = parse_complex(args.s)
+    with ctx.prec():
+        s = parse_complex(args.s)
     result = maslanka_eval(s, table, mpmath.mpf(args.tol), ctx)
     digits = mantissa_digits(min(table.target_bits, args.bits))
     lines = [
@@ -281,7 +282,8 @@ def _verify_global(table, ctx, tol, out) -> bool:
 
     ok_all = True
     for text in GLOBAL_PROBES:
-        s = parse_complex(text)
+        with ctx.prec():
+            s = parse_complex(text)
         result = maslanka_eval(s, table, tol, ctx)
         ref = zeta_reference(s, ctx)
         err = abs(result.zeta_value - ref)
@@ -366,14 +368,14 @@ def _cmd_decay(args) -> int:
     rows = []
     with mpmath.mp.workprec(table.target_bits + 16):
         for k in range(args.kmin, args.kmax + 1):
-            v = table.values[k]
-            av = abs(v)
+            av = abs(table.values[k])
             logk = mpmath.log(k)
             logv = mpmath.log(av) if av > 0 else mpmath.mp.ninf
+            value = format_real(table.raw[k], digits)
             rows.append([
                 str(k),
-                format_real(v._mpf_, digits),
-                format_real(av._mpf_, digits),
+                value,
+                "+" + value[1:],  # |value|: the same digits, signed +
                 mpmath.nstr(logk, 17),
                 mpmath.nstr(logv, 17) if av > 0 else "-inf",
             ])

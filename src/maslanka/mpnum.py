@@ -14,11 +14,14 @@ scale.  Binary floats are mpmath's raw tuples (sign, man, exp, bc) of ints:
 man odd (or the zero (0, 0, 0, 0)), bc its bit length, value
 (-1)^sign man 2^exp.  This module makes them without mpmath: _raw rounds
 an integer times a power of two to nearest, ties to even, as from_man_exp
-does; format_real and decimal_to_raw convert to and from decimal by integer
-radix conversion (Brent & Zimmermann, Modern Computer Arithmetic, 2010,
-section 1.7).  So coefficient tables, which keep their entries as raw
-tuples, are built, saved and loaded without importing mpmath; the pi^2 of
-their rows comes from :mod:`maslanka.bernoulli`.  The series, the
+does.  Decimal I/O is one exact radix conversion each way, both on the
+bounds of _scale10 (Brent & Zimmermann, Modern Computer Arithmetic, 2010,
+section 1.7): format_real prints x rounded to nearest at a given number of
+digits, ties away from zero, and decimal_to_raw reads a decimal rounded to
+nearest at a given number of bits, ties to even, at every magnitude.  So
+coefficient tables, which keep their entries as raw tuples, are built,
+saved and loaded without importing mpmath; the pi^2 of their rows comes
+from :mod:`maslanka.bernoulli`.  The series, the
 quadrature and the analysis hand back mpmath ``mpf``/``mpc`` values and
 import mpmath when they run; this module never does.  There is no interval
 mode; error bounds are proven instead, in the docstrings of the table
@@ -28,8 +31,6 @@ entries' stored 2^e_k
 """
 
 from __future__ import annotations
-
-import math
 
 __all__ = [
     "PoleError",
@@ -164,9 +165,8 @@ def _raw(man: int, exp: int, bits: int = 0) -> tuple[int, int, int, int]:
     return (sign, man, exp + zeros, man.bit_length())
 
 
-# log10(2) 2^128 rounded down, and log2(10) as the float that to_str uses
+# log10(2) 2^128 rounded down
 _LOG10_2 = 0x4D104D427DE7FBCC47C4ACD605BE48BC
-_LOG2_10 = math.log(10, 2)
 
 
 def _scale10(man: int, k: int, t: int) -> tuple[int, int, int]:
@@ -199,12 +199,15 @@ def _floor_digits(man: int, exp: int, n: int) -> tuple[int, int]:
     """(N, E) with N = floor(x 10^(n-1-E)) the first n decimal digits of
     x = man 2^exp > 0 rounded down, and E = floor(log10 x).
 
-    E starts at 0.  A guess more than one off moves by the digits the bounds
-    show, which is within one of the truth while |exp| < 2^120 and closer
-    each round beyond; one off, it moves by one.  When the bounds on N
-    disagree, t grows until 10^|k| is exact, where they meet.
+    E starts at floor(L log10 2), L = floor(log2 x), which is E or E - 1
+    up to the rounding of log10 2, so most calls take one pass.  A guess
+    more than one off moves by the digits the bounds show, which is within
+    one of the truth while |exp| < 2^120 and closer each round beyond; one
+    off, it moves by one.  When the bounds on N disagree, t grows until
+    10^|k| is exact, where they meet.
     """
-    e10, t = 0, 4 * n + 64
+    top, t = 10 ** n, 4 * n + 64
+    e10 = (man.bit_length() + exp - 1) * _LOG10_2 >> 128
     while True:
         k = n - 1 - e10
         lo, hi, e = _scale10(man, k, t + k.bit_length())
@@ -214,9 +217,9 @@ def _floor_digits(man: int, exp: int, n: int) -> tuple[int, int]:
             e10 += off
             continue
         a, b = (lo << e, hi << e) if e >= 0 else (lo >> -e, hi >> -e)
-        if a >= 10 ** n:
+        if a >= top:
             e10 += 1
-        elif b < 10 ** (n - 1):
+        elif 10 * b < top:
             e10 -= 1
         elif a == b:
             return a, e10
@@ -228,26 +231,18 @@ def format_real(x: tuple, digits: int) -> str:
     """Fixed-width scientific form <sign><d>.<d...>e<sign><exp> with `digits`
     digits, of the raw tuple x (an mpf's ``_mpf_``).
 
-    The token is mpmath's to_str(x, digits, strip_zeros=False, min_fixed=1,
-    max_fixed=0), in integers.  to_str takes digits + 3 leading decimal
-    digits rounded down and rounds them half up at the last digit kept.
-    For 2^-3500 <= |x| <= 2^3500 they are read off x in binary fixed point
-    at bitprec bits, by its steps.  Beyond, where to_str divides by a
-    rounded power of ten, they are the exact ones, so the token is x rounded
-    to nearest with ties away from zero.
+    The token is x rounded to nearest at `digits` digits, ties away from
+    zero: the first digits + 1 digits of |x| rounded down, from
+    _floor_digits, rounded half up at the last digit kept.  It equals
+    mpmath's to_str(x, digits, strip_zeros=False, min_fixed=1, max_fixed=0)
+    except where x lies above a decimal tie by less than 2^-bitprec |x|,
+    bitprec = floor(3.32 (digits + 3)) + 10, since to_str first truncates x
+    to bitprec bits, which can move such an x below the tie.
     """
-    sign, man, exp, bc = x
+    sign, man, exp, _ = x
     if not man:
         return "+0." + "0" * (digits - 1) + "e+0"
-    if abs(exp + bc) > 3500:
-        lead, e10 = _floor_digits(man, exp, digits + 1)
-    else:
-        bitprec = int((digits + 3) * _LOG2_10) + 10
-        fixprec = max(bitprec - exp - bc, 0)
-        fixdps = int(fixprec / _LOG2_10 + 0.5)
-        sh = exp + fixprec
-        text = str(((man << sh if sh >= 0 else man >> -sh) * 10 ** fixdps) >> fixprec)
-        lead, e10 = int(text[:digits + 1]), len(text) - fixdps - 1
+    lead, e10 = _floor_digits(man, exp, digits + 1)
     lead = (lead + 5) // 10
     if lead == 10 ** digits:
         lead, e10 = lead // 10, e10 + 1

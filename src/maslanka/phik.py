@@ -115,10 +115,7 @@ def paj_eval(paj: PajTable, a: int, j: int, k: int) -> int:
     """p_{a,j}(k) as an exact integer."""
     if not (0 <= j <= a <= paj.a_max):
         raise ValueError("need 0 <= j <= a <= paj.a_max")
-    acc = 0
-    for c in reversed(paj.entries[(a, j)]):
-        acc = acc * k + c
-    return acc
+    return _scaled_poly(paj.entries[(a, j)], k, 0)
 
 
 def _pcoeffs(paj: PajTable, a: int, k: int) -> list[int]:
@@ -309,10 +306,8 @@ def _l1_tail(pcoeffs: list[int], r: int, X: int) -> Fraction:
     """
     J = len(pcoeffs) - 1
     lcm = math.lcm(*range(r, r + 2 * J + 1, 2))
-    num = 0
-    for j, c in enumerate(pcoeffs):
-        num = num * X * X + abs(c) * (lcm // (r + 2 * j))
-    return Fraction(num, lcm * X ** (r + 2 * J))
+    num = [abs(c) * (lcm // (r + 2 * j)) for j, c in enumerate(pcoeffs)]
+    return Fraction(_scaled_poly(num[::-1], X * X, 0), lcm * X ** (r + 2 * J))
 
 
 def _phi_deriv_exact(k: int, r: int, X: int, pcoeffs: list[int]) -> Fraction:

@@ -176,7 +176,8 @@ def zeta_reference(s, ctx: PrecisionContext) -> mpf | mpc:
     terms reach N^-sigma; the extra ceil((1-sigma) log2(N+1)) + 8 bits hold
     its rounding error, about N^(2-sigma) 2^-wp, below N 2^-(t+32).
     """
-    z = mpmath.mpmathify(s)
+    with ctx.prec():
+        z = mpmath.mpmathify(s)
     if not mpmath.isfinite(z):
         raise ValueError("s must be a finite number")
     if z == 1:

@@ -215,6 +215,26 @@ class TestEval:
         assert rc == cli.EXIT_USAGE
         assert "error:" in capsys.readouterr().err
 
+    def test_s_is_read_at_working_precision(self, deep_table_file, capsys):
+        # 0.1 parsed at mpmath's default 53 bits would print +1.0000000000000000555e-1
+        cli.run(["eval", "--s", "0.1", "--table", str(deep_table_file), "--bits", "128"])
+        out = capsys.readouterr().out
+        assert out.startswith("s = +1.0000000000000000000000000000000000000000e-1\n")
+
+    def test_converged_value_is_within_tol(self, cli_dir, capsys):
+        # s = 3.3 read at 53 bits moves (s-1) zeta(s) by 1.5e-16, far past tol
+        path = cli_dir / "a2000.tbl"
+        assert cli.run(["coeff", "--kind", "A", "--kmax", "2000", "--out", str(path)]) == 0
+        rc = cli.run(["eval", "--s", "3.3", "--tol", "1e-18", "--bits", "128",
+                      "--table", str(path)])
+        out = capsys.readouterr().out
+        assert rc == cli.EXIT_OK
+        assert "converged = true" in out
+        with mp.workprec(256):
+            s = mpf("3.3")
+            value = mpf(out.split("\nvalue = ")[1].split()[0])
+            assert abs(value - (s - 1) * mpmath.zeta(s)) < mpf("1e-18")
+
     @pytest.mark.parametrize("s", ["nan", "inf", "-inf", "0.5+nani"])
     def test_non_finite_s_exits_2(self, s, small_table_file, capsys):
         rc = cli.run(["eval", f"--s={s}", "--table", str(small_table_file)])
@@ -462,7 +482,7 @@ GOLDEN_OUTPUT = {
     "bk-40-128": (0, "390cee068cd376bb"),
     "bk-17-256": (0, "3bc35daff273ef17"),
     "eval-4": (0, "114d921de1610163"),
-    "eval-critical": (3, "755c223343bd947d"),
+    "eval-critical": (3, "b30f40de76873276"),
     "eval-pole": (3, "8e4eb41513fcfe92"),
     "verify-truncation": (0, "3d3d0b2497cbe6d2"),
     "verify-cross-identity": (0, "ee3779c2bb0fd6f4"),

@@ -608,6 +608,12 @@ def _nearest_token(raw, digits: int) -> str:
     return f"{'-' if sign else '+'}{text[0]}.{text[1:]}e{e10:+d}"
 
 
+def _raw_float(neg: bool, man: int, mag: int) -> tuple[int, int, int, int]:
+    """The raw tuple of (-1)^neg man 2^(mag - bitlength(man)), of magnitude exp + bc = mag."""
+    _, man, _, bc = from_man_exp(man, 0)
+    return (int(neg), man, mag - bc, bc)
+
+
 def _token(data, bits: int, e_lo: int, e_hi: int) -> tuple[str, int, int]:
     """(token, signed mantissa integer, value exponent e) with the token's value
     that integer times 10^e, e drawn from [e_lo, e_hi]."""
@@ -641,12 +647,26 @@ class TestIntegerIO:
     @given(st.booleans(), st.integers(1, 2 ** 700), st.integers(-3500, 3500),
            st.integers(2, 160))
     @example(False, 2 ** 41 - 1, 0, 12)  # all nines: the carry moves the exponent
+    # just above a decimal tie, with more bits than to_str keeps: it truncates
+    # these onto or below the tie and prints ...581e-20, ...247e-15, ...616e-1
+    @example(False, 17364293764769195601770907825, -63, 22)
+    @example(False, 12821544679544116010122005397, -46, 22)
+    @example(False, 3594474382782522203506311446140263829576541436367884974849, -2, 51)
     def test_format_is_to_str(self, neg, man, mag, digits):
         # any width of mantissa, digit count and magnitude exp + bc to_str
-        # converts in binary fixed point
-        _, man, _, bc = from_man_exp(man, 0)
-        raw = (int(neg), man, mag - bc, bc)
-        assert format_real(raw, digits) == _to_str_token(raw, digits)
+        # converts in binary fixed point: the token is the nearest one, and
+        # to_str's unless a decimal tie lies in (x - d, x] with d = 2^(mag -
+        # bitprec + 3), the most to_str's truncations take off x
+        raw = _raw_float(neg, man, mag)
+        token = format_real(raw, digits)
+        assert token == _nearest_token(raw, digits)
+        old = _to_str_token(raw, digits)
+        if old != token:
+            sign, man, exp, _ = raw
+            d = mag - (int((digits + 3) * math.log(10, 2)) + 10) + 3
+            e = min(exp, d)
+            below = (sign, (man << exp - e) - (1 << d - e), e, None)
+            assert old == _nearest_token(below, digits), raw
 
     @settings(max_examples=150, deadline=None)
     @given(st.booleans(), st.integers(1, 2 ** 700), st.integers(3501, 9000), st.booleans(),
@@ -654,9 +674,7 @@ class TestIntegerIO:
     def test_format_beyond_to_str_range_is_correctly_rounded(self, neg, man, mag, tiny, digits):
         # past |exp + bc| = 3500 to_str divides by a rounded power of ten;
         # every token here is the correctly rounded one, whatever to_str prints
-        _, man, _, bc = from_man_exp(man, 0)
-        mag = -mag if tiny else mag
-        raw = (int(neg), man, mag - bc, bc)
+        raw = _raw_float(neg, man, -mag if tiny else mag)
         assert format_real(raw, digits) == _nearest_token(raw, digits)
 
     @settings(max_examples=400, deadline=None)
