@@ -12,25 +12,6 @@ imported from its module.
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PrecisionContext",
-    "TableFormatError",
-    "a_k",
-    "a_k_alt",
-    "build_paj",
-    "build_table",
-    "decay_fit",
-    "em_remainder_a_k",
-    "load_table",
-    "maslanka_eval",
-    "required_bits_for_alternating_sum",
-    "rh_diagnostic",
-    "save_table",
-    "truncation_check",
-    "zeta_even",
-    "zeta_reference",
-]
-
 # the submodule that defines each name of __all__
 _SOURCES = {
     "analysis": ("decay_fit", "rh_diagnostic"),
@@ -41,6 +22,7 @@ _SOURCES = {
     "phik": ("build_paj", "em_remainder_a_k"),
     "series": ("maslanka_eval", "truncation_check", "zeta_reference"),
 }
+__all__ = sorted(name for names in _SOURCES.values() for name in names)
 
 
 def __getattr__(name: str):

@@ -65,12 +65,13 @@ def decay_fit(table: CoefficientTable, k_min: int, k_max: int) -> DecayFit:
     xs: list[float] = []
     ys: list[float] = []
     excluded = 0
-    for k in range(k_min, k_max + 1):
-        if not _usable(table, k):
-            excluded += 1
-            continue
-        xs.append(math.log(k))
-        ys.append(float(mpmath.log(abs(table.values[k]))))
+    with mp.workprec(53):  # the fit is in floats, whatever the caller's precision
+        for k in range(k_min, k_max + 1):
+            if not _usable(table, k):
+                excluded += 1
+                continue
+            xs.append(math.log(k))
+            ys.append(float(mpmath.log(abs(table.values[k]))))
     if len(xs) < 10:
         raise ValueError(f"insufficient usable points ({len(xs)} < 10)")
     x_mean = math.fsum(xs) / len(xs)

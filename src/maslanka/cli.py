@@ -218,25 +218,21 @@ def _verify_truncation(table, ctx, nmax, out) -> bool:
 def _verify_cross_identity(ctx, kmax, out) -> bool:
     """Check each pair against the sum of its two routes' stated bounds.
 
-    At the row scale W = W(kmax) of cross_identity_pairs, a_k's route is
-    within 2^(k-W-1) (1 + 2^-31) of A_k and a_k_alt's within
-    (k+1) 2^(k-W) (1/2 + 2^-32), together (k+2) (1 + 2^-31) 2^(k-W-1).  Both
-    values are exact conversions of their heads, and their difference is
-    taken exactly.
+    cross_identity_pairs gives both heads as integers at one scale 2^W, where
+    a_k's route is within 2^(k-1) (1 + 2^-31) units of A_k 2^W and a_k_alt's
+    within (k+1) 2^k (1/2 + 2^-32), together (k+2) (1 + 2^-31) 2^(k-1) units;
+    the heads and that bound are compared exactly.
     """
     import mpmath
 
     from .coefficients import cross_identity_pairs
-    from .mpnum import required_bits_for_alternating_sum
 
     ok_all = True
-    w = required_bits_for_alternating_sum(kmax, ctx.target_bits)
     worst = mpmath.mp.zero
-    for k, va, vb in cross_identity_pairs(kmax, ctx):
-        rel = abs(va - vb) / abs(va)
+    for k, ha, hb in cross_identity_pairs(kmax, ctx):
+        rel = abs(mpmath.mpf(ha - hb)) / abs(ha)  # mpf / int divides by the exact int
         worst = max(worst, rel)
-        bound = mpmath.ldexp((k + 2) * (2**31 + 1), k - w - 32)
-        if not abs(mpmath.fsub(va, vb, exact=True)) <= bound:
+        if abs(ha - hb) << 32 > (k + 2) * (2**31 + 1) << k:
             ok_all = False
             print(f"FAIL cross-identity k={k} rel={mpmath.nstr(rel, 3)}", file=out)
     print(f"{'PASS' if ok_all else 'FAIL'} cross-identity k=1..{kmax} "

@@ -26,8 +26,8 @@ Every route runs the rounds of step 2.  a_k and b_k return unrounded the last
 head over the row built at W(k).  a_k_alt reindexes the sum over its own row
 of zeta(2j+2), the same walk at scale 2^W for every j; it and
 phik.em_remainder_a_k are the independent routes the tests compare against.
-cross_identity_pairs reads both a_k routes for k = 1..k_max from one pass each
-at W(k_max).
+cross_identity_pairs reads both a_k routes' heads for k = 1..k_max from one
+pass each at W(k_max).
 
 Entry k of a table stores the least integer e_k with
 
@@ -42,8 +42,7 @@ loading a table never imports mpmath.  An entry is stored as mpmath's own raw
 tuple (sign, man, exp, bc) of ints, rounded by mpnum._raw, and the decimal
 tokens of the cache come from mpnum too; the zeta walk and its pi^2 are
 bernoulli's.  Only the routes that hand back mpf values (a_k, b_k, a_k_alt,
-cross_identity_pairs, CoefficientTable.values and error_bound) import
-mpmath, inside the call.
+CoefficientTable.values and error_bound) import mpmath, inside the call.
 """
 
 from __future__ import annotations
@@ -277,14 +276,14 @@ def a_k_alt(k: int, ctx: PrecisionContext):
 
 
 def cross_identity_pairs(k_max: int, ctx: PrecisionContext):
-    """(k, A_k by a_k's route, A_k by a_k_alt's route) for k = 1..k_max, from one
-    pass over each route's row at W = W(k_max); their bounds hold with that W."""
+    """(k, head by a_k's route, head by a_k_alt's route): A_k 2^W as integers for
+    k = 1..k_max, one pass over each route's row at W = W(k_max).  Their
+    bounds with that W put the two within (k+2)(1 + 2^-31) 2^(k-1) units."""
     w = required_bits_for_alternating_sum(k_max, ctx.target_bits)
-    alt = _alt_heads(k_max, w)
     kernel = _difference_heads(_fixed_row("A", k_max + 1, w))
     next(kernel)
-    for k, (va, vb) in enumerate(zip(kernel, alt), 1):
-        yield k, _to_mpf(va, w), _to_mpf(vb, w)
+    for k, heads in enumerate(zip(kernel, _alt_heads(k_max, w)), 1):
+        yield k, *heads
 
 
 def _bound_exponent(x: tuple, k: int, w: int, t: int) -> int:

@@ -197,7 +197,9 @@ def _gauss_legendre(n: int, prec: int) -> tuple[tuple, tuple]:
 
 
 def _man_exp(x) -> tuple[int, int]:
-    """(m, e) with x = m 2^e exactly, for a finite mpf x."""
+    """(m, e) with x = m 2^e exactly, for a finite mpf or a dyadic Fraction x."""
+    if type(x) is Fraction:
+        return x.numerator, 1 - x.denominator.bit_length()
     sign, man, exp, _ = x._mpf_
     return (-man if sign else man), exp
 
@@ -376,16 +378,17 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
     stop in budget.  A cut past that X raises QuadratureError at once.
 
     The panels: [1, X] is walked in unit panels [n, n+1] on the fixed
-    Gauss-Legendre rule Q.  A panel [lo, hi] with midpoint mid takes the value
-    Q[lo,mid] + Q[mid,hi]; it is bisected while the estimate |Q[lo,hi] -
-    Q[lo,mid] - Q[mid,hi]|, rounded once, divided by a!, exceeds its share
-    (quad_tol/2) (1/lo - 1/hi), shares that sum to less than quad_tol/2.  Each
-    Q is one integer at the scale 2^(2F), F = working_bits + guard
-    (_panel_bits), over nodes and weights set up once per cell [lo, hi] of
-    the unit interval (_cell_rule), and the panels add up exactly.  More than
-    MAX_PANELS panels (sub-panels included) raise QuadratureError, and so
-    does a panel to bisect whose share is below 2^-working_bits: each Q is
-    only that close to the rule's value, so no bisection can certify it.
+    Gauss-Legendre rule Q.  A panel [lo, hi] (dyadic Fractions) with midpoint
+    mid takes the value Q[lo,mid] + Q[mid,hi]; it is bisected while the
+    estimate |Q[lo,hi] - Q[lo,mid] - Q[mid,hi]| / a! exceeds its share
+    (quad_tol/2) (1/lo - 1/hi), shares that sum to less than quad_tol/2, in
+    an exact comparison.  Each Q is one integer at the scale 2^(2F),
+    F = working_bits + guard (_panel_bits), over nodes and weights set up once
+    per cell [lo, hi] of the unit interval (_cell_rule), and the panels add
+    up exactly.  More than MAX_PANELS panels (sub-panels included) raise
+    QuadratureError, and so does a panel to bisect whose share is below
+    2^-working_bits: each Q is only that close to the rule's value, so no
+    bisection can certify it.
 
     Error: the rule's own error, held by the estimate to each panel's share;
     each Q within 2^-working_bits of the rule's exact value (_phi_panel); the
@@ -403,50 +406,49 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
             raise ValueError("quad_tol must be positive")
         if not mpmath.isfinite(tol):
             raise ValueError("quad_tol must be finite")
-        half_tol = tol / 2
-        failure = f"tolerance {mpmath.nstr(tol, 6)} not met within {MAX_PANELS} panels"
-
-        cut = _em_cut(k, a, _pcoeffs(paj, a + 1, k), Fraction(*to_rational(half_tol._mpf_)))
-        if cut is None:
-            raise QuadratureError(failure)
-        X, d, rows = cut
-
+        shown = mpmath.nstr(tol, 6)
+        half_tol = Fraction(*to_rational(tol._mpf_)) / 2
+        cut = _em_cut(k, a, _pcoeffs(paj, a + 1, k), half_tol)
         xs, ws = _gauss_legendre(QUAD_ORDER, wp)
-        pc = rows[0]
-        F = _panel_bits(k, a, pc, wp)
-        cells: dict = {}  # (lo, hi) within a unit cell -> _cell_rule
+    failure = f"tolerance {shown} not met within {MAX_PANELS} panels"
+    if cut is None:
+        raise QuadratureError(failure)
+    X, d, rows = cut
+    pc = rows[0]
+    F = _panel_bits(k, a, pc, wp)
+    cells: dict = {}  # (lo, hi) within a unit cell -> _cell_rule
 
-        def panel(n, lo, hi):
-            cell = cells.get((lo, hi))
-            if cell is None:
-                cell = cells[(lo, hi)] = _cell_rule(a, lo, hi, xs, ws, F)
-            return _phi_panel(k, a, n, cell, pc, F)
+    def panel(n, lo, hi):
+        cell = cells.get((lo, hi))
+        if cell is None:
+            cell = cells[(lo, hi)] = _cell_rule(a, lo, hi, xs, ws, F)
+        return _phi_panel(k, a, n, cell, pc, F)
 
-        afact = math.factorial(a)
-        noise = mpmath.ldexp(1, -wp)  # one Q's accuracy
-        total, panels = 0, X - 1
-        for n in range(1, X):
-            stack = [(mp.zero, mp.one, panel(n, mp.zero, mp.one))]
-            while stack:
-                lo, hi, whole = stack.pop()
-                mid = (lo + hi) / 2
-                left, right = panel(n, lo, mid), panel(n, mid, hi)
-                share = half_tol * (1 / (n + lo) - 1 / (n + hi)) * afact
-                if abs(mpf((whole - left - right, -2 * F))) <= share:
-                    total += left + right
-                else:
-                    panels += 1
-                    if panels > MAX_PANELS:
-                        raise QuadratureError(failure)
-                    if share < noise:
-                        raise QuadratureError(f"tolerance {mpmath.nstr(tol, 6)} is below the "
-                                              f"panels' noise at {wp} bits")
-                    stack += [(lo, mid, left), (mid, hi, right)]
-        value = Fraction((-1) ** a * total, afact << 2 * F)
-        for r in range(a + 2 - a % 2, d + 1, 2):  # even r in (a, d]
-            b_r = bernoulli_number(r) / math.factorial(r)
-            value += b_r * _phi_deriv_exact(k, r, X, rows[r - a - 1])
-        return mpf(from_rational(value.numerator, value.denominator, wp, round_nearest))
+    afact = math.factorial(a)
+    noise = Fraction(1, 1 << wp)  # one Q's accuracy
+    total, panels = 0, X - 1
+    for n in range(1, X):
+        stack = [(Fraction(0), Fraction(1), panel(n, Fraction(0), Fraction(1)))]
+        while stack:
+            lo, hi, whole = stack.pop()
+            mid = (lo + hi) / 2
+            left, right = panel(n, lo, mid), panel(n, mid, hi)
+            share = half_tol * (1 / (n + lo) - 1 / (n + hi)) * afact
+            if abs(Fraction(whole - left - right, 1 << 2 * F)) <= share:
+                total += left + right
+            else:
+                panels += 1
+                if panels > MAX_PANELS:
+                    raise QuadratureError(failure)
+                if share < noise:
+                    raise QuadratureError(f"tolerance {shown} is below the "
+                                          f"panels' noise at {wp} bits")
+                stack += [(lo, mid, left), (mid, hi, right)]
+    value = Fraction((-1) ** a * total, afact << 2 * F)
+    for r in range(a + 2 - a % 2, d + 1, 2):  # even r in (a, d]
+        b_r = bernoulli_number(r) / math.factorial(r)
+        value += b_r * _phi_deriv_exact(k, r, X, rows[r - a - 1])
+    return mp.make_mpf(from_rational(value.numerator, value.denominator, wp, round_nearest))
 
 
 # -- L1 norms of phi^(a) -----------------------------------------------------

@@ -398,6 +398,28 @@ class TestVerify:
         assert all(line.startswith("FAIL cross-identity k=") for line in out[:-1])
         assert out[-1].startswith("FAIL cross-identity k=1..100 worst_rel=")
 
+    @pytest.mark.parametrize("past", [0, 1])
+    def test_cross_identity_bound_is_exact_at_its_edge(self, past, monkeypatch, capsys):
+        # (k+2)(1 + 2^-31) 2^(k-1) units is 576 + 9/2^25 at k = 7: 576 units
+        # apart pass and 577 fail
+        k, head = 7, 3 << 200
+        gap = ((k + 2) * (2**31 + 1) << k >> 32) + past
+        assert gap == 576 + past
+
+        def pairs(kmax, ctx):
+            yield k, head, head - gap
+
+        monkeypatch.setattr(coefficients, "cross_identity_pairs", pairs)
+        rc = cli.run(["verify", "--suite", "cross-identity"])
+        out = capsys.readouterr().out.splitlines()
+        if past:
+            assert rc == cli.EXIT_VERIFY
+            assert out[0].startswith("FAIL cross-identity k=7 rel=")
+        else:
+            assert rc == cli.EXIT_OK
+            rel = mpmath.nstr(mpf(gap) / head, 3)
+            assert out == [f"PASS cross-identity k=1..100 worst_rel={rel}"]
+
     @pytest.mark.parametrize("suite", ["truncation", "all"])
     @pytest.mark.parametrize("nmax", ["0", "-3"])
     def test_nmax_below_one_is_a_usage_error(self, suite, nmax, capsys):

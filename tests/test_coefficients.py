@@ -785,7 +785,8 @@ class TestRouteBounds:
         refs = _reference_heads("A", 100, prec)
         pairs = list(cross_identity_pairs(100, PrecisionContext(bits)))
         assert [k for k, _, _ in pairs] == list(range(1, 101))
-        for k, va, vb in pairs:
+        for k, ha, hb in pairs:
+            va, vb = (mp.make_mpf(_raw(h, -w)) for h in (ha, hb))
             kernel = Fraction(2) ** (k - w - 1) * (1 + Fraction(1, 2 ** 31))
             assert _within(va, refs[k], prec, kernel, k), k
             assert _within(vb, refs[k], prec, _alt_bound(k, w), k), k

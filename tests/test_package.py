@@ -53,3 +53,60 @@ def test_first_use_imports_one_submodule():
     # mpnum imports mpmath only inside PrecisionContext.prec
     out = _fresh(f"import sys, maslanka; maslanka.PrecisionContext(64); print({LOADED})")
     assert out == "['maslanka', 'maslanka.mpnum']"
+
+
+@pytest.fixture(scope="module")
+def entry_points(table_a400_128, ctx128):
+    """name -> (function, arguments), the arguments made at the default precision."""
+    from mpmath import mpc, mpf
+
+    from maslanka import analysis, bernoulli, coefficients, phik, pochhammer, series
+
+    table_b = maslanka.build_table("b", 60, ctx128)
+    paj = phik.build_paj(6)
+    s, tol = mpc("0.5", "14.134725"), mpf("1e-12")
+    return {
+        "maslanka_eval": (series.maslanka_eval, (mpf("-2.5"), table_a400_128, tol, ctx128)),
+        "zeta_reference": (series.zeta_reference, (s, ctx128)),
+        "truncation_check": (series.truncation_check, (12, table_a400_128, ctx128)),
+        "pochhammer_values": (pochhammer.pochhammer_values, (s / 2, 30, ctx128)),
+        "em_remainder_a_k": (phik.em_remainder_a_k,
+                             (8, 2, paj, maslanka.PrecisionContext(64), tol)),
+        "deriv_l1_norm": (phik.deriv_l1_norm, (12, 5, paj, ctx128)),
+        "phi_deriv": (phik.phi_deriv, (12, 5, mpf("2.75"), paj, ctx128)),
+        "rh_diagnostic": (analysis.rh_diagnostic, (table_b, 10, 60)),
+        "zeta_even": (bernoulli.zeta_even, (40, ctx128)),
+        "a_k_alt": (coefficients.a_k_alt, (30, ctx128)),
+        "decay_fit": (analysis.decay_fit, (table_a400_128, 50, 200)),
+    }
+
+
+def _exact(x):
+    """x with every mpf and mpc replaced by its raw tuple, records by their fields.
+
+    repr would print at the ambient precision, so results are compared this way."""
+    from maslanka.mpnum import Record
+
+    if hasattr(x, "_mpf_"):
+        return x._mpf_
+    if hasattr(x, "_mpc_"):
+        return x._mpc_
+    if isinstance(x, Record):
+        return type(x), _exact(x._fields())
+    if isinstance(x, (list, tuple)):
+        return tuple(_exact(v) for v in x)
+    return x
+
+
+@pytest.mark.parametrize("prec", [20, 300])
+@pytest.mark.parametrize("name", ["maslanka_eval", "zeta_reference", "truncation_check",
+                                  "pochhammer_values", "em_remainder_a_k", "deriv_l1_norm",
+                                  "phi_deriv", "rh_diagnostic", "zeta_even", "a_k_alt",
+                                  "decay_fit"])
+def test_results_ignore_the_callers_precision(entry_points, name, prec):
+    from mpmath import mp
+
+    fn, args = entry_points[name]
+    want = _exact(fn(*args))
+    with mp.workprec(prec):
+        assert _exact(fn(*args)) == want

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
 from maslanka import phik
@@ -473,13 +473,24 @@ class TestEmRemainder:
             em_remainder_a_k(8, 2, paj8, ctx64, mpf("inf"))  # would stop the walk at X = 4
 
 
+@st.composite
+def _depths(draw):
+    """(k, a) with a in [2, 12] and k in [a + 2, 300]."""
+    a = draw(st.integers(2, 12))
+    return draw(st.integers(a + 2, 300)), a
+
+
+# a cell [i, i+1] / 2^L of the unit interval, as (L, i)
+_cells = st.integers(0, 6).flatmap(lambda L: st.tuples(st.just(L), st.integers(0, 2**L - 1)))
+
+
 class TestIntegerPanels:
     """The fixed-point panels of em_remainder_a_k against the rule applied in mpf
     at twice the working bits, with the same nodes and weights."""
 
-    @pytest.mark.parametrize("k,a,bits", [(8, 2, 128), (17, 5, 128), (21, 5, 128), (30, 12, 64),
-                                          (250, 5, 128)])
-    def test_within_two_to_minus_working_bits(self, k, a, bits):
+    @staticmethod
+    def _check(k, a, bits, cells, ns):
+        """Each panel on the cells [i, i+1] / 2^L, given as (L, i), at each n in ns."""
         from maslanka.phik import _cell_rule, _gauss_legendre, _panel_bits, _phi_panel
 
         wp = PrecisionContext(bits).working_bits
@@ -488,16 +499,29 @@ class TestIntegerPanels:
         F = _panel_bits(k, a, pc, wp)
         xs, ws = _gauss_legendre(QUAD_ORDER, wp)
         oracle_ctx = PrecisionContext(2 * wp - 32)
-        for lo, hi in [(0, 1), (0, mpf(1) / 2), (mpf(1) / 4, mpf(1) / 2)]:
-            cell = _cell_rule(a, mpf(lo), mpf(hi), xs, ws, F)
-            for n in (1, 2, 7, 30):
+        for L, i in cells:
+            cell = _cell_rule(a, Fraction(i, 2**L), Fraction(i + 1, 2**L), xs, ws, F)
+            for n in ns:
                 got = _phi_panel(k, a, n, cell, pc, F)
                 with mp.workprec(2 * wp):
                     want = _gl_panel(
                         lambda x: _bbar(a, x) * phi_deriv(k, a + 1, x, paj, oracle_ctx),
-                        n + mpf(lo), n + mpf(hi), xs, ws)
+                        n + mpmath.ldexp(i, -L), n + mpmath.ldexp(i + 1, -L), xs, ws)
                     err = abs(mpf((got, -2 * F)) - want)
-                assert err <= mpf(2) ** -wp, (k, a, lo, hi, n, err)
+                assert err <= mpf(2) ** -wp, (k, a, L, i, n, err)
+
+    @pytest.mark.parametrize("k,a,bits", [(8, 2, 128), (17, 5, 128), (21, 5, 128), (30, 12, 64),
+                                          (250, 5, 128)])
+    def test_within_two_to_minus_working_bits(self, k, a, bits):
+        # cells [0, 1], [0, 1/2] and [1/4, 1/2]
+        self._check(k, a, bits, [(0, 0), (1, 0), (2, 1)], [1, 2, 7, 30])
+
+    @settings(max_examples=30, deadline=None)
+    @given(depths=_depths(), bits=st.sampled_from([64, 128]),
+           cells=st.lists(_cells, min_size=1, max_size=3),
+           ns=st.lists(st.integers(1, 60), min_size=1, max_size=4))
+    def test_within_two_to_minus_working_bits_searched(self, depths, bits, cells, ns):
+        self._check(*depths, bits, cells, ns)
 
 
 class TestL1Tail:
