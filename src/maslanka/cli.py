@@ -27,6 +27,7 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
+SUITES = ("truncation", "cross-identity", "em-remainder", "global-agreement")
 EM_PAIRS = ((8, 2), (12, 3), (16, 2), (16, 4))
 GLOBAL_PROBES = ("3", "0.5", "0.5+14.134725i", "-1", "-2.5", "5+10i")
 
@@ -83,6 +84,15 @@ def _data_out(args):
         yield sys.stdout
 
 
+def _value_row(table, k: int, digits: int, *columns: str) -> list[str]:
+    """A ``bk`` or ``decay`` row: k, entry k, its |value| (the same digits,
+    signed +), then the command's own columns."""
+    from .coefficients import format_real
+
+    value = format_real(table.raw[k], digits)
+    return [str(k), value, "+" + value[1:], *columns]
+
+
 def _write_rows(args, header: list[str], rows: list[list[str]], extra: dict | None = None):
     with _data_out(args) as fh:
         if args.format == "json":
@@ -128,16 +138,9 @@ def _cmd_bk(args) -> int:
         table = build_table("b", args.kmax, ctx)
     k_min = max(1, args.kmin)
     digits = mantissa_digits(table.target_bits)
-    rows = []
-    for k, scaled, scaled_log2 in rh_diagnostic(table, k_min, args.kmax):
-        value = format_real(table.raw[k], digits)
-        rows.append([
-            str(k),
-            value,
-            "+" + value[1:],  # |value|: the same digits, signed +
-            format_real(scaled._mpf_, digits),
-            format_real(scaled_log2._mpf_, digits),
-        ])
+    rows = [_value_row(table, k, digits, format_real(scaled._mpf_, digits),
+                       format_real(scaled_log2._mpf_, digits))
+            for k, scaled, scaled_log2 in rh_diagnostic(table, k_min, args.kmax)]
     _write_rows(args, ["k", "value", "abs_value", "k34_scaled", "k34_log2_scaled"], rows)
     return EXIT_OK
 
@@ -184,8 +187,9 @@ def _positive_tol(text, name: str = "tol"):
     return tol
 
 
-def _verify_truncation(table, ctx, nmax, out) -> bool:
-    """Check each identity n against the error its table entries can carry.
+def _verify_truncation(table, ctx, nmax):
+    """(passed, text) for each identity n, checked against the error its table
+    entries can carry.
 
     Entry k is within table.error_bound(k) of A_k, and P_k(n) = (-1)^k
     C(n-1, k) scales that error, so the exact sum is within
@@ -199,7 +203,6 @@ def _verify_truncation(table, ctx, nmax, out) -> bool:
 
     from .series import truncation_check
 
-    ok_all = True
     ulp = mpmath.mpf(2) ** -ctx.working_bits
     errs = []
     for n in range(1, nmax + 1):
@@ -209,14 +212,12 @@ def _verify_truncation(table, ctx, nmax, out) -> bool:
         with ctx.prec():
             err = sum(math.comb(n - 1, k) * e for k, e in enumerate(errs))
             tol = (err + (abs(lhs) + 3 * abs(rhs)) * ulp) / abs(rhs)
-        ok = rel < tol
-        ok_all &= ok
-        print(f"{'PASS' if ok else 'FAIL'} truncation n={n} rel={mpmath.nstr(rel, 3)}", file=out)
-    return ok_all
+        yield rel < tol, f"truncation n={n} rel={mpmath.nstr(rel, 3)}"
 
 
-def _verify_cross_identity(ctx, kmax, out) -> bool:
-    """Check each pair against the sum of its two routes' stated bounds.
+def _verify_cross_identity(ctx, kmax):
+    """(passed, text) for each pair that misses the sum of its two routes'
+    stated bounds, then for the suite as a whole.
 
     cross_identity_pairs gives both heads as integers at one scale 2^W, where
     a_k's route is within 2^(k-1) (1 + 2^-31) units of A_k 2^W and a_k_alt's
@@ -234,10 +235,8 @@ def _verify_cross_identity(ctx, kmax, out) -> bool:
         worst = max(worst, rel)
         if abs(ha - hb) << 32 > (k + 2) * (2**31 + 1) << k:
             ok_all = False
-            print(f"FAIL cross-identity k={k} rel={mpmath.nstr(rel, 3)}", file=out)
-    print(f"{'PASS' if ok_all else 'FAIL'} cross-identity k=1..{kmax} "
-          f"worst_rel={mpmath.nstr(worst, 3)}", file=out)
-    return ok_all
+            yield False, f"cross-identity k={k} rel={mpmath.nstr(rel, 3)}"
+    yield ok_all, f"cross-identity k=1..{kmax} worst_rel={mpmath.nstr(worst, 3)}"
 
 
 def _em_pair(k, a, ctx, tol, quad_tol=None):
@@ -258,43 +257,30 @@ def _em_pair(k, a, ctx, tol, quad_tol=None):
     return ref, val, abs(val - ref) / abs(ref)
 
 
-def _verify_em(ctx, tol, out) -> bool:
+def _verify_em(ctx, tol):
     import mpmath
 
-    ok_all = True
     for k, a in EM_PAIRS:
         *_, rel = _em_pair(k, a, ctx, tol)
-        ok = rel < tol
-        ok_all &= ok
-        print(f"{'PASS' if ok else 'FAIL'} em-remainder k={k} a={a} rel={mpmath.nstr(rel, 3)}",
-              file=out)
-    return ok_all
+        yield rel < tol, f"em-remainder k={k} a={a} rel={mpmath.nstr(rel, 3)}"
 
 
-def _verify_global(table, ctx, tol, out) -> bool:
+def _verify_global(table, ctx, tol):
     import mpmath
 
     from .series import maslanka_eval, zeta_reference
 
-    ok_all = True
     for text in GLOBAL_PROBES:
         with ctx.prec():
             s = parse_complex(text)
         result = maslanka_eval(s, table, tol, ctx)
         ref = zeta_reference(s, ctx)
         err = abs(result.zeta_value - ref)
-        ok = err < tol
-        ok_all &= ok
-        print(f"{'PASS' if ok else 'FAIL'} global-agreement s={text} abs_err={mpmath.nstr(err, 3)}",
-              file=out)
+        yield err < tol, f"global-agreement s={text} abs_err={mpmath.nstr(err, 3)}"
     for label, target in (("0", mpmath.mpf(1) / 2), ("1", mpmath.mp.one)):
         result = maslanka_eval(parse_complex(label), table, tol, ctx)
         err = abs(result.value - target)
-        ok = err < tol
-        ok_all &= ok
-        print(f"{'PASS' if ok else 'FAIL'} global-agreement s={label} "
-              f"(series value) abs_err={mpmath.nstr(err, 3)}", file=out)
-    return ok_all
+        yield err < tol, f"global-agreement s={label} (series value) abs_err={mpmath.nstr(err, 3)}"
 
 
 def _cmd_verify(args) -> int:
@@ -304,13 +290,12 @@ def _cmd_verify(args) -> int:
     from .mpnum import PrecisionContext
 
     ctx = PrecisionContext(args.bits)
-    suites = ["truncation", "cross-identity", "em-remainder", "global-agreement"] \
-        if args.suite == "all" else [args.suite]
+    suites = SUITES if args.suite == "all" else (args.suite,)
     if "truncation" in suites and args.nmax < 1:
         raise ValueError("nmax must be at least 1")
     tol = _positive_tol(args.tol) if args.tol else None
     table = None
-    if any(s in ("truncation", "global-agreement") for s in suites):
+    if {"truncation", "global-agreement"} & set(suites):
         if args.table:
             table = load_table(args.table)
         else:
@@ -319,16 +304,17 @@ def _cmd_verify(args) -> int:
             table = build_table("A", kmax, ctx)
     if "truncation" in suites and args.nmax > table.k_max + 1:
         raise ValueError(f"table too short for nmax {args.nmax}: need k_max >= {args.nmax - 1}")
+    checks = {  # generators: a suite runs, and imports, only when read
+        "truncation": _verify_truncation(table, ctx, args.nmax),
+        "cross-identity": _verify_cross_identity(ctx, 100),
+        "em-remainder": _verify_em(ctx, tol or mpmath.mpf("1e-6")),
+        "global-agreement": _verify_global(table, ctx, tol or mpmath.mpf("1e-20")),
+    }
     ok = True
     for suite in suites:
-        if suite == "truncation":
-            ok &= _verify_truncation(table, ctx, args.nmax, sys.stdout)
-        elif suite == "cross-identity":
-            ok &= _verify_cross_identity(ctx, 100, sys.stdout)
-        elif suite == "em-remainder":
-            ok &= _verify_em(ctx, tol or mpmath.mpf("1e-6"), sys.stdout)
-        elif suite == "global-agreement":
-            ok &= _verify_global(table, ctx, tol or mpmath.mpf("1e-20"), sys.stdout)
+        for passed, text in checks[suite]:
+            ok &= passed
+            print(f"{'PASS' if passed else 'FAIL'} {text}")
     return EXIT_OK if ok else EXIT_VERIFY
 
 
@@ -356,7 +342,7 @@ def _cmd_decay(args) -> int:
     import mpmath
 
     from .analysis import decay_fit
-    from .coefficients import format_real, load_table, mantissa_digits
+    from .coefficients import load_table, mantissa_digits
 
     table = load_table(args.table)
     fit = decay_fit(table, args.kmin, args.kmax)
@@ -365,16 +351,8 @@ def _cmd_decay(args) -> int:
     with mpmath.mp.workprec(table.target_bits + 16):
         for k in range(args.kmin, args.kmax + 1):
             av = abs(table.values[k])
-            logk = mpmath.log(k)
-            logv = mpmath.log(av) if av > 0 else mpmath.mp.ninf
-            value = format_real(table.raw[k], digits)
-            rows.append([
-                str(k),
-                value,
-                "+" + value[1:],  # |value|: the same digits, signed +
-                mpmath.nstr(logk, 17),
-                mpmath.nstr(logv, 17) if av > 0 else "-inf",
-            ])
+            logv = mpmath.nstr(mpmath.log(av), 17) if av > 0 else "-inf"
+            rows.append(_value_row(table, k, digits, mpmath.nstr(mpmath.log(k), 17), logv))
     summary = (f"fit k=[{fit.k_range[0]},{fit.k_range[1]}] slope={fit.slope!r} "
                f"intercept={fit.intercept!r} max_abs_residual={fit.max_abs_residual!r} "
                f"excluded={fit.excluded_count}")
@@ -396,9 +374,9 @@ def _cmd_cache_info(args) -> int:
     print(f"kind = {table.kind}")
     print(f"k_max = {table.k_max}")
     print(f"target_bits = {table.target_bits}")
-    print(f"mantissa_digits = {mantissa_digits(table.target_bits)}")
-    print("checksum = ok")
     digits = mantissa_digits(table.target_bits)
+    print(f"mantissa_digits = {digits}")
+    print("checksum = ok")
     print(f"first = {format_real(table.raw[0], digits)}")
     print(f"last = {format_real(table.raw[-1], digits)}")
     return EXIT_OK
@@ -436,7 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_bk)
 
     sp = sub.add_parser("eval", help="evaluate the series at a complex point")
-    sp.add_argument("--s", required=True, help="complex literal, e.g. '0.5+14.134725i'")
+    sp.add_argument("--s", required=True,
+                    help="complex literal, e.g. '0.5+14.134725i'; "
+                         "write --s=VALUE when VALUE starts with '-'")
     sp.add_argument("--table", required=True)
     sp.add_argument("--tol", default="1e-20")
     add_bits(sp)
@@ -444,9 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_eval)
 
     sp = sub.add_parser("verify", help="run identity verification suites")
-    sp.add_argument("--suite", default="all",
-                    choices=["truncation", "cross-identity", "em-remainder",
-                             "global-agreement", "all"])
+    sp.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     sp.add_argument("--table", help="kind=A table to verify against (otherwise built)")
     sp.add_argument("--nmax", type=int, default=20, help="truncation identities up to n (default 20)")
     sp.add_argument("--tol", help="override suite tolerance "

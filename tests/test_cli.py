@@ -5,8 +5,10 @@ we can use capsys and tmp_path instead of subprocesses.  Exit-code contract:
 0 ok, 1 verification failure, 2 usage error, 3 numeric failure.
 """
 
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -242,6 +244,14 @@ class TestEval:
         assert rc == cli.EXIT_USAGE
         assert "error: s must be a finite number" in cap.err
         assert cap.out == ""
+
+    @pytest.mark.parametrize("s", ["-0.5+14.134725i", "-1e-2"])
+    def test_leading_minus_reaches_the_series(self, s, small_table_file, capsys):
+        # argparse reads "--s -1e-2" as a flag; "--s=VALUE" is the documented form
+        rc = cli.run(["eval", f"--s={s}", "--table", str(small_table_file)])
+        cap = capsys.readouterr()
+        assert rc in (cli.EXIT_OK, cli.EXIT_NUMERIC)
+        assert cap.out.startswith("s = -")
 
 
 class TestBk:
@@ -522,16 +532,107 @@ GOLDEN_OUTPUT = {
 }
 
 
-def test_output_bytes_and_exit_codes_are_pinned(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    got = {}
-    for name, argv in GOLDEN_ARGV.items():
-        rc = cli.run(argv)
-        out = capsys.readouterr().out.encode("ascii")
-        if name == "coeff":
-            out = (tmp_path / "a40.tbl").read_bytes()
-        got[name] = (rc, hashlib.sha256(out).hexdigest()[:16])
+# first 16 hex digits of the sha256 of each GOLDEN_ARGV entry's stderr
+GOLDEN_STDERR = {
+    "coeff": "d609039ba6fa28ab",
+    "bk-csv": "e3b0c44298fc1c14",
+    "bk-json": "e3b0c44298fc1c14",
+    "bk-600-160": "e3b0c44298fc1c14",
+    "bk-40-128": "e3b0c44298fc1c14",
+    "bk-17-256": "e3b0c44298fc1c14",
+    "eval-4": "e3b0c44298fc1c14",
+    "eval-critical": "9ecb522798e306c6",
+    "eval-pole": "9ecb522798e306c6",
+    "verify-truncation": "e3b0c44298fc1c14",
+    "verify-cross-identity": "e3b0c44298fc1c14",
+    "verify-em-remainder": "e3b0c44298fc1c14",
+    "verify-global-agreement": "e3b0c44298fc1c14",
+    "em-check": "e3b0c44298fc1c14",
+    "em-check-10-4": "e3b0c44298fc1c14",
+    "em-check-17-5": "e3b0c44298fc1c14",
+    "em-check-21-5": "e3b0c44298fc1c14",
+    "verify-em-remainder-128": "e3b0c44298fc1c14",
+    "em-check-40-4": "e3b0c44298fc1c14",
+    "em-check-60-5": "e3b0c44298fc1c14",
+    "decay": "89dc57ec1fccf896",
+    "cache-info": "e3b0c44298fc1c14",
+}
+
+
+def _sha16(text: str | bytes) -> str:
+    data = text.encode("ascii") if isinstance(text, str) else text
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+@pytest.fixture(scope="module")
+def golden_runs(tmp_path_factory):
+    """{name: (exit code, stdout or, for coeff, its file, stderr)} of GOLDEN_ARGV."""
+    d = tmp_path_factory.mktemp("golden")
+    runs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(d)
+        for name, argv in GOLDEN_ARGV.items():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = cli.run(argv)
+            data = (d / "a40.tbl").read_bytes() if name == "coeff" else out.getvalue()
+            runs[name] = (rc, data, err.getvalue())
+    return runs
+
+
+def test_output_bytes_and_exit_codes_are_pinned(golden_runs):
+    got = {name: (rc, _sha16(out)) for name, (rc, out, _) in golden_runs.items()}
     assert got == GOLDEN_OUTPUT
+
+
+def test_stderr_bytes_are_pinned(golden_runs):
+    got = {name: _sha16(err) for name, (_, _, err) in golden_runs.items()}
+    assert got == GOLDEN_STDERR
+
+
+# --help, each CMD --help, argparse's usage errors and `verify` running every
+# suite; {name: (exit code, sha256 prefix of stdout, of stderr)} at COLUMNS=80
+GOLDEN_USAGE_ARGV = {
+    "help": ["--help"],
+    **{f"{cmd}-help": [cmd, "--help"]
+       for cmd in ("coeff", "bk", "eval", "verify", "em-check", "decay", "cache-info")},
+    "no-command": [],
+    "unknown-command": ["no-such-command"],
+    "eval-no-table": ["eval", "--s", "4+0i"],
+    "coeff-bad-kind": ["coeff", "--kind", "C", "--kmax", "4", "--out", "x"],
+    "verify-bad-suite": ["verify", "--suite", "everything"],
+    "verify-all": ["verify", "--table", "a40.tbl", "--bits", "64", "--nmax", "10", "--tol", "1e-3"],
+}
+
+GOLDEN_USAGE_OUTPUT = {
+    "help": (0, "f124dc8f47ddc97b", "e3b0c44298fc1c14"),
+    "coeff-help": (0, "cd29814ec95beecc", "e3b0c44298fc1c14"),
+    "bk-help": (0, "7b7a8acaf976d026", "e3b0c44298fc1c14"),
+    "eval-help": (0, "0ea42e6ccff6515b", "e3b0c44298fc1c14"),
+    "verify-help": (0, "6e804f046735cf07", "e3b0c44298fc1c14"),
+    "em-check-help": (0, "0b978ed833a3800c", "e3b0c44298fc1c14"),
+    "decay-help": (0, "f678aef169321d3f", "e3b0c44298fc1c14"),
+    "cache-info-help": (0, "3b4b61bbfb368993", "e3b0c44298fc1c14"),
+    "no-command": (2, "e3b0c44298fc1c14", "c6645065fd5a8cbf"),
+    "unknown-command": (2, "e3b0c44298fc1c14", "f0738b3a4068bae8"),
+    "eval-no-table": (2, "e3b0c44298fc1c14", "5f21b0134ec44258"),
+    "coeff-bad-kind": (2, "e3b0c44298fc1c14", "e35aa2e80a4d3c4e"),
+    "verify-bad-suite": (2, "e3b0c44298fc1c14", "5d6d214fda4b7210"),
+    "verify-all": (1, "0f0b7862170db60c", "e3b0c44298fc1c14"),
+}
+
+
+def test_help_usage_and_verify_all_are_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli.run(GOLDEN_ARGV["coeff"]) == cli.EXIT_OK
+    capsys.readouterr()
+    got = {}
+    for name, argv in GOLDEN_USAGE_ARGV.items():
+        rc = cli.run(argv)
+        cap = capsys.readouterr()
+        got[name] = (rc, _sha16(cap.out), _sha16(cap.err))
+    assert got == GOLDEN_USAGE_OUTPUT
 
 
 class TestEmCheck:
