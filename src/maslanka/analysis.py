@@ -96,15 +96,22 @@ def rh_diagnostic(table: CoefficientTable, k_min: int, k_max: int) -> list[tuple
     hypothesis criterion; the third is the companion with the conjectured
     log^(-2) factor compensated, emitted so a reader can judge both scalings.
     No points are excluded here: this is plot data, not a fit.
+
+    Both columns are formed at p + 40 bits, p = max(target_bits, 64), and
+    rounded once to p.  The power, the logarithm and the products each err
+    by at most an ulp at p + 40 bits, so the one rounding is correct unless
+    the value lies within about 2^-36 ulp of a tie at p.
     """
     if table.kind != "b":
         raise ValueError("rh_diagnostic needs a kind=b table")
     if not 1 <= k_min <= k_max <= table.k_max:
         raise ValueError("need 1 <= k_min <= k_max <= table.k_max")
-    rows: list[tuple[int, mpf, mpf]] = []
-    with mp.workprec(max(table.target_bits, 64)):
+    p = max(table.target_bits, 64)
+    wide = []
+    with mp.workprec(p + 40):
         three_quarters = mpf("0.75")
         for k in range(k_min, k_max + 1):
             scaled = abs(table.values[k]) * mpf(k) ** three_quarters
-            rows.append((k, +scaled, +(scaled * mpmath.log(k) ** 2)))
-    return rows
+            wide.append((k, scaled, scaled * mpmath.log(k) ** 2))
+    with mp.workprec(p):
+        return [(k, +scaled, +scaled_log2) for k, scaled, scaled_log2 in wide]

@@ -5,16 +5,23 @@ diagnostic data), eval (series evaluation at a point), verify (identity
 suites), em-check (Euler-Maclaurin remainder cross-check), decay (power-law
 fit data), cache-info (table file inspection).
 
+Each subcommand is one entry of the ``COMMANDS`` table: its help line, its
+handler and its arguments as (flag, ``add_argument`` keywords) pairs.  ``run``
+builds every subparser from that table and calls the chosen handler, so a
+handler has one caller and every command runs through the same dispatch.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
 failure (tolerance unmet or quadrature failure).  Data goes to --out or
 stdout; diagnostics go to stderr.  Identical argv and input files produce
 byte-identical data output (nothing timestamped is emitted).
 
-Start-up: this module loads argparse alone, so ``--help`` and usage errors
-cost no more than the interpreter.  Each handler imports the package modules
-and mpmath it runs, when it runs.  ``coeff`` and ``cache-info`` run on Python
-integers alone (tables are built, saved, loaded and printed without mpmath),
-so they never import mpmath; every other command does.
+Start-up: ``--help`` and usage errors load argparse and this module, and no
+other package module and no mpmath.  Their cost over a bare interpreter is
+importing argparse, compiling this module and building all seven subparsers.
+Each handler imports the package modules and mpmath it runs, when it runs.
+``coeff`` and ``cache-info`` run on Python integers alone (tables are built,
+saved, loaded and printed without mpmath), so they never import mpmath;
+every other command does.
 """
 
 import argparse
@@ -382,82 +389,56 @@ def _cmd_cache_info(args) -> int:
     return EXIT_OK
 
 
-# -- parser ------------------------------------------------------------------
+# -- command table -----------------------------------------------------------
+
+BITS = ("--bits", {"type": int, "default": 128, "help": "target precision in bits (default 128)"})
+OUT = ("--out", {})
+FORMAT = ("--format", {"choices": ["csv", "json"], "default": "csv"})
+TABLE = ("--table", {"required": True})
+KMAX = ("--kmax", {"type": int, "required": True})
+
+# name -> (help, handler, (flag, add_argument keywords) pairs in --help order)
+COMMANDS = {
+    "coeff": ("build a coefficient table and write it in cache format v2", _cmd_coeff, (
+        ("--kind", {"choices": ["A", "b"], "required": True}), KMAX, BITS,
+        ("--out", {"required": True}))),
+    "bk": ("RH-criterion diagnostic data |b_k| k^(3/4) (and log^2-scaled)", _cmd_bk, (
+        KMAX, ("--kmin", {"type": int, "default": 1}), BITS,
+        ("--table", {"help": "existing kind=b table (otherwise built)"}), OUT, FORMAT)),
+    "eval": ("evaluate the series at a complex point", _cmd_eval, (
+        ("--s", {"required": True, "help": "complex literal, e.g. '0.5+14.134725i'; "
+                                           "write --s=VALUE when VALUE starts with '-'"}),
+        TABLE, ("--tol", {"default": "1e-20"}), BITS, OUT)),
+    "verify": ("run identity verification suites", _cmd_verify, (
+        ("--suite", {"default": "all", "choices": [*SUITES, "all"]}),
+        ("--table", {"help": "kind=A table to verify against (otherwise built)"}),
+        ("--nmax", {"type": int, "default": 20, "help": "truncation identities up to n (default 20)"}),
+        ("--tol", {"help": "override suite tolerance "
+                           "(default 1e-6 for em-remainder, 1e-20 for global-agreement)"}), BITS)),
+    "em-check": ("cross-check one A_k against its remainder integral", _cmd_em_check, (
+        ("--k", {"type": int, "required": True}), ("--a", {"type": int, "required": True}), BITS,
+        ("--tol", {"default": "1e-6"}),
+        ("--quad-tol", {"help": "absolute quadrature tolerance (default |A_k| * tol / 100)"}))),
+    "decay": ("log-log decay data and power-law fit for a table", _cmd_decay, (
+        TABLE, ("--kmin", {"type": int, "required": True}), KMAX, OUT, FORMAT)),
+    "cache-info": ("inspect a cache-format table file", _cmd_cache_info, (TABLE,)),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+def run(argv=None) -> int:
+    """Parse argv against COMMANDS and run the chosen handler; returns the exit code."""
+    parser = argparse.ArgumentParser(
         prog="maslanka",
         description="Maslanka representation of (s-1)*zeta(s): coefficient tables, "
                     "series evaluation, identity verification, decay diagnostics.",
         epilog="Exit codes: 0 ok, 1 verification failure, 2 usage error, 3 numeric failure.",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def add_bits(sp):
-        sp.add_argument("--bits", type=int, default=128, help="target precision in bits (default 128)")
-
-    sp = sub.add_parser("coeff", help="build a coefficient table and write it in cache format v2")
-    sp.add_argument("--kind", choices=["A", "b"], required=True)
-    sp.add_argument("--kmax", type=int, required=True)
-    add_bits(sp)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_coeff)
-
-    sp = sub.add_parser("bk", help="RH-criterion diagnostic data |b_k| k^(3/4) (and log^2-scaled)")
-    sp.add_argument("--kmax", type=int, required=True)
-    sp.add_argument("--kmin", type=int, default=1)
-    add_bits(sp)
-    sp.add_argument("--table", help="existing kind=b table (otherwise built)")
-    sp.add_argument("--out")
-    sp.add_argument("--format", choices=["csv", "json"], default="csv")
-    sp.set_defaults(func=_cmd_bk)
-
-    sp = sub.add_parser("eval", help="evaluate the series at a complex point")
-    sp.add_argument("--s", required=True,
-                    help="complex literal, e.g. '0.5+14.134725i'; "
-                         "write --s=VALUE when VALUE starts with '-'")
-    sp.add_argument("--table", required=True)
-    sp.add_argument("--tol", default="1e-20")
-    add_bits(sp)
-    sp.add_argument("--out")
-    sp.set_defaults(func=_cmd_eval)
-
-    sp = sub.add_parser("verify", help="run identity verification suites")
-    sp.add_argument("--suite", default="all", choices=[*SUITES, "all"])
-    sp.add_argument("--table", help="kind=A table to verify against (otherwise built)")
-    sp.add_argument("--nmax", type=int, default=20, help="truncation identities up to n (default 20)")
-    sp.add_argument("--tol", help="override suite tolerance "
-                                  "(default 1e-6 for em-remainder, 1e-20 for global-agreement)")
-    add_bits(sp)
-    sp.set_defaults(func=_cmd_verify)
-
-    sp = sub.add_parser("em-check", help="cross-check one A_k against its remainder integral")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--a", type=int, required=True)
-    add_bits(sp)
-    sp.add_argument("--tol", default="1e-6")
-    sp.add_argument("--quad-tol", dest="quad_tol",
-                    help="absolute quadrature tolerance (default |A_k| * tol / 100)")
-    sp.set_defaults(func=_cmd_em_check)
-
-    sp = sub.add_parser("decay", help="log-log decay data and power-law fit for a table")
-    sp.add_argument("--table", required=True)
-    sp.add_argument("--kmin", type=int, required=True)
-    sp.add_argument("--kmax", type=int, required=True)
-    sp.add_argument("--out")
-    sp.add_argument("--format", choices=["csv", "json"], default="csv")
-    sp.set_defaults(func=_cmd_decay)
-
-    sp = sub.add_parser("cache-info", help="inspect a cache-format table file")
-    sp.add_argument("--table", required=True)
-    sp.set_defaults(func=_cmd_cache_info)
-
-    return p
-
-
-def run(argv=None) -> int:
-    parser = build_parser()
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, handler, arguments) in COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        for flag, spec in arguments:
+            sp.add_argument(flag, **spec)
+        sp.set_defaults(func=handler)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -175,6 +175,20 @@ class TestRhDiagnostic:
         thirds = [max(col[:300]), max(col[300:600]), max(col[600:])]
         assert thirds[0] > thirds[1] > thirds[2]
 
+    def test_each_value_is_rounded_once(self, table_b1000_160):
+        # against the same columns formed at 2p and rounded once to p: forming
+        # them at p and rounding again misses in the last unit
+        p = max(table_b1000_160.target_bits, 64)
+        misses = []
+        for k, scaled, scaled_log2 in rh_diagnostic(table_b1000_160, 1, table_b1000_160.k_max):
+            with mp.workprec(2 * p):
+                wide = abs(table_b1000_160.values[k]) * mpf(k) ** mpf("0.75")
+                wide_log2 = wide * mpmath.log(k) ** 2
+            with mp.workprec(p):
+                if (scaled, scaled_log2) != (+wide, +wide_log2):
+                    misses.append(k)
+        assert misses == []
+
     def test_rejects_a_table(self, table_a400_128):
         with pytest.raises(ValueError):
             rh_diagnostic(table_a400_128, 1, 50)

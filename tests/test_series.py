@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from maslanka.bernoulli import bernoulli_number, zeta_even
@@ -212,38 +213,79 @@ with mp.workprec(160):
                 mpc(-5 - mpf(1) / 3, mpf(22) / 3)]
 
 
+def _reference_sums(s, table, bits: int):
+    """(terms, partial sums) of sum_k A_k P_k(s/2) over the table's entries, at
+    `bits`: P_k(s/2) by its defining product, no package code."""
+    with mp.workprec(bits):
+        h = s / 2
+        P = mpf(1)
+        terms, partials, acc = [], [], mpf(0)
+        for k, a in enumerate(table.values):
+            if k:
+                P *= 1 - h / k
+            terms.append(a * P)
+            acc += terms[-1]
+            partials.append(acc)
+    return terms, partials
+
+
+def _assert_within_bound(s, tol, reference, table, ctx):
+    """maslanka_eval at s stops where the stopping rule on the reference terms
+    (``_reference_sums`` at twice the working precision) stops, and its value
+    is within 2^-working_bits (1 + |S_K|) of that reference S_K."""
+    res = maslanka_eval(s, table, mpf(tol), ctx)
+    terms, partials = reference
+    with mp.workprec(2 * ctx.working_bits):
+        K, converged = _stop_index(terms, partials, mpf(tol))
+        assert (res.terms_used, res.converged) == (K + 1, converged)
+        err = abs(res.value - partials[K])
+        bound = mpf(2) ** -ctx.working_bits * (1 + abs(partials[K]))
+    assert err <= bound, f"error {mpmath.nstr(err, 3)} above bound {mpmath.nstr(bound, 3)}"
+
+
+# the four regions of the benchmark's eval_plane points: (Re range, |Im| bound)
+_EVAL_PLANE_BOXES = {
+    "right": ((Fraction(3, 2), 6), 10),
+    "strip": ((Fraction(1, 20), Fraction(19, 20)), 10),
+    "line": ((Fraction(1, 2), Fraction(1, 2)), 15),
+    "left": ((-4, Fraction(-1, 20)), 5),
+}
+
+
+@st.composite
+def _eval_plane_points(draw):
+    """(Re s, Im s) in one of the eval_plane boxes, as fractions with
+    denominators up to 10^4: most need every working bit, as s read from
+    decimal text does."""
+    (lo, hi), im_bound = draw(st.sampled_from(list(_EVAL_PLANE_BOXES.values())))
+    re = draw(st.fractions(lo, hi, max_denominator=10**4))
+    im = draw(st.fractions(-im_bound, im_bound, max_denominator=10**4))
+    return re, im
+
+
 class TestIntegerKernelAccuracy:
     """The integer sum against the same terms formed independently at twice
-    the working precision: P_k(s/2) by its defining product, no package code."""
+    the working precision."""
 
     @pytest.fixture(scope="class")
     def references(self, table_a900_128, ctx128):
-        refs = {}
-        for s in _GRID_S:
-            with mp.workprec(2 * ctx128.working_bits):
-                h = s / 2
-                P = mpf(1)
-                terms, partials, acc = [], [], mpf(0)
-                for k, a in enumerate(table_a900_128.values):
-                    if k:
-                        P *= 1 - h / k
-                    terms.append(a * P)
-                    acc += terms[-1]
-                    partials.append(acc)
-            refs[s] = terms, partials
-        return refs
+        return {s: _reference_sums(s, table_a900_128, 2 * ctx128.working_bits) for s in _GRID_S}
 
     @pytest.mark.parametrize("tol", ["1e-4", "1e-8"])
     @pytest.mark.parametrize("s", _GRID_S, ids=str)
     def test_within_documented_bound(self, s, tol, references, table_a900_128, ctx128):
-        res = maslanka_eval(s, table_a900_128, mpf(tol), ctx128)
-        terms, partials = references[s]
-        with mp.workprec(2 * ctx128.working_bits):
-            K, converged = _stop_index(terms, partials, mpf(tol))
-            assert (res.terms_used, res.converged) == (K + 1, converged)
-            err = abs(res.value - partials[K])
-            bound = mpf(2) ** -ctx128.working_bits * (1 + abs(partials[K]))
-        assert err <= bound, f"error {mpmath.nstr(err, 3)} above bound {mpmath.nstr(bound, 3)}"
+        _assert_within_bound(s, tol, references[s], table_a900_128, ctx128)
+
+    @settings(max_examples=12, deadline=None)
+    @given(point=_eval_plane_points(), tol=st.sampled_from(["1e-4", "1e-8"]))
+    def test_within_documented_bound_searched(self, point, tol, table_a900_128, ctx128):
+        re, im = point
+        with mp.workprec(ctx128.working_bits):  # s as maslanka_eval reads it
+            s = mpf(re.numerator) / re.denominator
+            if im:
+                s = mpc(s, mpf(im.numerator) / im.denominator)
+        reference = _reference_sums(s, table_a900_128, 2 * ctx128.working_bits)
+        _assert_within_bound(s, tol, reference, table_a900_128, ctx128)
 
 
 class TestZetaReference:
