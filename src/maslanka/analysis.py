@@ -11,19 +11,26 @@ Two exclusion rules keep log|c_k| fits honest near the sign changes of c_k
 (where |c_k| dips towards zero and the log spikes down) and near precision
 exhaustion (where the stored value is mostly rounding noise).  Excluded points
 are counted, never silently dropped.
+
+The rh_diagnostic columns are formed in Python integers from the table's raw
+tuples, by integer square roots and a sieved table of logarithms (Brent &
+Zimmermann, Modern Computer Arithmetic, 2010, sections 1.5 and 4.2-4.4), so
+``maslanka bk`` never imports mpmath.  decay_fit and rh_diagnostic's mpf
+values import mpmath when they run; importing this module does not.
 """
 
 from __future__ import annotations
 
 import math
-
-import mpmath
-from mpmath import mp, mpf
+from math import isqrt
 
 from .coefficients import CoefficientTable
-from .mpnum import Record
+from .mpnum import Record, _raw
 
 __all__ = ["DecayFit", "decay_fit", "rh_diagnostic"]
+
+# bits past the output precision of rh_diagnostic's first bounds on a column
+_GUARD_BITS = 48
 
 
 class DecayFit(Record):
@@ -43,6 +50,8 @@ def _median(values):
 
 
 def _usable(table: CoefficientTable, k: int) -> bool:
+    from mpmath import mpf
+
     v = abs(table.values[k])
     if v == 0:
         return False
@@ -60,12 +69,14 @@ def _usable(table: CoefficientTable, k: int) -> bool:
 
 def decay_fit(table: CoefficientTable, k_min: int, k_max: int) -> DecayFit:
     """Ordinary least squares of log|c_k| against log k over usable points."""
+    import mpmath
+
     if not 2 <= k_min < k_max <= table.k_max:
         raise ValueError("need 2 <= k_min < k_max <= table.k_max")
     xs: list[float] = []
     ys: list[float] = []
     excluded = 0
-    with mp.workprec(53):  # the fit is in floats, whatever the caller's precision
+    with mpmath.mp.workprec(53):  # the fit is in floats, whatever the caller's precision
         for k in range(k_min, k_max + 1):
             if not _usable(table, k):
                 excluded += 1
@@ -89,29 +100,106 @@ def decay_fit(table: CoefficientTable, k_min: int, k_max: int) -> DecayFit:
     )
 
 
-def rh_diagnostic(table: CoefficientTable, k_min: int, k_max: int) -> list[tuple[int, mpf, mpf]]:
-    """Rows (k, |b_k| k^(3/4), |b_k| k^(3/4) log^2 k) for k_min..k_max.
+def _atanh_inv(q: int, m: int) -> tuple[int, int]:
+    """(a, e) with a <= atanh(1/q) 2^m < a + e, for an integer q >= 3.
+
+    a sums the terms floor(2^m / ((2j+1) q^(2j+1))) of the series while
+    t = floor(2^m / q^(2j+1)) is nonzero; nested floors by integers are one
+    floor, so each term is below its true value by less than 1.  Past the
+    last, t < 1 and the tail is below sum_i q^(-2i) <= 9/8.  So with J
+    terms summed, e = J + 2 exceeds the whole shortfall.
+    """
+    t = (1 << m) // q
+    q2 = q * q
+    a = j = 0
+    while t:
+        a += t // (2 * j + 1)
+        t //= q2
+        j += 1
+    return a, j + 2
+
+
+def _log_table(n: int, m: int) -> tuple[list[int], list[int]]:
+    """(L, E) with L[i] <= log(i) 2^m <= L[i] + E[i] for 1 <= i <= n.
+
+    One smallest-prime-factor sieve: log(ab) = log a + log b, and for a
+    prime p, log p = log(p - 1) + 2 atanh(1/(2p - 1)) (log 2 from log 1 = 0).
+    E[i] is built by the same recurrence from the bounds of _atanh_inv, so
+    it holds by induction on i.
+    """
+    spf = list(range(n + 1))
+    for i in range(2, isqrt(n) + 1):
+        if spf[i] == i:
+            for c in range(i * i, n + 1, i):
+                if spf[c] == c:
+                    spf[c] = i
+    L = [0] * (n + 1)
+    E = [0] * (n + 1)
+    for i in range(2, n + 1):
+        f = spf[i]
+        if f == i:
+            a, e = _atanh_inv(2 * i - 1, m)
+            L[i], E[i] = L[i - 1] + 2 * a, E[i - 1] + 2 * e
+        else:
+            L[i], E[i] = L[f] + L[i // f], E[f] + E[i // f]
+    return L, E
+
+
+def _rh_rows(table: CoefficientTable, k_min: int, k_max: int) -> list[tuple]:
+    """rh_diagnostic's rows with the two columns as raw tuples."""
+    if table.kind != "b":
+        raise ValueError("rh_diagnostic needs a kind=b table")
+    if not 1 <= k_min <= k_max <= table.k_max:
+        raise ValueError("need 1 <= k_min <= k_max <= table.k_max")
+    p = max(table.target_bits, 64)
+    logs = {}
+
+    def column(k: int, man: int, exp: int, with_log: bool) -> tuple:
+        """Column 2, or with_log column 3, of row k rounded to p bits."""
+        m = p + _GUARD_BITS
+        while True:
+            k3 = k ** 3 << 4 * m
+            root = isqrt(isqrt(k3))
+            lo, hi, e = man * root, man * (root + (root ** 4 != k3)), exp - m
+            if with_log:
+                if m not in logs:
+                    logs[m] = _log_table(k_max, m)
+                L, E = logs[m]
+                lo, hi, e = lo * L[k] ** 2, hi * (L[k] + E[k]) ** 2, e - 2 * m
+            raw = _raw(lo, e, p)
+            if raw == _raw(hi, e, p):
+                return raw
+            m *= 2
+
+    return [(k, column(k, man, exp, False), column(k, man, exp, True))
+            for k, (_, man, exp, _) in enumerate(table.raw[k_min:k_max + 1], k_min)]
+
+
+def rh_diagnostic(table: CoefficientTable, k_min: int, k_max: int) -> list[tuple]:
+    """Rows (k, |b_k| k^(3/4), |b_k| k^(3/4) log^2 k) for k_min..k_max, as mpf.
 
     The second column is the quantity whose boundedness/decay is the Riemann
     hypothesis criterion; the third is the companion with the conjectured
     log^(-2) factor compensated, emitted so a reader can judge both scalings.
     No points are excluded here: this is plot data, not a fit.
 
-    Both columns are formed at p + 40 bits, p = max(target_bits, 64), and
-    rounded once to p.  The power, the logarithm and the products each err
-    by at most an ulp at p + 40 bits, so the one rounding is correct unless
-    the value lies within about 2^-36 ulp of a tie at p.
+    Both columns are correctly rounded to p = max(target_bits, 64) bits, to
+    nearest with ties to even, from the entry |b_k| = man 2^exp.  With
+    m = p + _GUARD_BITS, r = isqrt(isqrt(k^3 2^4m)) = floor(k^(3/4) 2^m)
+    exactly, so r <= k^(3/4) 2^m <= r + 1, with r + 1 taken as r when
+    r^4 = k^3 2^4m (k a fourth power, where k^(3/4) is an integer and the
+    product can sit on a tie).  _log_table gives L <= log(k) 2^m <= L + E.
+    So man r 2^(exp-m) and man r L^2 2^(exp-3m) are lower bounds of the two
+    columns, and the same with r + 1 and L + E are upper bounds.  Where both
+    ends of a column round alike, the column rounds to that value; else m
+    doubles and the bounds close on the column.  Each column is exact
+    (k^(3/4) of a fourth power; the zero at k = 1, where L = E = 0) or
+    irrational (k^(3/4) of any other k; log k is transcendental for k >= 2).
+    An exact column has equal ends; an irrational one is no tie, so its ends
+    round alike once they are close enough, and the loop ends.  The rows are
+    _rh_rows's raw tuples as mpf.
     """
-    if table.kind != "b":
-        raise ValueError("rh_diagnostic needs a kind=b table")
-    if not 1 <= k_min <= k_max <= table.k_max:
-        raise ValueError("need 1 <= k_min <= k_max <= table.k_max")
-    p = max(table.target_bits, 64)
-    wide = []
-    with mp.workprec(p + 40):
-        three_quarters = mpf("0.75")
-        for k in range(k_min, k_max + 1):
-            scaled = abs(table.values[k]) * mpf(k) ** three_quarters
-            wide.append((k, scaled, scaled * mpmath.log(k) ** 2))
-    with mp.workprec(p):
-        return [(k, +scaled, +scaled_log2) for k, scaled, scaled_log2 in wide]
+    from mpmath import mp
+
+    return [(k, mp.make_mpf(scaled), mp.make_mpf(scaled_log2))
+            for k, scaled, scaled_log2 in _rh_rows(table, k_min, k_max)]

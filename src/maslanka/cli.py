@@ -19,8 +19,9 @@ Start-up: ``--help`` and usage errors load argparse and this module, and no
 other package module and no mpmath.  Their cost over a bare interpreter is
 importing argparse, compiling this module and building all seven subparsers.
 Each handler imports the package modules and mpmath it runs, when it runs.
-``coeff`` and ``cache-info`` run on Python integers alone (tables are built,
-saved, loaded and printed without mpmath), so they never import mpmath;
+``coeff``, ``cache-info`` and ``bk`` run on Python integers alone (tables
+are built, saved, loaded and printed without mpmath, and ``bk``'s scaled
+columns come from analysis's integer route), so they never import mpmath;
 every other command does.
 """
 
@@ -129,7 +130,7 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_bk(args) -> int:
-    from .analysis import rh_diagnostic
+    from .analysis import _rh_rows
     from .coefficients import build_table, format_real, load_table, mantissa_digits
     from .mpnum import PrecisionContext
 
@@ -143,11 +144,10 @@ def _cmd_bk(args) -> int:
     else:
         ctx = PrecisionContext(args.bits)
         table = build_table("b", args.kmax, ctx)
-    k_min = max(1, args.kmin)
     digits = mantissa_digits(table.target_bits)
-    rows = [_value_row(table, k, digits, format_real(scaled._mpf_, digits),
-                       format_real(scaled_log2._mpf_, digits))
-            for k, scaled, scaled_log2 in rh_diagnostic(table, k_min, args.kmax)]
+    rows = [_value_row(table, k, digits, format_real(scaled, digits),
+                       format_real(scaled_log2, digits))
+            for k, scaled, scaled_log2 in _rh_rows(table, args.kmin, args.kmax)]
     _write_rows(args, ["k", "value", "abs_value", "k34_scaled", "k34_log2_scaled"], rows)
     return EXIT_OK
 

@@ -3,11 +3,13 @@ import statistics
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from maslanka.analysis import DecayFit, _median, decay_fit, rh_diagnostic
+from maslanka import analysis
+from maslanka.analysis import DecayFit, _log_table, _median, decay_fit, rh_diagnostic
 from maslanka.coefficients import CoefficientTable
+from maslanka.mpnum import _raw
 
 
 def _power_law_table(k_max: int = 100, p: int = 3) -> CoefficientTable:
@@ -198,6 +200,54 @@ class TestRhDiagnostic:
             rh_diagnostic(table_b1000_160, 0, 50)
         with pytest.raises(ValueError):
             rh_diagnostic(table_b1000_160, 5, 1001)
+
+
+def _tie_man(k: int, p: int) -> int:
+    """An odd man with man k^(3/4) of p + 1 bits, for a fourth power k: when
+    k^(3/4) is odd, so is the product, and the one bit that rounding to p
+    bits drops is exactly half an ulp, a tie."""
+    cube = math.isqrt(math.isqrt(k)) ** 3
+    return (1 << p) // cube + 1 | 1
+
+
+class TestRhDiagnosticIntegers:
+    """The integer route of rh_diagnostic against mpmath at higher precision."""
+
+    @settings(max_examples=4, deadline=None)
+    @given(st.integers(16, 320))
+    @example(208)  # the scale b600@160 starts from
+    def test_log_table_brackets_log(self, m):
+        L, E = _log_table(2000, m)
+        with mp.workprec(2 * m + 32):
+            for n in range(1, 2001):
+                y = mpmath.ldexp(mpmath.log(n), m)
+                assert L[n] <= y <= L[n] + E[n], n
+
+    @settings(max_examples=40, deadline=None)
+    @given(target_bits=st.integers(16, 300), k=st.integers(1, 2000), data=st.data(),
+           exp=st.integers(-400, 100), guard=st.sampled_from([-16, 0, 48]))
+    @example(target_bits=64, k=16, data=None, exp=-70, guard=48)
+    @example(target_bits=64, k=81, data=None, exp=-70, guard=48)
+    @example(target_bits=200, k=625, data=None, exp=-250, guard=0)
+    def test_columns_are_rounded_once(self, target_bits, k, data, exp, guard):
+        # guards -16 and 0 start the bounds at or below p bits, where their two
+        # ends often round apart and m doubles
+        p = max(target_bits, 64)
+        if data is None:
+            man = _tie_man(k, p)  # k^(3/4) = 8 is a power of two at k = 16: exact
+        else:
+            man = data.draw(st.integers(1, (1 << p) - 1), label="man")
+        raw = _raw(man, exp)
+        table = CoefficientTable(kind="b", k_max=k, target_bits=target_bits, raw=(raw,) * (k + 1),
+                                 error_bound_exponents=(0,) * (k + 1))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_GUARD_BITS", guard)
+            [(_, scaled, scaled_log2)] = rh_diagnostic(table, k, k)
+        with mp.workprec(2 * p + 64):
+            wide = mp.make_mpf(raw) * mpmath.sqrt(mpmath.sqrt(mpf(k) ** 3))
+            wide_log2 = wide * mpmath.log(k) ** 2
+        with mp.workprec(p):
+            assert (scaled, scaled_log2) == (+wide, +wide_log2)
 
 
 class TestMedian:

@@ -294,6 +294,17 @@ class TestBk:
         assert rc == cli.EXIT_USAGE
         assert "need kind=b" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kmin", ["-3", "0"])
+    def test_kmin_below_one_exits_2(self, kmin, cli_dir, capsys):
+        # rejected as rh_diagnostic rejects it, not clamped to 1
+        out = cli_dir / f"bk-kmin{kmin}.csv"
+        rc = cli.run(["bk", "--kmax", "3", f"--kmin={kmin}", "--bits", "64", "--out", str(out)])
+        cap = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert "error: need 1 <= k_min <= k_max" in cap.err
+        assert cap.out == ""
+        assert not out.exists()
+
     def test_kmax_past_table_exits_2(self, cli_dir, capsys):
         # a 20-entry table must not quietly print 20 rows for --kmax 30
         path = cli_dir / "b20.tbl"
@@ -755,29 +766,36 @@ class TestNonFiniteTol:
         assert cap.out == ""
 
 
-def _modules_after(argv: list[str]) -> set[str]:
-    """sys.modules of a fresh interpreter once it has run cli.run(argv)."""
+def _fresh_words(code: str) -> list[str]:
+    """What `code` prints, split into words, run by a fresh interpreter on src/."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def _modules_after(argv: list[str]) -> set[str]:
+    """sys.modules of a fresh interpreter once it has run cli.run(argv)."""
     code = ("import io, sys\n"
             "from maslanka import cli\n"
             "out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()\n"
             f"rc = cli.run({argv!r})\n"
             "print(rc, *sys.modules, file=out)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                          timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    rc, *modules = proc.stdout.split()
+    rc, *modules = _fresh_words(code)
     assert rc == "0", (argv, rc)
     return set(modules)
 
 
-# each subcommand at a tiny size; {t} is a 65-entry kind=A table file
+# each subcommand at a tiny size; {t} is a 65-entry kind=A table file and
+# {d}/b6.tbl a 7-entry kind=b one
 STARTUP_ARGV = {
     "help": ["--help"],
     "coeff": ["coeff", "--kind", "A", "--kmax", "8", "--bits", "32", "--out", "{d}/a8.tbl"],
     "bk": ["bk", "--kmax", "6", "--bits", "32"],
+    "bk-table": ["bk", "--kmax", "6", "--table", "{d}/b6.tbl"],
     "eval": ["eval", "--s", "4", "--table", "{t}", "--bits", "64", "--tol", "1e-6"],
     "verify": ["verify", "--suite", "truncation", "--nmax", "4", "--table", "{t}"],
     "em-check": ["em-check", "--k", "8", "--a", "2", "--bits", "64"],
@@ -789,6 +807,7 @@ STARTUP_ARGV = {
 @pytest.fixture(scope="module")
 def startup_modules(small_table_file, tmp_path_factory):
     d = tmp_path_factory.mktemp("startup")
+    save_table(coefficients.build_table("b", 6, PrecisionContext(32)), d / "b6.tbl")
     return {name: _modules_after([arg.format(t=small_table_file, d=d) for arg in argv])
             for name, argv in STARTUP_ARGV.items()}
 
@@ -822,11 +841,17 @@ class TestStartup:
                     "statistics", "json", "csv", "dataclasses"}
         assert not left_out & mods
 
-    @pytest.mark.parametrize("name", ["coeff", "cache-info"])
+    @pytest.mark.parametrize("name", ["coeff", "cache-info", "bk", "bk-table"])
     def test_table_commands_load_no_mpmath(self, name, startup_modules):
-        # tables are built, saved, loaded and printed in Python integers
+        # tables are built, saved, loaded and printed in Python integers, and
+        # bk's scaled columns formed in them
         mods = startup_modules[name]
         assert "maslanka.coefficients" in mods
+        assert "mpmath" not in mods
+
+    def test_analysis_import_loads_no_mpmath(self):
+        mods = set(_fresh_words("import sys, maslanka.analysis\nprint(*sys.modules)"))
+        assert "maslanka.analysis" in mods
         assert "mpmath" not in mods
 
     @pytest.mark.parametrize("name", ["eval", "cache-info"])
