@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from math import isqrt
 
+from .bernoulli import _atan_inv
 from .coefficients import CoefficientTable
 from .mpnum import Record, _raw
 
@@ -100,32 +101,13 @@ def decay_fit(table: CoefficientTable, k_min: int, k_max: int) -> DecayFit:
     )
 
 
-def _atanh_inv(q: int, m: int) -> tuple[int, int]:
-    """(a, e) with a <= atanh(1/q) 2^m < a + e, for an integer q >= 3.
-
-    a sums the terms floor(2^m / ((2j+1) q^(2j+1))) of the series while
-    t = floor(2^m / q^(2j+1)) is nonzero; nested floors by integers are one
-    floor, so each term is below its true value by less than 1.  Past the
-    last, t < 1 and the tail is below sum_i q^(-2i) <= 9/8.  So with J
-    terms summed, e = J + 2 exceeds the whole shortfall.
-    """
-    t = (1 << m) // q
-    q2 = q * q
-    a = j = 0
-    while t:
-        a += t // (2 * j + 1)
-        t //= q2
-        j += 1
-    return a, j + 2
-
-
 def _log_table(n: int, m: int) -> tuple[list[int], list[int]]:
     """(L, E) with L[i] <= log(i) 2^m <= L[i] + E[i] for 1 <= i <= n.
 
     One smallest-prime-factor sieve: log(ab) = log a + log b, and for a
     prime p, log p = log(p - 1) + 2 atanh(1/(2p - 1)) (log 2 from log 1 = 0).
-    E[i] is built by the same recurrence from the bounds of _atanh_inv, so
-    it holds by induction on i.
+    E[i] is built by the same recurrence from the one-sided bounds of the
+    atanh series (bernoulli._atan_inv), so it holds by induction on i.
     """
     spf = list(range(n + 1))
     for i in range(2, isqrt(n) + 1):
@@ -138,7 +120,7 @@ def _log_table(n: int, m: int) -> tuple[list[int], list[int]]:
     for i in range(2, n + 1):
         f = spf[i]
         if f == i:
-            a, e = _atanh_inv(2 * i - 1, m)
+            a, e = _atan_inv(2 * i - 1, m, hyperbolic=True)
             L[i], E[i] = L[i - 1] + 2 * a, E[i - 1] + 2 * e
         else:
             L[i], E[i] = L[f] + L[i // f], E[f] + E[i // f]

@@ -19,7 +19,10 @@ tangent and secant numbers", 2011), with B_2k = (-1)**(k-1) 2k T_k /
 triangle at a time, to exactly the largest index asked for; it keeps the last
 column's value after each pass, which is all the next column reads.  The
 walk's pi^2 is one fixed-point pi by Machin's formula, squared and rounded
-(Brent & Zimmermann, Modern Computer Arithmetic, 2010, section 4.9).
+(Brent & Zimmermann, Modern Computer Arithmetic, 2010, section 4.9); the
+same pi, less its error bound, is the lower end of pi in the exact bound
+periodified_sup_bound.  One floored arctan series serves Machin's formula
+and, in its hyperbolic form, the logarithms of :mod:`maslanka.analysis`.
 
 Conventions: B_1 = -1/2 (the value of the defining recurrence
 sum_{j<=n} C(n+1, j) B_j = 0), and for even m >= 2
@@ -75,32 +78,47 @@ def bernoulli_number(n: int) -> Fraction:
     return _EVEN[n // 2]
 
 
-def _atan_inv(x: int, m: int) -> int:
-    """atan(1/x) 2^m within m / (2 log2 x) + 2 units, from its Taylor series.
+def _atan_inv(x: int, m: int, hyperbolic: bool = False) -> tuple[int, int]:
+    """(S, e) from the Taylor series of atan(1/x) 2^m, or of atanh(1/x) 2^m
+    when hyperbolic, for an integer x >= 3.
 
-    Term i is floor(2^m / (x^(2i+1) (2i+1))), by nested floor divisions; each
-    is within a unit of its true value, and the series stops at the first
-    u = floor(2^m / x^(2i+1)) = 0, whose alternating tail is below a unit.
+    Term j is floor(2^m / (x^(2j+1) (2j+1))), by nested floor divisions,
+    which are one floor: each is below its true value by less than a unit.
+    The series stops at the first t = floor(2^m / x^(2J+1)) = 0, after J
+    terms, and the tail from there is below sum_i x^(-2i) <= 9/8 units.  So
+    with e = J + 2: atan takes the terms with alternating signs and
+    |S - atan(1/x) 2^m| < e; atanh adds them all and
+    S <= atanh(1/x) 2^m < S + e.
     """
-    u, x2, total, i = (1 << m) // x, x * x, 0, 0
-    while u:
-        total += -(u // (2 * i + 1)) if i % 2 else u // (2 * i + 1)
-        u //= x2
-        i += 1
-    return total
+    t, x2 = (1 << m) // x, x * x
+    total = j = 0
+    while t:
+        total += -(t // (2 * j + 1)) if j % 2 and not hyperbolic else t // (2 * j + 1)
+        t //= x2
+        j += 1
+    return total, j + 2
+
+
+def _machin_pi(m: int) -> tuple[int, int]:
+    """(P, e) with |P - pi 2^m| < e, by Machin's pi = 16 atan(1/5) - 4 atan(1/239)
+    in fixed point at m bits (_atan_inv).  The series for 1/x has
+    J <= m / (2 log2 x) + 1/2 terms, so e < 16 (m/4.64 + 5/2) +
+    4 (m/15.8 + 5/2) < 3.7m + 50, below 4m + 40 for m >= 34."""
+    p5, e5 = _atan_inv(5, m)
+    p239, e239 = _atan_inv(239, m)
+    return 16 * p5 - 4 * p239, 16 * e5 + 4 * e239
 
 
 def _pi_squared(s: int) -> int:
     """An integer within 0.6 of pi^2 2^s, for 2 <= s < 2^32.
 
-    Machin's pi = 16 atan(1/5) - 4 atan(1/239) in fixed point at m = s + 40
-    bits is P = pi 2^m + d with |d| < 16 (m/4.64 + 2) + 4 (m/15.8 + 2) <
-    4m + 40 units.  So v = P^2 / 2^(2m-s) is within 2 pi |d| 2^-40 +
-    d^2 2^(s-2m) < 0.1 of pi^2 2^s, and floor((floor(2v) + 1) / 2) =
-    floor(v + 1/2) is within 1/2 of v.
+    Machin's pi at m = s + 40 >= 42 bits is P = pi 2^m + d with
+    |d| < 4m + 40 units (_machin_pi).  So v = P^2 / 2^(2m-s) is within
+    2 pi |d| 2^-40 + d^2 2^(s-2m) < 0.1 of pi^2 2^s, and
+    floor((floor(2v) + 1) / 2) = floor(v + 1/2) is within 1/2 of v.
     """
     m = s + 40
-    p = 16 * _atan_inv(5, m) - 4 * _atan_inv(239, m)
+    p, _ = _machin_pi(m)
     return ((p * p >> 2 * m - s - 1) + 1) >> 1
 
 
@@ -154,22 +172,26 @@ def bernoulli_poly_coeffs(a: int) -> tuple[Fraction, ...]:
     return tuple(math.comb(a, i) * bernoulli_number(i) for i in range(a + 1))
 
 
-def periodified_sup_bound(a: int):
-    """Upper bound for sup_x |B_a({x})|, at the ambient precision.
+def periodified_sup_bound(a: int) -> Fraction:
+    """An exact upper bound on sup_x |B_a({x})|.
 
-    a = 1: exactly 1/2.  Even a: the sup is |B_a| (attained at integers).
-    Odd a >= 3: the Fourier bound 2 * zeta(a) * a! / (2 pi)**a.  A tiny
-    relative pad keeps the result an upper bound despite rounding.
+    a = 1: exactly 1/2.  Even a: exactly |B_a|, the sup, attained at the
+    integers.  Odd a >= 3: the Fourier bound 2 zeta(a) a! / (2 pi)^a, as
+    2 zeta+ a! / (2 pi-)^a with both ends proven.  pi- = (P - e) / 2^64 < pi
+    from Machin's P and its error bound e (_machin_pi).  zeta+ sums
+    ceil(2^64 / n^a) / 2^64 >= n^-a for n < 32, and bounds the rest by
+    (2/63)^(a-1) / (a-1) = Int_{63/2}^inf x^-a dx: n^-a is convex, so each
+    term from n = 32 on is at most its integral over [n - 1/2, n + 1/2].
+    The ceilings are what make zeta+ >= zeta(a); floors would not.
     """
-    import mpmath
-    from mpmath import mp, mpf
-
     if a < 1:
         raise ValueError("a must be >= 1")
-    pad = 1 + mpf(2) ** (-20)
     if a == 1:
-        return mpf(1) / 2
+        return Fraction(1, 2)
     if a % 2 == 0:
-        b = bernoulli_number(a)
-        return abs(mpf(b.numerator)) / mpf(b.denominator) * pad
-    return 2 * mpmath.zeta(a) * mpf(math.factorial(a)) / (2 * mp.pi) ** a * pad
+        return abs(bernoulli_number(a))
+    one = 1 << 64
+    head = sum(-(-one // n ** a) for n in range(1, 32))
+    zeta_hi = Fraction(head, one) + Fraction(2 ** (a - 1), 63 ** (a - 1) * (a - 1))
+    p, e = _machin_pi(64)
+    return 2 * math.factorial(a) * zeta_hi * Fraction(one, 2 * (p - e)) ** a

@@ -37,13 +37,14 @@ before it integrates [1, X].
 
 Quadrature serves the remainder integral alone: its integrand is smooth
 between the integers (the corners of Bbar_a), so panels aligned on them keep
-a fixed-order Gauss-Legendre rule spectrally accurate.  Each panel is one
-sum in Python integers at a fixed-point scale with a proven error bound, the
-panels add up to one integer, and the dropped-tail bound is an exact
-Fraction.  The L1 norms Int_1^inf |phi_k^(a)| need none: phi_k^(a) changes
-sign exactly at its a zeros, which a Rolle walk over the exact integer rows
-p_{r,j}(k) brackets, so each norm is the total variation of phi_k^(a-1)
-between them (deriv_l1_norm).
+a fixed-order Gauss-Legendre rule spectrally accurate.  The rule's nodes
+and weights are dyadic Fractions from Newton steps in integers, each panel is
+one sum in Python integers at a fixed-point scale with a proven error bound,
+the panels add up to one integer, and the dropped-tail bound is an exact
+Fraction, sup|Bbar_d| included.  The L1 norms Int_1^inf |phi_k^(a)| need
+none: phi_k^(a) changes sign exactly at its a zeros, which a Rolle walk over
+the exact integer rows p_{r,j}(k) brackets, so each norm is the total
+variation of phi_k^(a-1) between them (deriv_l1_norm).
 """
 
 from __future__ import annotations
@@ -143,65 +144,45 @@ def phi_deriv(k: int, a: int, x, paj: PajTable, ctx: PrecisionContext) -> mpf:
 
 # -- Gauss-Legendre panels ---------------------------------------------------
 
-_GL_CACHE: dict[tuple[int, int], tuple[tuple, tuple]] = {}
-
-
-def _legendre(n: int, x):
-    """(P_n(x), P_n'(x)) by the three-term recurrence, for n >= 1 and x != +-1 (float or mpf)."""
-    p0, p1 = 1, x
-    for m in range(2, n + 1):
-        p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
-    return p1, n * (x * p1 - p0) / (x * x - 1)
-
-
 def _gauss_legendre(n: int, prec: int) -> tuple[tuple, tuple]:
-    """Nodes and weights of the order-n Gauss-Legendre rule on [-1, 1], n even.
+    """Nodes and weights of the order-n Gauss-Legendre rule on [-1, 1], n even,
+    as dyadic Fractions X / 2^q, q = prec + 32.
 
-    Each root is found by Newton iteration in floats, from the guess
-    cos(pi (i - 1/4) / (n + 1/2)), then polished by Newton steps at
-    prec + 32 bits.  A step dx leaves an error of about K dx^2, with
-    K = |P_n''/(2 P_n')| = |x| / (1 - x^2) at a root (Legendre's equation),
-    so the steps stop once 2 K dx^2 < 2^-(prec+32): two or three of them
-    from a float root.  mpmath offers tanh-sinh natively but no fixed-order
-    arbitrary-precision Legendre nodes, hence this small solver.
+    Each root starts from the float guess cos(pi (i - 1/4) / (n + 1/2)) and
+    takes Newton steps in integers at the scale 2^q (Brent & Zimmermann,
+    Modern Computer Arithmetic, 2010, section 4.2): P_n by the three-term
+    recurrence p_m = ((2m-1) x p_{m-1} - (m-1) p_{m-2}) / m and
+    P_n' = n (x P_n - P_{n-1}) / (x^2 - 1), every product floored, until a
+    step moves the node by at most one unit.  The weight is
+    2 / ((1 - x^2) P_n'(x)^2), floored at the same scale.  The last units are
+    not proven: the bisection estimate of em_remainder_a_k holds the rule's
+    own error to each panel's share, and _phi_panel's bound is stated for the
+    given nodes and weights.
     """
-    key = (n, prec)
-    cached = _GL_CACHE.get(key)
-    if cached is not None:
-        return cached
-    with mp.workprec(prec + 32):
-        nodes: list = []
-        weights: list = []
-        tol = mpf(2) ** (-(prec + 32))
-        for i in range(1, n // 2 + 1):
-            xf = math.cos(math.pi * (i - 0.25) / (n + 0.5))
-            for _ in range(8):
-                p, dp = _legendre(n, xf)
-                xf -= p / dp
-            x = mpf(xf)
-            for _ in range(100):
-                p, dp = _legendre(n, x)
-                dx = p / dp
-                x -= dx
-                if 2 * abs(x) * dx * dx < tol * (1 - x * x):
-                    break
-            _, dp = _legendre(n, x)
-            w = 2 / ((1 - x * x) * dp * dp)
-            nodes.append(x)
-            weights.append(w)
-        xs = [-x for x in reversed(nodes)] + nodes
-        ws = weights[::-1] + weights
-        result = (tuple(+x for x in xs), tuple(+w for w in ws))
-    _GL_CACHE[key] = result
-    return result
+    q = prec + 32
+    one = 1 << q
+    nodes: list[Fraction] = []
+    weights: list[Fraction] = []
+    for i in range(1, n // 2 + 1):
+        x = int(math.ldexp(math.cos(math.pi * (i - 0.25) / (n + 0.5)), 53)) << q >> 53
+        dx = 2
+        while abs(dx) > 1:
+            p0, p1 = one, x
+            for m in range(2, n + 1):
+                p0, p1 = p1, (((2 * m - 1) * x * p1 >> q) - (m - 1) * p0) // m
+            d = n * (((x * p1 >> q) - p0) << q) // ((x * x >> q) - one)  # P_n' 2^q
+            dx = (p1 << q) // d
+            x -= dx
+        nodes.append(Fraction(x, one))
+        weights.append(Fraction((1 << 5 * q + 1) // ((one * one - x * x) * d * d), one))
+    xs = [-x for x in reversed(nodes)] + nodes
+    ws = weights[::-1] + weights
+    return tuple(xs), tuple(ws)
 
 
-def _man_exp(x) -> tuple[int, int]:
-    """(m, e) with x = m 2^e exactly, for a finite mpf or a dyadic Fraction x."""
-    if type(x) is Fraction:
-        return x.numerator, 1 - x.denominator.bit_length()
-    sign, man, exp, _ = x._mpf_
-    return (-man if sign else man), exp
+def _man_exp(x: Fraction) -> tuple[int, int]:
+    """(m, e) with x = m 2^e exactly, for a dyadic Fraction x."""
+    return x.numerator, 1 - x.denominator.bit_length()
 
 
 def _scaled_poly(coeffs: list[int], m: int, bits: int) -> int:
@@ -334,8 +315,7 @@ def _em_cut(k: int, a: int, row: list[int], limit: Fraction):
 
     def bound(e, X):
         if e - a == len(sups):
-            sup = periodified_sup_bound(e) / math.factorial(e)
-            sups.append(Fraction(*to_rational(sup._mpf_)))
+            sups.append(periodified_sup_bound(e) / math.factorial(e))
             rows.append(_next_prow(rows[-1], e + 2, k))
         return sups[e - a] * _l1_tail(rows[e - a], e + 1, X)
 
@@ -372,8 +352,8 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
     previous X's d after that (the best depth grows with X); the walk stops at
     the first X where that bound is below quad_tol/2 (_em_cut).  The bound is
     an exact Fraction: its sum is exact at the integer X (_l1_tail), and
-    sup|Bbar_d| / d! comes padded upward from periodified_sup_bound, once per
-    d.  When d first reaches k-1 it can rise no further and the bound falls
+    sup|Bbar_d| / d! is the exact bound of periodified_sup_bound, once per d.
+    When d first reaches k-1 it can rise no further and the bound falls
     with X, so one bound at X = MAX_PANELS + 1 tells whether the walk can
     stop in budget.  A cut past that X raises QuadratureError at once.
 
@@ -408,14 +388,14 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
             raise ValueError("quad_tol must be finite")
         shown = mpmath.nstr(tol, 6)
         half_tol = Fraction(*to_rational(tol._mpf_)) / 2
-        cut = _em_cut(k, a, _pcoeffs(paj, a + 1, k), half_tol)
-        xs, ws = _gauss_legendre(QUAD_ORDER, wp)
+    cut = _em_cut(k, a, _pcoeffs(paj, a + 1, k), half_tol)
     failure = f"tolerance {shown} not met within {MAX_PANELS} panels"
     if cut is None:
         raise QuadratureError(failure)
     X, d, rows = cut
     pc = rows[0]
     F = _panel_bits(k, a, pc, wp)
+    xs, ws = _gauss_legendre(QUAD_ORDER, wp)
     cells: dict = {}  # (lo, hi) within a unit cell -> _cell_rule
 
     def panel(n, lo, hi):

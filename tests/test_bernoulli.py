@@ -5,6 +5,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import to_rational
 
 from maslanka import bernoulli
 from maslanka.bernoulli import (
@@ -20,13 +21,22 @@ from maslanka.series import truncation_check, zeta_reference
 
 
 def periodified_bernoulli(a: int, x) -> mpf:
-    """B_a({x}) by Horner over bernoulli_poly_coeffs at the ambient precision,
-    the oracle that the checks on the coefficients and on the sup bound share."""
+    """B_a({x}) by Horner over bernoulli_poly_coeffs at the ambient precision."""
     xf = mpf(x)
     t = xf - mpmath.floor(xf)
     acc = mp.zero
     for c in bernoulli_poly_coeffs(a):
         acc = acc * t + mpf(c.numerator) / c.denominator
+    return acc
+
+
+def _exact_periodified_bernoulli(a: int, x: Fraction) -> Fraction:
+    """B_a({x}) exactly, by Horner over bernoulli_poly_coeffs in Fractions:
+    the oracle of the checks on the exact sup bound."""
+    t = x - math.floor(x)
+    acc = Fraction(0)
+    for c in bernoulli_poly_coeffs(a):
+        acc = acc * t + c
     return acc
 
 
@@ -256,15 +266,27 @@ class TestPolyCoeffs:
 
 
 class TestSupBound:
+    """periodified_sup_bound is an exact Fraction.  The sampled sup is exact
+    too: at 96 bits an mpf sample, converted exactly, already rounds above
+    |B_a| at the integers (by 1e-30 at a = 2), where the even bound is
+    attained."""
+
     @pytest.mark.parametrize("a", [1, 2, 3, 4, 5, 6, 7])
     def test_bounds_sampled_values(self, a):
-        with mp.workprec(96):
-            bound = periodified_sup_bound(a)
-            worst = max(abs(periodified_bernoulli(a, mpf(i) / 257)) for i in range(257))
-            assert worst <= bound
+        bound = periodified_sup_bound(a)
+        assert type(bound) is Fraction
+        worst = max(abs(_exact_periodified_bernoulli(a, Fraction(i, 257))) for i in range(257))
+        assert worst <= bound
 
     def test_even_case_is_attained_at_integers(self):
-        with mp.workprec(96):
-            bound = periodified_sup_bound(4)
-            at_zero = abs(periodified_bernoulli(4, mpf(0)))
-            assert at_zero <= bound < at_zero * (1 + mpf(2) ** -18)
+        for a in range(2, 62, 2):
+            assert periodified_sup_bound(a) == abs(bernoulli_number(a))
+            assert periodified_sup_bound(a) == abs(_exact_periodified_bernoulli(a, Fraction(0)))
+
+    @pytest.mark.parametrize("a", range(3, 62, 2))
+    def test_odd_case_within_2_to_minus_20_of_fourier(self, a):
+        # F = 2 zeta(a) a! / (2 pi)^a at 128 bits, twice the bound's fixed point
+        with mp.workprec(128):
+            f = 2 * mpmath.zeta(a) * mpf(math.factorial(a)) / (2 * mp.pi) ** a
+        f = Fraction(*to_rational(f._mpf_))
+        assert f <= periodified_sup_bound(a) <= f * (1 + Fraction(1, 2**20))

@@ -512,6 +512,9 @@ GOLDEN_ARGV = {
     # the walk stops below depth k - 1 (d = 29 and 34)
     "em-check-40-4": ["em-check", "--k", "40", "--a", "4", "--bits", "64", "--tol", "1e-3"],
     "em-check-60-5": ["em-check", "--k", "60", "--a", "5", "--bits", "64", "--tol", "1e-3"],
+    # the rule at 288 and 232 working bits
+    "em-check-25-7-256": ["em-check", "--k", "25", "--a", "7", "--bits", "256", "--tol", "1e-3"],
+    "verify-em-remainder-200": ["verify", "--suite", "em-remainder", "--bits", "200"],
     "decay": ["decay", "--table", "a40.tbl", "--kmin", "5", "--kmax", "30"],
     "cache-info": ["cache-info", "--table", "a40.tbl"],
 }
@@ -538,6 +541,8 @@ GOLDEN_OUTPUT = {
     "verify-em-remainder-128": (0, "257d34439712dd63"),
     "em-check-40-4": (0, "0719177bb939c151"),
     "em-check-60-5": (0, "aa88fa02b17a5665"),
+    "em-check-25-7-256": (0, "ca42b2f245dcc8b0"),
+    "verify-em-remainder-200": (0, "257d34439712dd63"),
     "decay": (0, "e8755e846d6f1755"),
     "cache-info": (0, "fce6433f00f5878a"),
 }
@@ -565,6 +570,8 @@ GOLDEN_STDERR = {
     "verify-em-remainder-128": "e3b0c44298fc1c14",
     "em-check-40-4": "e3b0c44298fc1c14",
     "em-check-60-5": "e3b0c44298fc1c14",
+    "em-check-25-7-256": "e3b0c44298fc1c14",
+    "verify-em-remainder-200": "e3b0c44298fc1c14",
     "decay": "89dc57ec1fccf896",
     "cache-info": "e3b0c44298fc1c14",
 }
@@ -852,6 +859,16 @@ class TestStartup:
     def test_analysis_import_loads_no_mpmath(self):
         mods = set(_fresh_words("import sys, maslanka.analysis\nprint(*sys.modules)"))
         assert "maslanka.analysis" in mods
+        assert "mpmath" not in mods
+
+    def test_sup_bound_loads_no_mpmath(self):
+        # the exact bound of the Euler-Maclaurin cut is formed in integers
+        code = ("import sys\n"
+                "from maslanka.bernoulli import periodified_sup_bound\n"
+                "print(periodified_sup_bound(5), *sys.modules)")
+        bound, *mods = _fresh_words(code)
+        assert "/" in bound
+        assert "maslanka.bernoulli" in mods
         assert "mpmath" not in mods
 
     @pytest.mark.parametrize("name", ["eval", "cache-info"])

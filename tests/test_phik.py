@@ -252,14 +252,25 @@ class TestGaussLegendrePanels:
     """The fixed-order rule behind em_remainder_a_k and the test oracles' panels."""
 
     def test_exact_for_polynomials_through_degree_31(self):
+        # the moments in exact Fraction arithmetic over the rule as returned
         from maslanka.phik import _gauss_legendre
 
-        xs, ws = _gauss_legendre(QUAD_ORDER, 128)
-        with mp.workprec(160):
+        for prec in (48, 128, 1000):
+            xs, ws = _gauss_legendre(QUAD_ORDER, prec)
             for d in range(32):
-                got = mpmath.fsum(w * x ** d for x, w in zip(xs, ws))
-                want = mp.zero if d % 2 else mpf(2) / (d + 1)
-                assert abs(got - want) < mpf(2) ** -120, d
+                got = sum((w * x ** d for x, w in zip(xs, ws)), Fraction(0))
+                want = Fraction(0) if d % 2 else Fraction(2, d + 1)
+                assert abs(got - want) <= Fraction(1, 2 ** (prec + 16)), (prec, d)
+
+    @pytest.mark.parametrize("prec", [48, 128, 1000])
+    def test_nodes_and_weights_are_dyadic(self, prec):
+        from maslanka.phik import _gauss_legendre
+
+        xs, ws = _gauss_legendre(QUAD_ORDER, prec)
+        for v in xs + ws:
+            den = v.denominator
+            assert type(v) is Fraction and den & (den - 1) == 0, v
+            assert den <= 2 ** (prec + 32), v
 
     def test_nodes_symmetric_weights_positive(self):
         from maslanka.phik import _gauss_legendre
@@ -267,7 +278,6 @@ class TestGaussLegendrePanels:
         xs, ws = _gauss_legendre(QUAD_ORDER, 128)
         assert len(xs) == len(ws) == QUAD_ORDER
         for i in range(QUAD_ORDER):
-            # unary minus rounds at ambient precision; x + mirror == 0 is exact
             assert xs[i] + xs[QUAD_ORDER - 1 - i] == 0
             assert ws[i] == ws[QUAD_ORDER - 1 - i]
             assert ws[i] > 0
@@ -437,8 +447,7 @@ class TestEmRemainder:
                 best = None
                 for e in range(d, k):
                     if e - a == len(sups):
-                        sup = periodified_sup_bound(e) / math.factorial(e)
-                        sups.append(Fraction(*mpmath.libmp.to_rational(sup._mpf_)))
+                        sups.append(periodified_sup_bound(e) / math.factorial(e))
                         rows.append(_next_prow(rows[-1], e + 2, k))
                     bound = sups[e - a] * _l1_tail(rows[e - a], e + 1, X)
                     if best is not None and not bound < best:
