@@ -19,10 +19,14 @@ Start-up: ``--help`` and usage errors load argparse and this module, and no
 other package module and no mpmath.  Their cost over a bare interpreter is
 importing argparse, compiling this module and building all seven subparsers.
 Each handler imports the package modules and mpmath it runs, when it runs.
-``coeff``, ``cache-info`` and ``bk`` run on Python integers alone (tables
-are built, saved, loaded and printed without mpmath, and ``bk``'s scaled
-columns come from analysis's integer route), so they never import mpmath;
-every other command does.
+``coeff``, ``cache-info``, ``bk`` and ``eval`` run on Python integers alone
+(tables are built, saved, loaded and printed without mpmath, ``bk``'s scaled
+columns come from analysis's integer route, and ``eval`` reads its literals
+with mpnum.parse_decimal and sums through series._eval_raw), so they never
+import mpmath; every other command does.
+
+Numeric literals (--s and its parts, --tol, --quad-tol) follow one strict
+decimal grammar, mpnum.parse_decimal's: a malformed one is a usage error.
 """
 
 import argparse
@@ -40,12 +44,14 @@ EM_PAIRS = ((8, 2), (12, 3), (16, 2), (16, 4))
 GLOBAL_PROBES = ("3", "0.5", "0.5+14.134725i", "-1", "-2.5", "5+10i")
 
 
-def parse_complex(text: str):
-    """Strict parse of 'a+bi' / 'a-bi' complex literals (decimal components).
+def parse_complex(text: str, bits: int):
+    """Strict parse of 'a+bi' / 'a-bi' complex literals (decimal components),
+    each part rounded to nearest at `bits` bits: (re, im) raw tuples, im None
+    for a literal without i.
 
     NaN and infinite components are rejected: the series needs a finite s.
     """
-    import mpmath
+    from .mpnum import parse_decimal
 
     t = text.strip()
     if not t:
@@ -61,21 +67,18 @@ def parse_complex(text: str):
                 break
         if im_part in ("", "+", "-"):
             im_part += "1"
-        re_val = mpmath.mpf(re_part) if re_part else mpmath.mp.zero
-        return mpmath.mpc(re_val, mpmath.mpf(im_part))
-    return mpmath.mpf(t)
+        re_val = parse_decimal(re_part, bits) if re_part else (0, 0, 0, 0)
+        return re_val, parse_decimal(im_part, bits)
+    return parse_decimal(t, bits), None
 
 
-def _format_for_print(x, digits: int) -> str:
-    import mpmath
-
+def _format_for_print(re, im, digits: int) -> str:
+    """A raw (re, im) pair as 'a' or, when im is nonzero, 'a+bi'."""
     from .coefficients import format_real
 
-    if isinstance(x, mpmath.mpc) and x.imag != 0:
-        im = format_real(x.imag._mpf_, digits)
-        return f"{format_real(x.real._mpf_, digits)}{im}i"
-    re = x.real if isinstance(x, mpmath.mpc) else x
-    return format_real(re._mpf_, digits)
+    if im is not None and im[1]:
+        return f"{format_real(re, digits)}{format_real(im, digits)}i"
+    return format_real(re, digits)
 
 
 @contextlib.contextmanager
@@ -153,45 +156,45 @@ def _cmd_bk(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    import mpmath
-
+    """maslanka_eval's integer core on s read at working bits and tol at 53
+    bits, mpmath's default precision, at which this command has always read
+    it; printed from the raw tuples, so mpmath is never imported."""
+    from . import series
     from .coefficients import format_real, load_table, mantissa_digits
-    from .mpnum import PrecisionContext
-    from .series import maslanka_eval
+    from .mpnum import PrecisionContext, parse_decimal
 
     table = load_table(args.table)
     ctx = PrecisionContext(args.bits)
-    with ctx.prec():
-        s = parse_complex(args.s)
-    result = maslanka_eval(s, table, mpmath.mpf(args.tol), ctx)
+    s = parse_complex(args.s, ctx.working_bits)
+    tol = parse_decimal(args.tol, 53)
+    terms, converged, value, zeta, residual = series._eval_raw(*s, table, tol, ctx.working_bits)
     digits = mantissa_digits(min(table.target_bits, args.bits))
     lines = [
-        f"s = {_format_for_print(result.s, digits)}",
-        f"value = {_format_for_print(result.value, digits)}",
-        f"zeta_value = "
-        + ("pole" if result.is_pole else _format_for_print(result.zeta_value, digits)),
-        f"terms_used = {result.terms_used}",
-        f"residual_estimate = {format_real(result.residual_estimate._mpf_, digits)}",
-        f"converged = {str(result.converged).lower()}",
+        f"s = {_format_for_print(*s, digits)}",
+        f"value = {_format_for_print(*value, digits)}",
+        f"zeta_value = " + ("pole" if zeta is None else _format_for_print(*zeta, digits)),
+        f"terms_used = {terms}",
+        f"residual_estimate = {format_real(residual, digits)}",
+        f"converged = {str(converged).lower()}",
     ]
     with _data_out(args) as fh:
         fh.write("\n".join(lines) + "\n")
-    if not result.converged:
+    if not converged:
         print("warning: table exhausted before tolerance was met", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK
 
 
 def _positive_tol(text, name: str = "tol"):
-    """A tolerance from its command-line text: positive and finite, or ValueError."""
-    import mpmath
+    """A tolerance from its command-line text, read at 53 bits: a positive and
+    finite mpf, or ValueError."""
+    from mpmath import mp
 
-    tol = mpmath.mpf(text)
-    if not tol > 0:
-        raise ValueError(f"{name} must be a positive number")
-    if not mpmath.isfinite(tol):
-        raise ValueError(f"{name} must be finite")
-    return tol
+    from .mpnum import _check_positive, parse_decimal
+
+    tol = parse_decimal(text, 53)
+    _check_positive(tol, name)
+    return mp.make_mpf(tol)
 
 
 def _verify_truncation(table, ctx, nmax):
@@ -275,17 +278,19 @@ def _verify_em(ctx, tol):
 def _verify_global(table, ctx, tol):
     import mpmath
 
-    from .series import maslanka_eval, zeta_reference
+    from .series import _to_mp, maslanka_eval, zeta_reference
+
+    def read(text):
+        return _to_mp(*parse_complex(text, ctx.working_bits))
 
     for text in GLOBAL_PROBES:
-        with ctx.prec():
-            s = parse_complex(text)
+        s = read(text)
         result = maslanka_eval(s, table, tol, ctx)
         ref = zeta_reference(s, ctx)
         err = abs(result.zeta_value - ref)
         yield err < tol, f"global-agreement s={text} abs_err={mpmath.nstr(err, 3)}"
     for label, target in (("0", mpmath.mpf(1) / 2), ("1", mpmath.mp.one)):
-        result = maslanka_eval(parse_complex(label), table, tol, ctx)
+        result = maslanka_eval(read(label), table, tol, ctx)
         err = abs(result.value - target)
         yield err < tol, f"global-agreement s={label} (series value) abs_err={mpmath.nstr(err, 3)}"
 

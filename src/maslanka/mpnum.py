@@ -12,17 +12,22 @@ Exact rationals are ``fractions.Fraction``, and the hot loops (the
 coefficient kernel, the series sum) work in Python integers at a fixed-point
 scale.  Binary floats are mpmath's raw tuples (sign, man, exp, bc) of ints:
 man odd (or the zero (0, 0, 0, 0)), bc its bit length, value
-(-1)^sign man 2^exp.  This module makes them without mpmath: _raw rounds
-an integer times a power of two to nearest, ties to even, as from_man_exp
-does.  Decimal I/O is one exact radix conversion each way, both on the
-bounds of _scale10 (Brent & Zimmermann, Modern Computer Arithmetic, 2010,
-section 1.7): format_real prints x rounded to nearest at a given number of
-digits, ties away from zero, and decimal_to_raw reads a decimal rounded to
-nearest at a given number of bits, ties to even, at every magnitude.  So
-coefficient tables, which keep their entries as raw tuples, are built,
-saved and loaded without importing mpmath; the pi^2 of their rows comes
-from :mod:`maslanka.bernoulli`.  The series, the
-quadrature and the analysis hand back mpmath ``mpf``/``mpc`` values and
+(-1)^sign man 2^exp; inf, -inf and nan are mpmath's special tuples with
+man = 0 and a nonzero exp.  This module makes them without mpmath: _raw
+rounds an integer times a power of two to nearest, ties to even, as
+from_man_exp does, or toward zero, and _add, _div, _sqrt and _to_float
+round as mpmath's mpf_add, mpf_div, mpf_sqrt and to_float do, bit for bit.
+Decimal I/O is one exact radix conversion each way, both on the bounds of
+_scale10 (Brent & Zimmermann, Modern Computer Arithmetic, 2010, section
+1.7): format_real prints x rounded to nearest at a given number of digits,
+ties away from zero, and decimal_to_raw reads a decimal rounded to nearest
+at a given number of bits, ties to even, at every magnitude; parse_decimal
+reads a literal of one strict grammar through it.  So coefficient tables,
+which keep their entries as raw tuples, are built, saved and loaded without
+importing mpmath, and so is the series at one point as ``maslanka eval``
+sums it (``series._eval_raw``); the pi^2 of the table rows comes from
+:mod:`maslanka.bernoulli`.  The functions that hand back mpmath
+``mpf``/``mpc`` values (the series wrapper, the quadrature, the analysis)
 import mpmath when they run; this module never does.  There is no interval
 mode; error bounds are proven instead, in the docstrings of the table
 entries' stored 2^e_k
@@ -32,11 +37,15 @@ entries' stored 2^e_k
 
 from __future__ import annotations
 
+import math
+import re
+
 __all__ = [
     "PoleError",
     "PrecisionContext",
     "decimal_to_raw",
     "format_real",
+    "parse_decimal",
     "required_bits_for_alternating_sum",
 ]
 
@@ -145,9 +154,10 @@ class PrecisionContext(Record):
 # -- binary floats and decimal conversion in integers -------------------------
 
 
-def _raw(man: int, exp: int, bits: int = 0) -> tuple[int, int, int, int]:
+def _raw(man: int, exp: int, bits: int = 0, down: bool = False) -> tuple[int, int, int, int]:
     """The raw tuple of man * 2^exp, rounded to `bits` bits to nearest with ties
-    to even (exact for bits=0): from_man_exp(man, exp, bits, round_nearest)."""
+    to even, or toward zero when `down` (exact for bits=0):
+    from_man_exp(man, exp, bits, round_nearest or round_down)."""
     sign = int(man < 0)
     man = abs(man)
     if not man:
@@ -158,11 +168,95 @@ def _raw(man: int, exp: int, bits: int = 0) -> tuple[int, int, int, int]:
         rest = man & (2 * half - 1)
         man >>= n
         exp += n
-        if rest > half or rest == half and man & 1:
+        if not down and (rest > half or rest == half and man & 1):
             man += 1
     zeros = (man & -man).bit_length() - 1
     man >>= zeros
     return (sign, man, exp + zeros, man.bit_length())
+
+
+# mpmath's raw inf, -inf and nan (finf, fninf and fnan of mpmath.libmp)
+_INF, _NINF, _NAN = (0, 0, -456, -2), (1, 0, -789, -3), (0, 0, -123, -1)
+
+
+def _check_positive(x: tuple, name: str) -> None:
+    """ValueError unless the raw tuple x is positive and finite, saying which it is not."""
+    if x[0] or not x[1] and x != _INF:
+        raise ValueError(f"{name} must be a positive number")
+    if not x[1]:
+        raise ValueError(f"{name} must be finite")
+
+
+def _man(x: tuple) -> int:
+    """The signed mantissa of a raw tuple."""
+    return -x[1] if x[0] else x[1]
+
+
+def _round(x: tuple, bits: int, down: bool = False) -> tuple:
+    """x rounded to `bits` bits as _raw rounds; inf and nan pass unchanged."""
+    return _raw(_man(x), x[2], bits, down) if x[1] else x
+
+
+def _add(x: tuple, y: tuple, bits: int, down: bool = False) -> tuple:
+    """x + y for finite raw tuples as mpmath's mpf_add(x, y, bits) rounds it.
+
+    The exact sum is rounded, unless the exponents lie more than 100 apart
+    and the magnitudes more than bits + 4 bits: then the operand of larger
+    exponent, extended by bits + 4 bits, moves one unit toward the other (a
+    sticky bit) and that is rounded.  This is not always the rounded exact
+    sum when the larger operand has more than `bits` bits.
+    """
+    if not (x[1] and y[1]):
+        return _round(x if x[1] else y, bits, down)
+    if x[2] < y[2]:
+        x, y = y, x
+    off = x[2] - y[2]
+    if off > 100 and x[3] + off - y[3] > bits + 4:
+        return _raw((_man(x) << bits + 4) + (-1 if y[0] else 1), x[2] - bits - 4, bits, down)
+    return _raw((_man(x) << off) + _man(y), y[2], bits, down)
+
+
+def _div(x: tuple, y: tuple, bits: int) -> tuple:
+    """x / y for finite raw tuples, y nonzero, correctly rounded to nearest at
+    `bits` bits as mpmath's mpf_div: a quotient of at least bits + 4 bits whose
+    last bit is set when the division leaves a remainder (a sticky bit)."""
+    if not x[1]:
+        return x
+    extra = max(5, bits - x[3] + y[3] + 5)
+    q, r = divmod(x[1] << extra, y[1])
+    if r:
+        q, extra = 2 * q + 1, extra + 1
+    return _raw(-q if x[0] ^ y[0] else q, x[2] - y[2] - extra, bits)
+
+
+def _sqrt(x: tuple, bits: int) -> tuple:
+    """sqrt(x) for a finite raw x >= 0, correctly rounded to nearest at `bits`
+    bits as mpmath's mpf_sqrt: the integer root of the mantissa at an even
+    exponent, shifted to at least 2 bits + 4 bits, with a sticky last bit when
+    the root is inexact (Brent & Zimmermann, section 3.5)."""
+    _, man, exp, bc = x
+    if not man:
+        return x
+    if exp & 1:
+        man, exp, bc = man << 1, exp - 1, bc + 1
+    shift = max(4, 2 * bits - bc + 4)
+    shift += shift & 1
+    root = math.isqrt(man << shift)
+    if root * root != man << shift:
+        root, shift = 2 * root + 1, shift + 2
+    return _raw(root, (exp - shift) // 2, bits)
+
+
+def _to_float(x: tuple) -> float:
+    """float(x) for a finite raw tuple, as mpmath's to_float gives it: rounded
+    to 53 bits to nearest, ties to even, then math.ldexp, which rounds again
+    below the normal range; +-inf beyond the float range."""
+    if x[3] > 53:
+        x = _raw(_man(x), x[2], 53)
+    try:
+        return math.ldexp(_man(x), x[2])
+    except OverflowError:
+        return -math.inf if x[0] else math.inf
 
 
 # log10(2) 2^128 rounded down
@@ -269,3 +363,24 @@ def decimal_to_raw(man: int, e10: int, bits: int) -> tuple[int, int, int, int]:
         if raw == _raw(hi, e, bits):
             return (1, *raw[1:]) if man < 0 else raw
         t *= 2
+
+
+def parse_decimal(text: str, bits: int) -> tuple[int, int, int, int]:
+    """The raw tuple of a decimal literal, rounded to nearest at `bits` bits,
+    ties to even (decimal_to_raw).
+
+    The grammar is [+-]?(d+[.d*]|.d+)([eE][+-]?d+)? with digits 0-9, around
+    optional whitespace; inf, +inf, -inf and nan, in any case, give mpmath's
+    special tuples.  Anything else is a ValueError, also what mpmath's from_str
+    would take: p/q, a trailing l, underscores, other scripts' digits.
+    """
+    t = text.strip()
+    special = {"inf": _INF, "+inf": _INF, "-inf": _NINF, "nan": _NAN}.get(t.lower())
+    if special:
+        return special
+    m = re.fullmatch(r"([+-]?)([0-9]*)(?:\.([0-9]*))?(?:[eE]([+-]?[0-9]+))?", t)
+    if m is None or not (m.group(2) or m.group(3)):
+        raise ValueError(f"not a decimal number: {text!r}")
+    sign, whole, frac, e10 = m.groups()
+    frac = frac or ""
+    return decimal_to_raw(int(sign + whole + frac), int(e10 or 0) - len(frac), bits)

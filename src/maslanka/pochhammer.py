@@ -6,15 +6,14 @@ error bound, and yields each P_k times a caller's weight; ``_guard_bits``
 gives the W that bound needs.  The Maslanka series and its truncation
 identities (:mod:`maslanka.series`) feed it their coefficients.  Here it
 gives the first values P_0(s), ..., P_K(s) (exactly zero at integer
-1 <= s <= k) and a bound probe measuring sup_k |P_k(s)| k^Re(s).
+1 <= s <= k) and a bound probe measuring sup_k |P_k(s)| k^Re(s).  The sweep
+and its two helpers take integers, floats and raw tuples, so the series core
+runs without mpmath; the two functions that return mpf import it in-call.
 """
 
 from __future__ import annotations
 
 import math
-
-import mpmath
-from mpmath import mp, mpc, mpf
 
 from .mpnum import PrecisionContext
 
@@ -24,9 +23,10 @@ __all__ = [
 ]
 
 
-def _to_fixed(x, e: int) -> int:
-    """x * 2^e rounded to the nearest integer, for a finite mpf x."""
-    sign, man, exp, _ = x._mpf_
+def _to_fixed(x: tuple, e: int) -> int:
+    """x * 2^e rounded to the nearest integer, ties away from zero, for a
+    finite raw tuple x."""
+    sign, man, exp, _ = x
     sh = exp + e
     v = man << sh if sh >= 0 else (man + (1 << (-sh - 1))) >> -sh
     return -v if sign else v
@@ -71,11 +71,11 @@ def _fixed_terms(H: tuple[int, int], values, W: int):
             yield (man * qr) >> -exp, (man * qi) >> -exp
 
 
-def _guard_bits(h, k_max: int) -> int:
-    """ceil(log2 E) + 1 for E = 4 (K+1)^2 max_{k<=K} X_k at K = k_max.
+def _guard_bits(x: float, y: float, k_max: int) -> int:
+    """ceil(log2 E) + 1 for E = 4 (K+1)^2 max_{k<=K} X_k at K = k_max, h = x + y i.
 
     X_k is the growth factor of ``_fixed_terms``.  E bounds every 3 k X_k, so
-    a sweep at W = b + _guard_bits(h, K) keeps each q_k within 2^-(b+1) of
+    a sweep at W = b + _guard_bits(x, y, K) keeps each q_k within 2^-(b+1) of
     P_k(h); the factor (K+1)^2 leaves room for a sum of weighted terms (see
     ``maslanka.series.maslanka_eval``).  log2 X_k is run in floats over the
     first m = ceil(|h|^2) steps.  Beyond them, log r_i <= -Re(h)/i +
@@ -84,9 +84,8 @@ def _guard_bits(h, k_max: int) -> int:
     |1 - h/i| is raised by 2^-40 (1 + |h|/i), more than the rounding of h to
     floats and of the float operations can move it; the rounding of the sums
     of logarithms is covered by the factor of at least 4/3 by which E exceeds
-    the error sums it bounds.
+    the error sums it bounds.  An h beyond the float range is refused.
     """
-    x, y = float(h.real), float(h.imag)
     habs = math.hypot(x, y)
     if not math.isfinite(habs):
         raise ValueError("s is too large to sum in fixed point")
@@ -106,20 +105,23 @@ def _guard_bits(h, k_max: int) -> int:
 def pochhammer_values(s, k_max: int, ctx: PrecisionContext) -> list:
     """[P_0(s), ..., P_k_max(s)] from one sweep, O(1) integer steps per k.
 
-    The sweep runs with unit weights at W = working_bits + _guard_bits(s, k_max),
+    The sweep runs with unit weights at W = working_bits + _guard_bits(Re s, Im s, k_max),
     so each Q_k 2^-W is within 3 k X_k 2^-W <= 2^-(working_bits+1) of P_k(s)
     and each value, rounded once to working_bits, satisfies
     |value - P_k(s)| <= 2^-(working_bits+1) plus half an ulp.  Returns mpf
     for real s, mpc for complex s.  When s is a real integer with
     1 <= s <= k, P_k(s) is exactly zero.
     """
+    import mpmath
+    from mpmath import mpc, mpf
+
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     with ctx.prec():
         z = mpmath.mpmathify(s)
-        W = ctx.working_bits + _guard_bits(z, k_max)
-        H = (_to_fixed(mp.re(z), W), _to_fixed(mp.im(z), W))
-        terms = _fixed_terms(H, [mp.one._mpf_] * (k_max + 1), W)
+        W = ctx.working_bits + _guard_bits(float(z.real), float(z.imag), k_max)
+        H = (_to_fixed(z.real._mpf_, W), _to_fixed(z.imag._mpf_, W))
+        terms = _fixed_terms(H, [(0, 1, 0, 1)] * (k_max + 1), W)
         if isinstance(z, mpc):
             return [mpc(mpf((qr, -W)), mpf((qi, -W))) for qr, qi in terms]
         return [mpf((qr, -W)) for qr, _ in terms]
@@ -127,6 +129,9 @@ def pochhammer_values(s, k_max: int, ctx: PrecisionContext) -> list:
 
 def pochhammer_bound_probe(s, k_max: int, ctx: PrecisionContext) -> mpf:
     """sup over 1 <= k <= k_max of |P_k(s)| * k**Re(s), over pochhammer_values."""
+    import mpmath
+    from mpmath import mp, mpf
+
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     values = pochhammer_values(s, k_max, ctx)

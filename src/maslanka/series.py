@@ -16,12 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 
-import mpmath
-from mpmath import mp, mpc, mpf
-
 from .bernoulli import bernoulli_number, zeta_even
 from .coefficients import CoefficientTable
-from .mpnum import PoleError, PrecisionContext, Record
+from .mpnum import (PoleError, PrecisionContext, Record, _add, _check_positive, _div, _man, _raw,
+                    _round, _sqrt, _to_float)
 from .pochhammer import _fixed_terms, _guard_bits, _to_fixed
 
 __all__ = [
@@ -53,11 +51,88 @@ class SeriesResult(Record):
     converged: bool
 
 
-def _norm_limit(x, e: int):
-    """ceil((x 2^e)^2) for a positive finite mpf x: an integer is below (x 2^e)^2 iff below it."""
-    _, man, exp, _ = x._mpf_
+def _norm_limit(x: tuple, e: int) -> int:
+    """ceil((x 2^e)^2) for a positive finite raw x: an integer is below (x 2^e)^2 iff below it."""
+    _, man, exp, _ = x
     n, sh = man * man, 2 * (exp + e)
     return n << sh if sh >= 0 else -(-n >> -sh)
+
+
+def _to_mp(re: tuple, im: tuple | None = None):
+    """An mpf made from a raw tuple, or an mpc from two when im is not None."""
+    from mpmath import mp
+
+    return mp.make_mpf(re) if im is None else mp.make_mpc((re, im))
+
+
+def _cdiv(a: tuple, b: tuple, c: tuple, d: tuple, wb: int) -> tuple:
+    """(a + b i) / (c + d i) on raw tuples as mpmath's mpc_div forms it at wb:
+    c^2 + d^2, ac + bd and bc - ad from exact products, each sum rounded toward
+    zero at wb + 10 (mpf_add's default rounding), then both quotients
+    correctly rounded to nearest at wb."""
+    def mul(x, y, sign=1):
+        return _raw(sign * _man(x) * _man(y), x[2] + y[2])
+
+    wp = wb + 10
+    mag = _add(mul(c, c), mul(d, d), wp, True)
+    t = _add(mul(a, c), mul(b, d), wp, True)
+    u = _add(mul(b, c), mul(a, d, -1), wp, True)
+    return _div(t, mag, wb), _div(u, mag, wb)
+
+
+def _eval_raw(zr: tuple, zi: tuple | None, table: CoefficientTable, tol: tuple, wb: int):
+    """The integer core of ``maslanka_eval``, on raw tuples, at working_bits wb.
+
+    s = zr + zi i, with zi None for a real s.  Returns (terms_used,
+    converged, value, zeta_value, residual_estimate): value and zeta_value
+    as (real, imaginary) pairs, the imaginary part None for a real s, and
+    zeta_value None at the pole.  It makes every check, in the order the mpf
+    code made them, and inf and nan arrive as mpmath's special tuples.
+    Every rounding is the one mpmath made when this ran in mpf, so the bits
+    are the same: tol and the value rounded to nearest at wb, the residual's
+    square likewise and its root correctly rounded (mpf_sqrt), h = s/2 rounded
+    at wb and then to floats for ``_guard_bits``, and zeta_value = value /
+    (s - 1) with s - 1 as mpc minus an mpf forms it (the real part rounded to
+    nearest at wb, the imaginary part exact), divided as mpf_div (real s) or
+    mpc_div (complex s, ``_cdiv``) divides.
+    """
+    if table.kind != "A":
+        raise ValueError("maslanka_eval needs a kind=A table")
+    tol = _round(tol, wb)
+    _check_positive(tol, "tol")
+    _, man, exp, _ = tol
+    p = 8 - table.target_bits  # tol must exceed 2^p
+    if not man << max(exp - p, 0) > 1 << max(p - exp, 0):
+        raise ValueError("tol is below what the table's target_bits can support")
+    im = (0, 0, 0, 0) if zi is None else zi
+    if not all(v[1] or not v[2] for v in (zr, im)):  # man 0 and exp nonzero: inf or nan
+        raise ValueError("s must be a finite number")
+    x, y = (_to_float(_raw(_man(v), v[2] - 1, wb)) for v in (zr, im))  # h = s/2
+    W = wb + _guard_bits(x, y, table.k_max)
+    H = (_to_fixed(zr, W - 1), _to_fixed(im, W - 1))
+    quarter, half = _norm_limit(tol, W - 2), _norm_limit(tol, W - 1)
+    partials = []
+    sr = si = 0
+    converged = False
+    K = table.k_max
+    for k, (tr, ti) in enumerate(_fixed_terms(H, table.raw, W)):
+        sr += tr
+        si += ti
+        partials.append((sr, si))
+        if k and tr * tr + ti * ti < quarter:
+            mr, mi = partials[(k + 1) // 2]
+            if (sr - mr) ** 2 + (si - mi) ** 2 < half:
+                K = k
+                converged = True
+                break
+    (sr, si), (mr, mi) = partials[K], partials[(K + 1) // 2]
+    residual = _sqrt(_raw((sr - mr) ** 2 + (si - mi) ** 2, -2 * W, wb), wb)
+    value = (_raw(sr, -W, wb), None if zi is None else _raw(si, -W, wb))
+    if zr == (0, 1, 0, 1) and not im[1]:
+        return K + 1, converged, value, None, residual
+    zm1 = _add(zr, (1, 1, 0, 1), wb)  # s - 1
+    zeta = (_div(value[0], zm1, wb), None) if zi is None else _cdiv(*value, zm1, zi, wb)
+    return K + 1, converged, value, zeta, residual
 
 
 def maslanka_eval(s, table: CoefficientTable, tol, ctx: PrecisionContext) -> SeriesResult:
@@ -67,15 +142,21 @@ def maslanka_eval(s, table: CoefficientTable, tol, ctx: PrecisionContext) -> Ser
     |S_K - S_ceil(K/2)| < tol/2.  The two-part rule matters because the term
     magnitudes are not monotone (P_k oscillates, A_k changes sign): a small
     single term near a sign change must not end the sum on its own.  A real s
-    gives an mpf value, an mpc s an mpc value.
+    gives an mpf value, an mpc s an mpc value.  s and tol are read by mpmath
+    at working_bits (a string is parsed there, an mpf or mpc is taken as it
+    is) and tol is rounded there; ``maslanka eval`` reads its --s at
+    working_bits and its --tol at 53 bits, mpmath's default precision, as it
+    always has.
 
-    Kernel.  The sum runs in Gaussian integers at one scale 2^W.  With
-    h = s/2 rounded once to H ~ h 2^W, the sweep ``pochhammer._fixed_terms``
-    yields each term floor(A_k Q_k), Q_k 2^-W ~ P_k(h), taking A_k exactly
-    from its mantissa and exponent, and the partial sums accumulate exactly.
-    The stopping rule compares squared integer norms with
-    ceil((tol 2^W/4)^2) and ceil((tol 2^W/2)^2), so it takes no square root.
-    The value is rounded once, to working_bits.
+    Kernel.  This wrapper hands the raw tuples to ``_eval_raw``, which sums in
+    Gaussian integers at one scale 2^W and imports no mpmath; the command
+    ``maslanka eval`` calls that core directly.  With h = s/2 rounded once to
+    H ~ h 2^W, the sweep ``pochhammer._fixed_terms`` yields each term
+    floor(A_k Q_k), Q_k 2^-W ~ P_k(h), taking A_k exactly from its mantissa
+    and exponent, and the partial sums accumulate exactly.  The stopping rule
+    compares squared integer norms with ceil((tol 2^W/4)^2) and
+    ceil((tol 2^W/2)^2), so it takes no square root.  The value is rounded
+    once, to working_bits.
 
     Bound.  The sweep keeps q_k = Q_k u, u = 2^-W, within 3 k X_k u of
     P_k(h), with X_k its growth factor (see ``pochhammer._fixed_terms``).
@@ -85,57 +166,27 @@ def maslanka_eval(s, table: CoefficientTable, tol, ctx: PrecisionContext) -> Ser
     |A_k| <= (zeta(2) - 1) max(1, 2k/(e(k-1))) < 1.  With the floor of each
     term (< sqrt2 u) the error of the integer S_K is therefore below
     u (sqrt2 + sum_{k=1..K} (6 k X_k + sqrt2)) <= u E, E = 4 (K+1)^2 max_{k<=K} X_k.
-    W = working_bits + _guard_bits(h, k_max) makes u E <= 2^-(working_bits+1)
+    W = working_bits + _guard_bits(Re h, Im h, k_max) makes u E <= 2^-(working_bits+1)
     at K = k_max, so the integer sum is within 2^-(working_bits+1) of
     sum_{k<=K} A_k P_k(h) for the table's A_k, and the returned value,
     rounded once, within 2^-working_bits (1 + |value|).  W grows with log2 of
     the largest partial product, so an s far outside the table's range of
     convergence costs proportionally wider integers.
     """
-    if table.kind != "A":
-        raise ValueError("maslanka_eval needs a kind=A table")
+    from mpmath import mp, mpc, mpf
+
     with mp.workprec(ctx.working_bits):
-        tolm = +mpf(tol)
-        if not tolm > 0:
-            raise ValueError("tol must be a positive number")
-        if not mpmath.isfinite(tolm):
-            raise ValueError("tol must be finite")
-        if not tolm > mpf(2) ** (-table.target_bits + 8):
-            raise ValueError("tol is below what the table's target_bits can support")
-        z = mpmath.mpmathify(s)
-        if not mpmath.isfinite(z):
-            raise ValueError("s must be a finite number")
-        W = ctx.working_bits + _guard_bits(z / 2, table.k_max)
-        H = (_to_fixed(mp.re(z), W - 1), _to_fixed(mp.im(z), W - 1))
-        quarter, half = _norm_limit(tolm, W - 2), _norm_limit(tolm, W - 1)
-        partials = []
-        sr = si = 0
-        converged = False
-        K = table.k_max
-        for k, (tr, ti) in enumerate(_fixed_terms(H, table.raw, W)):
-            sr += tr
-            si += ti
-            partials.append((sr, si))
-            if k and tr * tr + ti * ti < quarter:
-                mr, mi = partials[(k + 1) // 2]
-                if (sr - mr) ** 2 + (si - mi) ** 2 < half:
-                    K = k
-                    converged = True
-                    break
-        (sr, si), (mr, mi) = partials[K], partials[(K + 1) // 2]
-        residual = mpmath.sqrt(mpf(((sr - mr) ** 2 + (si - mi) ** 2, -2 * W)))
-        value = mpf((sr, -W))
-        if isinstance(z, mpmath.mpc):
-            value = mpmath.mpc(value, mpf((si, -W)))
-        is_pole = z == 1
-        zeta_value = None if is_pole else +(value / (z - 1))
+        tol, z = mpf(tol), mp.mpmathify(s)
+    parts = z._mpc_ if isinstance(z, mpc) else (z._mpf_, None)
+    terms, converged, value, zeta, residual = _eval_raw(*parts, table, tol._mpf_,
+                                                        ctx.working_bits)
     return SeriesResult(
         s=z,
-        value=value,
-        terms_used=K + 1,
-        residual_estimate=residual,
-        zeta_value=zeta_value,
-        is_pole=is_pole,
+        value=_to_mp(*value),
+        terms_used=terms,
+        residual_estimate=_to_mp(residual),
+        zeta_value=None if zeta is None else _to_mp(*zeta),
+        is_pole=zeta is None,
         converged=converged,
     )
 
@@ -176,6 +227,9 @@ def zeta_reference(s, ctx: PrecisionContext) -> mpf | mpc:
     terms reach N^-sigma; the extra ceil((1-sigma) log2(N+1)) + 8 bits hold
     its rounding error, about N^(2-sigma) 2^-wp, below N 2^-(t+32).
     """
+    import mpmath
+    from mpmath import mp, mpf
+
     with ctx.prec():
         z = mpmath.mpmathify(s)
     if not mpmath.isfinite(z):
@@ -222,6 +276,8 @@ def truncation_check(n: int, table: CoefficientTable, ctx: PrecisionContext):
         raise ValueError("truncation_check needs a kind=A table")
     if table.k_max < n - 1:
         raise ValueError("table too short: need k_max >= n-1")
+    from mpmath import mpf
+
     values = table.raw[:n]
     W = max(0, *(-exp for _, _, exp, _ in values))
     with ctx.prec():

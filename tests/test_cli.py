@@ -82,59 +82,59 @@ def test_out_file_matches_stdout(argv, deep_table_file, tmp_path, capsys):
     assert dest.read_bytes() == capsys.readouterr().out.encode("ascii")
 
 
+def _raw_at(bits, *texts):
+    """mpmath's raw tuples of decimal texts read at `bits` bits."""
+    with mp.workprec(bits):
+        return tuple(mpf(t)._mpf_ for t in texts)
+
+
 class TestParseComplex:
+    """Raw (re, im) tuples at an explicit precision, im None for a real literal."""
+
     def test_plain_real(self):
-        v = parse_complex("3")
-        assert isinstance(v, mpf)
-        assert v == 3
+        assert parse_complex("3", 64) == ((0, 3, 0, 2), None)
 
     def test_negative_real(self):
-        assert parse_complex("-2.5") == mpf("-2.5")
+        assert parse_complex("-2.5", 64) == ((1, 5, -1, 3), None)
 
     def test_full_form(self):
-        v = parse_complex("0.5+14.134725i")
-        assert v.real == mpf("0.5")
-        assert v.imag == mpf("14.134725")
+        assert parse_complex("0.5+14.134725i", 96) == _raw_at(96, "0.5", "14.134725")
+        assert parse_complex("0.5+14.134725i", 53) == _raw_at(53, "0.5", "14.134725")
 
     def test_negative_imaginary(self):
-        v = parse_complex("1-2i")
-        assert v.real == 1 and v.imag == -2
+        assert parse_complex("1-2i", 64) == _raw_at(64, "1", "-2")
 
     def test_pure_imaginary(self):
-        assert parse_complex("2i") == mpmath.mpc(0, 2)
-        assert parse_complex("i") == mpmath.mpc(0, 1)
-        assert parse_complex("-i") == mpmath.mpc(0, -1)
-        assert parse_complex("+i") == mpmath.mpc(0, 1)
+        zero, one = (0, 0, 0, 0), (0, 1, 0, 1)
+        assert parse_complex("2i", 64) == (zero, (0, 1, 1, 1))
+        assert parse_complex("i", 64) == (zero, one)
+        assert parse_complex("-i", 64) == (zero, (1, 1, 0, 1))
+        assert parse_complex("+i", 64) == (zero, one)
 
     def test_exponent_in_real_part(self):
         # the sign inside 1e-2 must not be taken for the component separator
-        v = parse_complex("1e-2+3i")
-        assert v.real == mpf("1e-2")
-        assert v.imag == 3
+        assert parse_complex("1e-2+3i", 80) == _raw_at(80, "1e-2", "3")
 
     def test_exponent_in_imaginary_part(self):
-        v = parse_complex("1+2e-3i")
-        assert v.real == 1
-        assert v.imag == mpf("2e-3")
+        assert parse_complex("1+2e-3i", 80) == _raw_at(80, "1", "2e-3")
 
     def test_both_negative(self):
-        v = parse_complex("-1.5-2.5i")
-        assert v.real == mpf("-1.5")
-        assert v.imag == mpf("-2.5")
+        assert parse_complex("-1.5-2.5i", 64) == _raw_at(64, "-1.5", "-2.5")
 
     def test_whitespace_stripped(self):
-        assert parse_complex(" 4+0i ") == 4
+        # a zero imaginary part is kept: the literal names a complex s
+        assert parse_complex(" 4+0i ", 64) == ((0, 1, 2, 1), (0, 0, 0, 0))
 
     @pytest.mark.parametrize("bad", ["", "   ", "abc", "1+2x", "4+0j"])
     def test_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
-            parse_complex(bad)
+            parse_complex(bad, 64)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "+nan", "Infinity",
                                      "0.5+nani", "nan+2i", "0.5-infi"])
     def test_rejects_non_finite_parts(self, bad):
         with pytest.raises(ValueError, match="s must be a finite number"):
-            parse_complex(bad)
+            parse_complex(bad, 64)
 
 
 class TestCoeffAndCacheInfo:
@@ -497,6 +497,12 @@ GOLDEN_ARGV = {
     "eval-critical": ["eval", "--s", "0.5+14.134725i", "--table", "a40.tbl", "--bits", "64",
                       "--tol", "1e-6"],
     "eval-pole": ["eval", "--s", "1", "--table", "a40.tbl", "--bits", "64", "--tol", "1e-6"],
+    # s read at 232 working bits from a table of 64; far left, where W grows to
+    # hold P_k(-15+i); and the default tol below what a 64-bit table supports
+    "eval-critical-200": ["eval", "--s", "0.5+14.134725i", "--table", "a40.tbl", "--bits", "200",
+                          "--tol", "1e-6"],
+    "eval-left": ["eval", "--s=-30+2i", "--table", "a40.tbl", "--bits", "64", "--tol", "1e-6"],
+    "eval-tol-below-table": ["eval", "--s", "2", "--table", "a40.tbl"],
     "verify-truncation": ["verify", "--suite", "truncation", "--nmax", "8", "--table", "a40.tbl",
                           "--bits", "64"],
     "verify-cross-identity": ["verify", "--suite", "cross-identity", "--bits", "64"],
@@ -530,6 +536,9 @@ GOLDEN_OUTPUT = {
     "eval-4": (0, "114d921de1610163"),
     "eval-critical": (3, "b30f40de76873276"),
     "eval-pole": (3, "8e4eb41513fcfe92"),
+    "eval-critical-200": (3, "b30f40de76873276"),
+    "eval-left": (3, "90146112b3f0ff13"),
+    "eval-tol-below-table": (2, "e3b0c44298fc1c14"),
     "verify-truncation": (0, "3d3d0b2497cbe6d2"),
     "verify-cross-identity": (0, "ee3779c2bb0fd6f4"),
     "verify-em-remainder": (0, "257d34439712dd63"),
@@ -559,6 +568,9 @@ GOLDEN_STDERR = {
     "eval-4": "e3b0c44298fc1c14",
     "eval-critical": "9ecb522798e306c6",
     "eval-pole": "9ecb522798e306c6",
+    "eval-critical-200": "9ecb522798e306c6",
+    "eval-left": "9ecb522798e306c6",
+    "eval-tol-below-table": "fbe5cf3b07d45d97",
     "verify-truncation": "e3b0c44298fc1c14",
     "verify-cross-identity": "e3b0c44298fc1c14",
     "verify-em-remainder": "e3b0c44298fc1c14",
@@ -714,10 +726,10 @@ def test_pole_error_exits_3(deep_table_file, monkeypatch, capsys):
     from maslanka import series
     from maslanka.mpnum import PoleError
 
-    def at_pole(s, table, tol, ctx):
+    def at_pole(zr, zi, table, tol, wb):
         raise PoleError("zeta pole at s = 1")
 
-    monkeypatch.setattr(series, "maslanka_eval", at_pole)
+    monkeypatch.setattr(series, "_eval_raw", at_pole)
     rc = cli.run(["eval", "--s", "1", "--table", str(deep_table_file)])
     cap = capsys.readouterr()
     assert rc == cli.EXIT_NUMERIC
@@ -773,6 +785,53 @@ class TestNonFiniteTol:
         assert cap.out == ""
 
 
+class TestLiteralGrammar:
+    """--s, --tol and --quad-tol follow one decimal grammar; p/q, a trailing l
+    and underscores, which mpmath's from_str takes, are usage errors (1/0 was
+    a bare ZeroDivisionError, exit 3 with an empty message)."""
+
+    @pytest.mark.parametrize("text", ["1/0", "1/3", "2l", "1L", "1_0"])
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--s", "{x}", "--table", "{table}", "--tol", "1e-6"],
+        ["eval", "--s", "3", "--table", "{table}", "--tol", "{x}"],
+        ["em-check", "--k", "8", "--a", "2", "--tol", "{x}"],
+        ["em-check", "--k", "8", "--a", "2", "--quad-tol", "{x}"],
+        ["verify", "--suite", "em-remainder", "--tol", "{x}"],
+    ], ids=["eval-s", "eval-tol", "em-check-tol", "em-check-quad-tol", "verify-tol"])
+    def test_exits_2(self, argv, text, small_table_file, capsys):
+        rc = cli.run([a.format(x=text, table=small_table_file) for a in argv])
+        cap = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert cap.err == f"error: not a decimal number: {text!r}\n"
+        assert cap.out == ""
+
+    @pytest.mark.parametrize("text,want", [
+        ("1e-6", "1e-6"), (" +.5E+3 ", "500"), ("7.", "7"), ("-0", "0"), ("0.1", "0.1"),
+        ("1e-400", "1e-400"),
+        ("123456789012345678901234567890e-10", "12345678901234567890.123456789"),
+    ])
+    @pytest.mark.parametrize("bits", [16, 53, 160])
+    def test_reads_as_mpmath_rounds(self, text, want, bits):
+        from maslanka.mpnum import parse_decimal
+
+        with mp.workprec(bits):
+            assert parse_decimal(text, bits) == mpf(want)._mpf_
+
+    @pytest.mark.parametrize("text", ["inf", "+INF", " -inf", "NaN"])
+    def test_specials_are_mpmaths(self, text):
+        from maslanka.mpnum import parse_decimal
+
+        assert parse_decimal(text, 53) == mpf(text.strip())._mpf_
+
+    @pytest.mark.parametrize("text", ["", ".", "+", "e5", "1e", "1.5.2", "0x10", "1e5.0",
+                                      "infinity", "+nan", "\u0661", "1 2"])
+    def test_rejects(self, text):
+        from maslanka.mpnum import parse_decimal
+
+        with pytest.raises(ValueError, match="not a decimal number"):
+            parse_decimal(text, 53)
+
+
 def _fresh_words(code: str) -> list[str]:
     """What `code` prints, split into words, run by a fresh interpreter on src/."""
     root = Path(__file__).resolve().parents[1]
@@ -784,15 +843,16 @@ def _fresh_words(code: str) -> list[str]:
     return proc.stdout.split()
 
 
-def _modules_after(argv: list[str]) -> set[str]:
-    """sys.modules of a fresh interpreter once it has run cli.run(argv)."""
+def _modules_after(argv: list[str], expected_rc: int = 0) -> set[str]:
+    """sys.modules of a fresh interpreter once it has run cli.run(argv), which
+    must exit with expected_rc."""
     code = ("import io, sys\n"
             "from maslanka import cli\n"
             "out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()\n"
             f"rc = cli.run({argv!r})\n"
             "print(rc, *sys.modules, file=out)")
     rc, *modules = _fresh_words(code)
-    assert rc == "0", (argv, rc)
+    assert rc == str(expected_rc), (argv, rc)
     return set(modules)
 
 
@@ -804,6 +864,8 @@ STARTUP_ARGV = {
     "bk": ["bk", "--kmax", "6", "--bits", "32"],
     "bk-table": ["bk", "--kmax", "6", "--table", "{d}/b6.tbl"],
     "eval": ["eval", "--s", "4", "--table", "{t}", "--bits", "64", "--tol", "1e-6"],
+    # the table runs out: exit 3
+    "eval-exhausted": ["eval", "--s", "0.5+14.134725i", "--table", "{t}", "--tol", "1e-6"],
     "verify": ["verify", "--suite", "truncation", "--nmax", "4", "--table", "{t}"],
     "em-check": ["em-check", "--k", "8", "--a", "2", "--bits", "64"],
     "decay": ["decay", "--table", "{t}", "--kmin", "5", "--kmax", "30"],
@@ -815,7 +877,8 @@ STARTUP_ARGV = {
 def startup_modules(small_table_file, tmp_path_factory):
     d = tmp_path_factory.mktemp("startup")
     save_table(coefficients.build_table("b", 6, PrecisionContext(32)), d / "b6.tbl")
-    return {name: _modules_after([arg.format(t=small_table_file, d=d) for arg in argv])
+    return {name: _modules_after([arg.format(t=small_table_file, d=d) for arg in argv],
+                                 3 if name == "eval-exhausted" else 0)
             for name, argv in STARTUP_ARGV.items()}
 
 
@@ -848,12 +911,20 @@ class TestStartup:
                     "statistics", "json", "csv", "dataclasses"}
         assert not left_out & mods
 
-    @pytest.mark.parametrize("name", ["coeff", "cache-info", "bk", "bk-table"])
+    @pytest.mark.parametrize("name", ["coeff", "cache-info", "bk", "bk-table", "eval",
+                                      "eval-exhausted"])
     def test_table_commands_load_no_mpmath(self, name, startup_modules):
-        # tables are built, saved, loaded and printed in Python integers, and
-        # bk's scaled columns formed in them
+        # tables are built, saved, loaded and printed in Python integers, bk's
+        # scaled columns formed in them, and eval's literals read, summed and
+        # rounded in them
         mods = startup_modules[name]
         assert "maslanka.coefficients" in mods
+        assert "mpmath" not in mods
+
+    def test_series_and_pochhammer_import_load_no_mpmath(self):
+        mods = set(_fresh_words("import sys, maslanka.series, maslanka.pochhammer\n"
+                                "print(*sys.modules)"))
+        assert {"maslanka.series", "maslanka.pochhammer"} <= mods
         assert "mpmath" not in mods
 
     def test_analysis_import_loads_no_mpmath(self):
@@ -871,7 +942,7 @@ class TestStartup:
         assert "maslanka.bernoulli" in mods
         assert "mpmath" not in mods
 
-    @pytest.mark.parametrize("name", ["eval", "cache-info"])
+    @pytest.mark.parametrize("name", ["eval", "eval-exhausted", "cache-info"])
     def test_table_reads_load_no_phik_or_analysis(self, name, startup_modules):
         mods = startup_modules[name]
         assert "maslanka.coefficients" in mods

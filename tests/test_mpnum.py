@@ -1,8 +1,12 @@
+import math
+import random
+
 import pytest
 from hypothesis import given, strategies as st
-from mpmath import mp
+from mpmath import libmp, mp
 
-from maslanka.mpnum import PrecisionContext, required_bits_for_alternating_sum
+from maslanka.mpnum import (PrecisionContext, _add, _div, _raw, _sqrt, _to_float,
+                            required_bits_for_alternating_sum)
 
 
 class TestRequiredBits:
@@ -134,3 +138,62 @@ class TestRecord:
                              (((5, 20), -1.5, 0.25, 0.125), {"colour": 2})]:
             with pytest.raises(TypeError):
                 DecayFit(*args, **kwargs)
+
+
+def _raw_samples(seed: str, n: int):
+    """n raw tuples: zero now and then, mantissas of 1 to 400 bits (wider than
+    the precisions they meet), exponents within +-300, often far apart."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        if rng.random() < 0.03:
+            yield (0, 0, 0, 0)
+        else:
+            man = rng.getrandbits(rng.choice([1, 3, 20, 53, 90, 170, 400])) | 1
+            yield _raw(rng.choice([-man, man]), rng.randint(-300, 300))
+
+
+class TestRawArithmetic:
+    """The raw roundings against mpmath.libmp's own, bit for bit, at
+    precisions below, near and above the operands' widths."""
+
+    @pytest.mark.parametrize("down", [False, True])
+    def test_add_is_mpf_add(self, down):
+        xs = list(_raw_samples("add-x", 3000))
+        for i, (x, y) in enumerate(zip(xs, _raw_samples("add-y", 3000))):
+            if i % 3 == 0:  # exponents within 100: the exact branch
+                y = (y[0], y[1], x[2] + i % 90, y[3]) if y[1] else y
+            bits = (16, 53, 100, 170, 240)[i % 5]
+            assert _add(x, y, bits, down) == libmp.mpf_add(x, y, bits, "d" if down else "n")
+
+    def test_add_nudges_a_wide_operand_as_mpf_add_does(self):
+        # x has 200 bits past 53, and they read half an ulp less one unit; y,
+        # 150 exponents lower, is above that unit: the exact sum rounds up, the
+        # sticky bit that mpf_add puts in y's place rounds down
+        x = _raw(((2**52 + 5) << 200) + 2**199 - 1, 0)
+        y = _raw(2**159 + 1, -150)
+        exact = _raw((x[1] << 150) + y[1], -150, 53)
+        assert _add(x, y, 53) == libmp.mpf_add(x, y, 53, "n") != exact
+
+    def test_div_is_mpf_div(self):
+        pairs = zip(_raw_samples("div-x", 3000), _raw_samples("div-y", 3000))
+        for i, (x, y) in enumerate(pairs):
+            if y[1]:
+                bits = (16, 53, 100, 170, 240)[i % 5]
+                assert _div(x, y, bits) == libmp.mpf_div(x, y, bits, "n")
+
+    def test_sqrt_is_mpf_sqrt(self):
+        for i, x in enumerate(_raw_samples("sqrt", 3000)):
+            x = (0, *x[1:])
+            bits = (16, 53, 100, 170, 240)[i % 5]
+            assert _sqrt(x, bits) == libmp.mpf_sqrt(x, bits, "n")
+
+    def test_to_float_is_mpmaths(self):
+        rng = random.Random("float")
+        for x in _raw_samples("float", 3000):
+            if x[1]:  # out to the float range's ends, below it and past it
+                x = (x[0], x[1], rng.randint(-1200, 1100) - x[3], x[3])
+            assert _to_float(x) == libmp.to_float(x, rnd="n")
+        assert _to_float((1, 1, 1024, 1)) == -math.inf
+        # a mantissa past the float range at an exponent that brings it back
+        wide = _raw(3**1300, -2050)
+        assert _to_float(wide) == libmp.to_float(wide, rnd="n") == 3**1300 / 2**2050

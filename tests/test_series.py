@@ -1,18 +1,21 @@
 import hashlib
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
-from mpmath import mp, mpc, mpf
+from hypothesis import example, given, settings, strategies as st
+from mpmath import libmp, mp, mpc, mpf
 
 from maslanka.bernoulli import bernoulli_number, zeta_even
 from maslanka.cli import GLOBAL_PROBES, parse_complex
 from maslanka.coefficients import build_table
 from maslanka.mpnum import PoleError, PrecisionContext
-from maslanka.pochhammer import pochhammer_values
-from maslanka.series import _em_rhos, maslanka_eval, truncation_check, zeta_reference
+from maslanka.pochhammer import _fixed_terms, _guard_bits, _to_fixed, pochhammer_values
+from maslanka.series import (_cdiv, _em_rhos, _eval_raw, _to_mp, maslanka_eval,
+                             truncation_check, zeta_reference)
 
 
 class TestMaslankaEval:
@@ -182,10 +185,30 @@ class TestGoldenValues:
     def test_eval_at_the_cli_probes(self, table_a400_128, ctx128):
         h = hashlib.sha256()
         for text in GLOBAL_PROBES + ("0", "1"):
-            r = maslanka_eval(parse_complex(text), table_a400_128, mpf("1e-20"), ctx128)
+            r = maslanka_eval(_to_mp(*parse_complex(text, 53)), table_a400_128, mpf("1e-20"),
+                              ctx128)
             h.update(repr((text, _exact_parts(r.value), r.terms_used, r.converged,
                            _exact_parts(r.residual_estimate))).encode())
         assert h.hexdigest() == "a59f4ee4cb08b2b1c03360fa3f26285c22c041db4c10cba1f1da03c4bfc4eb64"
+
+    def test_every_field_at_edge_points(self, table_a400_128, table_a900_128, ctx128):
+        # s read from its literal at working bits, as `maslanka eval` reads it:
+        # the probes, an mpc with a zero imaginary part, two points where s - 1
+        # rounds, one far left, and an eval_plane point (float parts) at which
+        # rounding the three sums of mpc_div to nearest moves zeta_value by an ulp
+        texts = GLOBAL_PROBES + ("0", "1", "4+0i", "0.5e-30+1e-30i",
+                                 "1.0000000000000000000001", "-1e5")
+        with mp.workprec(ctx128.working_bits):
+            cases = [(mpmath.mpmathify(t.replace("i", "j")), table_a400_128, "1e-20")
+                     for t in texts]
+        cases.append((mpc(5.039913, -6.257193), table_a900_128, "1e-8"))
+        h = hashlib.sha256()
+        for s, table, tol in cases:
+            r = maslanka_eval(s, table, mpf(tol), ctx128)
+            zeta = None if r.zeta_value is None else _exact_parts(r.zeta_value)
+            h.update(repr((_exact_parts(r.s), _exact_parts(r.value), zeta, r.terms_used,
+                           _exact_parts(r.residual_estimate), r.is_pole, r.converged)).encode())
+        assert h.hexdigest() == "90527640b524b8c49359ec918129cac30c88fbcff5c1a026c81ec35184025c46"
 
     def test_truncation_identities(self, table_a400_128, ctx128):
         h = hashlib.sha256()
@@ -286,6 +309,74 @@ class TestIntegerKernelAccuracy:
                 s = mpc(s, mpf(im.numerator) / im.denominator)
         reference = _reference_sums(s, table_a900_128, 2 * ctx128.working_bits)
         _assert_within_bound(s, tol, reference, table_a900_128, ctx128)
+
+
+def _mp_roundings(z, table, terms: int, wb: int):
+    """value, zeta_value and residual_estimate as mpmath rounds them at wb,
+    from the sweep's partial sums S_K and S_ceil(K/2), K = terms - 1, at the
+    W and H that mpmath's own z/2 and float() give."""
+    with mp.workprec(wb):
+        h = z / 2
+        W = wb + _guard_bits(float(h.real), float(h.imag), table.k_max)
+        H = (_to_fixed(mp.re(z)._mpf_, W - 1), _to_fixed(mp.im(z)._mpf_, W - 1))
+        sums = list(itertools.accumulate(_fixed_terms(H, table.raw[:terms], W),
+                                         lambda p, t: (p[0] + t[0], p[1] + t[1])))
+        (sr, si), (mr, mi) = sums[-1], sums[terms // 2]
+        residual = mpmath.sqrt(mpf(((sr - mr) ** 2 + (si - mi) ** 2, -2 * W)))
+        value = mpc(mpf((sr, -W)), mpf((si, -W))) if isinstance(z, mpc) else mpf((sr, -W))
+        return value, None if z == 1 else value / (z - 1), residual
+
+
+@st.composite
+def _tiny_real_parts(draw):
+    """(Re s, Im s) with |Re s| below 10^-20, where s - 1 rounds."""
+    re = draw(st.fractions(-1, 1, max_denominator=10**4)) / 10 ** draw(st.integers(20, 60))
+    im = draw(st.just(0) | st.fractions(-15, 15, max_denominator=10**4))
+    return re, im
+
+
+class TestRawCore:
+    """``_eval_raw`` rounds as mpmath rounded: its value, zeta_value and
+    residual_estimate equal, bit for bit, the roundings mpmath makes of the
+    same integer sums, at the eval_plane boxes and at tiny real parts."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(point=_eval_plane_points() | _tiny_real_parts(),
+           tol=st.sampled_from(["1e-4", "1e-8"]))
+    # where rounding mpc_div's three sums to nearest, not toward zero, moves
+    # the real part of zeta_value by an ulp
+    @example(point=(Fraction(5.039913), Fraction(-6.257193)), tol="1e-8")
+    def test_roundings_are_mpmaths(self, point, tol, table_a900_128, ctx128):
+        re, im = point
+        wb = ctx128.working_bits
+        with mp.workprec(wb):  # s as maslanka_eval reads it
+            z = mpf(re.numerator) / re.denominator
+            if im:
+                z = mpc(z, mpf(im.numerator) / im.denominator)
+            tol = mpf(tol)
+        parts = z._mpc_ if isinstance(z, mpc) else (z._mpf_, None)
+        terms, _, value, zeta, residual = _eval_raw(*parts, table_a900_128, tol._mpf_, wb)
+        want_value, want_zeta, want_residual = _mp_roundings(z, table_a900_128, terms, wb)
+        assert value == (want_value._mpc_ if isinstance(z, mpc) else (want_value._mpf_, None))
+        if isinstance(z, mpc):
+            assert zeta == want_zeta._mpc_
+        else:
+            assert zeta == (want_zeta._mpf_, None)
+        assert residual == want_residual._mpf_
+
+    def test_complex_quotient_is_mpc_div(self):
+        # 4000 quotients of random 53- to 200-bit parts at 3 precisions; on
+        # this seed 3 of them land where rounding the sums to nearest differs
+        rng = random.Random("cdiv")
+
+        def part():
+            man = rng.getrandbits(rng.choice([53, 160, 200]))
+            return libmp.from_man_exp(rng.choice([-man, man]), rng.randint(-220, 20))
+
+        for i in range(4000):
+            a, b, c, d = part(), part(), part(), part()
+            wb = (48, 160, 232)[i % 3]
+            assert _cdiv(a, b, c, d, wb) == libmp.mpc_div((a, b), (c, d), wb, "n")
 
 
 class TestZetaReference:
