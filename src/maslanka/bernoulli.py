@@ -158,8 +158,13 @@ def zeta_even(m: int, ctx: PrecisionContext):
 
     if m < 2 or m % 2:
         raise ValueError("m must be an even integer >= 2")
-    s = ctx.working_bits + GUARD_BITS
-    return mp.make_mpf(_raw(_zeta_row(m // 2, s)[-1], -s, ctx.working_bits))
+    return mp.make_mpf(_zeta_even_raw(m, ctx.working_bits))
+
+
+def _zeta_even_raw(m: int, wb: int) -> tuple:
+    """zeta_even's raw tuple at working_bits wb, for even m >= 2."""
+    s = wb + GUARD_BITS
+    return _raw(_zeta_row(m // 2, s)[-1], -s, wb)
 
 
 def bernoulli_poly_coeffs(a: int) -> tuple[Fraction, ...]:

@@ -19,11 +19,14 @@ Start-up: ``--help`` and usage errors load argparse and this module, and no
 other package module and no mpmath.  Their cost over a bare interpreter is
 importing argparse, compiling this module and building all seven subparsers.
 Each handler imports the package modules and mpmath it runs, when it runs.
-``coeff``, ``cache-info``, ``bk`` and ``eval`` run on Python integers alone
-(tables are built, saved, loaded and printed without mpmath, ``bk``'s scaled
-columns come from analysis's integer route, and ``eval`` reads its literals
-with mpnum.parse_decimal and sums through series._eval_raw), so they never
-import mpmath; every other command does.
+``coeff``, ``cache-info``, ``bk``, ``eval`` and ``em-check`` run on Python
+integers alone (tables are built, saved, loaded and printed without mpmath,
+``bk``'s scaled columns come from analysis's integer route, ``eval`` sums
+through series._eval_raw, and ``em-check`` checks through phik._em_check),
+and so do the truncation, cross-identity and em-remainder suites of
+``verify``; each reads its literals with mpnum.parse_decimal and prints its
+raw tuples with mpnum, so none imports mpmath.  Only ``decay`` and the
+global-agreement suite do.
 
 Numeric literals (--s and its parts, --tol, --quad-tol) follow one strict
 decimal grammar, mpnum.parse_decimal's: a malformed one is a usage error.
@@ -31,7 +34,6 @@ decimal grammar, mpnum.parse_decimal's: a malformed one is a usage error.
 
 import argparse
 import contextlib
-import math
 import sys
 
 EXIT_OK = 0
@@ -186,43 +188,23 @@ def _cmd_eval(args) -> int:
 
 
 def _positive_tol(text, name: str = "tol"):
-    """A tolerance from its command-line text, read at 53 bits: a positive and
-    finite mpf, or ValueError."""
-    from mpmath import mp
-
+    """A tolerance from its command-line text, read at 53 bits: the raw tuple
+    of a positive and finite number, or ValueError."""
     from .mpnum import _check_positive, parse_decimal
 
     tol = parse_decimal(text, 53)
     _check_positive(tol, name)
-    return mp.make_mpf(tol)
+    return tol
 
 
 def _verify_truncation(table, ctx, nmax):
-    """(passed, text) for each identity n, checked against the error its table
-    entries can carry.
+    """(passed, text) for each identity n, decided exactly against the error
+    its table entries can carry (series._truncation_rows)."""
+    from .mpnum import format_nstr
+    from .series import _truncation_rows
 
-    Entry k is within table.error_bound(k) of A_k, and P_k(n) = (-1)^k
-    C(n-1, k) scales that error, so the exact sum is within
-    sum_{k<n} C(n-1, k) error_bound(k) of (2n-1) zeta(2n).  On top come the
-    roundings at working_bits wp: the sum's one, a unit of |lhs| 2^-wp, and 3
-    units of |rhs| 2^-wp for the right side, since zeta_even is within
-    2^-wp (1 + 2^-32) of zeta(2n) relative and the product (2n-1) zeta adds
-    one rounding, at most 2^-wp relative.
-    """
-    import mpmath
-
-    from .series import truncation_check
-
-    ulp = mpmath.mpf(2) ** -ctx.working_bits
-    errs = []
-    for n in range(1, nmax + 1):
-        lhs, rhs = truncation_check(n, table, ctx)
-        errs.append(table.error_bound(n - 1))
-        rel = abs(lhs - rhs) / abs(rhs)
-        with ctx.prec():
-            err = sum(math.comb(n - 1, k) * e for k, e in enumerate(errs))
-            tol = (err + (abs(lhs) + 3 * abs(rhs)) * ulp) / abs(rhs)
-        yield rel < tol, f"truncation n={n} rel={mpmath.nstr(rel, 3)}"
+    for n, passed, rel in _truncation_rows(table, ctx.working_bits, nmax):
+        yield passed, f"truncation n={n} rel={format_nstr(rel, 3)}"
 
 
 def _verify_cross_identity(ctx, kmax):
@@ -232,53 +214,38 @@ def _verify_cross_identity(ctx, kmax):
     cross_identity_pairs gives both heads as integers at one scale 2^W, where
     a_k's route is within 2^(k-1) (1 + 2^-31) units of A_k 2^W and a_k_alt's
     within (k+1) 2^k (1/2 + 2^-32), together (k+2) (1 + 2^-31) 2^(k-1) units;
-    the heads and that bound are compared exactly.
+    the heads and that bound are compared exactly.  Each rel is |ha - hb| /
+    |ha| rounded once to 53 bits, and the worst is chosen exactly.
     """
-    import mpmath
-
     from .coefficients import cross_identity_pairs
+    from .mpnum import _quotient, format_nstr
 
-    ok_all = True
-    worst = mpmath.mp.zero
+    ok_all, worst = True, (0, 1)
     for k, ha, hb in cross_identity_pairs(kmax, ctx):
-        rel = abs(mpmath.mpf(ha - hb)) / abs(ha)  # mpf / int divides by the exact int
-        worst = max(worst, rel)
-        if abs(ha - hb) << 32 > (k + 2) * (2**31 + 1) << k:
+        gap, ha = abs(ha - hb), abs(ha)
+        if gap * worst[1] > worst[0] * ha:
+            worst = gap, ha
+        if gap << 32 > (k + 2) * (2**31 + 1) << k:
             ok_all = False
-            yield False, f"cross-identity k={k} rel={mpmath.nstr(rel, 3)}"
-    yield ok_all, f"cross-identity k=1..{kmax} worst_rel={mpmath.nstr(worst, 3)}"
-
-
-def _em_pair(k, a, ctx, tol, quad_tol=None):
-    """(A_k, A_k as the depth-a remainder integral, their relative difference).
-
-    The quadrature tolerance defaults to |A_k| * tol / 100.
-    """
-    from .coefficients import a_k
-    from .phik import build_paj, em_remainder_a_k
-
-    if not 2 <= a < k:  # before build_paj(a + 1), which costs about a^3
-        raise ValueError("need 2 <= a < k")
-    paj = build_paj(a + 1)
-    ref = a_k(k, ctx)
-    if quad_tol is None:
-        quad_tol = abs(ref) * tol / 100
-    val = em_remainder_a_k(k, a, paj, ctx, quad_tol)
-    return ref, val, abs(val - ref) / abs(ref)
+            yield False, f"cross-identity k={k} rel={format_nstr(_quotient(gap, ha), 3)}"
+    yield ok_all, f"cross-identity k=1..{kmax} worst_rel={format_nstr(_quotient(*worst), 3)}"
 
 
 def _verify_em(ctx, tol):
-    import mpmath
+    from .mpnum import format_nstr
+    from .phik import _em_check
 
     for k, a in EM_PAIRS:
-        *_, rel = _em_pair(k, a, ctx, tol)
-        yield rel < tol, f"em-remainder k={k} a={a} rel={mpmath.nstr(rel, 3)}"
+        *_, rel, passed = _em_check(k, a, ctx, tol, None)
+        yield passed, f"em-remainder k={k} a={a} rel={format_nstr(rel, 3)}"
 
 
 def _verify_global(table, ctx, tol):
     import mpmath
 
     from .series import _to_mp, maslanka_eval, zeta_reference
+
+    tol = _to_mp(tol)
 
     def read(text):
         return _to_mp(*parse_complex(text, ctx.working_bits))
@@ -296,10 +263,8 @@ def _verify_global(table, ctx, tol):
 
 
 def _cmd_verify(args) -> int:
-    import mpmath
-
     from .coefficients import build_table, load_table
-    from .mpnum import PrecisionContext
+    from .mpnum import PrecisionContext, parse_decimal
 
     ctx = PrecisionContext(args.bits)
     suites = SUITES if args.suite == "all" else (args.suite,)
@@ -319,8 +284,8 @@ def _cmd_verify(args) -> int:
     checks = {  # generators: a suite runs, and imports, only when read
         "truncation": _verify_truncation(table, ctx, args.nmax),
         "cross-identity": _verify_cross_identity(ctx, 100),
-        "em-remainder": _verify_em(ctx, tol or mpmath.mpf("1e-6")),
-        "global-agreement": _verify_global(table, ctx, tol or mpmath.mpf("1e-20")),
+        "em-remainder": _verify_em(ctx, tol or parse_decimal("1e-6", 53)),
+        "global-agreement": _verify_global(table, ctx, tol or parse_decimal("1e-20", 53)),
     }
     ok = True
     for suite in suites:
@@ -331,20 +296,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_em_check(args) -> int:
-    import mpmath
-
     from .coefficients import format_real, mantissa_digits
-    from .mpnum import PrecisionContext
+    from .mpnum import PrecisionContext, format_nstr
+    from .phik import _em_check
 
     ctx = PrecisionContext(args.bits)
     tol = _positive_tol(args.tol)
     quad_tol = _positive_tol(args.quad_tol, "quad-tol") if args.quad_tol else None
-    ref, val, rel = _em_pair(args.k, args.a, ctx, tol, quad_tol)
+    ref, val, rel, passed = _em_check(args.k, args.a, ctx, tol, quad_tol)
     digits = mantissa_digits(args.bits)
-    print(f"a_k({args.k}) = {format_real(ref._mpf_, digits)}")
-    print(f"em_remainder(k={args.k}, a={args.a}) = {format_real(val._mpf_, digits)}")
-    print(f"rel_diff = {mpmath.nstr(rel, 6)}")
-    if not rel < tol:
+    print(f"a_k({args.k}) = {format_real(ref, digits)}")
+    print(f"em_remainder(k={args.k}, a={args.a}) = {format_real(val, digits)}")
+    print(f"rel_diff = {format_nstr(rel, 6)}")
+    if not passed:
         print(f"tolerance {args.tol} not met", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_OK

@@ -144,11 +144,11 @@ class CoefficientTable(_ValuesView):
         return mp.make_mpf((0, 1, self.error_bound_exponents[k], 1))
 
 
-def _to_mpf(head: int, w: int):
-    """head * 2^-w as an exact mpf."""
+def _to_mpf(x: tuple):
+    """The mpf of a raw tuple."""
     from mpmath import mp
 
-    return mp.make_mpf(_raw(head, -w))
+    return mp.make_mpf(x)
 
 
 # -- fixed-point zeta row ------------------------------------------------------
@@ -236,12 +236,16 @@ def _alt_heads(k_max: int, w: int):
 # -- coefficients ----------------------------------------------------------------
 
 
-def _single_index(kind: str, k: int, ctx: PrecisionContext):
-    if k < 0:
-        raise ValueError("k must be >= 0")
+def _single_index(kind: str, k: int, ctx: PrecisionContext) -> tuple:
+    """Entry k as the exact raw tuple of the last head over its own row at
+    W(k): kind "A" or "b" by the defining sum, "alt" by a_k_alt's reindexed one."""
+    least = 1 if kind == "alt" else 0
+    if k < least:
+        raise ValueError(f"k must be >= {least}")
     w = required_bits_for_alternating_sum(k, ctx.target_bits)
-    *_, head = _difference_heads(_fixed_row(kind, k + 1, w))
-    return _to_mpf(head, w)
+    heads = _alt_heads(k, w) if kind == "alt" else _difference_heads(_fixed_row(kind, k + 1, w))
+    *_, head = heads
+    return _raw(head, -w)
 
 
 def a_k(k: int, ctx: PrecisionContext):
@@ -250,12 +254,12 @@ def a_k(k: int, ctx: PrecisionContext):
     The result is unrounded; its error is the row rounding, below
     2^(k - W(k) - 1) * (1 + 2^-31).
     """
-    return _single_index("A", k, ctx)
+    return _to_mpf(_single_index("A", k, ctx))
 
 
 def b_k(k: int, ctx: PrecisionContext):
     """b_k = sum_j (-1)^j C(k,j)/zeta(2j+2), by the same rounds as a_k."""
-    return _single_index("b", k, ctx)
+    return _to_mpf(_single_index("b", k, ctx))
 
 
 def a_k_alt(k: int, ctx: PrecisionContext):
@@ -268,11 +272,7 @@ def a_k_alt(k: int, ctx: PrecisionContext):
     and each difference adds up 2^(k-1) of them, so the unrounded result obeys
     |a_k_alt(k) - A_k| <= (k+1) 2^(k-W) (1/2 + 2^-32).
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    w = required_bits_for_alternating_sum(k, ctx.target_bits)
-    *_, head = _alt_heads(k, w)
-    return _to_mpf(head, w)
+    return _to_mpf(_single_index("alt", k, ctx))
 
 
 def cross_identity_pairs(k_max: int, ctx: PrecisionContext):

@@ -22,11 +22,13 @@ _scale10 (Brent & Zimmermann, Modern Computer Arithmetic, 2010, section
 1.7): format_real prints x rounded to nearest at a given number of digits,
 ties away from zero, and decimal_to_raw reads a decimal rounded to nearest
 at a given number of bits, ties to even, at every magnitude; parse_decimal
-reads a literal of one strict grammar through it.  So coefficient tables,
-which keep their entries as raw tuples, are built, saved and loaded without
-importing mpmath, and so is the series at one point as ``maslanka eval``
-sums it (``series._eval_raw``); the pi^2 of the table rows comes from
-:mod:`maslanka.bernoulli`.  The functions that hand back mpmath
+reads a literal of one strict grammar through it, and format_nstr prints
+in mpmath's nstr layout.  So coefficient tables, which keep their entries
+as raw tuples, are built, saved and loaded without importing mpmath, and so
+is the series at one point as ``maslanka eval`` sums it
+(``series._eval_raw``), and the cross-checks of ``maslanka em-check`` and
+``verify``, whose ratios _quotient rounds once; the pi^2 of the table rows
+comes from :mod:`maslanka.bernoulli`.  The functions that hand back mpmath
 ``mpf``/``mpc`` values (the series wrapper, the quadrature, the analysis)
 import mpmath when they run; this module never does.  There is no interval
 mode; error bounds are proven instead, in the docstrings of the table
@@ -44,6 +46,7 @@ __all__ = [
     "PoleError",
     "PrecisionContext",
     "decimal_to_raw",
+    "format_nstr",
     "format_real",
     "parse_decimal",
     "required_bits_for_alternating_sum",
@@ -321,27 +324,59 @@ def _floor_digits(man: int, exp: int, n: int) -> tuple[int, int]:
             t *= 2
 
 
-def format_real(x: tuple, digits: int) -> str:
-    """Fixed-width scientific form <sign><d>.<d...>e<sign><exp> with `digits`
-    digits, of the raw tuple x (an mpf's ``_mpf_``).
-
-    The token is x rounded to nearest at `digits` digits, ties away from
-    zero: the first digits + 1 digits of |x| rounded down, from
-    _floor_digits, rounded half up at the last digit kept.  It equals
-    mpmath's to_str(x, digits, strip_zeros=False, min_fixed=1, max_fixed=0)
-    except where x lies above a decimal tie by less than 2^-bitprec |x|,
-    bitprec = floor(3.32 (digits + 3)) + 10, since to_str first truncates x
-    to bitprec bits, which can move such an x below the tie.
-    """
-    sign, man, exp, _ = x
-    if not man:
-        return "+0." + "0" * (digits - 1) + "e+0"
+def _round_digits(man: int, exp: int, digits: int) -> tuple[str, int]:
+    """(m, E): x = man 2^exp > 0 rounded to nearest at `digits` digits, ties
+    away from zero, as its digit string m and E = floor(log10) of the rounded
+    value: the first digits + 1 digits of x rounded down, from _floor_digits,
+    rounded half up at the last digit kept."""
     lead, e10 = _floor_digits(man, exp, digits + 1)
     lead = (lead + 5) // 10
     if lead == 10 ** digits:
         lead, e10 = lead // 10, e10 + 1
-    m = str(lead)
+    return str(lead), e10
+
+
+def format_real(x: tuple, digits: int) -> str:
+    """Fixed-width scientific form <sign><d>.<d...>e<sign><exp> with `digits`
+    digits, of the raw tuple x (an mpf's ``_mpf_``), rounded by _round_digits.
+
+    It equals mpmath's to_str(x, digits, strip_zeros=False, min_fixed=1,
+    max_fixed=0) except where x lies above a decimal tie by less than
+    2^-bitprec |x|, bitprec = floor(3.32 (digits + 3)) + 10, since to_str
+    first truncates x to bitprec bits, which can move such an x below the tie.
+    """
+    sign, man, exp, _ = x
+    if not man:
+        return "+0." + "0" * (digits - 1) + "e+0"
+    m, e10 = _round_digits(man, exp, digits)
     return f"{'-' if sign else '+'}{m[0]}.{m[1:]}e{e10:+d}"
+
+
+def format_nstr(x: tuple, digits: int) -> str:
+    """mpmath's nstr(x, digits) of a finite raw tuple x: the digits of
+    _round_digits, trailing zeros stripped, in fixed point when the exponent
+    E has min(-(digits // 3), -5) < E < digits and as <d>.<d...>e<exp>
+    otherwise, with format_real's one exception near a decimal tie."""
+    sign, man, exp, _ = x
+    if not man:
+        return "0.0"
+    m, e10 = _round_digits(man, exp, digits)
+    split = 1
+    if min(-(digits // 3), -5) < e10 < digits:
+        if e10 < 0:
+            m = "0" * -e10 + m
+        else:
+            m, split = m.ljust(e10 + 1, "0"), e10 + 1
+        e10 = 0
+    body = (m[:split] + "." + m[split:]).rstrip("0")
+    body = ("-" if sign else "") + body + "0" * body.endswith(".")
+    return f"{body}e{e10:+d}" if e10 else body
+
+
+def _quotient(p: int, q: int, bits: int = 53) -> tuple:
+    """p / q for integers, q nonzero, correctly rounded to nearest at `bits`
+    bits (mpmath's from_rational); 53 bits is mpmath's default precision."""
+    return _div(_raw(p, 0), _raw(q, 0), bits)
 
 
 def decimal_to_raw(man: int, e10: int, bits: int) -> tuple[int, int, int, int]:

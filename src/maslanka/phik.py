@@ -45,6 +45,14 @@ Fraction, sup|Bbar_d| included.  The L1 norms Int_1^inf |phi_k^(a)| need
 none: phi_k^(a) changes sign exactly at its a zeros, which a Rolle walk over
 the exact integer rows p_{r,j}(k) brackets, so each norm is the total
 variation of phi_k^(a-1) between them (deriv_l1_norm).
+
+So the remainder route runs on Python integers and Fractions alone, and
+importing this module loads no mpmath.  Its core, _em_remainder_raw, takes
+quad_tol as a raw tuple and returns one; _em_check adds a_k's exact head and
+the exact pass/fail decision for ``maslanka em-check`` and ``verify --suite
+em-remainder``, which therefore never import mpmath.  The functions that
+hand back mpf values (em_remainder_a_k, phi_deriv, deriv_l1_norm) import it
+when they run.
 """
 
 from __future__ import annotations
@@ -52,12 +60,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
-from mpmath import mp, mpf
-from mpmath.libmp import from_rational, round_nearest, to_rational
-
 from .bernoulli import bernoulli_number, bernoulli_poly_coeffs, periodified_sup_bound
-from .mpnum import PrecisionContext, Record
+from .mpnum import (_INF, PrecisionContext, Record, _div, _man, _quotient, _raw, _round,
+                    format_nstr)
 
 __all__ = [
     "PajTable",
@@ -123,8 +128,11 @@ def _pcoeffs(paj: PajTable, a: int, k: int) -> list[int]:
     return [paj_eval(paj, a, j, k) for j in range(a + 1)]
 
 
-def phi_deriv(k: int, a: int, x, paj: PajTable, ctx: PrecisionContext) -> mpf:
-    """The a-th derivative of phi_k from the closed form; a = 0 gives phi_k itself."""
+def phi_deriv(k: int, a: int, x, paj: PajTable, ctx: PrecisionContext):
+    """The a-th derivative of phi_k from the closed form, as an mpf; a = 0
+    gives phi_k itself."""
+    from mpmath import mp, mpf
+
     if k < 1:
         raise ValueError("k must be >= 1")
     if not (0 <= a <= min(k, paj.a_max)):
@@ -336,7 +344,7 @@ def _em_cut(k: int, a: int, row: list[int], limit: Fraction):
     return None
 
 
-def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_tol: mpf) -> mpf:
+def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_tol):
     """A_k recomputed as the depth-a Euler-Maclaurin remainder integral.
 
         A_k = ((-1)^a / a!) * Int_1^X Bbar_a(x) phi_k^(a+1)(x) dx  +  T_a(X)
@@ -374,20 +382,34 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
     each Q within 2^-working_bits of the rule's exact value (_phi_panel); the
     dropped T_d(X), below quad_tol/2 by the exact bound; the boundary sum,
     exact (_phi_deriv_exact); and one final rounding to working_bits.
+
+    quad_tol (an mpf, an int or a string) is read by mpmath at working_bits,
+    and the result is an mpf.  This wrapper hands the raw tuples to
+    ``_em_remainder_raw``, which imports no mpmath; ``maslanka em-check``
+    and ``verify --suite em-remainder`` call that core through ``_em_check``.
     """
+    from mpmath import mp, mpf
+
+    with mp.workprec(ctx.working_bits):
+        tol = mpf(quad_tol)._mpf_
+    return mp.make_mpf(_em_remainder_raw(k, a, paj, ctx.working_bits, tol))
+
+
+def _em_remainder_raw(k: int, a: int, paj: PajTable, wp: int, quad_tol: tuple) -> tuple:
+    """The integer core of ``em_remainder_a_k`` at working_bits wp, on a raw
+    quad_tol, rounded to wp bits first; returns the raw tuple of the exact
+    sum rounded once to wp bits, as mpmath's from_rational rounds it."""
     if not 2 <= a < k:
         raise ValueError("need 2 <= a < k")
     if paj.a_max < a + 1:
         raise ValueError("paj must cover depth a+1")
-    wp = ctx.working_bits
-    with mp.workprec(wp):
-        tol = mpf(quad_tol)
-        if not tol > 0:
-            raise ValueError("quad_tol must be positive")
-        if not mpmath.isfinite(tol):
-            raise ValueError("quad_tol must be finite")
-        shown = mpmath.nstr(tol, 6)
-        half_tol = Fraction(*to_rational(tol._mpf_)) / 2
+    tol = _round(quad_tol, wp)
+    if tol[0] or not tol[1] and tol != _INF:  # nan, zero or negative
+        raise ValueError("quad_tol must be positive")
+    if not tol[1]:
+        raise ValueError("quad_tol must be finite")
+    shown = format_nstr(tol, 6)
+    half_tol = Fraction(tol[1], 2) * Fraction(2) ** tol[2]
     cut = _em_cut(k, a, _pcoeffs(paj, a + 1, k), half_tol)
     failure = f"tolerance {shown} not met within {MAX_PANELS} panels"
     if cut is None:
@@ -428,7 +450,35 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
     for r in range(a + 2 - a % 2, d + 1, 2):  # even r in (a, d]
         b_r = bernoulli_number(r) / math.factorial(r)
         value += b_r * _phi_deriv_exact(k, r, X, rows[r - a - 1])
-    return mp.make_mpf(from_rational(value.numerator, value.denominator, wp, round_nearest))
+    return _quotient(value.numerator, value.denominator, wp)
+
+
+def _em_check(k: int, a: int, ctx: PrecisionContext, tol: tuple, quad_tol: tuple | None):
+    """(A_k, A_k as the depth-a remainder integral, rel, passed) as raw
+    tuples, for ``maslanka em-check`` and ``verify --suite em-remainder``.
+
+    A_k is a_k's exact head (coefficients._single_index).  quad_tol defaults
+    to |A_k| tol / 100 as mpf arithmetic at 53 bits formed it: |A_k|, the
+    product and the quotient, each rounded to nearest.  passed is
+    |val - A_k| < tol |A_k|, compared exactly in integers at one scale 2^e,
+    and rel is |val - A_k| / |A_k| from the exact difference, rounded once
+    to 53 bits.
+    """
+    from .coefficients import _single_index
+
+    if not 2 <= a < k:  # before build_paj(a + 1), which costs about a^3
+        raise ValueError("need 2 <= a < k")
+    paj = build_paj(a + 1)
+    ref = _single_index("A", k, ctx)
+    if quad_tol is None:
+        _, m, e, _ = _round(ref, 53)
+        quad_tol = _div(_raw(m * tol[1], e + tol[2], 53), _raw(100, 0), 53)
+    val = _em_remainder_raw(k, a, paj, ctx.working_bits, quad_tol)
+    e = min(val[2], ref[2])
+    gap = abs((_man(val) << val[2] - e) - (_man(ref) << ref[2] - e))
+    scale = ref[1] << ref[2] - e  # |A_k| 2^-e
+    passed = gap << max(-tol[2], 0) < tol[1] * scale << max(tol[2], 0)
+    return ref, val, _quotient(gap, scale), passed
 
 
 # -- L1 norms of phi^(a) -----------------------------------------------------
@@ -473,8 +523,8 @@ def _bracket_zeros(rows: list[list[int]], bits: int) -> list[int]:
     return zeros
 
 
-def deriv_l1_norm(k: int, a: int, paj: PajTable, ctx: PrecisionContext) -> mpf:
-    """Int_1^inf |phi_k^(a)(x)| dx, for 1 <= a <= k, as a total variation.
+def deriv_l1_norm(k: int, a: int, paj: PajTable, ctx: PrecisionContext):
+    """Int_1^inf |phi_k^(a)(x)| dx, for 1 <= a <= k, as a total variation, an mpf.
 
     F = phi_k^(a-1) vanishes at x = 1 and at infinity, and F' = phi_k^(a)
     changes sign exactly at its a zeros x_1 < ... < x_a (_bracket_zeros), so
@@ -495,6 +545,9 @@ def deriv_l1_norm(k: int, a: int, paj: PajTable, ctx: PrecisionContext) -> mpf:
         raise ValueError("k must be >= 1")
     if not 1 <= a <= min(k, paj.a_max):
         raise ValueError("need 1 <= a <= min(k, paj.a_max)")
+    import mpmath
+    from mpmath import mp
+
     rows = [_pcoeffs(paj, r, k) for r in range(a + 1)]
     b = ctx.working_bits
     with mp.workprec(b):

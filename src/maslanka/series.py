@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 
-from .bernoulli import bernoulli_number, zeta_even
+from .bernoulli import _zeta_even_raw, bernoulli_number
 from .coefficients import CoefficientTable
-from .mpnum import (PoleError, PrecisionContext, Record, _add, _check_positive, _div, _man, _raw,
-                    _round, _sqrt, _to_float)
+from .mpnum import (PoleError, PrecisionContext, Record, _add, _check_positive, _div, _man,
+                    _quotient, _raw, _round, _sqrt, _to_float)
 from .pochhammer import _fixed_terms, _guard_bits, _to_fixed
 
 __all__ = [
@@ -268,20 +268,49 @@ def truncation_check(n: int, table: CoefficientTable, ctx: PrecisionContext):
     The sum truncates because P_k(n) = 0 for k >= n; only n terms exist.
     It runs through the integer Pochhammer sweep at a scale 2^W that
     makes every term exact (P_k(n) = (-1)^k C(n-1, k), and W is at least
-    minus the exponent of each A_k), and is rounded once.  Returns (lhs, rhs).
+    minus the exponent of each A_k), and is rounded once.  Returns (lhs,
+    rhs) as mpf, from ``_truncation_raw``.
     """
+    from mpmath import mp
+
+    return tuple(map(mp.make_mpf, _truncation_raw(n, table, ctx.working_bits)))
+
+
+def _truncation_raw(n: int, table: CoefficientTable, wb: int) -> tuple[tuple, tuple]:
+    """The integer core of ``truncation_check`` at working_bits wb: lhs the
+    exact sum rounded once to wb bits, rhs (2n-1) times zeta_even(2n) at wb
+    bits, the product rounded to wb bits again, as mpmath rounded it."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if table.kind != "A":
         raise ValueError("truncation_check needs a kind=A table")
     if table.k_max < n - 1:
         raise ValueError("table too short: need k_max >= n-1")
-    from mpmath import mpf
-
     values = table.raw[:n]
     W = max(0, *(-exp for _, _, exp, _ in values))
-    with ctx.prec():
-        lhs = mpf((sum(t for t, _ in _fixed_terms((n << W, 0), values, W)), -W))
-        rhs = (2 * n - 1) * zeta_even(2 * n, ctx)
-        return lhs, +rhs
+    lhs = sum(t for t, _ in _fixed_terms((n << W, 0), values, W))
+    zeta = _zeta_even_raw(2 * n, wb)
+    return _raw(lhs, -W, wb), _raw((2 * n - 1) * _man(zeta), zeta[2], wb)
 
+
+def _truncation_rows(table: CoefficientTable, wb: int, nmax: int):
+    """(n, passed, rel) for the identities n = 1..nmax, each checked exactly
+    against the error its table entries can carry.
+
+    Entry k is within 2^e_k of A_k (table.error_bound_exponents), and
+    P_k(n) = (-1)^k C(n-1, k) scales that error, so the exact sum is within
+    sum_{k<n} C(n-1, k) 2^e_k of (2n-1) zeta(2n).  On top come the roundings
+    at working_bits wb: the sum's one, a unit of |lhs| 2^-wb, and 3 units of
+    |rhs| 2^-wb for the right side, since zeta_even is within 2^-wb
+    (1 + 2^-32) of zeta(2n) relative and the product (2n-1) zeta adds one
+    rounding, at most 2^-wb relative.  passed is |lhs - rhs| below that sum,
+    compared in integers at one scale 2^e; rel is |lhs - rhs| / |rhs| from
+    the exact difference, rounded once to 53 bits.
+    """
+    for n in range(1, nmax + 1):
+        lhs, rhs = _truncation_raw(n, table, wb)
+        errs = table.error_bound_exponents[:n]
+        e = min(lhs[2], rhs[2], wb + min(errs))
+        L, R = _man(lhs) << lhs[2] - e, _man(rhs) << rhs[2] - e
+        err = sum(math.comb(n - 1, k) << wb + x - e for k, x in enumerate(errs))
+        yield n, abs(L - R) << wb < err + abs(L) + 3 * abs(R), _quotient(abs(L - R), abs(R))

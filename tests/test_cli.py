@@ -698,6 +698,29 @@ class TestEmCheck:
         assert "error: need 2 <= a < k" in cap.err
         assert cap.out == ""
 
+    def test_tol_just_above_the_exact_rel_passes(self, capsys):
+        # this tol is the 53-bit float just above the exact rel of (12, 3) at
+        # quad-tol 1e-12; rel rounded to 53 bits equals it, so comparing the
+        # rounded rel failed a pair that meets its tolerance
+        tol = ("0.000000000000914509611083745709424484870459789260729865922883163875667"
+               "37830638885498046875")
+        rc = cli.run(["em-check", "--k", "12", "--a", "3", "--bits", "64", "--quad-tol", "1e-12",
+                      "--tol", tol])
+        cap = capsys.readouterr()
+        assert rc == cli.EXIT_OK
+        assert "rel_diff = 9.1451e-13\n" in cap.out
+        assert cap.err == ""
+
+    @pytest.mark.parametrize("value,message", [
+        ("0", "a positive number"), ("-1e-9", "a positive number"), ("nan", "a positive number"),
+        ("-inf", "a positive number"), ("inf", "finite"), ("+INF", "finite")])
+    def test_rejected_quad_tol_exits_2(self, value, message, capsys):
+        rc = cli.run(["em-check", "--k", "12", "--a", "3", f"--quad-tol={value}"])
+        cap = capsys.readouterr()
+        assert rc == cli.EXIT_USAGE
+        assert cap.err == f"error: quad-tol must be {message}\n"
+        assert cap.out == ""
+
     def test_quadrature_failure_exits_3(self, monkeypatch, capsys):
         monkeypatch.setattr(phik, "MAX_PANELS", 2)
         rc = cli.run(["em-check", "--k", "12", "--a", "3", "--bits", "64"])
@@ -868,6 +891,8 @@ STARTUP_ARGV = {
     "eval-exhausted": ["eval", "--s", "0.5+14.134725i", "--table", "{t}", "--tol", "1e-6"],
     "verify": ["verify", "--suite", "truncation", "--nmax", "4", "--table", "{t}"],
     "em-check": ["em-check", "--k", "8", "--a", "2", "--bits", "64"],
+    "verify-cross": ["verify", "--suite", "cross-identity", "--bits", "64"],
+    "verify-em": ["verify", "--suite", "em-remainder", "--bits", "64"],
     "decay": ["decay", "--table", "{t}", "--kmin", "5", "--kmax", "30"],
     "cache-info": ["cache-info", "--table", "{t}"],
 }
@@ -919,6 +944,32 @@ class TestStartup:
         # rounded in them
         mods = startup_modules[name]
         assert "maslanka.coefficients" in mods
+        assert "mpmath" not in mods
+
+    @pytest.mark.parametrize("name", ["em-check", "verify", "verify-cross", "verify-em"])
+    def test_crosscheck_commands_load_no_mpmath(self, name, startup_modules):
+        # the remainder integral, both A_k routes and the truncation sides are
+        # integers, and each rel is rounded and printed from raw tuples
+        assert "mpmath" not in startup_modules[name]
+
+    def test_crosscheck_goldens_load_no_mpmath(self, tmp_path):
+        # every em-check golden and the three suites' goldens, one after
+        # another in one fresh interpreter: (exit code, mpmath loaded) after each
+        names = [name for name in GOLDEN_ARGV if name.startswith(
+            ("em-check", "verify-truncation", "verify-cross-identity", "verify-em-remainder"))]
+        code = ("import io, os, sys\n"
+                f"os.chdir({str(tmp_path)!r})\n"
+                "from maslanka import cli\n"
+                "out, sys.stdout, sys.stderr = sys.stdout, io.StringIO(), io.StringIO()\n"
+                f"cli.run({GOLDEN_ARGV['coeff']!r})\n"
+                f"for argv in {[GOLDEN_ARGV[name] for name in names]!r}:\n"
+                "    print(cli.run(argv), 'mpmath' in sys.modules, file=out)")
+        want = [word for name in names for word in (str(GOLDEN_OUTPUT[name][0]), "False")]
+        assert len(names) == 12 and _fresh_words(code) == want
+
+    def test_phik_import_loads_no_mpmath(self):
+        mods = set(_fresh_words("import sys, maslanka.phik\nprint(*sys.modules)"))
+        assert "maslanka.phik" in mods
         assert "mpmath" not in mods
 
     def test_series_and_pochhammer_import_load_no_mpmath(self):

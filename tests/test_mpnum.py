@@ -2,11 +2,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import libmp, mp
 
-from maslanka.mpnum import (PrecisionContext, _add, _div, _raw, _sqrt, _to_float,
-                            required_bits_for_alternating_sum)
+from maslanka.mpnum import (PrecisionContext, _add, _div, _quotient, _raw, _sqrt, _to_float,
+                            format_nstr, required_bits_for_alternating_sum)
 
 
 class TestRequiredBits:
@@ -197,3 +197,40 @@ class TestRawArithmetic:
         # a mantissa past the float range at an exponent that brings it back
         wide = _raw(3**1300, -2050)
         assert _to_float(wide) == libmp.to_float(wide, rnd="n") == 3**1300 / 2**2050
+
+
+class TestNstr:
+    """format_nstr against mpmath's nstr, which to_str prints."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.booleans(), st.integers(1, 2 ** 200), st.integers(-400, 200),
+           st.sampled_from((3, 6, 18, 25)))
+    @example(False, 1, 0, 3)  # 1.0: fixed point, the zeros stripped
+    @example(False, 999_999, 0, 6)  # 999999.0: the widest fixed point
+    @example(False, 1_999_999, -1, 6)  # 999999.5 rounds up past it, to 1.0e+6
+    @example(True, 3, -20, 3)  # -2.86e-6: past the small edge, signed
+    @example(False, 1, -15, 3)  # 3.05e-5: at it, in fixed point
+    @example(False, 1, -20, 18)  # 9.5367431640625e-7: the edge moves to -7 at 18 digits
+    def test_is_mpmaths_nstr(self, neg, man, exp, digits):
+        # the same rounding as format_real, so the same one exception: a decimal
+        # tie in (x - d, x], d = 2^(mag - bitprec + 3), which to_str's
+        # truncation to bitprec bits can put x below
+        x = _raw(-man if neg else man, exp)
+        got, want = format_nstr(x, digits), libmp.to_str(x, digits)
+        if got != want:
+            mag = exp + man.bit_length()
+            d = mag - (int((digits + 3) * math.log(10, 2)) + 10) + 3
+            e = min(x[2], d)
+            below = _raw(((x[1] << x[2] - e) - (1 << d - e)) * (-1 if neg else 1), e)
+            assert format_nstr(below, digits) == want, x
+
+    def test_zero(self):
+        assert format_nstr((0, 0, 0, 0), 3) == libmp.to_str(libmp.fzero, 3) == "0.0"
+
+    def test_quotient_is_from_rational(self):
+        rng = random.Random("quotient")
+        for i in range(3000):
+            p = rng.getrandbits(rng.choice([1, 20, 53, 90, 300])) * rng.choice([1, -1])
+            q = rng.getrandbits(rng.choice([1, 20, 53, 90, 300])) | 1
+            bits = (16, 53, 100, 170, 240)[i % 5]
+            assert _quotient(p, q, bits) == libmp.from_rational(p, q, bits, "n")

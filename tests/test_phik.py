@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from maslanka import phik
@@ -480,6 +480,86 @@ class TestEmRemainder:
             em_remainder_a_k(8, 2, paj8, ctx64, mpf(0))
         with pytest.raises(ValueError, match="quad_tol must be finite"):
             em_remainder_a_k(8, 2, paj8, ctx64, mpf("inf"))  # would stop the walk at X = 4
+
+    @pytest.mark.parametrize("quad_tol,message", [
+        (0, "quad_tol must be positive"), (-1, "quad_tol must be positive"),
+        (mpf("-inf"), "quad_tol must be positive"), (mpf("nan"), "quad_tol must be positive"),
+        (mpf("inf"), "quad_tol must be finite")])
+    def test_rejected_quad_tol_messages(self, quad_tol, message, paj8, ctx64):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            em_remainder_a_k(8, 2, paj8, ctx64, quad_tol)
+
+    @pytest.mark.parametrize("quad_tol", [1, mpf("1e-9"), "1e-9"])
+    def test_takes_any_mpf_operand_and_returns_an_mpf(self, quad_tol, paj8, ctx64):
+        got = em_remainder_a_k(8, 2, paj8, ctx64, quad_tol)
+        assert isinstance(got, mpf)
+        with mp.workprec(ctx64.working_bits):
+            raw = mpf(quad_tol)._mpf_
+        assert got._mpf_ == phik._em_remainder_raw(8, 2, paj8, ctx64.working_bits, raw)
+
+
+def _exact(x: tuple) -> Fraction:
+    return Fraction(*mpmath.libmp.to_rational(x))
+
+
+class TestEmCheck:
+    """_em_check, the raw route of `em-check` and `verify --suite em-remainder`,
+    against the mpf route the commands took before: a_k, the default quad_tol
+    |A_k| tol / 100 at mpmath's default 53 bits, and em_remainder_a_k."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 7).flatmap(lambda a: st.tuples(st.integers(max(3, a + 1), 40),
+                                                         st.just(a))),
+           st.sampled_from((64, 128, 256)), st.sampled_from(("1e-3", "1e-6", "3e-8")))
+    @example((3, 2), 64, "1e-6")
+    @example((40, 7), 256, "1e-3")
+    def test_matches_the_mpf_route(self, ka, bits, tol):
+        k, a = ka
+        ctx = PrecisionContext(bits)
+        with mp.workprec(53):
+            tol = mpf(tol)
+            ref = a_k(k, ctx)
+            quad_tol = abs(ref) * tol / 100
+        val = em_remainder_a_k(k, a, build_paj(a + 1), ctx, quad_tol)
+        got = phik._em_check(k, a, ctx, tol._mpf_, None)
+        assert got[:2] == (ref._mpf_, val._mpf_)
+        # rel and the decision from the exact difference
+        exact = abs(_exact(val._mpf_) - _exact(ref._mpf_)) / abs(_exact(ref._mpf_))
+        rel = mpmath.libmp.from_rational(exact.numerator, exact.denominator, 53, "n")
+        assert got[2:] == (rel, exact < _exact(tol._mpf_))
+
+    def test_default_quad_tol_is_mpmaths(self, ctx64, monkeypatch):
+        # |A_k| tol / 100 as mpf arithmetic rounds it at 53 bits: the product,
+        # then the quotient; the remainder itself is not computed here
+        seen = []
+
+        def record(k, a, paj, wp, quad_tol):
+            seen.append(quad_tol)
+            return (0, 1, 0, 1)
+
+        monkeypatch.setattr(phik, "_em_remainder_raw", record)
+        rng = random.Random("quad-tol")
+        for k in range(3, 60):
+            tol = mpmath.libmp.from_man_exp(rng.getrandbits(53) | 1, rng.randint(-120, -60))
+            phik._em_check(k, 2, ctx64, tol, None)
+            with mp.workprec(53):
+                want = abs(a_k(k, ctx64)) * mp.make_mpf(tol) / 100
+            assert seen[-1] == want._mpf_, k
+
+    @pytest.mark.parametrize("k,a", [(8, 2), (12, 3), (21, 5)])
+    def test_pass_is_decided_exactly(self, k, a, ctx64):
+        # with quad_tol fixed the remainder is too; a 53-bit tol just above the
+        # exact rel passes and the one below fails, though rel rounded to 53
+        # bits may equal either
+        quad_tol = mpf("1e-12")._mpf_
+        ref, val, _, _ = phik._em_check(k, a, ctx64, (0, 1, 0, 1), quad_tol)
+        exact = abs(_exact(val) - _exact(ref)) / abs(_exact(ref))
+        e = exact.numerator.bit_length() - exact.denominator.bit_length() - 53
+        m = math.floor(exact / Fraction(2) ** e)
+        below, above = (mpmath.libmp.from_man_exp(n, e) for n in (m, m + 1))
+        assert _exact(below) < exact < _exact(above)
+        assert phik._em_check(k, a, ctx64, below, quad_tol)[3] is False
+        assert phik._em_check(k, a, ctx64, above, quad_tol)[3] is True
 
 
 @st.composite

@@ -11,11 +11,11 @@ from mpmath import libmp, mp, mpc, mpf
 
 from maslanka.bernoulli import bernoulli_number, zeta_even
 from maslanka.cli import GLOBAL_PROBES, parse_complex
-from maslanka.coefficients import build_table
+from maslanka.coefficients import CoefficientTable, build_table
 from maslanka.mpnum import PoleError, PrecisionContext
 from maslanka.pochhammer import _fixed_terms, _guard_bits, _to_fixed, pochhammer_values
-from maslanka.series import (_cdiv, _em_rhos, _eval_raw, _to_mp, maslanka_eval,
-                             truncation_check, zeta_reference)
+from maslanka.series import (_cdiv, _em_rhos, _eval_raw, _to_mp, _truncation_raw,
+                             _truncation_rows, maslanka_eval, truncation_check, zeta_reference)
 
 
 class TestMaslankaEval:
@@ -484,6 +484,50 @@ class TestTruncationCheck:
         lhs, _ = truncation_check(n, table_a400_128, ctx128)
         assert lhs == _rounded_exact_sum(table_a400_128.values, _binomial_weights(n),
                                          ctx128.working_bits)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 30, 60])
+    def test_right_side_is_rounded_as_mpmath_rounded_it(self, n, table_a400_128, ctx128):
+        # (2n-1) zeta_even(2n) in mpf at working_bits: two roundings
+        _, rhs = truncation_check(n, table_a400_128, ctx128)
+        with ctx128.prec():
+            assert rhs == (2 * n - 1) * zeta_even(2 * n, ctx128)
+
+    @pytest.mark.parametrize("bits", [64, 128])
+    def test_rows_are_decided_exactly(self, bits):
+        # every stored exponent lowered by 0..40 moves the bound across the
+        # gaps; each row must agree with the stated bound summed in Fractions
+        ctx = PrecisionContext(bits)
+        table = build_table("A", 30, ctx)
+        wb = ctx.working_bits
+        outcomes = set()
+        for drop in range(0, 41, 4):
+            errs = tuple(e - drop for e in table.error_bound_exponents)
+            shifted = CoefficientTable(kind="A", k_max=30, target_bits=bits, raw=table.raw,
+                                       error_bound_exponents=errs)
+            for n, passed, rel in _truncation_rows(shifted, wb, 31):
+                lhs, rhs = (Fraction(*libmp.to_rational(x))
+                            for x in _truncation_raw(n, shifted, wb))
+                err = sum(math.comb(n - 1, k) * Fraction(2) ** errs[k] for k in range(n))
+                gap = abs(lhs - rhs)
+                assert passed == (gap < err + (abs(lhs) + 3 * abs(rhs)) / 2 ** wb), (drop, n)
+                q = gap / abs(rhs)
+                assert rel == libmp.from_rational(q.numerator, q.denominator, 53, "n")
+                outcomes.add(passed)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("errs,passed", [((-1, -1), False), ((0, -1), True)])
+    def test_row_bound_is_exact_at_its_edge(self, errs, passed, monkeypatch):
+        # lhs 0, rhs 4 and working bits 2 at n = 2: the bound 2^e_0 + 2^e_1 +
+        # (|lhs| + 3 |rhs|) 2^-2 is 4, the gap itself, at e = (-1, -1), which
+        # fails, and 4.5 at e = (0, -1), which passes
+        from maslanka import series
+
+        monkeypatch.setattr(series, "_truncation_raw", lambda n, table, wb: ((0, 0, 0, 0),
+                                                                             (0, 1, 2, 1)))
+        table = CoefficientTable(kind="A", k_max=1, target_bits=16, raw=((0, 0, 0, 0),) * 2,
+                                 error_bound_exponents=errs)
+        *_, (n, got, rel) = _truncation_rows(table, 2, 2)
+        assert (n, got, rel) == (2, passed, (0, 1, 0, 1))
 
     def test_preconditions(self, table_a400_128, ctx128, ctx64):
         with pytest.raises(ValueError):
