@@ -15,8 +15,10 @@ man odd (or the zero (0, 0, 0, 0)), bc its bit length, value
 (-1)^sign man 2^exp; inf, -inf and nan are mpmath's special tuples with
 man = 0 and a nonzero exp.  This module makes them without mpmath: _raw
 rounds an integer times a power of two to nearest, ties to even, as
-from_man_exp does, or toward zero, and _add, _div, _sqrt and _to_float
-round as mpmath's mpf_add, mpf_div, mpf_sqrt and to_float do, bit for bit.
+from_man_exp does, or toward zero, and _div, _sqrt and _to_float round as
+mpmath's mpf_div, mpf_sqrt and to_float do, bit for bit.  _div is correctly
+rounded on exact operands, so ``maslanka eval``'s zeta, one _div per part,
+is the correctly rounded S/(s-1).
 Decimal I/O is one exact radix conversion each way, both on the bounds of
 _scale10 (Brent & Zimmermann, Modern Computer Arithmetic, 2010, section
 1.7): format_real prints x rounded to nearest at a given number of digits,
@@ -198,25 +200,6 @@ def _man(x: tuple) -> int:
 def _round(x: tuple, bits: int, down: bool = False) -> tuple:
     """x rounded to `bits` bits as _raw rounds; inf and nan pass unchanged."""
     return _raw(_man(x), x[2], bits, down) if x[1] else x
-
-
-def _add(x: tuple, y: tuple, bits: int, down: bool = False) -> tuple:
-    """x + y for finite raw tuples as mpmath's mpf_add(x, y, bits) rounds it.
-
-    The exact sum is rounded, unless the exponents lie more than 100 apart
-    and the magnitudes more than bits + 4 bits: then the operand of larger
-    exponent, extended by bits + 4 bits, moves one unit toward the other (a
-    sticky bit) and that is rounded.  This is not always the rounded exact
-    sum when the larger operand has more than `bits` bits.
-    """
-    if not (x[1] and y[1]):
-        return _round(x if x[1] else y, bits, down)
-    if x[2] < y[2]:
-        x, y = y, x
-    off = x[2] - y[2]
-    if off > 100 and x[3] + off - y[3] > bits + 4:
-        return _raw((_man(x) << bits + 4) + (-1 if y[0] else 1), x[2] - bits - 4, bits, down)
-    return _raw((_man(x) << off) + _man(y), y[2], bits, down)
 
 
 def _div(x: tuple, y: tuple, bits: int) -> tuple:

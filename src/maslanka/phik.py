@@ -61,8 +61,8 @@ import math
 from fractions import Fraction
 
 from .bernoulli import bernoulli_number, bernoulli_poly_coeffs, periodified_sup_bound
-from .mpnum import (_INF, PrecisionContext, Record, _div, _man, _quotient, _raw, _round,
-                    format_nstr)
+from .mpnum import (_INF, PrecisionContext, Record, _div, _floor_digits, _man, _quotient, _raw,
+                    _round, decimal_to_raw, format_nstr)
 
 __all__ = [
     "PajTable",
@@ -310,7 +310,9 @@ def _phi_deriv_exact(k: int, r: int, X: int, pcoeffs: list[int]) -> Fraction:
 
 
 def _em_cut(k: int, a: int, row: list[int], limit: Fraction):
-    """The cut (X, d, rows) of em_remainder_a_k's walk, or None past MAX_PANELS + 1.
+    """The cut (X, d, rows, tail) of em_remainder_a_k's walk: tail, the bound
+    on T_d(X), is below limit at the first such X, or, when no X up to
+    MAX_PANELS + 1 gets it there, X is MAX_PANELS + 1 and tail its bound.
 
     The bound at depth e is sup|Bbar_e| / e! * _l1_tail(p_{e+1}, e + 1, X).
     Once d is k - 1 it cannot rise again, and the bound falls with X, so one
@@ -336,12 +338,12 @@ def _em_cut(k: int, a: int, row: list[int], limit: Fraction):
                 break
             d, best = e, b
         if best < limit:
-            return X, d, rows
+            return X, d, rows, best
         if d == k - 1 and not in_budget:
             if not bound(d, MAX_PANELS + 1) < limit:
                 break
             in_budget = True
-    return None
+    return MAX_PANELS + 1, d, rows, bound(d, MAX_PANELS + 1)
 
 
 def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_tol):
@@ -363,7 +365,8 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
     sup|Bbar_d| / d! is the exact bound of periodified_sup_bound, once per d.
     When d first reaches k-1 it can rise no further and the bound falls
     with X, so one bound at X = MAX_PANELS + 1 tells whether the walk can
-    stop in budget.  A cut past that X raises QuadratureError at once.
+    stop in budget.  A cut past that X raises QuadratureError at once,
+    naming the least quad_tol the bound there allows, rounded up.
 
     The panels: [1, X] is walked in unit panels [n, n+1] on the fixed
     Gauss-Legendre rule Q.  A panel [lo, hi] (dyadic Fractions) with midpoint
@@ -410,11 +413,15 @@ def _em_remainder_raw(k: int, a: int, paj: PajTable, wp: int, quad_tol: tuple) -
         raise ValueError("quad_tol must be finite")
     shown = format_nstr(tol, 6)
     half_tol = Fraction(tol[1], 2) * Fraction(2) ** tol[2]
-    cut = _em_cut(k, a, _pcoeffs(paj, a + 1, k), half_tol)
+    X, d, rows, tail = _em_cut(k, a, _pcoeffs(paj, a + 1, k), half_tol)
+    if not tail < half_tol:  # quad_tol must exceed 2 tail, shown rounded up
+        v = 2 * tail
+        t = max(0, 64 + v.denominator.bit_length() - v.numerator.bit_length())
+        lead, e10 = _floor_digits(-(-v.numerator << t) // v.denominator, -t, 6)
+        raise QuadratureError(f"tolerance {shown} is out of reach at k = {k}, a = {a}: the "
+                              f"tail bound at X = {X} needs quad_tol above "
+                              f"{format_nstr(decimal_to_raw(lead + 1, e10 - 5, 53), 6)}")
     failure = f"tolerance {shown} not met within {MAX_PANELS} panels"
-    if cut is None:
-        raise QuadratureError(failure)
-    X, d, rows = cut
     pc = rows[0]
     F = _panel_bits(k, a, pc, wp)
     xs, ws = _gauss_legendre(QUAD_ORDER, wp)

@@ -18,8 +18,8 @@ import math
 
 from .bernoulli import _zeta_even_raw, bernoulli_number
 from .coefficients import CoefficientTable
-from .mpnum import (PoleError, PrecisionContext, Record, _add, _check_positive, _div, _man,
-                    _quotient, _raw, _round, _sqrt, _to_float)
+from .mpnum import (PoleError, PrecisionContext, Record, _check_positive, _div, _man, _quotient,
+                    _raw, _round, _sqrt, _to_float)
 from .pochhammer import _fixed_terms, _guard_bits, _to_fixed
 
 __all__ = [
@@ -33,11 +33,11 @@ __all__ = [
 class SeriesResult(Record):
     """Partial Maslanka sum at s, with convergence bookkeeping.
 
-    ``value`` approximates (s-1) zeta(s); ``zeta_value`` is value/(s-1), or
-    None when s = 1 (``is_pole``).  ``converged`` is False when the table was
-    exhausted before the tolerance was met, in which case
-    ``residual_estimate`` (an |S_K - S_K/2| doubling difference) is the best
-    available honesty about the gap.
+    ``value`` approximates (s-1) zeta(s); ``zeta_value`` is the exact sum
+    divided by s-1 and rounded once, or None when s = 1 (``is_pole``).
+    ``converged`` is False when the table was exhausted before the tolerance
+    was met, in which case ``residual_estimate`` (an |S_K - S_K/2| doubling
+    difference) is the best available honesty about the gap.
     """
 
     __slots__ = ("s", "value", "terms_used", "residual_estimate", "zeta_value", "is_pole",
@@ -65,21 +65,6 @@ def _to_mp(re: tuple, im: tuple | None = None):
     return mp.make_mpf(re) if im is None else mp.make_mpc((re, im))
 
 
-def _cdiv(a: tuple, b: tuple, c: tuple, d: tuple, wb: int) -> tuple:
-    """(a + b i) / (c + d i) on raw tuples as mpmath's mpc_div forms it at wb:
-    c^2 + d^2, ac + bd and bc - ad from exact products, each sum rounded toward
-    zero at wb + 10 (mpf_add's default rounding), then both quotients
-    correctly rounded to nearest at wb."""
-    def mul(x, y, sign=1):
-        return _raw(sign * _man(x) * _man(y), x[2] + y[2])
-
-    wp = wb + 10
-    mag = _add(mul(c, c), mul(d, d), wp, True)
-    t = _add(mul(a, c), mul(b, d), wp, True)
-    u = _add(mul(b, c), mul(a, d, -1), wp, True)
-    return _div(t, mag, wb), _div(u, mag, wb)
-
-
 def _eval_raw(zr: tuple, zi: tuple | None, table: CoefficientTable, tol: tuple, wb: int):
     """The integer core of ``maslanka_eval``, on raw tuples, at working_bits wb.
 
@@ -88,13 +73,13 @@ def _eval_raw(zr: tuple, zi: tuple | None, table: CoefficientTable, tol: tuple, 
     as (real, imaginary) pairs, the imaginary part None for a real s, and
     zeta_value None at the pole.  It makes every check, in the order the mpf
     code made them, and inf and nan arrive as mpmath's special tuples.
-    Every rounding is the one mpmath made when this ran in mpf, so the bits
-    are the same: tol and the value rounded to nearest at wb, the residual's
-    square likewise and its root correctly rounded (mpf_sqrt), h = s/2 rounded
-    at wb and then to floats for ``_guard_bits``, and zeta_value = value /
-    (s - 1) with s - 1 as mpc minus an mpf forms it (the real part rounded to
-    nearest at wb, the imaginary part exact), divided as mpf_div (real s) or
-    mpc_div (complex s, ``_cdiv``) divides.
+    Every other rounding is the one mpmath made when this ran in mpf, so the
+    bits are the same: tol and the value rounded to nearest at wb, the
+    residual's square likewise and its root correctly rounded (mpf_sqrt), and
+    h = s/2 rounded at wb and then to floats for ``_guard_bits``.  zeta_value
+    is the exact sum S 2^-W over s - 1 = (c + d i) 2^e, each part rounded
+    once to nearest at wb: (S_r c + S_i d) and (S_i c - S_r d), times
+    2^(-W-e), over c^2 + d^2, one ``_div`` of exact operands each.
     """
     if table.kind != "A":
         raise ValueError("maslanka_eval needs a kind=A table")
@@ -128,10 +113,13 @@ def _eval_raw(zr: tuple, zi: tuple | None, table: CoefficientTable, tol: tuple, 
     (sr, si), (mr, mi) = partials[K], partials[(K + 1) // 2]
     residual = _sqrt(_raw((sr - mr) ** 2 + (si - mi) ** 2, -2 * W, wb), wb)
     value = (_raw(sr, -W, wb), None if zi is None else _raw(si, -W, wb))
-    if zr == (0, 1, 0, 1) and not im[1]:
+    e = min(zr[2], im[2], 0)  # s - 1 = (c + d i) 2^e, exactly
+    c, d = (_man(zr) << zr[2] - e) - (1 << -e), _man(im) << im[2] - e
+    if not (c or d):
         return K + 1, converged, value, None, residual
-    zm1 = _add(zr, (1, 1, 0, 1), wb)  # s - 1
-    zeta = (_div(value[0], zm1, wb), None) if zi is None else _cdiv(*value, zm1, zi, wb)
+    mag = _raw(c * c + d * d, 0)
+    zeta = (_div(_raw(sr * c + si * d, -W - e), mag, wb),
+            None if zi is None else _div(_raw(si * c - sr * d, -W - e), mag, wb))
     return K + 1, converged, value, zeta, residual
 
 
@@ -156,7 +144,8 @@ def maslanka_eval(s, table: CoefficientTable, tol, ctx: PrecisionContext) -> Ser
     and exponent, and the partial sums accumulate exactly.  The stopping rule
     compares squared integer norms with ceil((tol 2^W/4)^2) and
     ceil((tol 2^W/2)^2), so it takes no square root.  The value is rounded
-    once, to working_bits.
+    once, to working_bits, and each part of zeta_value is the exact sum over
+    the exact s - 1, rounded once to nearest at working_bits.
 
     Bound.  The sweep keeps q_k = Q_k u, u = 2^-W, within 3 k X_k u of
     P_k(h), with X_k its growth factor (see ``pochhammer._fixed_terms``).
@@ -169,9 +158,11 @@ def maslanka_eval(s, table: CoefficientTable, tol, ctx: PrecisionContext) -> Ser
     W = working_bits + _guard_bits(Re h, Im h, k_max) makes u E <= 2^-(working_bits+1)
     at K = k_max, so the integer sum is within 2^-(working_bits+1) of
     sum_{k<=K} A_k P_k(h) for the table's A_k, and the returned value,
-    rounded once, within 2^-working_bits (1 + |value|).  W grows with log2 of
-    the largest partial product, so an s far outside the table's range of
-    convergence costs proportionally wider integers.
+    rounded once, within 2^-working_bits (1 + |value|).  Each part of
+    zeta_value has |zeta_value - S/(s-1)| <= 1/2 ulp at working_bits, S the
+    exact sum that value rounds.  W grows with log2 of the largest partial
+    product, so an s far outside the table's range of convergence costs
+    proportionally wider integers.
     """
     from mpmath import mp, mpc, mpf
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import libmp, mp
 
-from maslanka.mpnum import (PrecisionContext, _add, _div, _quotient, _raw, _sqrt, _to_float,
+from maslanka.mpnum import (PrecisionContext, _div, _quotient, _raw, _sqrt, _to_float,
                             format_nstr, required_bits_for_alternating_sum)
 
 
@@ -155,24 +155,6 @@ def _raw_samples(seed: str, n: int):
 class TestRawArithmetic:
     """The raw roundings against mpmath.libmp's own, bit for bit, at
     precisions below, near and above the operands' widths."""
-
-    @pytest.mark.parametrize("down", [False, True])
-    def test_add_is_mpf_add(self, down):
-        xs = list(_raw_samples("add-x", 3000))
-        for i, (x, y) in enumerate(zip(xs, _raw_samples("add-y", 3000))):
-            if i % 3 == 0:  # exponents within 100: the exact branch
-                y = (y[0], y[1], x[2] + i % 90, y[3]) if y[1] else y
-            bits = (16, 53, 100, 170, 240)[i % 5]
-            assert _add(x, y, bits, down) == libmp.mpf_add(x, y, bits, "d" if down else "n")
-
-    def test_add_nudges_a_wide_operand_as_mpf_add_does(self):
-        # x has 200 bits past 53, and they read half an ulp less one unit; y,
-        # 150 exponents lower, is above that unit: the exact sum rounds up, the
-        # sticky bit that mpf_add puts in y's place rounds down
-        x = _raw(((2**52 + 5) << 200) + 2**199 - 1, 0)
-        y = _raw(2**159 + 1, -150)
-        exact = _raw((x[1] << 150) + y[1], -150, 53)
-        assert _add(x, y, 53) == libmp.mpf_add(x, y, 53, "n") != exact
 
     def test_div_is_mpf_div(self):
         pairs = zip(_raw_samples("div-x", 3000), _raw_samples("div-y", 3000))

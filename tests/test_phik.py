@@ -412,6 +412,28 @@ class TestEmRemainder:
             em_remainder_a_k(3, 2, build_paj(3), ctx64, mpf("1e-40"))
         assert integrated == []
 
+    def test_unreachable_cut_names_the_least_reachable_tolerance(self, ctx64, monkeypatch):
+        # quad_tol must exceed twice the tail bound at X = MAX_PANELS + 1; the
+        # message shows that rounded up to 6 digits, which reaches the cut
+        from maslanka.phik import _em_cut, _pcoeffs
+
+        monkeypatch.setattr(phik, "MAX_PANELS", 10)
+        paj = build_paj(3)
+        with pytest.raises(QuadratureError) as info:
+            em_remainder_a_k(3, 2, paj, ctx64, mpf("1e-40"))
+        assert str(info.value) == ("tolerance 1.0e-40 is out of reach at k = 3, a = 2: the "
+                                   "tail bound at X = 11 needs quad_tol above 0.000288468")
+        X, _, _, tail = _em_cut(3, 2, _pcoeffs(paj, 3, 3), Fraction(1, 2 * 10**40))
+        assert X == 11 and 2 * tail < Fraction("0.000288468") <= 2 * tail * (1 + Fraction(1, 10**5))
+        assert em_remainder_a_k(3, 2, paj, ctx64, mpf("0.000288468")) > 0
+        # at the default budget, as `maslanka em-check --k 4 --a 2 --bits 64
+        # --quad-tol 1e-24` meets it, before any panel
+        monkeypatch.undo()
+        with pytest.raises(QuadratureError, match=r"^tolerance 1\.0e-24 is out of reach at "
+                           r"k = 4, a = 2: the tail bound at X = 200001 needs quad_tol "
+                           r"above 7\.26889e-23$"):
+            em_remainder_a_k(4, 2, paj, ctx64, mpf("1e-24"))
+
     def test_unreachable_cut_fails_in_few_tail_bounds(self, ctx128, monkeypatch):
         # the same failure at the default budget: once the depth is k - 1 one
         # bound at X = MAX_PANELS + 1 ends the cut, which is not walked one X
@@ -462,11 +484,12 @@ class TestEmRemainder:
         searched = failed = shallow = 0
         for a, e in cases:
             limit = Fraction(1, 10**e)
-            cut = _em_cut(k, a, _pcoeffs(paj, a + 1, k), limit)
-            assert (cut and cut[:2]) == walk(a, limit), (a, e)
-            searched += cut is not None and cut[1] == k - 1 and cut[0] > 4
+            X, d, _, tail = _em_cut(k, a, _pcoeffs(paj, a + 1, k), limit)
+            cut = (X, d) if tail < limit else None
+            assert cut == walk(a, limit), (a, e)
+            searched += cut is not None and d == k - 1 and X > 4
             failed += cut is None
-            shallow += cut is not None and cut[1] < k - 1
+            shallow += cut is not None and d < k - 1
         assert (searched > 0 and failed > 0) if k < 60 else shallow == len(cases)
 
     def test_preconditions(self, paj8, ctx64):

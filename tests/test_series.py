@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import math
-import random
 from fractions import Fraction
 
 import mpmath
@@ -14,7 +13,7 @@ from maslanka.cli import GLOBAL_PROBES, parse_complex
 from maslanka.coefficients import CoefficientTable, build_table
 from maslanka.mpnum import PoleError, PrecisionContext
 from maslanka.pochhammer import _fixed_terms, _guard_bits, _to_fixed, pochhammer_values
-from maslanka.series import (_cdiv, _em_rhos, _eval_raw, _to_mp, _truncation_raw,
+from maslanka.series import (_em_rhos, _eval_raw, _to_mp, _truncation_raw,
                              _truncation_rows, maslanka_eval, truncation_check, zeta_reference)
 
 
@@ -193,9 +192,10 @@ class TestGoldenValues:
 
     def test_every_field_at_edge_points(self, table_a400_128, table_a900_128, ctx128):
         # s read from its literal at working bits, as `maslanka eval` reads it:
-        # the probes, an mpc with a zero imaginary part, two points where s - 1
-        # rounds, one far left, and an eval_plane point (float parts) at which
-        # rounding the three sums of mpc_div to nearest moves zeta_value by an ulp
+        # the probes, an mpc with a zero imaginary part, points next to s = 0,
+        # where s - 1 is wider than working bits, and next to s = 1, one far
+        # left, and an eval_plane point (float parts) at which mpmath's mpc_div
+        # was 5 ulps off the correctly rounded zeta_value
         texts = GLOBAL_PROBES + ("0", "1", "4+0i", "0.5e-30+1e-30i",
                                  "1.0000000000000000000001", "-1e5")
         with mp.workprec(ctx128.working_bits):
@@ -208,7 +208,7 @@ class TestGoldenValues:
             zeta = None if r.zeta_value is None else _exact_parts(r.zeta_value)
             h.update(repr((_exact_parts(r.s), _exact_parts(r.value), zeta, r.terms_used,
                            _exact_parts(r.residual_estimate), r.is_pole, r.converged)).encode())
-        assert h.hexdigest() == "90527640b524b8c49359ec918129cac30c88fbcff5c1a026c81ec35184025c46"
+        assert h.hexdigest() == "504932fb197f81a392e6904606131a9f68ddc951776cc2b9e7bd495f784acded"
 
     def test_truncation_identities(self, table_a400_128, ctx128):
         h = hashlib.sha256()
@@ -312,9 +312,10 @@ class TestIntegerKernelAccuracy:
 
 
 def _mp_roundings(z, table, terms: int, wb: int):
-    """value, zeta_value and residual_estimate as mpmath rounds them at wb,
-    from the sweep's partial sums S_K and S_ceil(K/2), K = terms - 1, at the
-    W and H that mpmath's own z/2 and float() give."""
+    """value and residual_estimate as mpmath rounds them at wb, from the
+    sweep's partial sums S_K and S_ceil(K/2), K = terms - 1, at the W and H
+    that mpmath's own z/2 and float() give, and the exact S_K 2^-W as a pair
+    of Fractions."""
     with mp.workprec(wb):
         h = z / 2
         W = wb + _guard_bits(float(h.real), float(h.imag), table.k_max)
@@ -324,29 +325,52 @@ def _mp_roundings(z, table, terms: int, wb: int):
         (sr, si), (mr, mi) = sums[-1], sums[terms // 2]
         residual = mpmath.sqrt(mpf(((sr - mr) ** 2 + (si - mi) ** 2, -2 * W)))
         value = mpc(mpf((sr, -W)), mpf((si, -W))) if isinstance(z, mpc) else mpf((sr, -W))
-        return value, None if z == 1 else value / (z - 1), residual
+        return value, residual, (Fraction(sr, 2**W), Fraction(si, 2**W))
+
+
+def _fraction(x: tuple) -> Fraction:
+    """The exact value of a finite raw tuple."""
+    sign, man, exp, _ = x
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def _nearest(q: Fraction, bits: int) -> tuple:
+    """The raw tuple of q rounded to nearest at `bits` bits, ties to even."""
+    if not q:
+        return (0, 0, 0, 0)
+    a = abs(q)
+    n = a.numerator.bit_length() - a.denominator.bit_length()  # floor(log2 a) or n - 1
+    exp = n - (a < Fraction(2) ** n) - bits + 1
+    man = round(a / Fraction(2) ** exp)
+    zeros = (man & -man).bit_length() - 1
+    return (int(q < 0), man >> zeros, exp + zeros, (man >> zeros).bit_length())
 
 
 @st.composite
 def _tiny_real_parts(draw):
-    """(Re s, Im s) with |Re s| below 10^-20, where s - 1 rounds."""
+    """(Re s, Im s) with |Re s| below 10^-20, where s - 1 is wider than working bits."""
     re = draw(st.fractions(-1, 1, max_denominator=10**4)) / 10 ** draw(st.integers(20, 60))
     im = draw(st.just(0) | st.fractions(-15, 15, max_denominator=10**4))
     return re, im
 
 
 class TestRawCore:
-    """``_eval_raw`` rounds as mpmath rounded: its value, zeta_value and
-    residual_estimate equal, bit for bit, the roundings mpmath makes of the
-    same integer sums, at the eval_plane boxes and at tiny real parts."""
+    """``_eval_raw`` against the roundings mpmath makes of the same integer
+    sums, bit for bit, for value and residual_estimate, and against an exact
+    oracle for zeta_value, at the eval_plane boxes and at tiny real parts."""
 
     @settings(max_examples=30, deadline=None)
     @given(point=_eval_plane_points() | _tiny_real_parts(),
            tol=st.sampled_from(["1e-4", "1e-8"]))
-    # where rounding mpc_div's three sums to nearest, not toward zero, moves
-    # the real part of zeta_value by an ulp
+    # where mpmath's mpc_div was 5 ulps off the correctly rounded imaginary
+    # part of zeta_value, a point next to the pole, and one next to s = 0,
+    # where s - 1 is wider than working bits
     @example(point=(Fraction(5.039913), Fraction(-6.257193)), tol="1e-8")
+    @example(point=(Fraction("1.0000000000000000000001"), 0), tol="1e-8")
+    @example(point=(Fraction(11, 10**25), Fraction(-20, 7)), tol="1e-8")
     def test_roundings_are_mpmaths(self, point, tol, table_a900_128, ctx128):
+        # zeta_value is S 2^-W / (s - 1) from the exact sum S, each part
+        # rounded to nearest once at working bits
         re, im = point
         wb = ctx128.working_bits
         with mp.workprec(wb):  # s as maslanka_eval reads it
@@ -356,27 +380,13 @@ class TestRawCore:
             tol = mpf(tol)
         parts = z._mpc_ if isinstance(z, mpc) else (z._mpf_, None)
         terms, _, value, zeta, residual = _eval_raw(*parts, table_a900_128, tol._mpf_, wb)
-        want_value, want_zeta, want_residual = _mp_roundings(z, table_a900_128, terms, wb)
+        want_value, want_residual, (sr, si) = _mp_roundings(z, table_a900_128, terms, wb)
         assert value == (want_value._mpc_ if isinstance(z, mpc) else (want_value._mpf_, None))
-        if isinstance(z, mpc):
-            assert zeta == want_zeta._mpc_
-        else:
-            assert zeta == (want_zeta._mpf_, None)
         assert residual == want_residual._mpf_
-
-    def test_complex_quotient_is_mpc_div(self):
-        # 4000 quotients of random 53- to 200-bit parts at 3 precisions; on
-        # this seed 3 of them land where rounding the sums to nearest differs
-        rng = random.Random("cdiv")
-
-        def part():
-            man = rng.getrandbits(rng.choice([53, 160, 200]))
-            return libmp.from_man_exp(rng.choice([-man, man]), rng.randint(-220, 20))
-
-        for i in range(4000):
-            a, b, c, d = part(), part(), part(), part()
-            wb = (48, 160, 232)[i % 3]
-            assert _cdiv(a, b, c, d, wb) == libmp.mpc_div((a, b), (c, d), wb, "n")
+        a, b = _fraction(parts[0]) - 1, _fraction(parts[1]) if parts[1] else 0
+        norm = a * a + b * b
+        assert zeta == (_nearest((sr * a + si * b) / norm, wb),
+                        _nearest((si * a - sr * b) / norm, wb) if parts[1] else None)
 
 
 class TestZetaReference:
