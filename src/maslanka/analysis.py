@@ -26,7 +26,7 @@ from math import isqrt
 
 from .bernoulli import _atan_inv
 from .coefficients import CoefficientTable
-from .mpnum import Record, _raw
+from .mpnum import Record, _raw, _to_mp
 
 __all__ = ["DecayFit", "decay_fit", "rh_diagnostic"]
 
@@ -181,7 +181,5 @@ def rh_diagnostic(table: CoefficientTable, k_min: int, k_max: int) -> list[tuple
     round alike once they are close enough, and the loop ends.  The rows are
     _rh_rows's raw tuples as mpf.
     """
-    from mpmath import mp
-
-    return [(k, mp.make_mpf(scaled), mp.make_mpf(scaled_log2))
+    return [(k, _to_mp(scaled), _to_mp(scaled_log2))
             for k, scaled, scaled_log2 in _rh_rows(table, k_min, k_max)]

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .mpnum import GUARD_BITS, PrecisionContext, _raw
+from .mpnum import GUARD_BITS, PrecisionContext, _raw, _to_mp
 
 __all__ = [
     "bernoulli_number",
@@ -154,17 +154,10 @@ def zeta_even(m: int, ctx: PrecisionContext):
     Since the entry is within 2^-33 ulp of zeta(m), the result is zeta(m)
     correctly rounded unless zeta(m) lies that close to a tie.
     """
-    from mpmath import mp
-
     if m < 2 or m % 2:
         raise ValueError("m must be an even integer >= 2")
-    return mp.make_mpf(_zeta_even_raw(m, ctx.working_bits))
-
-
-def _zeta_even_raw(m: int, wb: int) -> tuple:
-    """zeta_even's raw tuple at working_bits wb, for even m >= 2."""
-    s = wb + GUARD_BITS
-    return _raw(_zeta_row(m // 2, s)[-1], -s, wb)
+    s = ctx.working_bits + GUARD_BITS
+    return _to_mp(_raw(_zeta_row(m // 2, s)[-1], -s, ctx.working_bits))
 
 
 def bernoulli_poly_coeffs(a: int) -> tuple[Fraction, ...]:

@@ -243,7 +243,8 @@ def _verify_em(ctx, tol):
 def _verify_global(table, ctx, tol):
     import mpmath
 
-    from .series import _to_mp, maslanka_eval, zeta_reference
+    from .mpnum import _to_mp
+    from .series import maslanka_eval, zeta_reference
 
     tol = _to_mp(tol)
 

@@ -62,8 +62,8 @@ except ImportError:  # Python 3.12 renamed it; a build without it keeps hashlib'
         from hashlib import sha256
 
 from .bernoulli import _zeta_row
-from .mpnum import (GUARD_BITS, PrecisionContext, Record, _raw, decimal_to_raw, format_real,
-                    required_bits_for_alternating_sum)
+from .mpnum import (GUARD_BITS, PrecisionContext, Record, _raw, _to_mp, decimal_to_raw,
+                    format_real, required_bits_for_alternating_sum)
 
 __all__ = [
     "CoefficientTable",
@@ -131,24 +131,13 @@ class CoefficientTable(_ValuesView):
         try:
             return self._values
         except AttributeError:
-            from mpmath import mp
-
-            values = tuple(map(mp.make_mpf, self.raw))
+            values = tuple(map(_to_mp, self.raw))
             object.__setattr__(self, "_values", values)
             return values
 
     def error_bound(self, k: int):
         """2^e_k as an mpf."""
-        from mpmath import mp
-
-        return mp.make_mpf((0, 1, self.error_bound_exponents[k], 1))
-
-
-def _to_mpf(x: tuple):
-    """The mpf of a raw tuple."""
-    from mpmath import mp
-
-    return mp.make_mpf(x)
+        return _to_mp((0, 1, self.error_bound_exponents[k], 1))
 
 
 # -- fixed-point zeta row ------------------------------------------------------
@@ -254,12 +243,12 @@ def a_k(k: int, ctx: PrecisionContext):
     The result is unrounded; its error is the row rounding, below
     2^(k - W(k) - 1) * (1 + 2^-31).
     """
-    return _to_mpf(_single_index("A", k, ctx))
+    return _to_mp(_single_index("A", k, ctx))
 
 
 def b_k(k: int, ctx: PrecisionContext):
     """b_k = sum_j (-1)^j C(k,j)/zeta(2j+2), by the same rounds as a_k."""
-    return _to_mpf(_single_index("b", k, ctx))
+    return _to_mp(_single_index("b", k, ctx))
 
 
 def a_k_alt(k: int, ctx: PrecisionContext):
@@ -272,7 +261,7 @@ def a_k_alt(k: int, ctx: PrecisionContext):
     and each difference adds up 2^(k-1) of them, so the unrounded result obeys
     |a_k_alt(k) - A_k| <= (k+1) 2^(k-W) (1/2 + 2^-32).
     """
-    return _to_mpf(_single_index("alt", k, ctx))
+    return _to_mp(_single_index("alt", k, ctx))
 
 
 def cross_identity_pairs(k_max: int, ctx: PrecisionContext):

@@ -14,29 +14,27 @@ scale.  Binary floats are mpmath's raw tuples (sign, man, exp, bc) of ints:
 man odd (or the zero (0, 0, 0, 0)), bc its bit length, value
 (-1)^sign man 2^exp; inf, -inf and nan are mpmath's special tuples with
 man = 0 and a nonzero exp.  This module makes them without mpmath: _raw
-rounds an integer times a power of two to nearest, ties to even, as
-from_man_exp does, or toward zero, and _div, _sqrt and _to_float round as
-mpmath's mpf_div, mpf_sqrt and to_float do, bit for bit.  _div is correctly
-rounded on exact operands, so ``maslanka eval``'s zeta, one _div per part,
-is the correctly rounded S/(s-1).
+rounds an integer times a power of two once, to nearest with ties to even,
+as from_man_exp does; _ratio rounds a quotient of two sums of dyadic terms
+once, however far apart their exponents, as mpf_div rounds one of exact
+operands; and _sqrt and _to_float round as mpf_sqrt and to_float do, bit for
+bit.  _to_mp is the one edge back to mpmath's mpf and mpc.
 Decimal I/O is one exact radix conversion each way, both on the bounds of
 _scale10 (Brent & Zimmermann, Modern Computer Arithmetic, 2010, section
 1.7): format_real prints x rounded to nearest at a given number of digits,
 ties away from zero, and decimal_to_raw reads a decimal rounded to nearest
 at a given number of bits, ties to even, at every magnitude; parse_decimal
 reads a literal of one strict grammar through it, and format_nstr prints
-in mpmath's nstr layout.  So coefficient tables, which keep their entries
-as raw tuples, are built, saved and loaded without importing mpmath, and so
-is the series at one point as ``maslanka eval`` sums it
-(``series._eval_raw``), and the cross-checks of ``maslanka em-check`` and
-``verify``, whose ratios _quotient rounds once; the pi^2 of the table rows
-comes from :mod:`maslanka.bernoulli`.  The functions that hand back mpmath
+in mpmath's nstr layout.  So the tables (raw tuples), ``maslanka eval``
+(``series._eval_raw``) and the cross-checks of ``em-check`` and ``verify``
+run without importing mpmath; the pi^2 of the table rows comes from
+:mod:`maslanka.bernoulli`.  The functions that hand back mpmath
 ``mpf``/``mpc`` values (the series wrapper, the quadrature, the analysis)
 import mpmath when they run; this module never does.  There is no interval
 mode; error bounds are proven instead, in the docstrings of the table
-entries' stored 2^e_k
-(:mod:`maslanka.coefficients`), ``maslanka_eval``, ``truncation_check``,
-``em_remainder_a_k``, ``deriv_l1_norm`` and ``zeta_reference``.
+entries' stored 2^e_k (:mod:`maslanka.coefficients`), ``maslanka_eval``,
+``truncation_check``, ``em_remainder_a_k``, ``deriv_l1_norm`` and
+``zeta_reference``.
 """
 
 from __future__ import annotations
@@ -159,10 +157,9 @@ class PrecisionContext(Record):
 # -- binary floats and decimal conversion in integers -------------------------
 
 
-def _raw(man: int, exp: int, bits: int = 0, down: bool = False) -> tuple[int, int, int, int]:
+def _raw(man: int, exp: int, bits: int = 0) -> tuple[int, int, int, int]:
     """The raw tuple of man * 2^exp, rounded to `bits` bits to nearest with ties
-    to even, or toward zero when `down` (exact for bits=0):
-    from_man_exp(man, exp, bits, round_nearest or round_down)."""
+    to even (exact for bits=0): from_man_exp(man, exp, bits, round_nearest)."""
     sign = int(man < 0)
     man = abs(man)
     if not man:
@@ -173,11 +170,18 @@ def _raw(man: int, exp: int, bits: int = 0, down: bool = False) -> tuple[int, in
         rest = man & (2 * half - 1)
         man >>= n
         exp += n
-        if not down and (rest > half or rest == half and man & 1):
+        if rest > half or rest == half and man & 1:
             man += 1
     zeros = (man & -man).bit_length() - 1
     man >>= zeros
     return (sign, man, exp + zeros, man.bit_length())
+
+
+def _to_mp(re: tuple, im: tuple | None = None):
+    """An mpf made from a raw tuple, or an mpc from two when im is not None."""
+    from mpmath import mp
+
+    return mp.make_mpf(re) if im is None else mp.make_mpc((re, im))
 
 
 # mpmath's raw inf, -inf and nan (finf, fninf and fnan of mpmath.libmp)
@@ -197,22 +201,48 @@ def _man(x: tuple) -> int:
     return -x[1] if x[0] else x[1]
 
 
-def _round(x: tuple, bits: int, down: bool = False) -> tuple:
+def _round(x: tuple, bits: int) -> tuple:
     """x rounded to `bits` bits as _raw rounds; inf and nan pass unchanged."""
-    return _raw(_man(x), x[2], bits, down) if x[1] else x
+    return _raw(_man(x), x[2], bits) if x[1] else x
 
 
-def _div(x: tuple, y: tuple, bits: int) -> tuple:
-    """x / y for finite raw tuples, y nonzero, correctly rounded to nearest at
-    `bits` bits as mpmath's mpf_div: a quotient of at least bits + 4 bits whose
-    last bit is set when the division leaves a remainder (a sticky bit)."""
-    if not x[1]:
-        return x
-    extra = max(5, bits - x[3] + y[3] + 5)
-    q, r = divmod(x[1] << extra, y[1])
-    if r:
-        q, extra = 2 * q + 1, extra + 1
-    return _raw(-q if x[0] ^ y[0] else q, x[2] - y[2] - extra, bits)
+def _fold(terms: list, p: int) -> tuple[int, int, bool]:
+    """(n, e, exact) for at most 8 dyadic terms (m, x) = m 2^x, added exactly,
+    largest leading bit first, until the rest lies more than p + 3 bits below
+    the sum n 2^e, so below 2^-p |n 2^e|: then exact is False, n has the exact
+    sum's sign and n 2^e is within 2^(1-p) of it relative."""
+    n = e = 0
+    for top, m, x in sorted([(x + abs(m).bit_length(), m, x) for m, x in terms if m], reverse=True):
+        if not n:
+            n, e = m, x
+        elif top + p + 3 < e + abs(n).bit_length():
+            return n, e, False
+        elif x < e:
+            n, e = (n << e - x) + m, x
+        else:
+            n += m << x - e
+    return n, e, True
+
+
+def _ratio(N: list, D: list, bits: int) -> tuple:
+    """sum N / sum D for dyadic terms (m, x) = m 2^x, at most 8 in all, sum D
+    > 0, correctly rounded to nearest at `bits` bits as mpmath's mpf_div
+    rounds: f = floor(|N/D| 2^-k) of bits + 5 or 6 bits, doubled and plus 1
+    if the division is inexact (a sticky bit), rounds as N/D does.  When a
+    sum does not fold exactly (_fold), the folds put f within one of its
+    value, and the exact signs of |N| - f 2^k D settle f and the remainder."""
+    (n, ne, exact), (d, de, exact_d) = _fold(N, bits + 12), _fold(D, bits + 12)
+    sign = -1 if n < 0 else 1
+    sh = bits + 5 + d.bit_length() - abs(n).bit_length()
+    k = ne - de - sh
+    f, rest = divmod(abs(n) << max(sh, 0), d << max(-sh, 0))
+    if not (exact and exact_d):
+        def over(f):  # the sign of |N| - f 2^k D
+            return _fold([(sign * m, x) for m, x in N] + [(-f * m, x + k) for m, x in D], 0)[0]
+
+        f += (over(f + 1) >= 0) - (over(f) < 0)
+        rest = over(f)
+    return _raw(sign * (2 * f + bool(rest)), k - 1, bits)
 
 
 def _sqrt(x: tuple, bits: int) -> tuple:
@@ -357,9 +387,9 @@ def format_nstr(x: tuple, digits: int) -> str:
 
 
 def _quotient(p: int, q: int, bits: int = 53) -> tuple:
-    """p / q for integers, q nonzero, correctly rounded to nearest at `bits`
+    """p / q for integers, q > 0, correctly rounded to nearest at `bits`
     bits (mpmath's from_rational); 53 bits is mpmath's default precision."""
-    return _div(_raw(p, 0), _raw(q, 0), bits)
+    return _ratio([(p, 0)], [(q, 0)], bits)
 
 
 def decimal_to_raw(man: int, e10: int, bits: int) -> tuple[int, int, int, int]:

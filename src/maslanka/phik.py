@@ -61,8 +61,8 @@ import math
 from fractions import Fraction
 
 from .bernoulli import bernoulli_number, bernoulli_poly_coeffs, periodified_sup_bound
-from .mpnum import (_INF, PrecisionContext, Record, _div, _floor_digits, _man, _quotient, _raw,
-                    _round, decimal_to_raw, format_nstr)
+from .mpnum import (PrecisionContext, Record, _check_positive, _floor_digits, _fold, _man,
+                    _quotient, _ratio, _round, _to_mp, decimal_to_raw, format_nstr)
 
 __all__ = [
     "PajTable",
@@ -395,24 +395,30 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
 
     with mp.workprec(ctx.working_bits):
         tol = mpf(quad_tol)._mpf_
-    return mp.make_mpf(_em_remainder_raw(k, a, paj, ctx.working_bits, tol))
+    return _to_mp(_em_remainder_raw(k, a, paj, ctx.working_bits, tol))
 
 
 def _em_remainder_raw(k: int, a: int, paj: PajTable, wp: int, quad_tol: tuple) -> tuple:
     """The integer core of ``em_remainder_a_k`` at working_bits wp, on a raw
     quad_tol, rounded to wp bits first; returns the raw tuple of the exact
-    sum rounded once to wp bits, as mpmath's from_rational rounds it."""
+    sum rounded once to wp bits, as mpmath's from_rational rounds it.
+
+    half_tol is quad_tol/2 with its exponent held to [-21k - bc, top], top =
+    k bitlen(6k) + 6, which changes no decision: every tail bound of _em_cut
+    exceeds 2^-21k (sup|Bbar_e| / e! > 2^(1-3e), and _l1_tail's j = 0 term is
+    e! X^-(e+1), X < 2^18); at X = 4 each is below (6k)^k, which bounds
+    sum_j |p_{e+1,j}(k)|; and a unit panel's estimate, below 3 (beta + 1)(C+1)
+    < 3 a! (C + 1) (_phi_panel), is below its share when half_tol >= 2^top.
+    """
     if not 2 <= a < k:
         raise ValueError("need 2 <= a < k")
     if paj.a_max < a + 1:
         raise ValueError("paj must cover depth a+1")
     tol = _round(quad_tol, wp)
-    if tol[0] or not tol[1] and tol != _INF:  # nan, zero or negative
-        raise ValueError("quad_tol must be positive")
-    if not tol[1]:
-        raise ValueError("quad_tol must be finite")
+    _check_positive(tol, "quad_tol")
     shown = format_nstr(tol, 6)
-    half_tol = Fraction(tol[1], 2) * Fraction(2) ** tol[2]
+    x = min(max(tol[2] - 1, -21 * k - tol[3]), k * (6 * k).bit_length() + 6)
+    half_tol = Fraction(tol[1] << max(x, 0), 1 << max(-x, 0))
     X, d, rows, tail = _em_cut(k, a, _pcoeffs(paj, a + 1, k), half_tol)
     if not tail < half_tol:  # quad_tol must exceed 2 tail, shown rounded up
         v = 2 * tail
@@ -465,11 +471,10 @@ def _em_check(k: int, a: int, ctx: PrecisionContext, tol: tuple, quad_tol: tuple
     tuples, for ``maslanka em-check`` and ``verify --suite em-remainder``.
 
     A_k is a_k's exact head (coefficients._single_index).  quad_tol defaults
-    to |A_k| tol / 100 as mpf arithmetic at 53 bits formed it: |A_k|, the
-    product and the quotient, each rounded to nearest.  passed is
-    |val - A_k| < tol |A_k|, compared exactly in integers at one scale 2^e,
-    and rel is |val - A_k| / |A_k| from the exact difference, rounded once
-    to 53 bits.
+    to |A_k| tol / 100 from that head, rounded once to nearest at 53 bits.
+    passed is |val - A_k| < tol |A_k|, decided exactly by mpnum._fold, and
+    rel is |val - A_k| / |A_k| from the exact difference, rounded once to
+    53 bits.
     """
     from .coefficients import _single_index
 
@@ -478,13 +483,12 @@ def _em_check(k: int, a: int, ctx: PrecisionContext, tol: tuple, quad_tol: tuple
     paj = build_paj(a + 1)
     ref = _single_index("A", k, ctx)
     if quad_tol is None:
-        _, m, e, _ = _round(ref, 53)
-        quad_tol = _div(_raw(m * tol[1], e + tol[2], 53), _raw(100, 0), 53)
+        quad_tol = _ratio([(ref[1] * tol[1], ref[2] + tol[2])], [(100, 0)], 53)
     val = _em_remainder_raw(k, a, paj, ctx.working_bits, quad_tol)
     e = min(val[2], ref[2])
     gap = abs((_man(val) << val[2] - e) - (_man(ref) << ref[2] - e))
     scale = ref[1] << ref[2] - e  # |A_k| 2^-e
-    passed = gap << max(-tol[2], 0) < tol[1] * scale << max(tol[2], 0)
+    passed = _fold([(gap, 0), (-tol[1] * scale, tol[2])], 0)[0] < 0
     return ref, val, _quotient(gap, scale), passed
 
 

@@ -25,9 +25,11 @@ __all__ = [
 
 def _to_fixed(x: tuple, e: int) -> int:
     """x * 2^e rounded to the nearest integer, ties away from zero, for a
-    finite raw tuple x."""
-    sign, man, exp, _ = x
+    finite raw tuple x: 0 once |x 2^e| < 2^(bc + exp + e) <= 1/2."""
+    sign, man, exp, bc = x
     sh = exp + e
+    if sh < -bc:
+        return 0
     v = man << sh if sh >= 0 else (man + (1 << (-sh - 1))) >> -sh
     return -v if sign else v
 

@@ -16,10 +16,10 @@ from __future__ import annotations
 import itertools
 import math
 
-from .bernoulli import _zeta_even_raw, bernoulli_number
+from .bernoulli import _zeta_row, bernoulli_number
 from .coefficients import CoefficientTable
-from .mpnum import (PoleError, PrecisionContext, Record, _check_positive, _div, _man, _quotient,
-                    _raw, _round, _sqrt, _to_float)
+from .mpnum import (GUARD_BITS, PoleError, PrecisionContext, Record, _check_positive, _fold,
+                    _man, _quotient, _ratio, _raw, _round, _sqrt, _to_float, _to_mp)
 from .pochhammer import _fixed_terms, _guard_bits, _to_fixed
 
 __all__ = [
@@ -58,11 +58,19 @@ def _norm_limit(x: tuple, e: int) -> int:
     return n << sh if sh >= 0 else -(-n >> -sh)
 
 
-def _to_mp(re: tuple, im: tuple | None = None):
-    """An mpf made from a raw tuple, or an mpc from two when im is not None."""
-    from mpmath import mp
-
-    return mp.make_mpf(re) if im is None else mp.make_mpc((re, im))
+def _zeta_quotient(sr: int, si: int, zr: tuple, zi: tuple | None, W: int, wb: int):
+    """(S_r + S_i i) 2^-W / (s - 1), s = zr + zi i != 1, each part rounded
+    once at wb (Im None when zi is None): with a = zr - 1 and b = zi, the sums
+    S_r a + S_i b and S_i a - S_r b over a^2 + b^2, of exact dyadic products,
+    which ``mpnum._ratio`` divides at a width set by W and wb alone."""
+    a = [(-1, 0), (_man(zr), zr[2])]
+    n, e, exact = _fold(a, wb)
+    a = [(n, e)] if exact else a  # one term, unless zr is far below 1
+    b = [] if zi is None else [(_man(zi), zi[2])]
+    mul = lambda u, v, c=1: [(c * m * n, x + y) for m, x in u for n, y in v]
+    D, S_r, S_i = mul(a, a) + mul(b, b), [(sr, -W)], [(si, -W)]
+    re = _ratio(mul(S_r, a) + mul(S_i, b), D, wb)
+    return re, None if zi is None else _ratio(mul(S_i, a) + mul(S_r, b, -1), D, wb)
 
 
 def _eval_raw(zr: tuple, zi: tuple | None, table: CoefficientTable, tol: tuple, wb: int):
@@ -72,29 +80,30 @@ def _eval_raw(zr: tuple, zi: tuple | None, table: CoefficientTable, tol: tuple, 
     converged, value, zeta_value, residual_estimate): value and zeta_value
     as (real, imaginary) pairs, the imaginary part None for a real s, and
     zeta_value None at the pole.  It makes every check, in the order the mpf
-    code made them, and inf and nan arrive as mpmath's special tuples.
-    Every other rounding is the one mpmath made when this ran in mpf, so the
-    bits are the same: tol and the value rounded to nearest at wb, the
-    residual's square likewise and its root correctly rounded (mpf_sqrt), and
-    h = s/2 rounded at wb and then to floats for ``_guard_bits``.  zeta_value
-    is the exact sum S 2^-W over s - 1 = (c + d i) 2^e, each part rounded
-    once to nearest at wb: (S_r c + S_i d) and (S_i c - S_r d), times
-    2^(-W-e), over c^2 + d^2, one ``_div`` of exact operands each.
+    code made them, and inf and nan arrive as mpmath's special tuples.  tol
+    and the value are rounded once to nearest at wb, zeta_value once per
+    part (_zeta_quotient), and h = s/2 once to floats for ``_guard_bits``;
+    the residual's square is rounded at wb and its root correctly rounded
+    (mpf_sqrt), as mpmath rounded them.  tol is weighed by its exponent
+    first, so a tol of any exponent costs integers of the sum's width.
     """
     if table.kind != "A":
         raise ValueError("maslanka_eval needs a kind=A table")
     tol = _round(tol, wb)
     _check_positive(tol, "tol")
-    _, man, exp, _ = tol
-    p = 8 - table.target_bits  # tol must exceed 2^p
-    if not man << max(exp - p, 0) > 1 << max(p - exp, 0):
+    if tol[2] + tol[3] - (tol[3] == 1) <= 8 - table.target_bits:  # tol > 2^(8 - target_bits)
         raise ValueError("tol is below what the table's target_bits can support")
     im = (0, 0, 0, 0) if zi is None else zi
     if not all(v[1] or not v[2] for v in (zr, im)):  # man 0 and exp nonzero: inf or nan
         raise ValueError("s must be a finite number")
-    x, y = (_to_float(_raw(_man(v), v[2] - 1, wb)) for v in (zr, im))  # h = s/2
+    x, y = (_to_float(_raw(_man(v), v[2] - 1)) for v in (zr, im))  # h = s/2
     W = wb + _guard_bits(x, y, table.k_max)
     H = (_to_fixed(zr, W - 1), _to_fixed(im, W - 1))
+    # the first term has parts at most 2 |Q_1| + 1, Q_1 = (2^W - H_r, -H_i), and a
+    # norm below 2^(2c-1): at tol >= 2^(c-W+2) the sum stops at k = 1, as at 2^(c-W+2)
+    c = max(abs((1 << W) - H[0]), abs(H[1])).bit_length() + 3
+    if tol[2] + tol[3] > c - W + 2:
+        tol = (0, 1, c - W + 2, 1)
     quarter, half = _norm_limit(tol, W - 2), _norm_limit(tol, W - 1)
     partials = []
     sr = si = 0
@@ -113,14 +122,9 @@ def _eval_raw(zr: tuple, zi: tuple | None, table: CoefficientTable, tol: tuple, 
     (sr, si), (mr, mi) = partials[K], partials[(K + 1) // 2]
     residual = _sqrt(_raw((sr - mr) ** 2 + (si - mi) ** 2, -2 * W, wb), wb)
     value = (_raw(sr, -W, wb), None if zi is None else _raw(si, -W, wb))
-    e = min(zr[2], im[2], 0)  # s - 1 = (c + d i) 2^e, exactly
-    c, d = (_man(zr) << zr[2] - e) - (1 << -e), _man(im) << im[2] - e
-    if not (c or d):
+    if zr == (0, 1, 0, 1) and not im[1]:  # s = 1
         return K + 1, converged, value, None, residual
-    mag = _raw(c * c + d * d, 0)
-    zeta = (_div(_raw(sr * c + si * d, -W - e), mag, wb),
-            None if zi is None else _div(_raw(si * c - sr * d, -W - e), mag, wb))
-    return K + 1, converged, value, zeta, residual
+    return K + 1, converged, value, _zeta_quotient(sr, si, zr, zi, W, wb), residual
 
 
 def maslanka_eval(s, table: CoefficientTable, tol, ctx: PrecisionContext) -> SeriesResult:
@@ -136,16 +140,12 @@ def maslanka_eval(s, table: CoefficientTable, tol, ctx: PrecisionContext) -> Ser
     working_bits and its --tol at 53 bits, mpmath's default precision, as it
     always has.
 
-    Kernel.  This wrapper hands the raw tuples to ``_eval_raw``, which sums in
-    Gaussian integers at one scale 2^W and imports no mpmath; the command
-    ``maslanka eval`` calls that core directly.  With h = s/2 rounded once to
-    H ~ h 2^W, the sweep ``pochhammer._fixed_terms`` yields each term
-    floor(A_k Q_k), Q_k 2^-W ~ P_k(h), taking A_k exactly from its mantissa
-    and exponent, and the partial sums accumulate exactly.  The stopping rule
-    compares squared integer norms with ceil((tol 2^W/4)^2) and
-    ceil((tol 2^W/2)^2), so it takes no square root.  The value is rounded
-    once, to working_bits, and each part of zeta_value is the exact sum over
-    the exact s - 1, rounded once to nearest at working_bits.
+    Kernel.  ``_eval_raw``, which ``maslanka eval`` calls directly, sums in
+    Gaussian integers at one scale 2^W: from H ~ h 2^W the sweep
+    ``pochhammer._fixed_terms`` yields floor(A_k Q_k), Q_k 2^-W ~ P_k(h), and
+    the partial sums accumulate exactly.  The stopping rule compares squared
+    integer norms with ceil((tol 2^W/4)^2) and ceil((tol 2^W/2)^2), so it
+    takes no square root.  value and each part of zeta_value are rounded once.
 
     Bound.  The sweep keeps q_k = Q_k u, u = 2^-W, within 3 k X_k u of
     P_k(h), with X_k its growth factor (see ``pochhammer._fixed_terms``).
@@ -259,18 +259,16 @@ def truncation_check(n: int, table: CoefficientTable, ctx: PrecisionContext):
     The sum truncates because P_k(n) = 0 for k >= n; only n terms exist.
     It runs through the integer Pochhammer sweep at a scale 2^W that
     makes every term exact (P_k(n) = (-1)^k C(n-1, k), and W is at least
-    minus the exponent of each A_k), and is rounded once.  Returns (lhs,
-    rhs) as mpf, from ``_truncation_raw``.
+    minus the exponent of each A_k), and is rounded once; so is the right
+    side.  Returns (lhs, rhs) as mpf, from ``_truncation_raw``.
     """
-    from mpmath import mp
-
-    return tuple(map(mp.make_mpf, _truncation_raw(n, table, ctx.working_bits)))
+    return tuple(map(_to_mp, _truncation_raw(n, table, ctx.working_bits)))
 
 
 def _truncation_raw(n: int, table: CoefficientTable, wb: int) -> tuple[tuple, tuple]:
     """The integer core of ``truncation_check`` at working_bits wb: lhs the
-    exact sum rounded once to wb bits, rhs (2n-1) times zeta_even(2n) at wb
-    bits, the product rounded to wb bits again, as mpmath rounded it."""
+    exact sum and rhs (2n-1) z 2^-s, z the walk's zeta(2n) at scale 2^s,
+    s = wb + GUARD_BITS (bernoulli._zeta_row), each rounded once to wb bits."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if table.kind != "A":
@@ -280,8 +278,8 @@ def _truncation_raw(n: int, table: CoefficientTable, wb: int) -> tuple[tuple, tu
     values = table.raw[:n]
     W = max(0, *(-exp for _, _, exp, _ in values))
     lhs = sum(t for t, _ in _fixed_terms((n << W, 0), values, W))
-    zeta = _zeta_even_raw(2 * n, wb)
-    return _raw(lhs, -W, wb), _raw((2 * n - 1) * _man(zeta), zeta[2], wb)
+    s = wb + GUARD_BITS
+    return _raw(lhs, -W, wb), _raw((2 * n - 1) * _zeta_row(n, s)[-1], -s, wb)
 
 
 def _truncation_rows(table: CoefficientTable, wb: int, nmax: int):
@@ -291,12 +289,14 @@ def _truncation_rows(table: CoefficientTable, wb: int, nmax: int):
     Entry k is within 2^e_k of A_k (table.error_bound_exponents), and
     P_k(n) = (-1)^k C(n-1, k) scales that error, so the exact sum is within
     sum_{k<n} C(n-1, k) 2^e_k of (2n-1) zeta(2n).  On top come the roundings
-    at working_bits wb: the sum's one, a unit of |lhs| 2^-wb, and 3 units of
-    |rhs| 2^-wb for the right side, since zeta_even is within 2^-wb
-    (1 + 2^-32) of zeta(2n) relative and the product (2n-1) zeta adds one
-    rounding, at most 2^-wb relative.  passed is |lhs - rhs| below that sum,
-    compared in integers at one scale 2^e; rel is |lhs - rhs| / |rhs| from
-    the exact difference, rounded once to 53 bits.
+    at working_bits wb, a unit of |lhs| 2^-wb and one of |rhs| 2^-wb: rhs is
+    within 2^-wb (2^E + n 2^-32) of (2n-1) zeta(2n), half an ulp for 2^E <=
+    |rhs| and (2n-1) times z 2^-s's error (bernoulli._zeta_row), and |rhs| >
+    2^E + 0.6 (so the unit covers both for n < 2^31), as zeta(2) = 1.64...
+    and for n >= 2, (2n-1) zeta(2n) lies in (2n-1, 2n - 1/2), 2n-1 odd.
+    passed is |lhs - rhs| below that sum, compared in integers at one scale
+    2^e; rel is |lhs - rhs| / |rhs| from the exact difference, rounded once
+    to 53 bits.
     """
     for n in range(1, nmax + 1):
         lhs, rhs = _truncation_raw(n, table, wb)
@@ -304,4 +304,4 @@ def _truncation_rows(table: CoefficientTable, wb: int, nmax: int):
         e = min(lhs[2], rhs[2], wb + min(errs))
         L, R = _man(lhs) << lhs[2] - e, _man(rhs) << rhs[2] - e
         err = sum(math.comb(n - 1, k) << wb + x - e for k, x in enumerate(errs))
-        yield n, abs(L - R) << wb < err + abs(L) + 3 * abs(R), _quotient(abs(L - R), abs(R))
+        yield n, abs(L - R) << wb < err + abs(L) + abs(R), _quotient(abs(L - R), abs(R))

@@ -30,8 +30,8 @@ from maslanka.mpnum import PrecisionContext, required_bits_for_alternating_sum
 def _truncation_tolerance(table, n: int, working_bits: int) -> Fraction:
     """The error identity n may carry, summed exactly: each entry within half an
     ulp at target_bits plus 2^(k-W-1) (1 + 2^-30) of A_k, scaled by C(n-1, k),
-    and the two sides' roundings at working_bits (4 units of |rhs|: 3 for the
-    right side, one for the left)."""
+    and the two sides' roundings at working_bits (2 units of |rhs|, one for
+    each side)."""
     t = table.target_bits
     w = required_bits_for_alternating_sum(table.k_max, t)
     err = Fraction(0)
@@ -41,7 +41,7 @@ def _truncation_tolerance(table, n: int, working_bits: int) -> Fraction:
         row = Fraction(2) ** (k - w - 1) * (1 + Fraction(1, 2**30))
         err += math.comb(n - 1, k) * (half_ulp + row)
     rhs = Fraction(2 * n - 1) * Fraction(str(mpmath.zeta(2 * n)))
-    return err + 4 * rhs / 2**working_bits
+    return err + 2 * rhs / 2**working_bits
 
 
 @pytest.fixture(scope="module")
@@ -806,6 +806,73 @@ class TestNonFiniteTol:
         assert rc == cli.EXIT_USAGE
         assert "error: quad-tol must be a positive number" in cap.err
         assert cap.out == ""
+
+
+_EM = ["em-check", "--k", "8", "--a", "2", "--bits", "64"]
+_EM_OUT = ("a_k(8) = -5.600136284920295363068e-3\n"
+           "em_remainder(k=8, a=2) = -5.599818280776890472134e-3\nrel_diff = 5.67851e-5\n")
+_TINY_S_OUT = ("s = +1.0000000000000000000000000000000000000000e-{}\n"
+               "value = +4.9999999586234982606170529303648842206386e-1\n"
+               "zeta_value = -4.9999999586234982606170529303648842206386e-1\n"
+               "terms_used = 401\n"
+               "residual_estimate = +6.2920691154450975099231303989660615431640e-9\n"
+               "converged = false\n")
+_EXHAUSTED = "warning: table exhausted before tolerance was met\n"
+# literals far out in exponent, and (stdout, stderr, exit code) as the
+# commands printed them when they still formed integers as wide as the
+# exponent, in up to 37 s and 1.7 GB; at s = 1e-1000000000 that ran out of
+# memory, and the sweep sums what it sums at s = 0, whose value it prints
+FAR_EXPONENTS = {
+    "eval-s-1e-10000000": (["eval", "--tol", "1e-8", "--s", "1e-10000000"],
+                           _TINY_S_OUT.format(10000000), _EXHAUSTED, 3),
+    "eval-s-1e-1000000000": (["eval", "--tol", "1e-8", "--s", "1e-1000000000"],
+                             _TINY_S_OUT.format(1000000000), _EXHAUSTED, 3),
+    "eval-tol-1e+1000000000": (
+        ["eval", "--s", "0.5", "--tol", "1e+1000000000"],
+        "s = +5.0000000000000000000000000000000000000000e-1\n"
+        "value = +4.4340734113433533291571822441291629988993e-1\n"
+        "zeta_value = -8.8681468226867066583143644882583259977987e-1\n"
+        "terms_used = 2\n"
+        "residual_estimate = +0.0000000000000000000000000000000000000000e+0\n"
+        "converged = true\n", "", 0),
+    "eval-tol-1e-1000000000": (["eval", "--s", "0.5", "--tol", "1e-1000000000"], "",
+                               "error: tol is below what the table's target_bits can support\n", 2),
+    "em-quad-tol-1e+1000000000": (_EM + ["--quad-tol", "1e+1000000000"], _EM_OUT,
+                                  "tolerance 1e-6 not met\n", 3),
+    "em-quad-tol-1e-1000000000": (
+        _EM + ["--quad-tol", "1e-1000000000"], "",
+        "numeric failure: tolerance 1.0e-1000000000 is out of reach at k = 8, a = 2: the tail "
+        "bound at X = 200001 needs quad_tol above 2.05393e-44\n", 3),
+    "em-tol-1e+1000000000": (_EM + ["--tol", "1e+1000000000"], _EM_OUT, "", 0),
+}
+
+
+def _limited_run(argv: list[str], mb: int = 512, seconds: float = 5) -> tuple:
+    """(stdout, stderr, exit code) of the command in a fresh interpreter whose
+    address space is limited to `mb` MB, killed after `seconds`."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (mb << 20, mb << 20))
+
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "maslanka.cli", *argv], capture_output=True,
+                          text=True, env=env, timeout=seconds, preexec_fn=limit)
+    return proc.stdout, proc.stderr, proc.returncode
+
+
+class TestFarExponents:
+    """A literal of any exponent costs integers of a width set by the
+    precision: every decision is taken from exponents before any shift."""
+
+    @pytest.mark.parametrize("name", list(FAR_EXPONENTS))
+    def test_prints_what_the_exact_route_printed(self, name, deep_table_file):
+        argv, *want = FAR_EXPONENTS[name]
+        if argv[0] == "eval":
+            argv = argv + ["--table", str(deep_table_file)]
+        assert _limited_run(argv) == tuple(want)
 
 
 class TestLiteralGrammar:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import libmp, mp
 
-from maslanka.mpnum import (PrecisionContext, _div, _quotient, _raw, _sqrt, _to_float,
+from maslanka.mpnum import (PrecisionContext, _quotient, _ratio, _raw, _sqrt, _to_float,
                             format_nstr, required_bits_for_alternating_sum)
 
 
@@ -157,11 +157,13 @@ class TestRawArithmetic:
     precisions below, near and above the operands' widths."""
 
     def test_div_is_mpf_div(self):
+        # x / y as _ratio takes it, one term over one positive term
         pairs = zip(_raw_samples("div-x", 3000), _raw_samples("div-y", 3000))
         for i, (x, y) in enumerate(pairs):
             if y[1]:
                 bits = (16, 53, 100, 170, 240)[i % 5]
-                assert _div(x, y, bits) == libmp.mpf_div(x, y, bits, "n")
+                got = _ratio([((-1) ** (x[0] ^ y[0]) * x[1], x[2])], [(y[1], y[2])], bits)
+                assert got == libmp.mpf_div(x, y, bits, "n")
 
     def test_sqrt_is_mpf_sqrt(self):
         for i, x in enumerate(_raw_samples("sqrt", 3000)):

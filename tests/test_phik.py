@@ -505,9 +505,9 @@ class TestEmRemainder:
             em_remainder_a_k(8, 2, paj8, ctx64, mpf("inf"))  # would stop the walk at X = 4
 
     @pytest.mark.parametrize("quad_tol,message", [
-        (0, "quad_tol must be positive"), (-1, "quad_tol must be positive"),
-        (mpf("-inf"), "quad_tol must be positive"), (mpf("nan"), "quad_tol must be positive"),
-        (mpf("inf"), "quad_tol must be finite")])
+        (0, "quad_tol must be a positive number"), (-1, "quad_tol must be a positive number"),
+        (mpf("-inf"), "quad_tol must be a positive number"),
+        (mpf("nan"), "quad_tol must be a positive number"), (mpf("inf"), "quad_tol must be finite")])
     def test_rejected_quad_tol_messages(self, quad_tol, message, paj8, ctx64):
         with pytest.raises(ValueError, match=f"^{message}$"):
             em_remainder_a_k(8, 2, paj8, ctx64, quad_tol)
@@ -527,8 +527,8 @@ def _exact(x: tuple) -> Fraction:
 
 class TestEmCheck:
     """_em_check, the raw route of `em-check` and `verify --suite em-remainder`,
-    against the mpf route the commands took before: a_k, the default quad_tol
-    |A_k| tol / 100 at mpmath's default 53 bits, and em_remainder_a_k."""
+    against the mpf route: a_k, the default quad_tol |A_k| tol / 100 rounded
+    once at mpmath's default 53 bits, and em_remainder_a_k."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 7).flatmap(lambda a: st.tuples(st.integers(max(3, a + 1), 40),
@@ -541,9 +541,10 @@ class TestEmCheck:
         ctx = PrecisionContext(bits)
         with mp.workprec(53):
             tol = mpf(tol)
-            ref = a_k(k, ctx)
-            quad_tol = abs(ref) * tol / 100
-        val = em_remainder_a_k(k, a, build_paj(a + 1), ctx, quad_tol)
+        ref = a_k(k, ctx)
+        q = abs(_exact(ref._mpf_)) * _exact(tol._mpf_) / 100  # rounded once
+        quad_tol = mpmath.libmp.from_rational(q.numerator, q.denominator, 53, "n")
+        val = em_remainder_a_k(k, a, build_paj(a + 1), ctx, mp.make_mpf(quad_tol))
         got = phik._em_check(k, a, ctx, tol._mpf_, None)
         assert got[:2] == (ref._mpf_, val._mpf_)
         # rel and the decision from the exact difference
@@ -551,9 +552,9 @@ class TestEmCheck:
         rel = mpmath.libmp.from_rational(exact.numerator, exact.denominator, 53, "n")
         assert got[2:] == (rel, exact < _exact(tol._mpf_))
 
-    def test_default_quad_tol_is_mpmaths(self, ctx64, monkeypatch):
-        # |A_k| tol / 100 as mpf arithmetic rounds it at 53 bits: the product,
-        # then the quotient; the remainder itself is not computed here
+    def test_default_quad_tol_is_rounded_once(self, ctx64, monkeypatch):
+        # |A_k| tol / 100 from a_k's exact head, rounded to nearest at 53 bits,
+        # ties to even, here; the remainder itself is not computed
         seen = []
 
         def record(k, a, paj, wp, quad_tol):
@@ -565,9 +566,11 @@ class TestEmCheck:
         for k in range(3, 60):
             tol = mpmath.libmp.from_man_exp(rng.getrandbits(53) | 1, rng.randint(-120, -60))
             phik._em_check(k, 2, ctx64, tol, None)
-            with mp.workprec(53):
-                want = abs(a_k(k, ctx64)) * mp.make_mpf(tol) / 100
-            assert seen[-1] == want._mpf_, k
+            q = abs(_exact(a_k(k, ctx64)._mpf_)) * _exact(tol) / 100
+            e = q.numerator.bit_length() - q.denominator.bit_length()
+            e -= 52 + (q < Fraction(2) ** e)  # 2^(e+52) <= q < 2^(e+53)
+            m = round(q / Fraction(2) ** e)
+            assert _exact(seen[-1]) == m * Fraction(2) ** e and seen[-1][3] <= 53, k
 
     @pytest.mark.parametrize("k,a", [(8, 2), (12, 3), (21, 5)])
     def test_pass_is_decided_exactly(self, k, a, ctx64):
