@@ -26,7 +26,7 @@ from math import isqrt
 
 from .bernoulli import _atan_inv
 from .coefficients import CoefficientTable
-from .mpnum import Record, _raw, _to_mp
+from .mpnum import Record, _least_prime_factors, _raw, _to_mp
 
 __all__ = ["DecayFit", "decay_fit", "rh_diagnostic"]
 
@@ -104,17 +104,14 @@ def decay_fit(table: CoefficientTable, k_min: int, k_max: int) -> DecayFit:
 def _log_table(n: int, m: int) -> tuple[list[int], list[int]]:
     """(L, E) with L[i] <= log(i) 2^m <= L[i] + E[i] for 1 <= i <= n.
 
-    One smallest-prime-factor sieve: log(ab) = log a + log b, and for a
-    prime p, log p = log(p - 1) + 2 atanh(1/(2p - 1)) (log 2 from log 1 = 0).
+    One least-prime-factor sieve (mpnum._least_prime_factors, which also
+    builds the powers n^-s of ``series.zeta_reference``): log(ab) = log a +
+    log b, and for a prime p, log p = log(p - 1) + 2 atanh(1/(2p - 1)) (log 2
+    from log 1 = 0).
     E[i] is built by the same recurrence from the one-sided bounds of the
     atanh series (bernoulli._atan_inv), so it holds by induction on i.
     """
-    spf = list(range(n + 1))
-    for i in range(2, isqrt(n) + 1):
-        if spf[i] == i:
-            for c in range(i * i, n + 1, i):
-                if spf[c] == c:
-                    spf[c] = i
+    spf = _least_prime_factors(n)
     L = [0] * (n + 1)
     E = [0] * (n + 1)
     for i in range(2, n + 1):

@@ -19,6 +19,8 @@ as from_man_exp does; _ratio rounds a quotient of two sums of dyadic terms
 once, however far apart their exponents, as mpf_div rounds one of exact
 operands; and _sqrt and _to_float round as mpf_sqrt and to_float do, bit for
 bit.  _to_mp is the one edge back to mpmath's mpf and mpc.
+_least_prime_factors is the package's one sieve, under the logarithms of
+:mod:`maslanka.analysis` and the powers n^-s of ``series.zeta_reference``.
 Decimal I/O is one exact radix conversion each way, both on the bounds of
 _scale10 (Brent & Zimmermann, Modern Computer Arithmetic, 2010, section
 1.7): format_real prints x rounded to nearest at a given number of digits,
@@ -211,6 +213,8 @@ def _fold(terms: list, p: int) -> tuple[int, int, bool]:
     largest leading bit first, until the rest lies more than p + 3 bits below
     the sum n 2^e, so below 2^-p |n 2^e|: then exact is False, n has the exact
     sum's sign and n 2^e is within 2^(1-p) of it relative."""
+    if len(terms) == 1:
+        return (*terms[0], True)
     n = e = 0
     for top, m, x in sorted([(x + abs(m).bit_length(), m, x) for m, x in terms if m], reverse=True):
         if not n:
@@ -390,6 +394,18 @@ def _quotient(p: int, q: int, bits: int = 53) -> tuple:
     """p / q for integers, q > 0, correctly rounded to nearest at `bits`
     bits (mpmath's from_rational); 53 bits is mpmath's default precision."""
     return _ratio([(p, 0)], [(q, 0)], bits)
+
+
+def _least_prime_factors(n: int) -> list[int]:
+    """spf with spf[i] the least prime factor of i for 2 <= i <= n (spf[i] = i
+    exactly when i is prime), by the sieve of Eratosthenes; spf[0:2] = [0, 1]."""
+    spf = list(range(n + 1))
+    for i in range(2, math.isqrt(n) + 1):
+        if spf[i] == i:
+            for c in range(i * i, n + 1, i):
+                if spf[c] == c:
+                    spf[c] = i
+    return spf
 
 
 def decimal_to_raw(man: int, e10: int, bits: int) -> tuple[int, int, int, int]:

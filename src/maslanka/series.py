@@ -19,7 +19,8 @@ import math
 from .bernoulli import _zeta_row, bernoulli_number
 from .coefficients import CoefficientTable
 from .mpnum import (GUARD_BITS, PoleError, PrecisionContext, Record, _check_positive, _fold,
-                    _man, _quotient, _ratio, _raw, _round, _sqrt, _to_float, _to_mp)
+                    _least_prime_factors, _man, _quotient, _ratio, _raw, _round, _sqrt,
+                    _to_float, _to_mp)
 from .pochhammer import _fixed_terms, _guard_bits, _to_fixed
 
 __all__ = [
@@ -62,7 +63,17 @@ def _zeta_quotient(sr: int, si: int, zr: tuple, zi: tuple | None, W: int, wb: in
     """(S_r + S_i i) 2^-W / (s - 1), s = zr + zi i != 1, each part rounded
     once at wb (Im None when zi is None): with a = zr - 1 and b = zi, the sums
     S_r a + S_i b and S_i a - S_r b over a^2 + b^2, of exact dyadic products,
-    which ``mpnum._ratio`` divides at a width set by W and wb alone."""
+    which ``mpnum._ratio`` divides at a width set by W and wb alone.  When the
+    exponents of 1, zr and zi lie within wb of each other, a and b are the
+    integers c and d at one scale 2^e, and both parts divide one exact
+    integer each by the one integer c^2 + d^2."""
+    im = (0, 0, 0, 0) if zi is None else zi
+    e = min(zr[2], im[2], 0)
+    if max(zr[2], im[2], 0) - e <= wb:
+        c, d = (_man(zr) << zr[2] - e) - (1 << -e), _man(im) << im[2] - e
+        D = [(c * c + d * d, 0)]
+        re = _ratio([(sr * c + si * d, -W - e)], D, wb)
+        return re, None if zi is None else _ratio([(si * c - sr * d, -W - e)], D, wb)
     a = [(-1, 0), (_man(zr), zr[2])]
     n, e, exact = _fold(a, wb)
     a = [(n, e)] if exact else a  # one term, unless zr is far below 1
@@ -201,6 +212,33 @@ def _em_rhos(sigma: float, tau: float, N: int, wp: int):
         lg += step
 
 
+def _em_plan(sigma: float, tau: float, t: int) -> tuple[int, int, list]:
+    """(N, wp, rhos) of ``zeta_reference`` at s = sigma +- tau i and target_bits t."""
+    bits = lambda N: t + 24 + (math.ceil((1.0 - sigma) * math.log2(N + 1)) + 8 if sigma < 0 else 0)
+    wp = t + 24
+    for _ in range(3):
+        N = max(16, math.ceil(0.14 * wp + 0.55 * tau + 8))
+        wp = bits(N)
+    while (rhos := _em_rhos(sigma, tau, N, wp)) is None:
+        N += 1
+        wp = bits(N)
+    return N, wp, rhos
+
+
+def _em_powers(z, N: int) -> list:
+    """[0, 1, 2^-z, ..., N^-z] at mpmath's working precision: mpmath.power for
+    each prime p <= N, and for a composite n = p m, p its least prime factor,
+    n^-z = p^-z m^-z, one product (``zeta_reference`` bounds its error)."""
+    import mpmath
+
+    spf, mz = _least_prime_factors(N), -z
+    pw = [0, mpmath.mp.one]
+    for n in range(2, N + 1):
+        p = spf[n]
+        pw.append(mpmath.power(n, mz) if p == n else pw[p] * pw[n // p])
+    return pw
+
+
 def zeta_reference(s, ctx: PrecisionContext) -> mpf | mpc:
     """zeta(s) by Euler-Maclaurin summation, the package's independent oracle.
 
@@ -209,14 +247,32 @@ def zeta_reference(s, ctx: PrecisionContext) -> mpf | mpc:
     for sigma = Re s > 1-2M (Backlund 1914; Rubinstein 2005; Johansson 2015).
     The sum stops before the first T_M with |T_M| rho_M < tol = 2^(4-wp) max(|acc|,
     2^(-wp/2)), rho_M that ratio rounded up, so it is within tol of zeta(s).
-    N and wp are fixed before the sum so that the stop must come: |T_r| <= b_r,
-    b_1 = 4 |s| N^(1-sigma)/(2 pi N)^2, b_(r+1) = b_r |s+2r-1| |s+2r|/(2 pi N)^2
-    (|B_2r|/(2r)! = 2 zeta(2r)/(2 pi)^2r, zeta(2r) falls), a ratio that falls, then rises.
-    ``_em_rhos`` walks b_r rho_r while b_r falls, and N grows by one until the
-    walk goes below 2^(3-wp-ceil(wp/2)), half the least tol; that bit covers
-    the rounding of the walk and of |T_r|.  For sigma < 0 the power sum's
-    terms reach N^-sigma; the extra ceil((1-sigma) log2(N+1)) + 8 bits hold
-    its rounding error, about N^(2-sigma) 2^-wp, below N 2^-(t+32).
+    N and wp are fixed before the sum so that the stop must come (``_em_plan``):
+    |T_r| <= b_r, b_1 = 4 |s| N^(1-sigma)/(2 pi N)^2,
+    b_(r+1) = b_r |s+2r-1| |s+2r|/(2 pi N)^2 (|B_2r|/(2r)! = 2 zeta(2r)/(2 pi)^2r,
+    zeta(2r) falls), a ratio that falls, then rises.  ``_em_rhos`` walks b_r rho_r
+    while b_r falls, and N grows by one until the walk goes below
+    2^(3-wp-ceil(wp/2)), half the least tol; that bit covers the rounding of the
+    walk and of |T_r|.  Each B_2r/(2r)! is the exact quotient of the integers
+    B_2r's numerator and its denominator times (2r)!, rounded once at wp.
+
+    Powers.  ``_em_powers`` calls mpmath.power for the primes p <= N only,
+    each within delta of p^-s relative; delta, which every n^-s had when each
+    came from mpmath.power, is a few u = 2^-wp, as mpmath takes the logarithm
+    and its product with s at wp + 10 bits.  A composite n = p m is one
+    product p^-s m^-s, each part rounded to nearest, so within u of the
+    product of its entries; by induction the entry of an n with Omega(n)
+    prime factors is within beta = (1+delta)^Omega (1+u)^(Omega-1) - 1 of
+    n^-s, Omega(n) - 1 roundings more than mpmath.power's one.  N^(1-s) =
+    N * N^-s and N^(-s-1) = N^-s / N take one rounding each.  With
+    Omega <= L = floor(log2 N), the power sum's entries are off by at most
+    beta_L ~ L (delta + u) of its sum of |n^-s| = n^-sigma, and its N
+    additions, each rounded within u of a partial sum, by N u of it; beta_L
+    <= N u while delta <= (N/L - 1) u, at least 3u for N >= 16.  So the power
+    sum is within 2 N u sum_{n<N} n^-sigma, at most twice the bound each
+    mpmath.power term gave it: one bit, and no guard bit is added.  For
+    sigma < 0 its terms reach N^-sigma; the extra ceil((1-sigma) log2(N+1))
+    + 8 bits of wp keep that error, 2 N^(2-sigma) 2^-wp, below N 2^-(t+31).
     """
     import mpmath
     from mpmath import mp, mpf
@@ -227,25 +283,19 @@ def zeta_reference(s, ctx: PrecisionContext) -> mpf | mpc:
         raise ValueError("s must be a finite number")
     if z == 1:
         raise PoleError("zeta pole at s = 1")
-    t, sigma, tau = ctx.target_bits, float(mp.re(z)), abs(float(mp.im(z)))
-    bits = lambda N: t + 24 + (math.ceil((1.0 - sigma) * math.log2(N + 1)) + 8 if sigma < 0 else 0)
-    wp = t + 24
-    for _ in range(3):
-        N = max(16, math.ceil(0.14 * wp + 0.55 * tau + 8))
-        wp = bits(N)
-    while (rhos := _em_rhos(sigma, tau, N, wp)) is None:
-        N += 1
-        wp = bits(N)
+    N, wp, rhos = _em_plan(float(mp.re(z)), abs(float(mp.im(z))), ctx.target_bits)
     with mp.workprec(wp):
         zc = +z
-        acc = sum((mpmath.power(n, -zc) for n in range(1, N)), mp.zero)
-        acc += mpmath.power(N, 1 - zc) / (zc - 1)
-        acc += mpmath.power(N, -zc) / 2
+        pw = _em_powers(zc, N)
+        acc = sum(pw[1:N], mp.zero)
+        acc += N * pw[N] / (zc - 1)
+        acc += pw[N] / 2
         tol = mpf(2) ** (-wp + 4) * max(abs(acc), mpf(2) ** (-wp // 2))
-        rising, npow, corr = zc, mpmath.power(N, -zc - 1), mp.zero  # (s)_(2r-1), N^(-s-2r+1)
+        rising, npow, corr = zc, pw[N] / N, mp.zero  # (s)_(2r-1), N^(-s-2r+1)
         for r, rho in enumerate(rhos, 1):
             b = bernoulli_number(2 * r)
-            term = mpf(b.numerator) / mpf(b.denominator) / mpf(math.factorial(2 * r)) * rising * npow
+            coef = _to_mp(_quotient(b.numerator, b.denominator * math.factorial(2 * r), wp))
+            term = coef * rising * npow
             if (at := abs(term)) < tol and at * rho < tol:  # rho >= 1
                 return +(acc + corr)
             corr += term

@@ -11,9 +11,10 @@ from mpmath import libmp, mp, mpc, mpf
 from maslanka.bernoulli import bernoulli_number, zeta_even
 from maslanka.cli import GLOBAL_PROBES, parse_complex
 from maslanka.coefficients import CoefficientTable, build_table
-from maslanka.mpnum import PoleError, PrecisionContext, _raw, _to_mp
+from maslanka.mpnum import PoleError, PrecisionContext, _least_prime_factors, _raw, _to_mp
 from maslanka.pochhammer import _fixed_terms, _guard_bits, _to_fixed, pochhammer_values
-from maslanka.series import (_em_rhos, _eval_raw, _truncation_raw, _truncation_rows,
+from maslanka.series import (_em_plan, _em_powers, _em_rhos, _eval_raw, _truncation_raw,
+                             _truncation_rows,
                              _zeta_quotient, maslanka_eval, truncation_check, zeta_reference)
 
 
@@ -474,6 +475,43 @@ class TestZetaReference:
         with mp.workprec(2 * t):
             want = mpmath.zeta(s)
             assert abs(got - want) <= mpf(2) ** -(t - 8) * max(1, abs(want))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(-12, 8), st.floats(-100, 100), st.sampled_from([64, 128, 256]))
+    # within 1e-6 of the first three zeros, where |acc| sits near its floor
+    @example(0.5, 14.134725, 256)
+    @example(0.5, -21.02204, 128)
+    @example(0.5, 25.010858, 64)
+    def test_backlund_stop_searched(self, sigma, tau, t):
+        assume((sigma, tau) != (1, 0))
+        s = mpc(sigma, tau)
+        got = zeta_reference(s, PrecisionContext(t))
+        _, wp, _ = _em_plan(sigma, abs(tau), t)
+        with mp.workprec(2 * wp):
+            want = mpmath.zeta(s)
+            assert abs(got - want) <= mpf(2) ** -(t - 8) * max(1, abs(want))
+
+    @pytest.mark.parametrize("s, t", [(mpc(-4, 15), 128), (mpc(6, -15), 128), (mpf(60), 512),
+                                      (mpc(-60, "0.5"), 512), (mpc("0.5", 300), 512)])
+    def test_powers_within_their_product_bound(self, s, t):
+        # the corners of eval_plane's boxes and the largest N and wp at t = 512:
+        # primes are mpmath.power's, and a composite with Omega prime factors is
+        # within (1+delta)^Omega (1+u)^(Omega-1) - 1 of n^-s, delta the primes'
+        # largest error, which the docstring needs below (N/floor(log2 N) - 1) u
+        N, wp, _ = _em_plan(float(s.real), abs(float(s.imag)), t)
+        spf, u = _least_prime_factors(N), mpf(2) ** -wp
+        with mp.workprec(wp):
+            pw = _em_powers(s, N)
+            assert all(pw[p] == mpmath.power(p, -s) for p in range(2, N + 1) if spf[p] == p)
+        with mp.workprec(2 * wp):
+            rel = {n: abs(pw[n] / mpmath.power(n, -s) - 1) for n in range(2, N + 1)}
+            delta = max(rel[p] for p in rel if spf[p] == p)
+            assert delta <= (mpf(N) / int(math.log2(N)) - 1) * u
+            for n in (n for n in rel if spf[n] < n):
+                omega, m = 0, n
+                while m > 1:
+                    omega, m = omega + 1, m // spf[m]
+                assert rel[n] <= (1 + delta) ** omega * (1 + u) ** (omega - 1) - 1
 
     @pytest.mark.parametrize("s", [mpc("0.5", "14.134725"), mpf(-3), mpc(-7, "1e-30"), mpc(2, 40)])
     def test_rhos_bound_the_remainder_ratio(self, s):
