@@ -94,9 +94,16 @@ class TableFormatError(ValueError):
 
 
 class _ValuesView(Record):
-    """The slot in which a CoefficientTable keeps its mpf view; not a field."""
+    """The slots in which a CoefficientTable keeps its views; not fields."""
 
-    __slots__ = ("_values",)
+    __slots__ = ("_values", "_weights")
+
+    def _kept(self, slot: str, make) -> tuple:
+        try:
+            return getattr(self, slot)
+        except AttributeError:
+            object.__setattr__(self, slot, make())
+            return getattr(self, slot)
 
 
 class CoefficientTable(_ValuesView):
@@ -106,8 +113,9 @@ class CoefficientTable(_ValuesView):
     rounded to exactly ``target_bits`` (which is what makes the cache
     round-trip bit-exact), and ``error_bound_exponents[k]`` is an integer e
     with |entry k - true| <= 2**e (the model of the module docstring, for
-    tables from build_table).  ``values`` is the same entries as a tuple of
-    mpf, made on first use and kept.
+    tables from build_table).  ``values`` and ``weights`` are the same
+    entries as mpf and as the Pochhammer sweep's weights, made on first use
+    and kept.
     """
 
     __slots__ = ("kind", "k_max", "target_bits", "raw", "error_bound_exponents")
@@ -128,12 +136,14 @@ class CoefficientTable(_ValuesView):
     @property
     def values(self) -> tuple:
         """The entries as mpmath mpf, in order."""
-        try:
-            return self._values
-        except AttributeError:
-            values = tuple(map(_to_mp, self.raw))
-            object.__setattr__(self, "_values", values)
-            return values
+        return self._kept("_values", lambda: tuple(map(_to_mp, self.raw)))
+
+    @property
+    def weights(self) -> tuple:
+        """Each entry (-1)^sign man 2^exp as the pair (+-man 2^max(exp, 0),
+        max(-exp, 0)) that ``pochhammer._fixed_terms`` takes."""
+        return self._kept("_weights", lambda: tuple(
+            ((-m if sign else m) << max(exp, 0), max(-exp, 0)) for sign, m, exp, _ in self.raw))
 
     def error_bound(self, k: int):
         """2^e_k as an mpf."""

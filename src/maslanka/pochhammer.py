@@ -7,8 +7,10 @@ gives the W that bound needs.  The Maslanka series and its truncation
 identities (:mod:`maslanka.series`) feed it their coefficients.  Here it
 gives the first values P_0(s), ..., P_K(s) (exactly zero at integer
 1 <= s <= k) and a bound probe measuring sup_k |P_k(s)| k^Re(s).  The sweep
-and its two helpers take integers, floats and raw tuples, so the series core
+takes integers and its two helpers floats and raw tuples, so the series core
 runs without mpmath; the two functions that return mpf import it in-call.
+A step multiplies by the significant bits of h 2^W alone, so its cost
+follows the bits h has, not W.
 """
 
 from __future__ import annotations
@@ -34,16 +36,22 @@ def _to_fixed(x: tuple, e: int) -> int:
     return -v if sign else v
 
 
-def _fixed_terms(H: tuple[int, int], values, W: int):
-    """Yield floor(c_k Q_k) as (real, imag) integers for the weights c_k in ``values``.
+def _fixed_terms(H: tuple[int, int], weights, W: int):
+    """Yield floor(c_k Q_k) as (real, imag) integers for the weights c_k in ``weights``.
 
     Q_0 = 2^W and Q_k = floor(Q_{k-1} (k 2^W - H) / (k 2^W)) componentwise,
     so Q_k 2^-W approximates P_k(h) for H ~ h 2^W (exactly zero from k = n on
     when h = n is a positive integer, and exactly 2^W throughout at h = 0).
-    The quotient is taken as (Q_{k-1} (k 2^W - H) >> W) // k, the same integer
-    because nested floor divisions by positive integers compose.  Each weight
-    is a raw mpf tuple (sign, man, exp, bc) and enters exactly, as mantissa
-    times 2^exponent, and the product is floored by a shift.
+    Each weight is a pair (m, t) of integers, c_k = m 2^-t with t >= 0, and
+    the product m Q_k is floored by the shift t.
+
+    Step.  Q_{k-1} k 2^W is a multiple of 2^W, and nested floor divisions by
+    positive integers compose, with floor((k Q + y)/k) = Q + floor(y/k); so
+    Q_k = Q_{k-1} + floor(floor(-Q_{k-1} H / 2^W) / k).  With H = (a + b i) 2^e,
+    e = min(W, the trailing zero bits of H_r | H_i), and d = W - e,
+    floor(x 2^e / 2^W) = floor(x / 2^d): each step multiplies Q_{k-1} by the
+    significant bits a and b of H alone, and yields the integers of the
+    recurrence above for every H, W and weight.
 
     Bound.  Let u = 2^-W, q_k = Q_k u, r_i = |1 - h/i| and
     Pi_k = r_1 ... r_k = |P_k(h)|, with H the nearest Gaussian integer to
@@ -59,18 +67,15 @@ def _fixed_terms(H: tuple[int, int], values, W: int):
     u (sqrt2 k + sqrt2 H_k) X_k <= 3 k X_k u (H_k the harmonic number).
     The floor of each weighted term adds less than sqrt2 u.
     """
-    hr, hi = H
+    low = H[0] | H[1]
+    e = min(W, (low & -low).bit_length() - 1) if low else W
+    a, b, d = H[0] >> e, H[1] >> e, W - e
+    na = -a
     qr, qi = 1 << W, 0
-    for k, (sign, man, exp, _) in enumerate(values):
+    for k, (m, t) in enumerate(weights):
         if k:
-            f = (k << W) - hr
-            qr, qi = ((qr * f + qi * hi) >> W) // k, ((qi * f - qr * hi) >> W) // k
-        if sign:
-            man = -man
-        if exp >= 0:
-            yield (man * qr) << exp, (man * qi) << exp
-        else:
-            yield (man * qr) >> -exp, (man * qi) >> -exp
+            qr, qi = qr + ((qi * b - qr * a) >> d) // k, qi + ((qi * na - qr * b) >> d) // k
+        yield (m * qr) >> t, (m * qi) >> t
 
 
 def _guard_bits(x: float, y: float, k_max: int) -> int:
@@ -123,7 +128,7 @@ def pochhammer_values(s, k_max: int, ctx: PrecisionContext) -> list:
         z = mpmath.mpmathify(s)
         W = ctx.working_bits + _guard_bits(float(z.real), float(z.imag), k_max)
         H = (_to_fixed(z.real._mpf_, W), _to_fixed(z.imag._mpf_, W))
-        terms = _fixed_terms(H, [(0, 1, 0, 1)] * (k_max + 1), W)
+        terms = _fixed_terms(H, [(1, 0)] * (k_max + 1), W)
         if isinstance(z, mpc):
             return [mpc(mpf((qr, -W)), mpf((qi, -W))) for qr, qi in terms]
         return [mpf((qr, -W)) for qr, _ in terms]

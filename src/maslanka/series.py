@@ -116,21 +116,22 @@ def _eval_raw(zr: tuple, zi: tuple | None, table: CoefficientTable, tol: tuple, 
     if tol[2] + tol[3] > c - W + 2:
         tol = (0, 1, c - W + 2, 1)
     quarter, half = _norm_limit(tol, W - 2), _norm_limit(tol, W - 1)
-    partials = []
+    rs, js = [], []  # the partial sums' real and imaginary parts
     sr = si = 0
     converged = False
     K = table.k_max
-    for k, (tr, ti) in enumerate(_fixed_terms(H, table.raw, W)):
+    for k, (tr, ti) in enumerate(_fixed_terms(H, table.weights, W)):
         sr += tr
         si += ti
-        partials.append((sr, si))
+        rs.append(sr)
+        js.append(si)
         if k and tr * tr + ti * ti < quarter:
-            mr, mi = partials[(k + 1) // 2]
-            if (sr - mr) ** 2 + (si - mi) ** 2 < half:
+            j = (k + 1) // 2
+            if (sr - rs[j]) ** 2 + (si - js[j]) ** 2 < half:
                 K = k
                 converged = True
                 break
-    (sr, si), (mr, mi) = partials[K], partials[(K + 1) // 2]
+    sr, si, mr, mi = rs[K], js[K], rs[(K + 1) // 2], js[(K + 1) // 2]
     residual = _sqrt(_raw((sr - mr) ** 2 + (si - mi) ** 2, -2 * W, wb), wb)
     value = (_raw(sr, -W, wb), None if zi is None else _raw(si, -W, wb))
     if zr == (0, 1, 0, 1) and not im[1]:  # s = 1
@@ -153,8 +154,9 @@ def maslanka_eval(s, table: CoefficientTable, tol, ctx: PrecisionContext) -> Ser
 
     Kernel.  ``_eval_raw``, which ``maslanka eval`` calls directly, sums in
     Gaussian integers at one scale 2^W: from H ~ h 2^W the sweep
-    ``pochhammer._fixed_terms`` yields floor(A_k Q_k), Q_k 2^-W ~ P_k(h), and
-    the partial sums accumulate exactly.  The stopping rule compares squared
+    ``pochhammer._fixed_terms`` yields floor(A_k Q_k), Q_k 2^-W ~ P_k(h), from
+    the table's kept ``weights`` and a step that multiplies by H's significant
+    bits only, and the partial sums accumulate exactly in two integer lists.  The stopping rule compares squared
     integer norms with ceil((tol 2^W/4)^2) and ceil((tol 2^W/2)^2), so it
     takes no square root.  value and each part of zeta_value are rounded once.
 
@@ -325,9 +327,9 @@ def _truncation_raw(n: int, table: CoefficientTable, wb: int) -> tuple[tuple, tu
         raise ValueError("truncation_check needs a kind=A table")
     if table.k_max < n - 1:
         raise ValueError("table too short: need k_max >= n-1")
-    values = table.raw[:n]
-    W = max(0, *(-exp for _, _, exp, _ in values))
-    lhs = sum(t for t, _ in _fixed_terms((n << W, 0), values, W))
+    weights = table.weights[:n]
+    W = max(0, *(t for _, t in weights))
+    lhs = sum(t for t, _ in _fixed_terms((n << W, 0), weights, W))
     s = wb + GUARD_BITS
     return _raw(lhs, -W, wb), _raw((2 * n - 1) * _zeta_row(n, s)[-1], -s, wb)
 

@@ -1,11 +1,15 @@
+import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
+from maslanka.coefficients import CoefficientTable
 from maslanka.mpnum import PoleError, PrecisionContext
-from maslanka.pochhammer import pochhammer_bound_probe, pochhammer_values
+from maslanka.pochhammer import _fixed_terms, pochhammer_bound_probe, pochhammer_values
 
 
 def pochhammer_gamma(k: int, s, ctx: PrecisionContext):
@@ -110,6 +114,113 @@ class TestStatedBound:
             values = pochhammer_values(s, 1000, ctx64)
             assert all(v == 0 for v in values[m:])
             assert all(v != 0 for v in values[:m])
+
+
+def _recurrence(H, raw, W):
+    """The sweep as the recurrence reads, the oracle for ``_fixed_terms``:
+    Q_k = ((Q_{k-1} (k 2^W - H_r) + Q_i H_i) >> W) // k and its imaginary
+    twin, each weight a raw tuple (sign, man, exp, bc) applied as man 2^exp."""
+    hr, hi = H
+    qr, qi = 1 << W, 0
+    for k, (sign, man, exp, _) in enumerate(raw):
+        if k:
+            f = (k << W) - hr
+            qr, qi = ((qr * f + qi * hi) >> W) // k, ((qi * f - qr * hi) >> W) // k
+        man = -man if sign else man
+        if exp >= 0:
+            yield (man * qr) << exp, (man * qi) << exp
+        else:
+            yield (man * qr) >> -exp, (man * qi) >> -exp
+
+
+@st.composite
+def _sweep_inputs(draw):
+    """(H, raw weights, W): each part of H zero or with 0, a few, exactly W or
+    more than W trailing zero bits (H = n 2^W, n even), |H| < 2^(W+7)."""
+    W = draw(st.integers(8, 300))
+
+    def part():
+        zeros = draw(st.sampled_from([0, 1, 3, 6, W, W + 1, W + 4]))
+        m = ((draw(st.integers(0, 2 ** (W + 6))) >> zeros) | 1) << zeros
+        return 0 if draw(st.integers(0, 7)) == 0 else m * draw(st.sampled_from([1, -1]))
+
+    H = (part(), part())
+    weight = st.one_of(
+        st.just((0, 0, 0, 0)), st.just((0, 1, 0, 1)),
+        st.builds(lambda sign, man, exp: (sign, man, exp, man.bit_length()),
+                  st.integers(0, 1), st.integers(1, 2**80), st.integers(-160, 24)))
+    return H, draw(st.lists(weight, min_size=1, max_size=40)), W
+
+
+class TestSweepIntegers:
+    @settings(max_examples=200, deadline=None)
+    @given(_sweep_inputs())
+    @example(((0, 0), [(0, 1, 0, 1)] * 5, 8))
+    @example(((6 << 20, 0), [(0, 3, -2, 2), (1, 5, 3, 3), (0, 0, 0, 0)], 20))
+    def test_same_integers_as_the_recurrence(self, case):
+        # every integer the sweep yields is the recurrence's, through the
+        # weights a table hands it
+        H, raw, W = case
+        table = CoefficientTable(kind="A", k_max=len(raw) - 1, target_bits=64, raw=tuple(raw),
+                                 error_bound_exponents=(0,) * len(raw))
+        assert list(_fixed_terms(H, table.weights, W)) == list(_recurrence(H, raw, W))
+
+
+_H_BOXES = (  # eval_plane's boxes of s, halved: (Re h range, |Im h| bound)
+    ((Fraction(3, 4), 3), 5),
+    ((Fraction(1, 40), Fraction(19, 40)), 5),
+    ((Fraction(1, 4), Fraction(1, 4)), Fraction(15, 2)),
+    ((-2, Fraction(-1, 40)), Fraction(5, 2)),
+)
+
+
+@st.composite
+def _h_points(draw):
+    """h = s/2 in an eval_plane box, each part of s a 53-bit float or a
+    48-digit decimal read at 160 bits, as mpmath mpf."""
+    (lo, hi), im_bound = draw(st.sampled_from(_H_BOXES))
+    parts = []
+    for a, b in ((lo, hi), (-im_bound, im_bound)):
+        q = a + (b - a) * Fraction(draw(st.integers(0, 10**48)), 10**48)
+        if draw(st.booleans()):
+            parts.append(mpf(float(2 * q)) / 2)
+        else:
+            with mp.workprec(160):
+                parts.append(mpf(2 * q.numerator) / q.denominator / 2)
+    return parts
+
+
+def _nearest(x, W: int) -> int:
+    """The integer nearest x 2^W for an mpf x, exactly."""
+    sign, man, exp, _ = x._mpf_
+    return round(Fraction(-man if sign else man) * Fraction(2) ** (exp + W))
+
+
+class TestSweepBound:
+    @settings(max_examples=30, deadline=None)
+    @given(h=_h_points(), K=st.integers(1, 200), extra=st.integers(0, 40))
+    def test_error_within_3k_X_k_u(self, h, K, extra):
+        # |Q_k 2^-W - P_k(h)| <= 3 k X_k u with unit weights, u = 2^-W and
+        # X_k = max(r_k X_{k-1}, 1, Pi_{k-1}), P_k and X_k formed at 2W + 20 bits
+        # with W chosen so that every 3 k X_k u < 1; their roundings are
+        # below u of the bound, which (1 + u) covers
+        x, y = h
+        with mp.workprec(120):
+            X = Pi = Xmax = mpf(1)
+            for k in range(1, K + 1):
+                r = abs(mpc(1 - x / k, -y / k))
+                X, Pi = max(r * X, 1, Pi), Pi * r
+                Xmax = max(Xmax, X)
+        W = math.ceil(math.log2(3 * K * float(Xmax) * 1.01)) + 1 + extra
+        H = (_nearest(x, W), _nearest(y, W))
+        terms = _fixed_terms(H, [(1, 0)] * (K + 1), W)
+        with mp.workprec(2 * W + 20):
+            u, h, P, X, Pi = mpf(2) ** -W, mpc(x, y), mpc(1), mpf(1), mpf(1)
+            for k, (qr, qi) in enumerate(terms):
+                if k:
+                    r = abs(1 - h / k)
+                    X, Pi, P = max(r * X, 1, Pi), Pi * r, P * (1 - h / k)
+                    assert abs(mpc(qr, qi) * u - P) <= 3 * k * X * u * (1 + u), (k, h)
 
 
 class TestGammaForm:

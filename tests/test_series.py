@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -321,7 +322,7 @@ def _mp_roundings(z, table, terms: int, wb: int):
         h = z / 2
         W = wb + _guard_bits(float(h.real), float(h.imag), table.k_max)
         H = (_to_fixed(mp.re(z)._mpf_, W - 1), _to_fixed(mp.im(z)._mpf_, W - 1))
-        sums = list(itertools.accumulate(_fixed_terms(H, table.raw[:terms], W),
+        sums = list(itertools.accumulate(_fixed_terms(H, table.weights[:terms], W),
                                          lambda p, t: (p[0] + t[0], p[1] + t[1])))
         (sr, si), (mr, mi) = sums[-1], sums[terms // 2]
         residual = mpmath.sqrt(mpf(((sr - mr) ** 2 + (si - mi) ** 2, -2 * W)))
@@ -524,6 +525,26 @@ class TestZetaReference:
             for r, rho in enumerate(rhos, 1):
                 d = s.real + 2 * r - 1
                 assert rho == math.inf if d <= 0 else rho >= abs(s + 2 * r - 1) / d
+
+    @pytest.mark.parametrize("t", [64, 128])
+    def test_within_the_documented_bound_at_the_promised_wp(self, t):
+        # the docstring's bound, tol + 2 N u sum_{n<N} n^-sigma, at the promised
+        # wp = t + 24 (+ ceil((1-sigma) log2(N+1)) + 8 for sigma < 0), u = 2^-wp,
+        # whatever wp the plan returns; |acc| in tol is the exact head sum
+        rng = random.Random(20261021 + t)
+        for box in [*_EVAL_PLANE_BOXES.values()] * 6:
+            (lo, hi), im_bound = box
+            s = mpc(round(rng.uniform(lo, hi), 6), round(rng.uniform(-im_bound, im_bound), 6))
+            sigma = float(s.real)
+            N, _, _ = _em_plan(sigma, abs(float(s.imag)), t)
+            wp = t + 24 + (math.ceil((1 - sigma) * math.log2(N + 1)) + 8 if sigma < 0 else 0)
+            got = zeta_reference(s, PrecisionContext(t))
+            with mp.workprec(2 * wp):
+                acc = sum(mpf(n) ** -s for n in range(1, N)) + mpf(N) ** (1 - s) / (s - 1)
+                acc += mpf(N) ** -s / 2
+                tol = mpf(2) ** (4 - wp) * max(abs(acc), mpf(2) ** (-wp // 2))
+                bound = tol + 2 * N * mpf(2) ** -wp * sum(mpf(n) ** -sigma for n in range(1, N))
+                assert abs(got - mpmath.zeta(s)) <= bound, s
 
     def test_rhos_refuse_too_small_n(self):
         # at N = 2 the bound on |T_r| rises before it reaches the least tol
