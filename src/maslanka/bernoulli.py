@@ -1,4 +1,4 @@
-"""Exact Bernoulli machinery: numbers, pi^2, even-argument zeta, Bernoulli polynomials.
+"""Exact Bernoulli machinery: numbers, pi^2, even-argument zeta, the sup of B_a({x}).
 
 This module is the "oracle layer" of the package: everything here is exact
 rational or integer arithmetic until a final rounding, and it is the one place
@@ -6,10 +6,10 @@ that makes pi^2 and zeta(2j) from the Bernoulli formula.  Its walk _zeta_row
 gives round(zeta(2j+2) 2^w) for j < n from B_2j+2 and fixed-point powers of
 one pi^2; it is all of a_k_alt's row, the kernel row of
 :mod:`maslanka.coefficients` below its switch point, and zeta_even, which
-rounds the walk's last entry once.  :mod:`maslanka.phik` evaluates the
-periodified polynomials B_a({x}) in integers over bernoulli_poly_coeffs, and
-:func:`maslanka.series.zeta_reference` takes its Euler-Maclaurin corrections
-from bernoulli_number.
+rounds the walk's last entry once.  :mod:`maslanka.phik` takes its
+Euler-Maclaurin boundary terms from bernoulli_number and its tail bounds
+from periodified_sup_bound, and :func:`maslanka.series.zeta_reference` takes
+its Euler-Maclaurin corrections from bernoulli_number.
 
 Every Bernoulli number is read from one module-level table of B_0, B_2, ...,
 B_2n, made from the tangent numbers T_1..T_n in O(n**2) multiply-adds of
@@ -41,7 +41,6 @@ from .mpnum import GUARD_BITS, PrecisionContext, _raw, _to_mp
 
 __all__ = [
     "bernoulli_number",
-    "bernoulli_poly_coeffs",
     "periodified_sup_bound",
     "zeta_even",
 ]
@@ -158,16 +157,6 @@ def zeta_even(m: int, ctx: PrecisionContext):
         raise ValueError("m must be an even integer >= 2")
     s = ctx.working_bits + GUARD_BITS
     return _to_mp(_raw(_zeta_row(m // 2, s)[-1], -s, ctx.working_bits))
-
-
-def bernoulli_poly_coeffs(a: int) -> tuple[Fraction, ...]:
-    """Exact coefficients of the Bernoulli polynomial B_a(x), highest power first.
-
-    B_a(x) = sum_{i=0}^{a} C(a, i) B_i x**(a-i).
-    """
-    if a < 0:
-        raise ValueError("a must be >= 0")
-    return tuple(math.comb(a, i) * bernoulli_number(i) for i in range(a + 1))
 
 
 def periodified_sup_bound(a: int) -> Fraction:

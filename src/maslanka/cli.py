@@ -11,9 +11,10 @@ builds every subparser from that table and calls the chosen handler, so a
 handler has one caller and every command runs through the same dispatch.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numeric
-failure (tolerance unmet or quadrature failure).  Data goes to --out or
-stdout; diagnostics go to stderr.  Identical argv and input files produce
-byte-identical data output (nothing timestamped is emitted).
+failure (tolerance unmet, or an Euler-Maclaurin tolerance out of reach).
+Data goes to --out or stdout; diagnostics go to stderr.  Identical argv and
+input files produce byte-identical data output (nothing timestamped is
+emitted).
 
 Start-up: ``--help`` and usage errors load argparse and this module, and no
 other package module and no mpmath.  Their cost over a bare interpreter is

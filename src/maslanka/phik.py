@@ -30,21 +30,24 @@ that (1 - 1/x^2)^(k-d-1) <= 1 on [X, inf),
 
     |T_d(X)| <= sup|Bbar_d| / d! * sum_j |p_{d+1,j}(k)| / ((d+2j+1) X^(d+2j+1)).
 
-At an integer X every boundary term is rational, so their sum is exact; only
-T_d(X) is dropped, and its bound falls like X^-(d+1) instead of X^-(a+1).
-The bound depends on k, d and X alone, so em_remainder_a_k fixes X and d
-before it integrates [1, X].
+The bound falls like X^-(d+1) instead of X^-(a+1), and it depends on k, d
+and X alone, so em_remainder_a_k fixes X and d first.
 
-Quadrature serves the remainder integral alone: its integrand is smooth
-between the integers (the corners of Bbar_a), so panels aligned on them keep
-a fixed-order Gauss-Legendre rule spectrally accurate.  The rule's nodes
-and weights are dyadic Fractions from Newton steps in integers, each panel is
-one sum in Python integers at a fixed-point scale with a proven error bound,
-the panels add up to one integer, and the dropped-tail bound is an exact
-Fraction, sup|Bbar_d| included.  The L1 norms Int_1^inf |phi_k^(a)| need
-none: phi_k^(a) changes sign exactly at its a zeros, which a Rolle walk over
-the exact integer rows p_{r,j}(k) brackets, so each norm is the total
-variation of phi_k^(a-1) between them (deriv_l1_norm).
+On [1, X] nothing is integrated either: there Euler-Maclaurin is an exact
+identity (Apostol, "An elementary view of Euler's summation formula", 1999),
+so the remainder integral over [1, X] is a rational number.  Summed with the
+boundary terms above, and with phi_k'(1) = 0,
+
+    A_k - T_d(X) = -sum_{2<=n<X} phi_k'(n) + phi_k(X) - phi_k'(X)/2
+                   + sum_{even r=2..d} B_r / r! * phi_k^(r)(X),
+
+-phi_k'(n) = (n^2-1)^(k-1) (n^2-2k-1) / n^(2k+2).  Only T_d(X) is dropped,
+below an exact Fraction bound, sup|Bbar_d| included; each term of the sum
+over n is floored once at a fixed-point scale, and the rest is exact.  The
+L1 norms Int_1^inf |phi_k^(a)| need no quadrature either: phi_k^(a) changes
+sign exactly at its a zeros, which a Rolle walk over the exact integer rows
+p_{r,j}(k) brackets, so each norm is the total variation of phi_k^(a-1)
+between them (deriv_l1_norm).
 
 So the remainder route runs on Python integers and Fractions alone, and
 importing this module loads no mpmath.  Its core, _em_remainder_raw, takes
@@ -60,7 +63,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .bernoulli import bernoulli_number, bernoulli_poly_coeffs, periodified_sup_bound
+from .bernoulli import bernoulli_number, periodified_sup_bound
 from .mpnum import (PrecisionContext, Record, _check_positive, _floor_digits, _fold, _man,
                     _quotient, _ratio, _round, _to_mp, decimal_to_raw, format_nstr)
 
@@ -74,13 +77,13 @@ __all__ = [
     "phi_deriv",
 ]
 
-QUAD_ORDER = 16
-# em_remainder_a_k raises QuadratureError past this many panels, sub-panels included.
+# em_remainder_a_k raises QuadratureError when its cut needs X past MAX_PANELS + 1,
+# that is more than MAX_PANELS unit intervals [n, n+1] of [1, X].
 MAX_PANELS = 200_000
 
 
 class QuadratureError(ArithmeticError):
-    """A quadrature loop missed its tolerance in budget, or a zero bracket kept its sign."""
+    """The Euler-Maclaurin cut needs X past its budget, or a zero bracket kept its sign."""
 
 
 class PajTable(Record):
@@ -150,133 +153,12 @@ def phi_deriv(k: int, a: int, x, paj: PajTable, ctx: PrecisionContext):
         return (1 - inv2) ** (k - a) * acc
 
 
-# -- Gauss-Legendre panels ---------------------------------------------------
-
-def _gauss_legendre(n: int, prec: int) -> tuple[tuple, tuple]:
-    """Nodes and weights of the order-n Gauss-Legendre rule on [-1, 1], n even,
-    as dyadic Fractions X / 2^q, q = prec + 32.
-
-    Each root starts from the float guess cos(pi (i - 1/4) / (n + 1/2)) and
-    takes Newton steps in integers at the scale 2^q (Brent & Zimmermann,
-    Modern Computer Arithmetic, 2010, section 4.2): P_n by the three-term
-    recurrence p_m = ((2m-1) x p_{m-1} - (m-1) p_{m-2}) / m and
-    P_n' = n (x P_n - P_{n-1}) / (x^2 - 1), every product floored, until a
-    step moves the node by at most one unit.  The weight is
-    2 / ((1 - x^2) P_n'(x)^2), floored at the same scale.  The last units are
-    not proven: the bisection estimate of em_remainder_a_k holds the rule's
-    own error to each panel's share, and _phi_panel's bound is stated for the
-    given nodes and weights.
-    """
-    q = prec + 32
-    one = 1 << q
-    nodes: list[Fraction] = []
-    weights: list[Fraction] = []
-    for i in range(1, n // 2 + 1):
-        x = int(math.ldexp(math.cos(math.pi * (i - 0.25) / (n + 0.5)), 53)) << q >> 53
-        dx = 2
-        while abs(dx) > 1:
-            p0, p1 = one, x
-            for m in range(2, n + 1):
-                p0, p1 = p1, (((2 * m - 1) * x * p1 >> q) - (m - 1) * p0) // m
-            d = n * (((x * p1 >> q) - p0) << q) // ((x * x >> q) - one)  # P_n' 2^q
-            dx = (p1 << q) // d
-            x -= dx
-        nodes.append(Fraction(x, one))
-        weights.append(Fraction((1 << 5 * q + 1) // ((one * one - x * x) * d * d), one))
-    xs = [-x for x in reversed(nodes)] + nodes
-    ws = weights[::-1] + weights
-    return tuple(xs), tuple(ws)
-
-
-def _man_exp(x: Fraction) -> tuple[int, int]:
-    """(m, e) with x = m 2^e exactly, for a dyadic Fraction x."""
-    return x.numerator, 1 - x.denominator.bit_length()
-
-
 def _scaled_poly(coeffs: list[int], m: int, bits: int) -> int:
     """2^(bits*deg) * g(m / 2^bits) for g(u) = sum_j coeffs[j] u^j, an exact integer."""
     acc, q = 0, 1
     for c in reversed(coeffs):
         acc = acc * m + c * q
         q <<= bits
-    return acc
-
-
-def _panel_bits(k: int, a: int, pcoeffs: list[int], wp: int) -> int:
-    """The scale 2^F of _phi_panel: F = wp + the bit length of its bound over
-    2^-F, (beta + 1)(4k + 11)(C + 1), with beta + 1 < 2 + floor(4 a! / 6^a)."""
-    c = sum(abs(v) for v in pcoeffs)
-    beta = 2 + 4 * math.factorial(a) // 6 ** a
-    return wp + (beta * (4 * k + 11) * (c + 1)).bit_length()
-
-
-def _cell_rule(a: int, lo, hi, xs, ws, F: int) -> tuple[int, list[tuple[int, int]]]:
-    """The rule (xs, ws) on [lo, hi] within a unit cell, as (E, [(T_i, V_i)]).
-
-    With h = (hi - lo)/2, T_i 2^-E is the node offset t_i = lo + h (1 + x_i)
-    exactly, and V_i is w_i h Bbar_a(t_i) 2^F rounded to the nearest
-    integer, Bbar_a(t_i) = B_a(t_i) in integers over the exact coefficients
-    of B_a (_scaled_poly).
-    """
-    h = (hi - lo) / 2
-    (lm, le), (hm, he) = _man_exp(lo), _man_exp(h)
-    pts = [_man_exp(x) for x in xs]
-    E = max(0, -le, -he, *(-he - e for _, e in pts))
-    base = (lm << (le + E)) + (hm << (he + E))
-    coeffs = bernoulli_poly_coeffs(a)[::-1]
-    den = math.lcm(*(c.denominator for c in coeffs))
-    cd = [c.numerator * (den // c.denominator) for c in coeffs]
-    nodes = []
-    for (xm, xe), w in zip(pts, ws):
-        T = base + (hm * xm << (he + xe + E))
-        b = _scaled_poly(cd, T, E)  # den 2^(E a) B_a(T 2^-E)
-        wm, we = _man_exp(w)
-        sh = we + he + F - E * a
-        num, q = wm * hm * b << max(sh, 0), den << max(-sh, 0)
-        nodes.append((T, (2 * num + q) // (2 * q)))
-    return E, nodes
-
-
-def _phi_panel(k: int, a: int, n: int, cell, pcoeffs: list[int], F: int) -> int:
-    """sum_i V_i phi_k^(a+1)(n + t_i) at scale 2^(2F), for a cell of _cell_rule.
-
-    pcoeffs[j] = p_{a+1,j}(k), C = sum_j |p_{a+1,j}(k)| and m = k-a-1.  At a
-    node x, with s = 2^-F, v = 1/x and w = v^2: ix = floor(v/s) has
-    |ix s - v| < s; i2 = floor(ix^2 s) has |i2 s - w| < 3s; with
-    u = 2^F - i2, U = u^m s^(m-1) by binary powering with every product
-    floored is within (m-1) s of (u s)^m, so |U s - (1-w)^m| < (4m+1) s;
-    IX = floor(ix^(a+2) s^(a+1)) has
-    |IX s - v^(a+2)| < (a+3) s; and the Horner sum g of
-    sum_j p_{a+1,j}(k) i2^j, floored a+1 times, is within
-    (a+1) s + 3 s sum_j j |p_{a+1,j}(k)| of g(w).  Every exact factor is at
-    most 1 except |g(w)| <= C, so with its last floor U IX g s^2 is within
-    (4k + 3)(C + 1) s of phi_k^(a+1)(x).  Each V_i is within half a unit of
-    w_i h Bbar_a(t_i) 2^F, and sum_i |V_i| s <= 2h beta + 8s <= beta + 1,
-    beta = sup|Bbar_a| < 2 zeta(2) a! / (2 pi)^a < 4 a! / 6^a.  So the panel
-    is within (beta + 1)(4k + 11)(C + 1) s of
-    sum_i w_i h Bbar_a(t_i) phi_k^(a+1)(n + t_i), at most 2^-wp at the F of
-    _panel_bits.
-    """
-    E, nodes = cell
-    m = k - a - 1
-    one, unit = 1 << (F + E), 1 << F
-    *rest, top = [c << F for c in pcoeffs]
-    rest.reverse()
-    acc = 0
-    for T, V in nodes:
-        ix = one // ((n << E) + T)
-        i2 = ix * ix >> F
-        g = top
-        for c in rest:
-            g = (g * i2 >> F) + c
-        u, U, e = unit - i2, unit, m
-        while e:
-            if e & 1:
-                U = U * u >> F
-            e >>= 1
-            if e:
-                u = u * u >> F
-        acc += V * (U * (ix ** (a + 2) >> F * (a + 1)) * g >> 2 * F)
     return acc
 
 
@@ -346,6 +228,17 @@ def _em_cut(k: int, a: int, row: list[int], limit: Fraction):
     return MAX_PANELS + 1, d, rows, bound(d, MAX_PANELS + 1)
 
 
+def _head_sum(k: int, X: int, F: int) -> int:
+    """sum_{2 <= n < X} floor(2^F (-phi_k'(n))), each term floored once, with
+    -phi_k'(n) = (n^2 - 1)^(k-1) (n^2 - 2k - 1) / n^(2k+2); the sum is within
+    X 2^-F of 2^F sum_n -phi_k'(n)."""
+    total = 0
+    for n in range(2, X):
+        n2 = n * n
+        total += ((n2 - 1) ** (k - 1) * (n2 - 2 * k - 1) << F) // n2 ** (k + 1)
+    return total
+
+
 def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_tol):
     """A_k recomputed as the depth-a Euler-Maclaurin remainder integral.
 
@@ -357,7 +250,7 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
     shift of the module docstring.  Two phases.
 
     The cut: the bound on T_d(X) depends on k, d, X and quad_tol alone, so X
-    and d are fixed before any panel.  At X = 4, 5, ..., d rises while the
+    and d are fixed before any sum.  At X = 4, 5, ..., d rises while the
     bound keeps shrinking, up to k-1, starting from a at X = 4 and from the
     previous X's d after that (the best depth grows with X); the walk stops at
     the first X where that bound is below quad_tol/2 (_em_cut).  The bound is
@@ -368,23 +261,16 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
     stop in budget.  A cut past that X raises QuadratureError at once,
     naming the least quad_tol the bound there allows, rounded up.
 
-    The panels: [1, X] is walked in unit panels [n, n+1] on the fixed
-    Gauss-Legendre rule Q.  A panel [lo, hi] (dyadic Fractions) with midpoint
-    mid takes the value Q[lo,mid] + Q[mid,hi]; it is bisected while the
-    estimate |Q[lo,hi] - Q[lo,mid] - Q[mid,hi]| / a! exceeds its share
-    (quad_tol/2) (1/lo - 1/hi), shares that sum to less than quad_tol/2, in
-    an exact comparison.  Each Q is one integer at the scale 2^(2F),
-    F = working_bits + guard (_panel_bits), over nodes and weights set up once
-    per cell [lo, hi] of the unit interval (_cell_rule), and the panels add
-    up exactly.  More than MAX_PANELS panels (sub-panels included) raise
-    QuadratureError, and so does a panel to bisect whose share is below
-    2^-working_bits: each Q is only that close to the rule's value, so no
-    bisection can certify it.
+    The sum: the integral over [1, X] and the boundary sum to depth d are,
+    together, the closed form A_k - T_d(X) of the module docstring.  Its
+    X - 2 terms -phi_k'(n) are each floored once at the scale 2^F and add up
+    to one integer (_head_sum); phi_k(X), phi_k'(X) and the boundary terms
+    are exact Fractions (_phi_deriv_exact).
 
-    Error: the rule's own error, held by the estimate to each panel's share;
-    each Q within 2^-working_bits of the rule's exact value (_phi_panel); the
-    dropped T_d(X), below quad_tol/2 by the exact bound; the boundary sum,
-    exact (_phi_deriv_exact); and one final rounding to working_bits.
+    Error: |result - A_k| <= quad_tol + half an ulp at working_bits.  The
+    dropped T_d(X) is below quad_tol/2 by the exact bound, the floors below
+    quad_tol/16 at the F of _em_remainder_raw, and the exact sum is rounded
+    once to working_bits.
 
     quad_tol (an mpf, an int or a string) is read by mpmath at working_bits,
     and the result is an mpf.  This wrapper hands the raw tuples to
@@ -401,14 +287,22 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
 def _em_remainder_raw(k: int, a: int, paj: PajTable, wp: int, quad_tol: tuple) -> tuple:
     """The integer core of ``em_remainder_a_k`` at working_bits wp, on a raw
     quad_tol, rounded to wp bits first; returns the raw tuple of the exact
-    sum rounded once to wp bits, as mpmath's from_rational rounds it.
+    sum rounded once to wp bits, as mpmath's from_rational rounds it, within
+    quad_tol + half an ulp of A_k.
 
-    half_tol is quad_tol/2 with its exponent held to [-21k - bc, top], top =
-    k bitlen(6k) + 6, which changes no decision: every tail bound of _em_cut
-    exceeds 2^-21k (sup|Bbar_e| / e! > 2^(1-3e), and _l1_tail's j = 0 term is
-    e! X^-(e+1), X < 2^18); at X = 4 each is below (6k)^k, which bounds
-    sum_j |p_{e+1,j}(k)|; and a unit panel's estimate, below 3 (beta + 1)(C+1)
-    < 3 a! (C + 1) (_phi_panel), is below its share when half_tol >= 2^top.
+    half_tol = m 2^x is quad_tol/2 with its exponent x held to
+    [-21k - bc, top], top = k bitlen(6k) + 6, which changes no decision:
+    every tail bound of _em_cut exceeds 2^-21k (sup|Bbar_e| / e! > 2^(1-3e),
+    and _l1_tail's j = 0 term is e! X^-(e+1), X < 2^18), so a half_tol below
+    it fails the cut, held or not; at X = 4 each bound is below (6k)^k, which
+    bounds sum_j |p_{e+1,j}(k)|, so a half_tol of 2^top or more ends the cut
+    at X = 4 with the same d, held or not; and F reads half_tol only once the
+    cut is met, through max(wp, 1 + ceil(-log2 half_tol)), which is wp for
+    any half_tol >= 1.
+
+    The scale: with ceil(-log2 half_tol) = 1 - x - bc (m has bc bits),
+    F = max(wp, 2 - x - bc) + bitlen(X) + 2, so the X - 2 floors of
+    _head_sum sum to less than X 2^-F < 2^-(4 - x - bc) <= half_tol/8.
     """
     if not 2 <= a < k:
         raise ValueError("need 2 <= a < k")
@@ -427,42 +321,11 @@ def _em_remainder_raw(k: int, a: int, paj: PajTable, wp: int, quad_tol: tuple) -
         raise QuadratureError(f"tolerance {shown} is out of reach at k = {k}, a = {a}: the "
                               f"tail bound at X = {X} needs quad_tol above "
                               f"{format_nstr(decimal_to_raw(lead + 1, e10 - 5, 53), 6)}")
-    failure = f"tolerance {shown} not met within {MAX_PANELS} panels"
-    pc = rows[0]
-    F = _panel_bits(k, a, pc, wp)
-    xs, ws = _gauss_legendre(QUAD_ORDER, wp)
-    cells: dict = {}  # (lo, hi) within a unit cell -> _cell_rule
-
-    def panel(n, lo, hi):
-        cell = cells.get((lo, hi))
-        if cell is None:
-            cell = cells[(lo, hi)] = _cell_rule(a, lo, hi, xs, ws, F)
-        return _phi_panel(k, a, n, cell, pc, F)
-
-    afact = math.factorial(a)
-    noise = Fraction(1, 1 << wp)  # one Q's accuracy
-    total, panels = 0, X - 1
-    for n in range(1, X):
-        stack = [(Fraction(0), Fraction(1), panel(n, Fraction(0), Fraction(1)))]
-        while stack:
-            lo, hi, whole = stack.pop()
-            mid = (lo + hi) / 2
-            left, right = panel(n, lo, mid), panel(n, mid, hi)
-            share = half_tol * (1 / (n + lo) - 1 / (n + hi)) * afact
-            if abs(Fraction(whole - left - right, 1 << 2 * F)) <= share:
-                total += left + right
-            else:
-                panels += 1
-                if panels > MAX_PANELS:
-                    raise QuadratureError(failure)
-                if share < noise:
-                    raise QuadratureError(f"tolerance {shown} is below the "
-                                          f"panels' noise at {wp} bits")
-                stack += [(lo, mid, left), (mid, hi, right)]
-    value = Fraction((-1) ** a * total, afact << 2 * F)
-    for r in range(a + 2 - a % 2, d + 1, 2):  # even r in (a, d]
-        b_r = bernoulli_number(r) / math.factorial(r)
-        value += b_r * _phi_deriv_exact(k, r, X, rows[r - a - 1])
+    F = max(wp, 2 - x - tol[3]) + X.bit_length() + 2
+    prows = [_pcoeffs(paj, r, k) for r in range(a + 1)] + rows  # prows[r] = p_{r,j}(k)
+    value = Fraction(_head_sum(k, X, F), 1 << F)
+    for r in (0, 1, *range(2, d + 1, 2)):  # B_0 = 1, B_1 = -1/2, then the even r <= d
+        value += bernoulli_number(r) / math.factorial(r) * _phi_deriv_exact(k, r, X, prows[r])
     return _quotient(value.numerator, value.denominator, wp)
 
 

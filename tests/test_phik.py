@@ -8,11 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from maslanka import phik
-from maslanka.bernoulli import bernoulli_poly_coeffs
+from maslanka.bernoulli import bernoulli_number
 from maslanka.coefficients import a_k, a_k_alt
 from maslanka.mpnum import PrecisionContext
 from maslanka.phik import (
-    QUAD_ORDER,
     QuadratureError,
     _phi_deriv_exact,
     build_paj,
@@ -28,17 +27,16 @@ def _phi(k, x):
     return (1 - 1 / (x * x)) ** k / x
 
 
-def _gl_panel(f, lo, hi, xs, ws):
-    """Int_lo^hi f by the rule (xs, ws) on [-1, 1], mapped onto [lo, hi]."""
-    half, mid = (hi - lo) / 2, (hi + lo) / 2
-    return half * mpmath.fsum(w * f(mid + half * x) for x, w in zip(xs, ws))
+def _bernoulli_poly_coeffs(a):
+    """B_a(x) = sum_i C(a, i) B_i x^(a-i), exact coefficients, highest power first."""
+    return tuple(math.comb(a, i) * bernoulli_number(i) for i in range(a + 1))
 
 
 def _bbar(a, x):
     """B_a({x}) by Horner over the exact coefficients, at the ambient precision."""
     t = x - mpmath.floor(x)
     acc = mp.zero
-    for c in bernoulli_poly_coeffs(a):
+    for c in _bernoulli_poly_coeffs(a):
         acc = acc * t + mpf(c.numerator) / c.denominator
     return acc
 
@@ -50,15 +48,15 @@ def paj8():
 
 @pytest.fixture
 def integrated(monkeypatch):
-    """The arguments of every _phi_panel call the test makes, in order."""
+    """The arguments of every _head_sum call the test makes, in order."""
     calls = []
-    phi_panel = phik._phi_panel
+    head_sum = phik._head_sum
 
     def counting(*args):
         calls.append(args)
-        return phi_panel(*args)
+        return head_sum(*args)
 
-    monkeypatch.setattr(phik, "_phi_panel", counting)
+    monkeypatch.setattr(phik, "_head_sum", counting)
     return calls
 
 
@@ -248,49 +246,6 @@ class TestBinomialSumIdentity:
         assert self._rel_error(k, x, ctx64) < Fraction(1, 2**64)
 
 
-class TestGaussLegendrePanels:
-    """The fixed-order rule behind em_remainder_a_k and the test oracles' panels."""
-
-    def test_exact_for_polynomials_through_degree_31(self):
-        # the moments in exact Fraction arithmetic over the rule as returned
-        from maslanka.phik import _gauss_legendre
-
-        for prec in (48, 128, 1000):
-            xs, ws = _gauss_legendre(QUAD_ORDER, prec)
-            for d in range(32):
-                got = sum((w * x ** d for x, w in zip(xs, ws)), Fraction(0))
-                want = Fraction(0) if d % 2 else Fraction(2, d + 1)
-                assert abs(got - want) <= Fraction(1, 2 ** (prec + 16)), (prec, d)
-
-    @pytest.mark.parametrize("prec", [48, 128, 1000])
-    def test_nodes_and_weights_are_dyadic(self, prec):
-        from maslanka.phik import _gauss_legendre
-
-        xs, ws = _gauss_legendre(QUAD_ORDER, prec)
-        for v in xs + ws:
-            den = v.denominator
-            assert type(v) is Fraction and den & (den - 1) == 0, v
-            assert den <= 2 ** (prec + 32), v
-
-    def test_nodes_symmetric_weights_positive(self):
-        from maslanka.phik import _gauss_legendre
-
-        xs, ws = _gauss_legendre(QUAD_ORDER, 128)
-        assert len(xs) == len(ws) == QUAD_ORDER
-        for i in range(QUAD_ORDER):
-            assert xs[i] + xs[QUAD_ORDER - 1 - i] == 0
-            assert ws[i] == ws[QUAD_ORDER - 1 - i]
-            assert ws[i] > 0
-
-    def test_panel_integral_of_exp(self):
-        from maslanka.phik import _gauss_legendre
-
-        with mp.workprec(128):
-            xs, ws = _gauss_legendre(QUAD_ORDER, 128)
-            got = _gl_panel(mpmath.exp, mp.zero, mp.one, xs, ws)
-            assert abs(got - (mpmath.e - 1)) < mpf("1e-20")
-
-
 class TestEmRemainder:
     @pytest.mark.parametrize("k,a,tol", [(8, 2, "1e-10"), (12, 3, "1e-9")])
     def test_recovers_a_k(self, k, a, tol, paj8, ctx64):
@@ -311,8 +266,8 @@ class TestEmRemainder:
 
     @pytest.mark.parametrize("k", range(10, 31))
     def test_grid_against_alt_identity(self, k, paj8, ctx128):
-        # includes (17,4), (12,5), (13,5), (15,5), (17,5), where unit panels
-        # alone left GL-16 off by up to 8e-6 relative on [1, 2]
+        # includes (17,4), (12,5), (13,5), (15,5), (17,5), where a 16-point
+        # Gauss-Legendre rule on unit panels was off by up to 8e-6 relative
         want = a_k_alt(k, ctx128)
         for a in (3, 4, 5):
             got = em_remainder_a_k(k, a, paj8, ctx128, abs(want) * mpf("1e-8"))
@@ -321,8 +276,8 @@ class TestEmRemainder:
 
     @pytest.mark.parametrize("k,a", [(17, 5), (30, 5)])
     def test_tight_tolerance_met(self, k, a, paj8, ctx128):
-        # halving every unit panel once stalls near 1e-10 relative at (17,5);
-        # only further bisection of [1, 2] reaches a quad_tol this tight
+        # a quadrature of [1, 2] that halves each unit panel once stalls near
+        # 1e-10 relative at (17,5); the closed form has no such floor
         want = a_k_alt(k, ctx128)
         got = em_remainder_a_k(k, a, paj8, ctx128, abs(want) * mpf("1e-20"))
         with mp.workprec(200):
@@ -333,12 +288,12 @@ class TestEmRemainder:
         """|T_a(X) - boundary terms to depth d| <= the stated bound on T_d(X).
 
         T_a(X) is A_k minus the remainder integral over [1, X], the latter by
-        GL-64 on eighth-unit panels at 320 bits; the boundary terms and the
+        mpmath.quad on eighth-unit panels at 320 bits; the boundary terms and the
         bound are rebuilt here from paj_eval, phi_deriv and the Bernoulli
         numbers, and the module's own helpers must agree with them.
         """
-        from maslanka.bernoulli import bernoulli_number, periodified_sup_bound
-        from maslanka.phik import _gauss_legendre, _l1_tail
+        from maslanka.bernoulli import periodified_sup_bound
+        from maslanka.phik import _l1_tail
 
         ctx = PrecisionContext(288)
         paj = build_paj(k)
@@ -347,16 +302,10 @@ class TestEmRemainder:
             return [paj_eval(paj, r, j, k) for j in range(r + 1)]
 
         with mp.workprec(320):
-            xs, ws = _gauss_legendre(64, 320)
             ref = a_k(k, ctx)
-            cells = [
-                mpmath.fsum(
-                    _gl_panel(
-                        lambda x: _bbar(a, x) * phi_deriv(k, a + 1, x, paj, ctx),
-                        n + mpf(i) / 8, n + mpf(i + 1) / 8, xs, ws)
-                    for i in range(8))
-                for n in range(1, 8)
-            ]
+            cells = [mpmath.quad(lambda x: _bbar(a, x) * phi_deriv(k, a + 1, x, paj, ctx),
+                                 [n + mpf(i) / 8 for i in range(9)], method="gauss-legendre")
+                     for n in range(1, 8)]
             body = mp.zero
             for X, cell in enumerate(cells, start=2):
                 body += cell
@@ -387,26 +336,18 @@ class TestEmRemainder:
         with pytest.raises(QuadratureError):
             em_remainder_a_k(8, 2, paj8, ctx64, mpf("1e-10"))
 
-    def test_panel_budget_exhausted_by_bisection(self, paj8, ctx64, integrated, monkeypatch):
-        # at 1e-12 the cut is X = 24 and one panel is bisected: a budget of
-        # 23 holds the 23 unit panels and runs out at that bisection
-        monkeypatch.setattr(phik, "MAX_PANELS", 23)
-        with pytest.raises(QuadratureError, match="not met within 23 panels"):
-            em_remainder_a_k(8, 2, paj8, ctx64, mpf("1e-12"))
-        assert integrated
-        monkeypatch.setattr(phik, "MAX_PANELS", 24)
-        em_remainder_a_k(8, 2, paj8, ctx64, mpf("1e-12"))
-
-    def test_share_below_panel_noise_fails_fast(self, ctx64, integrated):
-        # at 64 bits each panel is within 2^-96 of the rule's value; at 1e-30
-        # the share of [1, 2] is 5e-31, which no bisection can certify
-        with pytest.raises(QuadratureError, match="below the panels' noise at 96 bits"):
-            em_remainder_a_k(8, 2, build_paj(3), ctx64, mpf("1e-30"))
-        assert len(integrated) == 3
+    def test_tight_tolerance_at_64_bits_is_met(self, ctx64, integrated):
+        # 1e-30 lies below 2^-96, the working bits' unit, so the scale of the
+        # sum over n must be read from quad_tol, not from the working bits
+        got = em_remainder_a_k(8, 2, build_paj(3), ctx64, mpf("1e-30"))
+        with mp.workprec(600):
+            want = a_k(8, PrecisionContext(600))
+            assert abs(got - want) <= mpf("1e-30") + _half_ulp(got, ctx64.working_bits)
+        assert len(integrated) == 1
 
     def test_unreachable_cut_fails_before_any_panel(self, ctx64, integrated, monkeypatch):
         # at k = 3 the depth stays at a = 2, so the tail bound falls only like
-        # X^-3 and 1e-40 needs an X far past the panel budget
+        # X^-3 and 1e-40 needs an X far past the budget, so nothing is summed
         monkeypatch.setattr(phik, "MAX_PANELS", 10)
         with pytest.raises(QuadratureError):
             em_remainder_a_k(3, 2, build_paj(3), ctx64, mpf("1e-40"))
@@ -427,7 +368,7 @@ class TestEmRemainder:
         assert X == 11 and 2 * tail < Fraction("0.000288468") <= 2 * tail * (1 + Fraction(1, 10**5))
         assert em_remainder_a_k(3, 2, paj, ctx64, mpf("0.000288468")) > 0
         # at the default budget, as `maslanka em-check --k 4 --a 2 --bits 64
-        # --quad-tol 1e-24` meets it, before any panel
+        # --quad-tol 1e-24` meets it, before any sum
         monkeypatch.undo()
         with pytest.raises(QuadratureError, match=r"^tolerance 1\.0e-24 is out of reach at "
                            r"k = 4, a = 2: the tail bound at X = 200001 needs quad_tol "
@@ -525,6 +466,62 @@ def _exact(x: tuple) -> Fraction:
     return Fraction(*mpmath.libmp.to_rational(x))
 
 
+def _half_ulp(v, wp: int):
+    """Half a unit in the last place of a wp-bit mpf v."""
+    return mpf(2) ** (v._mpf_[2] + v._mpf_[3] - wp - 1)
+
+
+class TestClosedForm:
+    """The remainder integral over [1, X] in closed form, and em_remainder_a_k's
+    error contract, each against an independent oracle at twice the bits or more."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(2, 7).flatmap(lambda a: st.tuples(st.integers(a + 1, 40), st.just(a))),
+           st.integers(2, 8), st.sampled_from((64, 128)))
+    @example((8, 2), 8, 128)
+    @example((40, 7), 5, 64)
+    def test_matches_quad_on_unit_panels(self, ka, X, bits):
+        """((-1)^a / a!) Int_1^X Bbar_a phi_k^(a+1) = -sum_{2<=n<X} phi_k'(n)
+        + phi_k(X) - phi_k'(X)/2 + sum_{even r=2..a} B_r / r! phi_k^(r)(X),
+        the sum over n from _head_sum at 2^F and the rest from _phi_deriv_exact,
+        against mpmath.quad on the unit panels at 2 bits + 32."""
+        k, a = ka
+        paj = build_paj(a + 1)
+        F = 2 * bits + 32
+        closed = Fraction(phik._head_sum(k, X, F), 1 << F)
+        for r in (0, 1, *range(2, a + 1, 2)):
+            row = [paj_eval(paj, r, j, k) for j in range(r + 1)]
+            closed += bernoulli_number(r) / math.factorial(r) * _phi_deriv_exact(k, r, X, row)
+        hi = PrecisionContext(2 * bits)
+        with mp.workprec(2 * bits + 32):
+            integral = mpmath.quad(lambda x: _bbar(a, x) * phi_deriv(k, a + 1, x, paj, hi),
+                                   list(range(1, X + 1)), method="gauss-legendre")
+            want = (-1) ** a * integral / math.factorial(a)
+            err = abs(mpf(closed.numerator) / closed.denominator - want)
+        assert err <= mpf(2) ** -(2 * bits), (k, a, X, bits)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 7).flatmap(lambda a: st.tuples(st.integers(a + 1, 60), st.just(a))),
+           st.sampled_from((64, 128, 256)), st.integers(1, 9), st.integers(3, 60))
+    @example((8, 2), 64, 1, 30)
+    @example((12, 3), 64, 1, 20)
+    @example((21, 5), 128, 1, 26)
+    def test_within_quad_tol_and_half_an_ulp(self, ka, bits, m, e):
+        """|em_remainder_a_k - A_k| <= quad_tol + half an ulp at working_bits,
+        against a_k at 600 bits; an unreachable quad_tol raises instead."""
+        k, a = ka
+        ctx = PrecisionContext(bits)
+        quad_tol = mpf(m) / mpf(10) ** e
+        try:
+            got = em_remainder_a_k(k, a, build_paj(a + 1), ctx, f"{m}e-{e}")
+        except QuadratureError as exc:
+            assert "is out of reach" in str(exc)
+            return
+        with mp.workprec(600):
+            want = a_k(k, PrecisionContext(600))
+            assert abs(got - want) <= quad_tol + _half_ulp(got, ctx.working_bits), (k, a, bits)
+
+
 class TestEmCheck:
     """_em_check, the raw route of `em-check` and `verify --suite em-remainder`,
     against the mpf route: a_k, the default quad_tol |A_k| tol / 100 rounded
@@ -586,57 +583,6 @@ class TestEmCheck:
         assert _exact(below) < exact < _exact(above)
         assert phik._em_check(k, a, ctx64, below, quad_tol)[3] is False
         assert phik._em_check(k, a, ctx64, above, quad_tol)[3] is True
-
-
-@st.composite
-def _depths(draw):
-    """(k, a) with a in [2, 12] and k in [a + 2, 300]."""
-    a = draw(st.integers(2, 12))
-    return draw(st.integers(a + 2, 300)), a
-
-
-# a cell [i, i+1] / 2^L of the unit interval, as (L, i)
-_cells = st.integers(0, 6).flatmap(lambda L: st.tuples(st.just(L), st.integers(0, 2**L - 1)))
-
-
-class TestIntegerPanels:
-    """The fixed-point panels of em_remainder_a_k against the rule applied in mpf
-    at twice the working bits, with the same nodes and weights."""
-
-    @staticmethod
-    def _check(k, a, bits, cells, ns):
-        """Each panel on the cells [i, i+1] / 2^L, given as (L, i), at each n in ns."""
-        from maslanka.phik import _cell_rule, _gauss_legendre, _panel_bits, _phi_panel
-
-        wp = PrecisionContext(bits).working_bits
-        paj = build_paj(a + 1)
-        pc = [paj_eval(paj, a + 1, j, k) for j in range(a + 2)]
-        F = _panel_bits(k, a, pc, wp)
-        xs, ws = _gauss_legendre(QUAD_ORDER, wp)
-        oracle_ctx = PrecisionContext(2 * wp - 32)
-        for L, i in cells:
-            cell = _cell_rule(a, Fraction(i, 2**L), Fraction(i + 1, 2**L), xs, ws, F)
-            for n in ns:
-                got = _phi_panel(k, a, n, cell, pc, F)
-                with mp.workprec(2 * wp):
-                    want = _gl_panel(
-                        lambda x: _bbar(a, x) * phi_deriv(k, a + 1, x, paj, oracle_ctx),
-                        n + mpmath.ldexp(i, -L), n + mpmath.ldexp(i + 1, -L), xs, ws)
-                    err = abs(mpf((got, -2 * F)) - want)
-                assert err <= mpf(2) ** -wp, (k, a, L, i, n, err)
-
-    @pytest.mark.parametrize("k,a,bits", [(8, 2, 128), (17, 5, 128), (21, 5, 128), (30, 12, 64),
-                                          (250, 5, 128)])
-    def test_within_two_to_minus_working_bits(self, k, a, bits):
-        # cells [0, 1], [0, 1/2] and [1/4, 1/2]
-        self._check(k, a, bits, [(0, 0), (1, 0), (2, 1)], [1, 2, 7, 30])
-
-    @settings(max_examples=30, deadline=None)
-    @given(depths=_depths(), bits=st.sampled_from([64, 128]),
-           cells=st.lists(_cells, min_size=1, max_size=3),
-           ns=st.lists(st.integers(1, 60), min_size=1, max_size=4))
-    def test_within_two_to_minus_working_bits_searched(self, depths, bits, cells, ns):
-        self._check(*depths, bits, cells, ns)
 
 
 class TestL1Tail:
