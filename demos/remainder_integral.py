@@ -8,12 +8,12 @@ integral; for 2 <= a < k every boundary term vanishes, so what is left is
     A_k = ((-1)^a / a!) * Int_1^inf Bbar_a(x) phi_k^(a+1)(x) dx
 
 with Bbar_a the periodified Bernoulli polynomial.  The derivatives come from
-an exact integer-polynomial table (p_{a,j}).  Up to some integer X the
-integral is, exactly, a sum of -phi_k'(n) over n < X plus boundary terms at
-X; past X the remainder is shifted to a deeper Bernoulli order and bounded.
-It is a slow road to a number the alternating sum yields in microseconds --
-the point is that two completely different mechanisms land on the same 10+
-digits.
+exact integers p_{a,j}(k), made by one recurrence at the k in hand.  Up to
+some integer X the integral is, exactly, a sum of -phi_k'(n) over n < X plus
+boundary terms at X; past X the remainder is shifted to a deeper Bernoulli
+order and bounded.  It is a slow road to a number the alternating sum yields
+in microseconds -- the point is that two completely different mechanisms
+land on the same 10+ digits.
 """
 
 import time

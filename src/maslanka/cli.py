@@ -389,7 +389,8 @@ COMMANDS = {
     "em-check": ("cross-check one A_k against its remainder integral", _cmd_em_check, (
         ("--k", {"type": int, "required": True}), ("--a", {"type": int, "required": True}), BITS,
         ("--tol", {"default": "1e-6"}),
-        ("--quad-tol", {"help": "absolute quadrature tolerance (default |A_k| * tol / 100)"}))),
+        ("--quad-tol", {"help": "absolute tolerance of the remainder integral "
+                                "(default |A_k| * tol / 100)"}))),
     "decay": ("log-log decay data and power-law fit for a table", _cmd_decay, (
         TABLE, ("--kmin", {"type": int, "required": True}), KMAX, OUT, FORMAT)),
     "cache-info": ("inspect a cache-format table file", _cmd_cache_info, (TABLE,)),

@@ -31,7 +31,7 @@ in mpmath's nstr layout.  So the tables (raw tuples), ``maslanka eval``
 (``series._eval_raw``) and the cross-checks of ``em-check`` and ``verify``
 run without importing mpmath; the pi^2 of the table rows comes from
 :mod:`maslanka.bernoulli`.  The functions that hand back mpmath
-``mpf``/``mpc`` values (the series wrapper, the quadrature, the analysis)
+``mpf``/``mpc`` values (the series wrapper, the phik wrappers, the analysis)
 import mpmath when they run; this module never does.  There is no interval
 mode; error bounds are proven instead, in the docstrings of the table
 entries' stored 2^e_k (:mod:`maslanka.coefficients`), ``maslanka_eval``,

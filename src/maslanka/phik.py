@@ -11,11 +11,14 @@ a <= k, and everything decays at infinity):
     A_k = ((-1)^a / a!) * Int_1^inf  Bbar_a(x) * phi_k^(a+1)(x) dx .
 
 Derivatives of phi_k stay closed-form thanks to a double sequence of
-integer-coefficient polynomials p_{a,j}(k):
+integers p_{a,j}(k), polynomials in k:
 
     phi_k^(a)(x) = (1 - 1/x^2)^(k-a) * sum_{j=0}^{a} p_{a,j}(k) / x^(a+2j+1)
 
     p_{0,0} = 1,   p_{a,j} = -(2j+a) p_{a-1,j} + (2k+2j-a) p_{a-1,j-1}.
+
+Every caller wants them at one k, so the recurrence runs at that k, one row
+p_{a,.}(k) from the one before (_prows, _next_prow).
 
 Past an integer X the remainder integral is not integrated but shifted in
 depth.  With T_a(X) = ((-1)^a / a!) Int_X^inf Bbar_a phi_k^(a+1), one
@@ -73,7 +76,6 @@ __all__ = [
     "build_paj",
     "deriv_l1_norm",
     "em_remainder_a_k",
-    "paj_eval",
     "phi_deriv",
 ]
 
@@ -87,48 +89,19 @@ class QuadratureError(ArithmeticError):
 
 
 class PajTable(Record):
-    """p_{a,j}(k) for 0 <= j <= a <= a_max, as exact integer polynomials in k.
+    """The depth a_max to which phi_deriv, em_remainder_a_k and deriv_l1_norm
+    may be asked for derivatives; each builds its rows p_{r,j}(k) at the k in
+    hand (_prows)."""
 
-    entries[(a, j)] holds the coefficients lowest power first, so
-    p_{1,1} = 2k+1 is stored as (1, 2).
-    """
-
-    __slots__ = ("a_max", "entries")
+    __slots__ = ("a_max",)
     a_max: int
-    entries: dict[tuple[int, int], tuple[int, ...]]
 
 
 def build_paj(a_max: int) -> PajTable:
-    """All p_{a,j} up to depth a_max by the recurrence, exact integer arithmetic."""
+    """The handle that lets the phik routines reach depth a_max."""
     if a_max < 0:
         raise ValueError("a_max must be >= 0")
-    entries: dict[tuple[int, int], tuple[int, ...]] = {(0, 0): (1,)}
-    for a in range(1, a_max + 1):
-        for j in range(a + 1):
-            out = [0] * (j + 1)
-            prev_same = entries.get((a - 1, j))
-            if prev_same is not None:
-                for i, c in enumerate(prev_same):
-                    out[i] -= (2 * j + a) * c
-            prev_down = entries.get((a - 1, j - 1))
-            if prev_down is not None:
-                # (2k + (2j - a)) * p_{a-1,j-1}
-                for i, c in enumerate(prev_down):
-                    out[i] += (2 * j - a) * c
-                    out[i + 1] += 2 * c
-            entries[(a, j)] = tuple(out)
-    return PajTable(a_max=a_max, entries=entries)
-
-
-def paj_eval(paj: PajTable, a: int, j: int, k: int) -> int:
-    """p_{a,j}(k) as an exact integer."""
-    if not (0 <= j <= a <= paj.a_max):
-        raise ValueError("need 0 <= j <= a <= paj.a_max")
-    return _scaled_poly(paj.entries[(a, j)], k, 0)
-
-
-def _pcoeffs(paj: PajTable, a: int, k: int) -> list[int]:
-    return [paj_eval(paj, a, j, k) for j in range(a + 1)]
+    return PajTable(a_max=a_max)
 
 
 def phi_deriv(k: int, a: int, x, paj: PajTable, ctx: PrecisionContext):
@@ -147,7 +120,7 @@ def phi_deriv(k: int, a: int, x, paj: PajTable, ctx: PrecisionContext):
         inv2 = 1 / (xf * xf)
         xp = xf ** (-(a + 1))
         acc = mp.zero
-        for c in _pcoeffs(paj, a, k):
+        for c in _prows(k, a)[a]:
             acc += c * xp
             xp *= inv2
         return (1 - inv2) ** (k - a) * acc
@@ -168,6 +141,14 @@ def _next_prow(row: list[int], r: int, k: int) -> list[int]:
     for j in range(1, r + 1):
         out[j] += (2 * k + 2 * j - r) * row[j - 1]
     return out
+
+
+def _prows(k: int, depth: int) -> list[list[int]]:
+    """rows[r][j] = p_{r,j}(k) for 0 <= j <= r <= depth, by the recurrence at k."""
+    rows = [[1]]
+    for r in range(1, depth + 1):
+        rows.append(_next_prow(rows[-1], r, k))
+    return rows
 
 
 def _l1_tail(pcoeffs: list[int], r: int, X: int) -> Fraction:
@@ -191,41 +172,53 @@ def _phi_deriv_exact(k: int, r: int, X: int, pcoeffs: list[int]) -> Fraction:
     return Fraction((x2 - 1) ** (k - r) * acc, X ** (2 * k + r + 1))
 
 
-def _em_cut(k: int, a: int, row: list[int], limit: Fraction):
-    """The cut (X, d, rows, tail) of em_remainder_a_k's walk: tail, the bound
-    on T_d(X), is below limit at the first such X, or, when no X up to
-    MAX_PANELS + 1 gets it there, X is MAX_PANELS + 1 and tail its bound.
+def _em_cut(k: int, a: int, rows: list[list[int]], limit: Fraction):
+    """The cut (X, d, tail) of em_remainder_a_k: tail, the bound on T_d(X),
+    is below limit at the first such X, or, when no X up to MAX_PANELS + 1
+    gets it there, X is MAX_PANELS + 1 and tail its bound.
 
-    The bound at depth e is sup|Bbar_e| / e! * _l1_tail(p_{e+1}, e + 1, X).
-    Once d is k - 1 it cannot rise again, and the bound falls with X, so one
-    bound at X = MAX_PANELS + 1 tells whether the rest of the walk can end
-    in budget.  rows[e - a] holds p_{e+1,j}(k), from row = p_{a+1,j}(k) up
-    to e = d + 1.
+    The bound at depth e is sup|Bbar_e| / e! * _l1_tail(p_{e+1}, e + 1, X),
+    read from rows[r] = p_{r,j}(k), which holds r <= a + 1 on entry and is
+    grown in place to r = d + 1.  At X = 4, 5, ... d rises while the bound
+    shrinks.  Once d is k - 1 it rises no further and the bound falls with
+    X alone, so the first X below limit is found by doubling the step from
+    that X and then bisecting, up to MAX_PANELS + 1.
     """
-    # sups[e - a] = sup|Bbar_e| / e!, grown with rows as d rises
-    rows, sups = [row], []
+    sups = {}  # sup|Bbar_e| / e!, once per depth
 
     def bound(e, X):
-        if e - a == len(sups):
-            sups.append(periodified_sup_bound(e) / math.factorial(e))
-            rows.append(_next_prow(rows[-1], e + 2, k))
-        return sups[e - a] * _l1_tail(rows[e - a], e + 1, X)
+        if e not in sups:
+            sups[e] = periodified_sup_bound(e) / math.factorial(e)
+        if e + 1 == len(rows):
+            rows.append(_next_prow(rows[-1], e + 1, k))
+        return sups[e] * _l1_tail(rows[e + 1], e + 1, X)
 
-    d, in_budget = a, False
-    for X in range(4, MAX_PANELS + 2):
-        best = None
+    top, d = MAX_PANELS + 1, a
+    X = top  # when top < 4 there is nothing to walk
+    for X in range(4, top + 1):
+        tail = None
         for e in range(d, k):
             b = bound(e, X)
-            if best is not None and not b < best:
+            if tail is not None and not b < tail:
                 break
-            d, best = e, b
-        if best < limit:
-            return X, d, rows, best
-        if d == k - 1 and not in_budget:
-            if not bound(d, MAX_PANELS + 1) < limit:
-                break
-            in_budget = True
-    return MAX_PANELS + 1, d, rows, bound(d, MAX_PANELS + 1)
+            d, tail = e, b
+        if tail < limit:
+            return X, d, tail
+        if d == k - 1:
+            break
+    # bound(d, lo) >= limit and d stays: double the step until a hi is below
+    # limit, then bisect between lo and hi
+    lo, hi, step = X, None, 1
+    while hi is None or hi - lo > 1:
+        mid = min(lo + step, top) if hi is None else (lo + hi) // 2
+        b = bound(d, mid)
+        if b < limit:
+            hi, tail = mid, b
+        elif mid == top:
+            return top, d, b
+        else:
+            lo, step = mid, 2 * step
+    return hi, d, tail
 
 
 def _head_sum(k: int, X: int, F: int) -> int:
@@ -252,14 +245,15 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
     The cut: the bound on T_d(X) depends on k, d, X and quad_tol alone, so X
     and d are fixed before any sum.  At X = 4, 5, ..., d rises while the
     bound keeps shrinking, up to k-1, starting from a at X = 4 and from the
-    previous X's d after that (the best depth grows with X); the walk stops at
-    the first X where that bound is below quad_tol/2 (_em_cut).  The bound is
+    previous X's d after that (the best depth grows with X); the cut is the
+    first X where that bound is below quad_tol/2 (_em_cut).  The bound is
     an exact Fraction: its sum is exact at the integer X (_l1_tail), and
     sup|Bbar_d| / d! is the exact bound of periodified_sup_bound, once per d.
     When d first reaches k-1 it can rise no further and the bound falls
-    with X, so one bound at X = MAX_PANELS + 1 tells whether the walk can
-    stop in budget.  A cut past that X raises QuadratureError at once,
-    naming the least quad_tol the bound there allows, rounded up.
+    with X alone, so that first X is found by doubling the step and then
+    bisecting, up to X = MAX_PANELS + 1.  A cut past that X raises
+    QuadratureError before any sum, naming the least quad_tol the bound
+    there allows, rounded up.
 
     The sum: the integral over [1, X] and the boundary sum to depth d are,
     together, the closed form A_k - T_d(X) of the module docstring.  Its
@@ -281,10 +275,14 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
 
     with mp.workprec(ctx.working_bits):
         tol = mpf(quad_tol)._mpf_
-    return _to_mp(_em_remainder_raw(k, a, paj, ctx.working_bits, tol))
+    if not 2 <= a < k:
+        raise ValueError("need 2 <= a < k")
+    if paj.a_max < a + 1:
+        raise ValueError("paj must cover depth a+1")
+    return _to_mp(_em_remainder_raw(k, a, ctx.working_bits, tol))
 
 
-def _em_remainder_raw(k: int, a: int, paj: PajTable, wp: int, quad_tol: tuple) -> tuple:
+def _em_remainder_raw(k: int, a: int, wp: int, quad_tol: tuple) -> tuple:
     """The integer core of ``em_remainder_a_k`` at working_bits wp, on a raw
     quad_tol, rounded to wp bits first; returns the raw tuple of the exact
     sum rounded once to wp bits, as mpmath's from_rational rounds it, within
@@ -304,16 +302,13 @@ def _em_remainder_raw(k: int, a: int, paj: PajTable, wp: int, quad_tol: tuple) -
     F = max(wp, 2 - x - bc) + bitlen(X) + 2, so the X - 2 floors of
     _head_sum sum to less than X 2^-F < 2^-(4 - x - bc) <= half_tol/8.
     """
-    if not 2 <= a < k:
-        raise ValueError("need 2 <= a < k")
-    if paj.a_max < a + 1:
-        raise ValueError("paj must cover depth a+1")
     tol = _round(quad_tol, wp)
     _check_positive(tol, "quad_tol")
     shown = format_nstr(tol, 6)
     x = min(max(tol[2] - 1, -21 * k - tol[3]), k * (6 * k).bit_length() + 6)
     half_tol = Fraction(tol[1] << max(x, 0), 1 << max(-x, 0))
-    X, d, rows, tail = _em_cut(k, a, _pcoeffs(paj, a + 1, k), half_tol)
+    rows = _prows(k, a + 1)
+    X, d, tail = _em_cut(k, a, rows, half_tol)
     if not tail < half_tol:  # quad_tol must exceed 2 tail, shown rounded up
         v = 2 * tail
         t = max(0, 64 + v.denominator.bit_length() - v.numerator.bit_length())
@@ -322,10 +317,9 @@ def _em_remainder_raw(k: int, a: int, paj: PajTable, wp: int, quad_tol: tuple) -
                               f"tail bound at X = {X} needs quad_tol above "
                               f"{format_nstr(decimal_to_raw(lead + 1, e10 - 5, 53), 6)}")
     F = max(wp, 2 - x - tol[3]) + X.bit_length() + 2
-    prows = [_pcoeffs(paj, r, k) for r in range(a + 1)] + rows  # prows[r] = p_{r,j}(k)
     value = Fraction(_head_sum(k, X, F), 1 << F)
     for r in (0, 1, *range(2, d + 1, 2)):  # B_0 = 1, B_1 = -1/2, then the even r <= d
-        value += bernoulli_number(r) / math.factorial(r) * _phi_deriv_exact(k, r, X, prows[r])
+        value += bernoulli_number(r) / math.factorial(r) * _phi_deriv_exact(k, r, X, rows[r])
     return _quotient(value.numerator, value.denominator, wp)
 
 
@@ -341,13 +335,12 @@ def _em_check(k: int, a: int, ctx: PrecisionContext, tol: tuple, quad_tol: tuple
     """
     from .coefficients import _single_index
 
-    if not 2 <= a < k:  # before build_paj(a + 1), which costs about a^3
+    if not 2 <= a < k:  # before any work
         raise ValueError("need 2 <= a < k")
-    paj = build_paj(a + 1)
     ref = _single_index("A", k, ctx)
     if quad_tol is None:
         quad_tol = _ratio([(ref[1] * tol[1], ref[2] + tol[2])], [(100, 0)], 53)
-    val = _em_remainder_raw(k, a, paj, ctx.working_bits, quad_tol)
+    val = _em_remainder_raw(k, a, ctx.working_bits, quad_tol)
     e = min(val[2], ref[2])
     gap = abs((_man(val) << val[2] - e) - (_man(ref) << ref[2] - e))
     scale = ref[1] << ref[2] - e  # |A_k| 2^-e
@@ -422,7 +415,7 @@ def deriv_l1_norm(k: int, a: int, paj: PajTable, ctx: PrecisionContext):
     import mpmath
     from mpmath import mp
 
-    rows = [_pcoeffs(paj, r, k) for r in range(a + 1)]
+    rows = _prows(k, a)
     b = ctx.working_bits
     with mp.workprec(b):
         vals = [mp.zero]

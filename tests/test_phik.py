@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -17,9 +18,32 @@ from maslanka.phik import (
     build_paj,
     deriv_l1_norm,
     em_remainder_a_k,
-    paj_eval,
     phi_deriv,
 )
+
+
+@functools.cache
+def _paj_polys(a_max):
+    """p_{a,j} for 0 <= j <= a <= a_max as integer polynomials in k, lowest
+    power first, by the recurrence on their coefficients: the oracle of
+    phik._prows, which runs the recurrence at one k."""
+    polys = {(0, 0): (1,)}
+    for a in range(1, a_max + 1):
+        for j in range(a + 1):
+            out = [0] * (j + 1)
+            for i, c in enumerate(polys.get((a - 1, j), ())):
+                out[i] -= (2 * j + a) * c
+            for i, c in enumerate(polys.get((a - 1, j - 1), ())):  # (2k + 2j - a) p_{a-1,j-1}
+                out[i] += (2 * j - a) * c
+                out[i + 1] += 2 * c
+            polys[(a, j)] = tuple(out)
+    return polys
+
+
+def _prow(r, k):
+    """[p_{r,0}(k), ..., p_{r,r}(k)] from the polynomials of _paj_polys."""
+    polys = _paj_polys(r)
+    return [sum(c * k**i for i, c in enumerate(polys[(r, j)])) for j in range(r + 1)]
 
 
 def _phi(k, x):
@@ -61,35 +85,39 @@ def integrated(monkeypatch):
 
 
 class TestPajTable:
-    def test_base_case(self, paj8):
-        assert paj8.entries[(0, 0)] == (1,)
+    """p_{r,j}(k) from phik._prows, the recurrence at one k, against the
+    polynomials in k of _paj_polys, and both at the first depths by hand."""
 
-    def test_depth_one(self, paj8):
+    def test_base_case(self):
+        assert _paj_polys(0) == {(0, 0): (1,)}
+        assert phik._prows(5, 0) == [[1]]
+
+    def test_depth_one(self):
         # -p_{0,0} and (2k+1) p_{0,0}
-        assert paj8.entries[(1, 0)] == (-1,)
-        assert paj8.entries[(1, 1)] == (1, 2)
+        assert _paj_polys(1)[(1, 0)] == (-1,)
+        assert _paj_polys(1)[(1, 1)] == (1, 2)
+        assert phik._prows(7, 1)[1] == [-1, 15]
 
-    def test_depth_two(self, paj8):
-        assert paj8.entries[(2, 0)] == (2,)
-        assert paj8.entries[(2, 1)] == (-4, -10)
-        assert paj8.entries[(2, 2)] == (2, 6, 4)
+    def test_depth_two(self):
+        assert _paj_polys(2)[(2, 0)] == (2,)
+        assert _paj_polys(2)[(2, 1)] == (-4, -10)
+        assert _paj_polys(2)[(2, 2)] == (2, 6, 4)
+        assert phik._prows(3, 2)[2] == [2, -4 - 30, 2 + 18 + 36]
 
-    def test_eval_is_exact_integer(self, paj8):
-        assert paj_eval(paj8, 1, 1, 7) == 15
-        assert paj_eval(paj8, 2, 2, 3) == 2 + 18 + 36
-        for a in range(9):
-            for j in range(a + 1):
-                assert isinstance(paj_eval(paj8, a, j, 11), int)
+    def test_eval_is_exact_integer(self):
+        rows = phik._prows(11, 8)
+        assert [len(row) for row in rows] == list(range(1, 10))
+        assert all(type(c) is int for row in rows for c in row)
 
-    def test_eval_range_checks(self, paj8):
-        with pytest.raises(ValueError):
-            paj_eval(paj8, 9, 0, 5)
-        with pytest.raises(ValueError):
-            paj_eval(paj8, 2, 3, 5)
-        with pytest.raises(ValueError):
-            paj_eval(paj8, 2, -1, 5)
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 12))
+    @example(0, 12)
+    @example(10**6, 12)
+    def test_matches_the_polynomials(self, k, depth):
+        assert phik._prows(k, depth) == [_prow(r, k) for r in range(depth + 1)]
 
     def test_build_rejects_negative_depth(self):
+        assert build_paj(8).a_max == 8
         with pytest.raises(ValueError):
             build_paj(-1)
 
@@ -152,7 +180,7 @@ class TestPhiDeriv:
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_depth_k_at_one_is_coefficient_sum(self, k, paj8, ctx128):
-        want = sum(paj_eval(paj8, k, j, k) for j in range(k + 1))
+        want = sum(_prow(k, k))
         assert phi_deriv(k, k, 1, paj8, ctx128) == want
 
     def test_boundary_decay_from_the_right(self, paj8, ctx128):
@@ -202,7 +230,7 @@ class TestPhiDeriv:
         """The Fraction phi_k^(r)(X) of em_remainder_a_k's boundary against
         phi_deriv at 352 working bits, more than twice ctx128's 160."""
         paj = build_paj(r)
-        exact = _phi_deriv_exact(k, r, X, [paj_eval(paj, r, j, k) for j in range(r + 1)])
+        exact = _phi_deriv_exact(k, r, X, _prow(r, k))
         assert isinstance(exact, Fraction)
         got = phi_deriv(k, r, X, paj, PrecisionContext(320))
         with mp.workprec(1000):
@@ -289,7 +317,7 @@ class TestEmRemainder:
 
         T_a(X) is A_k minus the remainder integral over [1, X], the latter by
         mpmath.quad on eighth-unit panels at 320 bits; the boundary terms and the
-        bound are rebuilt here from paj_eval, phi_deriv and the Bernoulli
+        bound are rebuilt here from _prow, phi_deriv and the Bernoulli
         numbers, and the module's own helpers must agree with them.
         """
         from maslanka.bernoulli import periodified_sup_bound
@@ -297,10 +325,6 @@ class TestEmRemainder:
 
         ctx = PrecisionContext(288)
         paj = build_paj(k)
-
-        def prow(r):
-            return [paj_eval(paj, r, j, k) for j in range(r + 1)]
-
         with mp.workprec(320):
             ref = a_k(k, ctx)
             cells = [mpmath.quad(lambda x: _bbar(a, x) * phi_deriv(k, a + 1, x, paj, ctx),
@@ -319,14 +343,14 @@ class TestEmRemainder:
                         boundary += (mpf(b.numerator) / b.denominator / math.factorial(d)
                                      * phi_deriv(k, d, X, paj, ctx))
                     tail = mpmath.fsum(abs(c) / ((d + 2 * j + 1) * mpf(X) ** (d + 2 * j + 1))
-                                       for j, c in enumerate(prow(d + 1)))
+                                       for j, c in enumerate(_prow(d + 1, k)))
                     bound = periodified_sup_bound(d) / math.factorial(d) * tail
                     assert abs(t_a - boundary) <= bound, (X, d)
-                    exact = _l1_tail(prow(d + 1), d + 1, X)
+                    exact = _l1_tail(_prow(d + 1, k), d + 1, X)
                     exact = exact.numerator / mpf(exact.denominator)
                     assert abs(exact - tail) <= tail * mpf(2) ** -280
                     mine = sum((bernoulli_number(r) / math.factorial(r)
-                                * _phi_deriv_exact(k, r, X, prow(r))
+                                * _phi_deriv_exact(k, r, X, _prow(r, k))
                                 for r in range(a + 1, d + 1) if r % 2 == 0), Fraction(0))
                     mine = mine.numerator / mpf(mine.denominator)
                     assert abs(mine - boundary) <= abs(ref) * mpf(2) ** -250, (X, d)
@@ -356,7 +380,7 @@ class TestEmRemainder:
     def test_unreachable_cut_names_the_least_reachable_tolerance(self, ctx64, monkeypatch):
         # quad_tol must exceed twice the tail bound at X = MAX_PANELS + 1; the
         # message shows that rounded up to 6 digits, which reaches the cut
-        from maslanka.phik import _em_cut, _pcoeffs
+        from maslanka.phik import _em_cut, _prows
 
         monkeypatch.setattr(phik, "MAX_PANELS", 10)
         paj = build_paj(3)
@@ -364,7 +388,7 @@ class TestEmRemainder:
             em_remainder_a_k(3, 2, paj, ctx64, mpf("1e-40"))
         assert str(info.value) == ("tolerance 1.0e-40 is out of reach at k = 3, a = 2: the "
                                    "tail bound at X = 11 needs quad_tol above 0.000288468")
-        X, _, _, tail = _em_cut(3, 2, _pcoeffs(paj, 3, 3), Fraction(1, 2 * 10**40))
+        X, _, tail = _em_cut(3, 2, _prows(3, 3), Fraction(1, 2 * 10**40))
         assert X == 11 and 2 * tail < Fraction("0.000288468") <= 2 * tail * (1 + Fraction(1, 10**5))
         assert em_remainder_a_k(3, 2, paj, ctx64, mpf("0.000288468")) > 0
         # at the default budget, as `maslanka em-check --k 4 --a 2 --bits 64
@@ -375,10 +399,9 @@ class TestEmRemainder:
                            r"above 7\.26889e-23$"):
             em_remainder_a_k(4, 2, paj, ctx64, mpf("1e-24"))
 
-    def test_unreachable_cut_fails_in_few_tail_bounds(self, ctx128, monkeypatch):
-        # the same failure at the default budget: once the depth is k - 1 one
-        # bound at X = MAX_PANELS + 1 ends the cut, which is not walked one X
-        # at a time up to there
+    @pytest.fixture
+    def tail_bounds(self, monkeypatch):
+        """The arguments of every _l1_tail call the test makes, in order."""
         calls = []
         l1_tail = phik._l1_tail
 
@@ -387,32 +410,50 @@ class TestEmRemainder:
             return l1_tail(*args)
 
         monkeypatch.setattr(phik, "_l1_tail", counting)
+        return calls
+
+    def test_unreachable_cut_fails_in_few_tail_bounds(self, ctx128, tail_bounds):
+        # the same failure at the default budget: once the depth is k - 1 the
+        # step in X doubles up to MAX_PANELS + 1, which is not walked one X at
+        # a time
         with pytest.raises(QuadratureError):
             em_remainder_a_k(3, 2, build_paj(3), ctx128, mpf("1e-40"))
-        assert 0 < len(calls) < 100
+        assert 0 < len(tail_bounds) < 100
+
+    def test_far_cut_is_found_in_few_tail_bounds(self, ctx64, tail_bounds):
+        # d reaches k - 1 = 3 at X = 4 and the first X below the limit is
+        # 58399: doubling the step and then bisecting finds it in a few dozen
+        # bounds, where a walk one X at a time takes one per X
+        got = em_remainder_a_k(4, 2, build_paj(3), ctx64, mpf("1e-20"))
+        assert 0 < len(tail_bounds) < 100
+        with mp.workprec(600):
+            want = a_k(4, PrecisionContext(600))
+            assert abs(got - want) <= mpf("1e-20") + _half_ulp(got, ctx64.working_bits)
 
     @pytest.mark.parametrize("k", [3, 4, 6, 9, 14, 60, 120])
     def test_cut_search_matches_the_walk(self, k, monkeypatch):
         # the cut walked one X at a time, d rising while the bound shrinks and
-        # every X tried up to MAX_PANELS + 1, against _em_cut, which checks
-        # that budget with one bound once d is k - 1; at small k the depth
+        # every X tried up to MAX_PANELS + 1, against _em_cut, which, once d is
+        # k - 1, doubles the step in X and then bisects; at small k the depth
         # reaches k - 1 (and the walk goes on past X = 4, or fails), at large
         # k the walk stops with d below k - 1
         from maslanka.bernoulli import periodified_sup_bound
-        from maslanka.phik import _em_cut, _l1_tail, _next_prow, _pcoeffs
+        from maslanka.phik import _em_cut, _l1_tail, _prows
 
         monkeypatch.setattr(phik, "MAX_PANELS", 400)
-        paj = build_paj(k + 1)
+
+        @functools.cache
+        def depth(e):
+            """sup|Bbar_e| / e! and p_{e+1,j}(k), once the walk reaches depth e."""
+            return periodified_sup_bound(e) / math.factorial(e), _prow(e + 1, k)
 
         def walk(a, limit):
-            rows, sups, d = [_pcoeffs(paj, a + 1, k)], [], a
+            d = a
             for X in range(4, 402):
                 best = None
                 for e in range(d, k):
-                    if e - a == len(sups):
-                        sups.append(periodified_sup_bound(e) / math.factorial(e))
-                        rows.append(_next_prow(rows[-1], e + 2, k))
-                    bound = sups[e - a] * _l1_tail(rows[e - a], e + 1, X)
+                    sup, row = depth(e)
+                    bound = sup * _l1_tail(row, e + 1, X)
                     if best is not None and not bound < best:
                         break
                     d, best = e, bound
@@ -425,7 +466,7 @@ class TestEmRemainder:
         searched = failed = shallow = 0
         for a, e in cases:
             limit = Fraction(1, 10**e)
-            X, d, _, tail = _em_cut(k, a, _pcoeffs(paj, a + 1, k), limit)
+            X, d, tail = _em_cut(k, a, _prows(k, a + 1), limit)
             cut = (X, d) if tail < limit else None
             assert cut == walk(a, limit), (a, e)
             searched += cut is not None and d == k - 1 and X > 4
@@ -459,7 +500,7 @@ class TestEmRemainder:
         assert isinstance(got, mpf)
         with mp.workprec(ctx64.working_bits):
             raw = mpf(quad_tol)._mpf_
-        assert got._mpf_ == phik._em_remainder_raw(8, 2, paj8, ctx64.working_bits, raw)
+        assert got._mpf_ == phik._em_remainder_raw(8, 2, ctx64.working_bits, raw)
 
 
 def _exact(x: tuple) -> Fraction:
@@ -490,7 +531,7 @@ class TestClosedForm:
         F = 2 * bits + 32
         closed = Fraction(phik._head_sum(k, X, F), 1 << F)
         for r in (0, 1, *range(2, a + 1, 2)):
-            row = [paj_eval(paj, r, j, k) for j in range(r + 1)]
+            row = _prow(r, k)
             closed += bernoulli_number(r) / math.factorial(r) * _phi_deriv_exact(k, r, X, row)
         hi = PrecisionContext(2 * bits)
         with mp.workprec(2 * bits + 32):
@@ -554,7 +595,7 @@ class TestEmCheck:
         # ties to even, here; the remainder itself is not computed
         seen = []
 
-        def record(k, a, paj, wp, quad_tol):
+        def record(k, a, wp, quad_tol):
             seen.append(quad_tol)
             return (0, 1, 0, 1)
 
@@ -594,7 +635,7 @@ class TestL1Tail:
         from maslanka.phik import _l1_tail
 
         paj = build_paj(r)
-        pc = [paj_eval(paj, r, j, k) for j in range(r + 1)]
+        pc = _prow(r, k)
         tail = _l1_tail(pc, r, X)
         ctx = PrecisionContext(96)
         with mp.workprec(128):
@@ -641,7 +682,7 @@ class TestBracketRoots:
 
         bits = 96
         for k, a in [(1, 1), (3, 3), (6, 2), (8, 8), (30, 8), (100, 5), (1000, 2), (20000, 4)]:
-            rows = [[paj_eval(paj8, r, j, k) for j in range(r + 1)] for r in range(a + 1)]
+            rows = [_prow(r, k) for r in range(a + 1)]
             got = _bracket_zeros(rows, bits)
             with mp.workprec(192):
                 want = sorted(mpmath.polyroots(rows[a][::-1], maxsteps=200, extraprec=192))
@@ -663,7 +704,7 @@ class TestDerivL1Norm:
 
     def test_k6_a2_against_quad_oracle(self, paj8, ctx64):
         got = deriv_l1_norm(6, 2, paj8, ctx64)
-        coeffs = [paj_eval(paj8, 2, j, 6) for j in range(3)]
+        coeffs = _prow(2, 6)
         with mp.workprec(160):
             us = sorted(mpmath.polyroots([coeffs[2], coeffs[1], coeffs[0]]))
             splits = sorted(1 / mpmath.sqrt(u) for u in us)
@@ -687,7 +728,7 @@ class TestDerivL1Norm:
         """
         got = deriv_l1_norm(k, a, paj8, ctx64)
         hi = PrecisionContext(96)
-        coeffs = [paj_eval(paj8, a, j, k) for j in range(a + 1)]
+        coeffs = _prow(a, k)
         with mp.workprec(128):
             us = mpmath.polyroots(coeffs[::-1], maxsteps=200, extraprec=192)
             splits = sorted(1 / mpmath.sqrt(u) for u in us)
