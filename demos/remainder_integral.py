@@ -31,7 +31,7 @@ paj = build_paj(6)
 # the closed-form derivative at a couple of points: once x >> sqrt(k) the
 # k-dependence retreats to higher order and phi'' settles toward 2/x^3
 for x in (mpf(30), mpf(300)):
-    d2 = phi_deriv(60, 2, x, paj, ctx)
+    d2 = phi_deriv(60, 2, x, ctx)
     print(f"phi_60''({int(x)}) = {mpmath.nstr(d2, 10)}   (2/x^3 = {mpmath.nstr(2 / x ** 3, 10)})")
 
 print("\nremainder integral vs alternating sum:")
@@ -50,7 +50,7 @@ print("\nL1 norms of phi_k^(a), the size driver of the remainder:")
 print(f"{'k':>5} {'a=2':>12} {'a=3':>12}")
 norms = {}
 for k in (50, 100, 200, 400):
-    row = [deriv_l1_norm(k, a, paj, ctx) for a in (2, 3)]
+    row = [deriv_l1_norm(k, a, ctx) for a in (2, 3)]
     norms[k] = row
     print(f"{k:5d} {mpmath.nstr(row[0], 4):>12} {mpmath.nstr(row[1], 4):>12}")
 for a, col in ((2, 0), (3, 1)):

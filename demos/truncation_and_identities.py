@@ -63,7 +63,7 @@ def bernoulli_form(s, K):
     The k = 1 weight is +1/2, not B_1: solving the triangular system at
     s = 1, 0, -1, ... pins it.
     """
-    with ctx.prec():
+    with mp.workprec(ctx.working_bits):
         weights = [mp.one, mpf(1) / 2] + [mpf(b.numerator) / b.denominator
                                           for b in map(bernoulli_number, range(2, K + 1))]
         return mpmath.fsum(c * p for c, p in zip(weights, pochhammer_values(2 - s, K, ctx)))

@@ -149,12 +149,6 @@ class PrecisionContext(Record):
     def working_bits(self) -> int:
         return self.target_bits + GUARD_BITS
 
-    def prec(self):
-        """Context manager setting mpmath precision to working_bits."""
-        from mpmath import mp
-
-        return mp.workprec(self.working_bits)
-
 
 # -- binary floats and decimal conversion in integers -------------------------
 

@@ -18,7 +18,8 @@ integers p_{a,j}(k), polynomials in k:
     p_{0,0} = 1,   p_{a,j} = -(2j+a) p_{a-1,j} + (2k+2j-a) p_{a-1,j-1}.
 
 Every caller wants them at one k, so the recurrence runs at that k, one row
-p_{a,.}(k) from the one before (_prows, _next_prow).
+p_{a,.}(k) from the one before (_prows, _next_prow); _phi_deriv_exact
+evaluates phi_k^(a) exactly from a row, and phi_deriv rounds it once.
 
 Past an integer X the remainder integral is not integrated but shifted in
 depth.  With T_a(X) = ((-1)^a / a!) Int_X^inf Bbar_a phi_k^(a+1), one
@@ -67,11 +68,10 @@ import math
 from fractions import Fraction
 
 from .bernoulli import bernoulli_number, periodified_sup_bound
-from .mpnum import (PrecisionContext, Record, _check_positive, _floor_digits, _fold, _man,
-                    _quotient, _ratio, _round, _to_mp, decimal_to_raw, format_nstr)
+from .mpnum import (PrecisionContext, _check_positive, _floor_digits, _fold, _man, _quotient,
+                    _ratio, _round, _to_mp, decimal_to_raw, format_nstr)
 
 __all__ = [
-    "PajTable",
     "QuadratureError",
     "build_paj",
     "deriv_l1_norm",
@@ -88,42 +88,38 @@ class QuadratureError(ArithmeticError):
     """The Euler-Maclaurin cut needs X past its budget, or a zero bracket kept its sign."""
 
 
-class PajTable(Record):
-    """The depth a_max to which phi_deriv, em_remainder_a_k and deriv_l1_norm
-    may be asked for derivatives; each builds its rows p_{r,j}(k) at the k in
-    hand (_prows)."""
-
-    __slots__ = ("a_max",)
-    a_max: int
-
-
-def build_paj(a_max: int) -> PajTable:
-    """The handle that lets the phik routines reach depth a_max."""
+def build_paj(a_max: int) -> int:
+    """a_max, checked: the depth em_remainder_a_k's paj names, at least a + 1."""
     if a_max < 0:
         raise ValueError("a_max must be >= 0")
-    return PajTable(a_max=a_max)
+    return a_max
 
 
-def phi_deriv(k: int, a: int, x, paj: PajTable, ctx: PrecisionContext):
-    """The a-th derivative of phi_k from the closed form, as an mpf; a = 0
-    gives phi_k itself."""
+def phi_deriv(k: int, a: int, x, ctx: PrecisionContext):
+    """The a-th derivative of phi_k at x >= 1, for 0 <= a <= k, as an mpf; a = 0
+    gives phi_k itself.
+
+    x is read at working_bits, as a dyadic m 2^-e, and the exact value there
+    (_phi_deriv_exact) is rounded once to working_bits: within half an ulp.
+    Its integers have about (2k + a + 1) bitlen(m) bits, so the cost grows
+    with k and with the bits of x: for x = 1.1 read at 160 bits, 13-23 ms at
+    k = 10^3 and 0.5-0.7 s at k = 10^4 on a 2-core Xeon; 25-30 us at k = 60,
+    x = 2.75.
+    """
     from mpmath import mp, mpf
 
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not (0 <= a <= min(k, paj.a_max)):
-        raise ValueError("need 0 <= a <= min(k, paj.a_max)")
-    with ctx.prec():
+    if not 0 <= a <= k:
+        raise ValueError("need 0 <= a <= k")
+    with mp.workprec(ctx.working_bits):
         xf = mpf(x)
-        if xf < 1:
-            raise ValueError("x must be >= 1")
-        inv2 = 1 / (xf * xf)
-        xp = xf ** (-(a + 1))
-        acc = mp.zero
-        for c in _prows(k, a)[a]:
-            acc += c * xp
-            xp *= inv2
-        return (1 - inv2) ** (k - a) * acc
+    _check_positive(xf._mpf_, "x")
+    if xf < 1:
+        raise ValueError("x must be >= 1")
+    _, m, e, _ = xf._mpf_
+    p, q = _phi_deriv_exact(k, a, m << max(e, 0), _prows(k, a)[a], max(-e, 0))
+    return _to_mp(_quotient(p, q, ctx.working_bits))
 
 
 def _scaled_poly(coeffs: list[int], m: int, bits: int) -> int:
@@ -164,12 +160,13 @@ def _l1_tail(pcoeffs: list[int], r: int, X: int) -> Fraction:
     return Fraction(_scaled_poly(num[::-1], X * X, 0), lcm * X ** (r + 2 * J))
 
 
-def _phi_deriv_exact(k: int, r: int, X: int, pcoeffs: list[int]) -> Fraction:
-    """phi_k^(r)(X) as an exact Fraction at an integer X >= 1, for r <= k, from
-    pcoeffs[j] = p_{r,j}(k): (X^2 - 1)^(k-r) sum_j p_{r,j}(k) X^(2(r-j)) / X^(2k+r+1)."""
-    x2 = X * X
-    acc = _scaled_poly(pcoeffs[::-1], x2, 0)  # sum_j p_{r,j}(k) X^(2(r-j))
-    return Fraction((x2 - 1) ** (k - r) * acc, X ** (2 * k + r + 1))
+def _phi_deriv_exact(k: int, r: int, m: int, pcoeffs: list[int], e: int = 0) -> tuple[int, int]:
+    """(p, q), q > 0, p / q = phi_k^(r)(x) at x = m 2^-e >= 1, e >= 0, r <= k, from
+    pcoeffs[j] = p_{r,j}(k): 2^(e(r+1)) (m^2 - 4^e)^(k-r) sum_j p_{r,j}(k) m^(2(r-j))
+    4^(ej) / m^(2k+r+1), unreduced, since a gcd would cost more than the rest."""
+    m2 = m * m
+    acc = _scaled_poly(pcoeffs[::-1], m2, 2 * e)  # 4^(er) sum_j p_{r,j}(k) x^(2(r-j))
+    return (m2 - (1 << 2 * e)) ** (k - r) * acc << e * (r + 1), m ** (2 * k + r + 1)
 
 
 def _em_cut(k: int, a: int, rows: list[list[int]], limit: Fraction):
@@ -232,7 +229,7 @@ def _head_sum(k: int, X: int, F: int) -> int:
     return total
 
 
-def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_tol):
+def em_remainder_a_k(k: int, a: int, paj: int, ctx: PrecisionContext, quad_tol):
     """A_k recomputed as the depth-a Euler-Maclaurin remainder integral.
 
         A_k = ((-1)^a / a!) * Int_1^X Bbar_a(x) phi_k^(a+1)(x) dx  +  T_a(X)
@@ -259,17 +256,19 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
     together, the closed form A_k - T_d(X) of the module docstring.  Its
     X - 2 terms -phi_k'(n) are each floored once at the scale 2^F and add up
     to one integer (_head_sum); phi_k(X), phi_k'(X) and the boundary terms
-    are exact Fractions (_phi_deriv_exact).
+    are exact (_phi_deriv_exact).
 
     Error: |result - A_k| <= quad_tol + half an ulp at working_bits.  The
     dropped T_d(X) is below quad_tol/2 by the exact bound, the floors below
     quad_tol/16 at the F of _em_remainder_raw, and the exact sum is rounded
     once to working_bits.
 
-    quad_tol (an mpf, an int or a string) is read by mpmath at working_bits,
-    and the result is an mpf.  This wrapper hands the raw tuples to
-    ``_em_remainder_raw``, which imports no mpmath; ``maslanka em-check``
-    and ``verify --suite em-remainder`` call that core through ``_em_check``.
+    paj is the depth build_paj returns, at least a + 1; the rows p_{r,j}(k)
+    are built here at k.  quad_tol (an mpf, an int or a string) is read by
+    mpmath at working_bits, and the result is an mpf.  This wrapper hands
+    the raw tuples to ``_em_remainder_raw``, which imports no mpmath;
+    ``maslanka em-check`` and ``verify --suite em-remainder`` call that core
+    through ``_em_check``.
     """
     from mpmath import mp, mpf
 
@@ -277,7 +276,7 @@ def em_remainder_a_k(k: int, a: int, paj: PajTable, ctx: PrecisionContext, quad_
         tol = mpf(quad_tol)._mpf_
     if not 2 <= a < k:
         raise ValueError("need 2 <= a < k")
-    if paj.a_max < a + 1:
+    if paj < a + 1:
         raise ValueError("paj must cover depth a+1")
     return _to_mp(_em_remainder_raw(k, a, ctx.working_bits, tol))
 
@@ -304,7 +303,6 @@ def _em_remainder_raw(k: int, a: int, wp: int, quad_tol: tuple) -> tuple:
     """
     tol = _round(quad_tol, wp)
     _check_positive(tol, "quad_tol")
-    shown = format_nstr(tol, 6)
     x = min(max(tol[2] - 1, -21 * k - tol[3]), k * (6 * k).bit_length() + 6)
     half_tol = Fraction(tol[1] << max(x, 0), 1 << max(-x, 0))
     rows = _prows(k, a + 1)
@@ -313,13 +311,14 @@ def _em_remainder_raw(k: int, a: int, wp: int, quad_tol: tuple) -> tuple:
         v = 2 * tail
         t = max(0, 64 + v.denominator.bit_length() - v.numerator.bit_length())
         lead, e10 = _floor_digits(-(-v.numerator << t) // v.denominator, -t, 6)
-        raise QuadratureError(f"tolerance {shown} is out of reach at k = {k}, a = {a}: the "
-                              f"tail bound at X = {X} needs quad_tol above "
+        raise QuadratureError(f"tolerance {format_nstr(tol, 6)} is out of reach at k = {k}, "
+                              f"a = {a}: the tail bound at X = {X} needs quad_tol above "
                               f"{format_nstr(decimal_to_raw(lead + 1, e10 - 5, 53), 6)}")
     F = max(wp, 2 - x - tol[3]) + X.bit_length() + 2
     value = Fraction(_head_sum(k, X, F), 1 << F)
     for r in (0, 1, *range(2, d + 1, 2)):  # B_0 = 1, B_1 = -1/2, then the even r <= d
-        value += bernoulli_number(r) / math.factorial(r) * _phi_deriv_exact(k, r, X, rows[r])
+        value += (bernoulli_number(r) / math.factorial(r)
+                  * Fraction(*_phi_deriv_exact(k, r, X, rows[r])))
     return _quotient(value.numerator, value.denominator, wp)
 
 
@@ -390,7 +389,7 @@ def _bracket_zeros(rows: list[list[int]], bits: int) -> list[int]:
     return zeros
 
 
-def deriv_l1_norm(k: int, a: int, paj: PajTable, ctx: PrecisionContext):
+def deriv_l1_norm(k: int, a: int, ctx: PrecisionContext):
     """Int_1^inf |phi_k^(a)(x)| dx, for 1 <= a <= k, as a total variation, an mpf.
 
     F = phi_k^(a-1) vanishes at x = 1 and at infinity, and F' = phi_k^(a)
@@ -410,8 +409,8 @@ def deriv_l1_norm(k: int, a: int, paj: PajTable, ctx: PrecisionContext):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not 1 <= a <= min(k, paj.a_max):
-        raise ValueError("need 1 <= a <= min(k, paj.a_max)")
+    if not 1 <= a <= k:
+        raise ValueError("need 1 <= a <= k")
     import mpmath
     from mpmath import mp
 

@@ -120,11 +120,11 @@ def pochhammer_values(s, k_max: int, ctx: PrecisionContext) -> list:
     1 <= s <= k, P_k(s) is exactly zero.
     """
     import mpmath
-    from mpmath import mpc, mpf
+    from mpmath import mp, mpc, mpf
 
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    with ctx.prec():
+    with mp.workprec(ctx.working_bits):
         z = mpmath.mpmathify(s)
         W = ctx.working_bits + _guard_bits(float(z.real), float(z.imag), k_max)
         H = (_to_fixed(z.real._mpf_, W), _to_fixed(z.imag._mpf_, W))
@@ -142,6 +142,6 @@ def pochhammer_bound_probe(s, k_max: int, ctx: PrecisionContext) -> mpf:
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     values = pochhammer_values(s, k_max, ctx)
-    with ctx.prec():
+    with mp.workprec(ctx.working_bits):
         sigma = mp.re(mpmath.mpmathify(s))
         return +max(abs(P) * mpf(k) ** sigma for k, P in enumerate(values) if k)

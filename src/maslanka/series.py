@@ -279,7 +279,7 @@ def zeta_reference(s, ctx: PrecisionContext) -> mpf | mpc:
     import mpmath
     from mpmath import mp, mpf
 
-    with ctx.prec():
+    with mp.workprec(ctx.working_bits):
         z = mpmath.mpmathify(s)
     if not mpmath.isfinite(z):
         raise ValueError("s must be a finite number")

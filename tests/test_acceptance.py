@@ -127,11 +127,10 @@ def test_05_weighted_decay_dominance(table_a200_256, capsys):
 def test_06_derivative_l1_ratio(ctx128, capsys):
     """L1 norm of the a-th derivative falls by at least (1/4)^(a/4)/1.5
     from k=100 to k=400, a = 2 and 3."""
-    paj = build_paj(5)
     parts = []
     ok = True
     for a in (2, 3):
-        ratio = deriv_l1_norm(400, a, paj, ctx128) / deriv_l1_norm(100, a, paj, ctx128)
+        ratio = deriv_l1_norm(400, a, ctx128) / deriv_l1_norm(100, a, ctx128)
         bound = mpf(1) / 4 ** (mpf(a) / 4) * mpf("1.5")
         good = ratio <= bound
         ok &= good

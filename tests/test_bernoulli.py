@@ -171,7 +171,7 @@ class TestZetaEven:
         # pi^2/6 far past working_bits, then rounded once to it
         with mp.workprec(2 * ctx128.working_bits + 64):
             exact = mp.pi ** 2 / 6
-        with ctx128.prec():
+        with mp.workprec(ctx128.working_bits):
             want = +exact
         assert zeta_even(2, ctx128) == want
 

@@ -728,6 +728,20 @@ class TestEmCheck:
         assert cap.out == ""
         assert cap.err.startswith("numeric failure:")
 
+    @pytest.mark.parametrize("exponent", ["3" + "0" * 39, "1" + "0" * 39])
+    def test_out_of_reach_at_a_40_digit_exponent(self, exponent, capsys):
+        # the message prints the 53-bit quad-tol near 2^-(2^133), where the
+        # first decimal exponent format_nstr guesses is far off or one high;
+        # the digits it must print are those of the literal
+        rc = cli.run(["em-check", "--k", "8", "--a", "2", "--bits", "64",
+                      "--quad-tol", f"1e-{exponent}"])
+        cap = capsys.readouterr()
+        assert rc == cli.EXIT_NUMERIC
+        assert cap.out == ""
+        assert cap.err == (f"numeric failure: tolerance 1.0e-{exponent} is out of reach at "
+                           "k = 8, a = 2: the tail bound at X = 200001 needs quad_tol above "
+                           "2.05393e-44\n")
+
 
 def test_every_arithmetic_error_exits_3(deep_table_file, monkeypatch, capsys):
     # exit 1 is kept for a FAIL line, so no numeric error may escape run()

@@ -1,12 +1,16 @@
 import math
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import libmp, mp
 
-from maslanka.mpnum import (PrecisionContext, _quotient, _ratio, _raw, _sqrt, _to_float,
-                            format_nstr, required_bits_for_alternating_sum)
+from maslanka import mpnum
+from maslanka.mpnum import (PrecisionContext, _floor_digits, _quotient, _ratio, _raw, _sqrt,
+                            _to_float, decimal_to_raw, format_nstr,
+                            required_bits_for_alternating_sum)
 
 
 class TestRequiredBits:
@@ -62,7 +66,7 @@ class TestPrecisionContext:
             PrecisionContext(8)
 
     def test_prec_context_manager(self):
-        with PrecisionContext(64).prec():
+        with mp.workprec(PrecisionContext(64).working_bits):
             assert mp.prec == 96
 
 
@@ -72,7 +76,6 @@ def _records():
 
     from maslanka.analysis import DecayFit
     from maslanka.coefficients import CoefficientTable
-    from maslanka.phik import build_paj
     from maslanka.series import SeriesResult
 
     table = dict(kind="A", k_max=1, target_bits=32, raw=((0, 1, 0, 1), (0, 1, -1, 1)),
@@ -87,9 +90,6 @@ def _records():
             lambda: CoefficientTable(**table),
             "CoefficientTable(kind='A', k_max=1, target_bits=32, "
             "raw=((0, 1, 0, 1), (0, 1, -1, 1)), error_bound_exponents=(-40, -41))"),
-        "PajTable": (
-            lambda: build_paj(1),
-            "PajTable(a_max=1)"),
         "SeriesResult": (
             lambda: SeriesResult(**result),
             "SeriesResult(s=mpf('4.0'), value=mpf('3.0'), terms_used=5, "
@@ -217,3 +217,57 @@ class TestNstr:
             q = rng.getrandbits(rng.choice([1, 20, 53, 90, 300])) | 1
             bits = (16, 53, 100, 170, 240)[i % 5]
             assert _quotient(p, q, bits) == libmp.from_rational(p, q, bits, "n")
+
+
+def _nearest_even(v: Fraction, bits: int) -> Fraction:
+    """v != 0 rounded to nearest at `bits` bits, ties to even, in Fractions."""
+    e = abs(v.numerator).bit_length() - v.denominator.bit_length()
+    e -= abs(v) < Fraction(2) ** e  # now 2^e <= |v| < 2^(e+1)
+    n, rest = divmod(abs(v) * Fraction(2) ** (bits - 1 - e), 1)
+    n += rest > Fraction(1, 2) or rest == Fraction(1, 2) and n % 2
+    return (n if v > 0 else -n) * Fraction(2) ** (e + 1 - bits)
+
+
+class TestDecimalToRaw:
+    @pytest.mark.parametrize("bits,j", [(53, 1), (53, 3), (64, 1), (113, 5), (53, 2)])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_binary_ties(self, bits, j, sign, monkeypatch):
+        """1 + j 2^-bits written out as the exact decimal (2^bits + j) 5^bits
+        10^-bits.  For odd j it lies halfway between two neighbours at `bits`
+        bits, the first bounds of _scale10 straddle it, and t widens until they
+        meet on it; the result is the even neighbour.  For even j it is exact."""
+        calls = []
+        scale10 = mpnum._scale10
+        monkeypatch.setattr(mpnum, "_scale10", lambda *args: calls.append(args) or scale10(*args))
+        man = sign * (2 ** bits + j) * 5 ** bits
+        got = decimal_to_raw(man, -bits, bits)
+        assert (-1) ** got[0] * Fraction(got[1]) * Fraction(2) ** got[2] == \
+            _nearest_even(Fraction(man, 10 ** bits), bits)
+        assert len(calls) == (2 if j % 2 else 1)
+
+
+class TestFloorDigits:
+    """_floor_digits past |exp| = 2^127, where floor(L log10 2) from log10 2 to
+    128 bits can be far off or one high, against mpmath's log10 at 600 bits."""
+
+    @pytest.mark.parametrize("man,exp", [
+        (1, 2 ** 134), (1, -2 ** 134), (3, 3 * 2 ** 133),  # far: the first E is off by ~64
+        (1, -2 ** 127), (1, -10 ** 39), (2 ** 70 + 1, -5 * 10 ** 38),  # one high
+        (1, -2 ** 100), (7, 2 ** 120)])  # one pass
+    @pytest.mark.parametrize("n", [1, 7, 20])
+    def test_against_log10(self, man, exp, n):
+        with mp.workprec(600):
+            log = mpmath.log10(man) + exp * mpmath.log10(2)
+            e10 = int(mpmath.floor(log))
+            lead = int(mpmath.floor(mpmath.power(10, log - e10 + n - 1)))
+        assert _floor_digits(man, exp, n) == (lead, e10)
+
+    def test_nstr_at_a_far_exponent(self):
+        # 2^(2^134) and 2^-(2^127) at 6 digits, the digits from log10 at 600 bits
+        for exp in (2 ** 134, -2 ** 127):
+            with mp.workprec(600):
+                log = exp * mpmath.log10(2)
+                e10 = int(mpmath.floor(log))
+                lead = int(mpmath.nint(mpmath.power(10, log - e10 + 5)))
+            digits = str(lead).rstrip("0")
+            assert format_nstr((0, 1, exp, 1), 6) == f"{digits[0]}.{digits[1:] or '0'}e{e10:+d}"

@@ -50,7 +50,7 @@ def test_import_alone_leaves_mpmath_out():
 
 
 def test_first_use_imports_one_submodule():
-    # mpnum imports mpmath only inside PrecisionContext.prec
+    # PrecisionContext lives in mpnum, which never imports mpmath
     out = _fresh(f"import sys, maslanka; maslanka.PrecisionContext(64); print({LOADED})")
     assert out == "['maslanka', 'maslanka.mpnum']"
 
@@ -72,8 +72,8 @@ def entry_points(table_a400_128, ctx128):
         "pochhammer_values": (pochhammer.pochhammer_values, (s / 2, 30, ctx128)),
         "em_remainder_a_k": (phik.em_remainder_a_k,
                              (8, 2, paj, maslanka.PrecisionContext(64), tol)),
-        "deriv_l1_norm": (phik.deriv_l1_norm, (12, 5, paj, ctx128)),
-        "phi_deriv": (phik.phi_deriv, (12, 5, mpf("2.75"), paj, ctx128)),
+        "deriv_l1_norm": (phik.deriv_l1_norm, (12, 5, ctx128)),
+        "phi_deriv": (phik.phi_deriv, (12, 5, mpf("2.75"), ctx128)),
         "rh_diagnostic": (analysis.rh_diagnostic, (table_b, 10, 60)),
         "zeta_even": (bernoulli.zeta_even, (40, ctx128)),
         "a_k_alt": (coefficients.a_k_alt, (30, ctx128)),

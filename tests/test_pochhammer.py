@@ -8,8 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpc, mpf
 
 from maslanka.coefficients import CoefficientTable
-from maslanka.mpnum import PoleError, PrecisionContext
-from maslanka.pochhammer import _fixed_terms, pochhammer_bound_probe, pochhammer_values
+from maslanka.mpnum import PoleError, PrecisionContext, _raw
+from maslanka.pochhammer import _fixed_terms, _to_fixed, pochhammer_bound_probe, pochhammer_values
 
 
 def pochhammer_gamma(k: int, s, ctx: PrecisionContext):
@@ -21,7 +21,7 @@ def pochhammer_gamma(k: int, s, ctx: PrecisionContext):
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    with ctx.prec():
+    with mp.workprec(ctx.working_bits):
         z = mpmath.mpmathify(s)
         try:
             d = mpmath.loggamma(k + 1 - z) - mpmath.loggamma(mpf(k + 1)) - mpmath.loggamma(1 - z)
@@ -106,6 +106,19 @@ class TestStatedBound:
                     bound = mpf(2) ** -(wb + 1) + abs(values[k]) * mpf(2) ** -wb
                     slack = abs(ref) * mpf(2) ** (16 - 2 * wb)
                     assert err <= bound + slack, (k, s, err, bound)
+
+    def test_imaginary_part_below_the_scale(self, ctx64):
+        """At s = 2 + 1e-300 i the imaginary part rounds to 0 at the sweep's
+        scale 2^W, and every value stays within the bound against
+        rf(1-s, k)/k! at twice the working precision."""
+        wb = ctx64.working_bits
+        s = mpc(2, "1e-300")
+        values = pochhammer_values(s, 12, ctx64)
+        assert all(v.imag == 0 for v in values)
+        with mp.workprec(2 * wb):
+            for k, v in enumerate(values):
+                err = abs(v - mpmath.rf(1 - s, k) / mpmath.factorial(k))
+                assert err <= mpf(2) ** -(wb + 1) + abs(v) * mpf(2) ** -wb, k
 
     @pytest.mark.parametrize("as_complex", [False, True])
     def test_exact_zeros_at_integers_up_to_k_1000(self, as_complex, ctx64):
@@ -194,6 +207,19 @@ def _nearest(x, W: int) -> int:
     """The integer nearest x 2^W for an mpf x, exactly."""
     sign, man, exp, _ = x._mpf_
     return round(Fraction(-man if sign else man) * Fraction(2) ** (exp + W))
+
+
+class TestToFixed:
+    @settings(max_examples=200, deadline=None)
+    @given(st.booleans(), st.integers(1, 2 ** 80), st.integers(-1200, 100), st.integers(0, 400))
+    @example(False, 1, -1000, 300)  # 2^-700: far below one half
+    @example(False, 1, -301, 300)  # 1/2, a tie: away from zero
+    @example(True, 1, -302, 300)  # -1/4: the first bit below the point is 0
+    @example(True, 3, -302, 300)  # -3/4
+    @example(False, *mpf("1e-300").man_exp, 200)  # the imaginary part above, at a 200-bit scale
+    def test_nearest_ties_away_from_zero(self, neg, man, exp, e):
+        want = math.floor(Fraction(man) * Fraction(2) ** (exp + e) + Fraction(1, 2))
+        assert _to_fixed(_raw(-man if neg else man, exp), e) == (-want if neg else want)
 
 
 class TestSweepBound:

@@ -667,7 +667,7 @@ def _bernoulli_form(s, K: int, ctx: PrecisionContext):
     built as demos/truncation_and_identities.py builds it: the c_k rounded,
     the P_k(2-s) from one pochhammer_values sweep, each product and the sum
     rounded at working_bits."""
-    with ctx.prec():
+    with mp.workprec(ctx.working_bits):
         weights = [mp.one, mpf(1) / 2] + [mpf(b.numerator) / b.denominator
                                           for b in map(bernoulli_number, range(2, K + 1))]
         return mpmath.fsum(c * p for c, p in zip(weights, pochhammer_values(2 - s, K, ctx)))
